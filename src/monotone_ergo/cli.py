@@ -5,7 +5,7 @@ constants-demo | convolution), gallery, transport.
 
 Exit codes: 0 pass, 1 verdict failure, 2 config error, 3 numeric failure,
 4 usage error.  Human-readable output goes to stderr; machine-readable
-JSON goes to stdout and, with --out, to files plus an atomically written
+JSON goes to stdout and, with --out, to atomically written files plus a
 run manifest.
 """
 
@@ -44,16 +44,10 @@ def _emit(obj, out: str | None, filename: str) -> dict:
     if out:
         os.makedirs(out, exist_ok=True)
         path = os.path.join(out, filename)
-        _atomic_write(path, text + "\n")
+        with serialize.atomic_open(path) as fh:
+            fh.write(text + "\n")
         hashes[filename] = serialize.file_hash(path)
     return hashes
-
-
-def _atomic_write(path: str, text: str) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
 
 
 def _write_manifest(out: str, subcommand: str, config_path, seed,
@@ -70,19 +64,7 @@ def _write_manifest(out: str, subcommand: str, config_path, seed,
         "duration_seconds": time.monotonic() - t_start,
     }
     os.makedirs(out, exist_ok=True)
-    _atomic_write(os.path.join(out, "manifest.json"),
-                  serialize.dumps(manifest) + "\n")
-
-
-def _apply_threads(args) -> int:
-    n = args.threads
-    if n is None:
-        n = int(os.environ.get("MONOTONE_ERGO_THREADS", "0")) or None
-    if n is not None:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS"):
-            os.environ[var] = str(n)
-    return n or 0
+    serialize.dump(manifest, os.path.join(out, "manifest.json"))
 
 
 def _load_config(path: str):
@@ -278,16 +260,16 @@ def cmd_spde(args) -> int:
         raise spde.ConfigError(f"unknown spde subcommand {sub!r}")
 
     _say(summary)
-    out_hashes = _emit(rec.to_json_obj(), args.out, "record.json")
+    print(serialize.dumps(rec.to_json_obj()))
     if args.out:
         experiments.write_run_archive(args.out, rec, snapshots=snapshots,
                                       n_grid=config.N,
                                       n_paths=config.n_paths)
-        for fn in ("config.json", "statistics.csv"):
-            out_hashes[fn] = serialize.file_hash(os.path.join(args.out, fn))
+        written = ["record.json", "config.json", "statistics.csv"]
         if snapshots:
-            out_hashes["snapshots.bin"] = serialize.file_hash(
-                os.path.join(args.out, "snapshots.bin"))
+            written.append("snapshots.bin")
+        out_hashes = {fn: serialize.file_hash(os.path.join(args.out, fn))
+                      for fn in written}
         _write_manifest(args.out, f"spde {sub}", args.config, config.seed,
                         input_hashes, out_hashes, t0)
     return EXIT_PASS
@@ -364,8 +346,6 @@ def cmd_transport(args) -> int:
 def _add_common(p):
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None)
-    p.add_argument("--threads", type=int, default=None)
-    p.add_argument("--format", choices=["json", "csv"], default="json")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -425,7 +405,6 @@ def main(argv=None) -> int:
     if not getattr(args, "func", None):
         parser.print_help(sys.stderr)
         return EXIT_USAGE
-    _apply_threads(args)
     try:
         return args.func(args)
     except spde.NonFinite as exc:

@@ -19,8 +19,9 @@ import numpy as np
 
 from . import serialize, transport
 from .fitting import RateFit, fit_exponential_rate
-from .spde import (Field, NonFinite, SpdeConfig, Stepper, l2_sq, noise_draws,
-                   simulate)
+from .spde import Field, SpdeConfig, integrate, l2_sq
+# perfbench/spans.py traces noise_draws and simulate under these names
+from .spde import noise_draws, simulate  # noqa: F401
 
 RANGE_TOL = 1e-6
 
@@ -162,22 +163,17 @@ def synchronization_experiment(config: SpdeConfig, x: Field, y: Field,
         return rec
     record_steps = {int(round(t / cfg.dt)) for t in _record_grid(T, cfg.dt,
                                                                  n_record)}
-    stepper = Stepper(cfg)
     Ux = np.broadcast_to(x.values, (n_paths, cfg.N)).copy()
     Uy = np.broadcast_to(y.values, (n_paths, cfg.N)).copy()
     rng = np.random.default_rng(cfg.seed + 10_000)
-    times, curve = [0.0], []
-    dists0 = np.minimum(np.sqrt(l2_sq(Ux - Uy)), 1.0)
-    curve.append(dists0)
-    for k in range(1, cfg.n_steps + 1):
-        draws = noise_draws(cfg.seed, k, n_paths, cfg.noise.m)
-        Ux = stepper.step(Ux, draws)
-        Uy = stepper.step(Uy, draws)
-        if not (np.all(np.isfinite(Ux)) and np.all(np.isfinite(Uy))):
-            raise NonFinite(k)
+    times, curve = [0.0], [_capped_distance(Ux, Uy)]
+
+    def record(k, ensembles):
         if k in record_steps:
             times.append(k * cfg.dt)
-            curve.append(np.minimum(np.sqrt(l2_sq(Ux - Uy)), 1.0))
+            curve.append(_capped_distance(*ensembles))
+
+    integrate(cfg, (Ux, Uy), cfg.seed, cfg.n_steps, record)
     means = []
     for t, dists in zip(times, curve):
         m = float(dists.mean())
@@ -196,6 +192,11 @@ def synchronization_experiment(config: SpdeConfig, x: Field, y: Field,
     rec.times = times
     rec.extra = {"verdict": bool(fit.verdict)}
     return rec
+
+
+def _capped_distance(Ux, Uy) -> np.ndarray:
+    """Per-path L2 distance between paired ensembles, capped at 1."""
+    return np.minimum(np.sqrt(l2_sq(Ux - Uy)), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -342,15 +343,13 @@ def stochastic_convolution(config: SpdeConfig, T: float,
     cfg = replace(config, T=T, n_paths=1,
                   drift=DriftSpec("zero", {}, K1=1.0, K2=1.0, K3=1.0))
     seed = cfg.seed if seed is None else int(seed)
-    stepper = Stepper(cfg)
     n = cfg.n_steps
     W = np.zeros((n + 1, cfg.N))
-    u = np.zeros((1, cfg.N))
-    for k in range(1, n + 1):
-        u = stepper.step(u, noise_draws(seed, k, 1, cfg.noise.m))
-        if not np.all(np.isfinite(u)):
-            raise NonFinite(k)
-        W[k] = u[0]
+
+    def store(k, ensembles):
+        W[k] = ensembles[0][0]
+
+    integrate(cfg, (np.zeros((1, cfg.N)),), seed, n, store)
     rec = ExperimentRecord(name="convolution", config=cfg.to_json_obj())
 
     def _dyadic_exponent(quotient_at):

@@ -3,6 +3,7 @@ and the binary snapshot / run-archive formats used by the CLI."""
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import json
@@ -81,8 +82,23 @@ def dumps(obj: Any, sort_keys: bool = False) -> str:
     return "".join(_Float17Encoder(sort_keys=sort_keys).iterencode(obj))
 
 
+@contextlib.contextmanager
+def atomic_open(path: str, mode: str = "w", **kwargs):
+    """Write through a temporary file that replaces `path` only once the
+    block completes; on error `path` keeps its old content."""
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def dump(obj: Any, path: str) -> None:
-    with open(path, "w") as fh:
+    with atomic_open(path) as fh:
         fh.write(dumps(obj))
         fh.write("\n")
 
@@ -109,7 +125,7 @@ def write_snapshots(outdir: str, snapshots: dict[float, np.ndarray],
                     n_grid: int, n_paths: int) -> None:
     """Snapshot archive: little-endian float64 flat binary plus JSON header."""
     times = sorted(snapshots)
-    with open(os.path.join(outdir, "snapshots.bin"), "wb") as fh:
+    with atomic_open(os.path.join(outdir, "snapshots.bin"), "wb") as fh:
         for t in times:
             arr = np.ascontiguousarray(snapshots[t], dtype="<f8")
             fh.write(arr.tobytes())
@@ -130,7 +146,7 @@ def read_snapshots(outdir: str) -> dict[float, np.ndarray]:
 
 def write_statistics_csv(path: str, rows: list[dict]) -> None:
     """Rows: dicts with keys t, stat, value, ci_low, ci_high."""
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "stat", "value", "ci_low", "ci_high"])
         for r in rows:

@@ -10,20 +10,27 @@ One step is drift-explicit / diffusion-implicit:
 with L_h the 3-point circulant Laplacian scaled by N^2, solved by FFT
 diagonalization.  The implicit factor is the inverse of an M-matrix and
 hence order-preserving unconditionally; the explicit drift map preserves
-pointwise order iff dt * L_R <= 1 where L_R bounds the negative slope of
-f on the clamp interval.  That product guard is enforced at config time,
-so the whole scheme is provably monotone.
+pointwise order iff dt * L_R <= 1 where L_R = max(0, -min f') on the clamp
+interval [-R, R].  Each drift family states L_R in closed form (cubic
+K x - x^3: max(0, 3 R^2 - K); linear a x: max(0, -a); zero: 0), and the
+product guard is enforced at config time, so the whole scheme is provably
+monotone.
 
 Noise draws come from a counter-based generator keyed by (seed, step):
 paths and modes are indexed by array position inside one block, which
 makes runs bit-reproducible and lets two initial conditions share the
 identical noise path.
+
+`integrate` is the one time-stepping loop: it advances a tuple of
+ensembles on one shared noise path, checks finiteness after every step
+and hands each step to an observer.  `simulate`, `comparison_check` and
+the experiments are observers on top of it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -57,14 +64,17 @@ class NotOrdered(SpdeError):
 # ---------------------------------------------------------------------------
 
 def _drift_function(name, params):
+    """(f(x, xi), L(R)) of a drift family; L(R) = max(0, -min f' on [-R, R])
+    in closed form."""
     if name == "cubic":
         K = float(params.get("K", 1.0))
-        return lambda x, xi: K * x - x ** 3
+        return (lambda x, xi: K * x - x ** 3,
+                lambda R: max(0.0, 3.0 * R * R - K))
     if name == "linear":
         a = float(params.get("a", -1.0))
-        return lambda x, xi: a * x
+        return lambda x, xi: a * x, lambda R: max(0.0, -a)
     if name == "zero":
-        return lambda x, xi: np.zeros_like(x)
+        return lambda x, xi: np.zeros_like(x), lambda R: 0.0
     raise ConfigError(f"unknown drift {name!r}")
 
 
@@ -82,7 +92,7 @@ class DriftSpec:
         _drift_function(self.name, self.params)  # validates the name
 
     def f(self, x, xi=None):
-        return _drift_function(self.name, self.params)(x, xi)
+        return _drift_function(self.name, self.params)[0](x, xi)
 
     def check_dissipativity(self, R: float = ASSUMPTION_RANGE,
                             n_grid: int = ASSUMPTION_GRID):
@@ -101,10 +111,8 @@ class DriftSpec:
                     "min_lipschitz_margin": float(m2), "Cf": cf}
 
     def negative_slope_bound(self, R: float) -> float:
-        """L_R = max(0, -min f' on [-R, R]), from a dense sample."""
-        xs = np.linspace(-R, R, ASSUMPTION_GRID)
-        slopes = np.diff(self.f(xs)) / np.diff(xs)
-        return float(max(0.0, -slopes.min()))
+        """L_R = max(0, -min f' on [-R, R]), exact."""
+        return _drift_function(self.name, self.params)[1](float(R))
 
     def to_json_obj(self):
         return {"name": self.name, "params": dict(self.params),
@@ -135,15 +143,11 @@ def _sigma_values(spec, grid):
 class NoiseSpec:
     m: int
     sigma: tuple          # tuple of profile dicts (closed-form expressions)
-    lambda_k: tuple | None = None
 
     def __post_init__(self):
         if self.m != len(self.sigma):
             raise ConfigError("m must match the number of noise profiles")
         object.__setattr__(self, "sigma", tuple(dict(s) for s in self.sigma))
-        if self.lambda_k is not None:
-            object.__setattr__(self, "lambda_k",
-                               tuple(float(v) for v in self.lambda_k))
 
     def tabulate(self, N: int) -> np.ndarray:
         grid = np.arange(N) / N
@@ -151,29 +155,13 @@ class NoiseSpec:
             return np.zeros((0, N))
         return np.stack([_sigma_values(s, grid) for s in self.sigma])
 
-    def lambda_min(self, N: int) -> float | None:
-        """min over the grid of sum_k lambda_k sigma_k, if lambdas given."""
-        if self.lambda_k is None:
-            return None
-        tab = self.tabulate(N)
-        return float((np.asarray(self.lambda_k) @ tab).min()) if self.m else 0.0
-
-    def check_assumption_b(self, N: int, eps: float) -> bool:
-        lm = self.lambda_min(N)
-        return lm is not None and lm > eps
-
     def to_json_obj(self):
-        obj = {"m": self.m, "sigma": [dict(s) for s in self.sigma]}
-        if self.lambda_k is not None:
-            obj["lambda_k"] = list(self.lambda_k)
-        return obj
+        return {"m": self.m, "sigma": [dict(s) for s in self.sigma]}
 
     @staticmethod
     def from_json_obj(obj):
-        _reject_unknown(obj, {"m", "sigma", "lambda_k"}, "noise")
-        return NoiseSpec(m=int(obj["m"]), sigma=tuple(obj.get("sigma", [])),
-                         lambda_k=tuple(obj["lambda_k"])
-                         if obj.get("lambda_k") is not None else None)
+        _reject_unknown(obj, {"m", "sigma"}, "noise")
+        return NoiseSpec(m=int(obj["m"]), sigma=tuple(obj.get("sigma", [])))
 
 
 # ---------------------------------------------------------------------------
@@ -194,12 +182,6 @@ class Field:
     @property
     def N(self):
         return len(self.values)
-
-    def l2_norm_sq(self) -> float:
-        return float((self.values ** 2).mean())
-
-    def l2_norm(self) -> float:
-        return math.sqrt(self.l2_norm_sq())
 
     def leq(self, other: "Field") -> bool:
         return bool(np.all(self.values <= other.values))
@@ -355,6 +337,24 @@ def step(u: Field, config: SpdeConfig, gaussian_draws) -> Field:
     return Field(out)
 
 
+def integrate(config: SpdeConfig, ensembles: tuple, seed: int,
+              n_steps: int, observe) -> None:
+    """Advance every ensemble in `ensembles` (arrays (n_paths, N)) through
+    steps 1..n_steps, all on the one noise path keyed by `seed`.
+
+    After step k, raises NonFinite(k) if any ensemble has a non-finite
+    value, else calls observe(k, ensembles) with the stepped tuple.
+    """
+    stepper = Stepper(config)
+    n_paths = ensembles[0].shape[0]
+    for k in range(1, n_steps + 1):
+        draws = noise_draws(seed, k, n_paths, config.noise.m)
+        ensembles = tuple(stepper.step(U, draws) for U in ensembles)
+        if not all(np.all(np.isfinite(U)) for U in ensembles):
+            raise NonFinite(k)
+        observe(k, ensembles)
+
+
 def simulate(config: SpdeConfig, u0, record_times, seed: int | None = None):
     """Run an ensemble and return {time: array (n_paths, N)} snapshots.
 
@@ -374,18 +374,15 @@ def simulate(config: SpdeConfig, u0, record_times, seed: int | None = None):
         if abs(k * config.dt - t) > 1e-9 * max(1.0, abs(t)):
             raise ConfigError(f"record time {t} is not a multiple of dt")
         steps_for.setdefault(k, float(t))
-    n_total = max(steps_for, default=0)
-    stepper = Stepper(config)
     out = {}
     if 0 in steps_for:
         out[steps_for[0]] = U.copy()
-    for k in range(1, n_total + 1):
-        draws = noise_draws(seed, k, U.shape[0], config.noise.m)
-        U = stepper.step(U, draws)
-        if not np.all(np.isfinite(U)):
-            raise NonFinite(k)
+
+    def record(k, ensembles):
         if k in steps_for:
-            out[steps_for[k]] = U.copy()
+            out[steps_for[k]] = ensembles[0].copy()
+
+    integrate(config, (U,), seed, max(steps_for, default=0), record)
     return out
 
 
@@ -396,15 +393,14 @@ def comparison_check(config: SpdeConfig, x: Field, y: Field, T: float,
     if not x.leq(y):
         raise SpdeError("initial fields must satisfy x <= y pointwise")
     cfg = replace(config, T=T, n_paths=n_paths)
-    stepper = Stepper(cfg)
-    Ux = np.broadcast_to(x.values, (n_paths, cfg.N)).copy()
-    Uy = np.broadcast_to(y.values, (n_paths, cfg.N)).copy()
     worst = 0.0
-    for k in range(1, cfg.n_steps + 1):
-        draws = noise_draws(cfg.seed, k, n_paths, cfg.noise.m)
-        Ux = stepper.step(Ux, draws)
-        Uy = stepper.step(Uy, draws)
-        if not (np.all(np.isfinite(Ux)) and np.all(np.isfinite(Uy))):
-            raise NonFinite(k)
+
+    def track(k, ensembles):
+        nonlocal worst
+        Ux, Uy = ensembles
         worst = max(worst, float((Ux - Uy).max()))
+
+    integrate(cfg, (np.broadcast_to(x.values, (n_paths, cfg.N)).copy(),
+                    np.broadcast_to(y.values, (n_paths, cfg.N)).copy()),
+              cfg.seed, cfg.n_steps, track)
     return max(0.0, worst)

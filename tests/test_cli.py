@@ -95,6 +95,12 @@ class TestSpde:
                 outs.append(fh.read())
         assert outs[0] == outs[1]
 
+    def test_threads_option_removed_exit_4(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["spde", "sync", fixture_path("spde_sync.json"),
+                 "--threads", "2"], capsys)
+        assert exc.value.code == 4
+
     def test_run_writes_snapshots(self, tmp_path, capsys):
         cfg = serialize.load(fixture_path("spde_constants.json"))
         serialize.dump({"spde": cfg["spde"],

@@ -15,7 +15,8 @@ from monotone_ergo.experiments import (ExperimentRecord,
                                        swap_probability_estimate,
                                        synchronization_experiment,
                                        write_run_archive)
-from monotone_ergo.spde import DriftSpec, Field, NoiseSpec, SpdeConfig
+from monotone_ergo.spde import (DriftSpec, Field, NoiseSpec, SpdeConfig, l2_sq,
+                                simulate)
 
 
 def small_config(**over):
@@ -60,6 +61,14 @@ class TestRecord:
             rows = list(csv.DictReader(fh))
         assert rows[0]["stat"] == "s"
         assert float(rows[0]["value"]) == 1.25
+
+    def test_failed_dump_keeps_old_file(self, tmp_path):
+        path = str(tmp_path / "record.json")
+        serialize.dump({"a": 1}, path)
+        with pytest.raises(TypeError):
+            serialize.dump({"a": object()}, path)
+        assert serialize.load(path) == {"a": 1}
+        assert os.listdir(tmp_path) == ["record.json"]
 
 
 class TestEnergy:
@@ -107,6 +116,21 @@ class TestSynchronization:
                                         bootstrap=10)
         assert serialize.dumps(r1.to_json_obj()) == \
             serialize.dumps(r2.to_json_obj())
+
+    def test_curve_matches_shared_seed_simulations(self):
+        # x and y ride one noise path: two separate runs with the same seed
+        # give the same capped distances
+        cfg = small_config(n_paths=20)
+        x, y = Field(np.full(16, -0.3)), Field(np.full(16, 0.3))
+        rec = synchronization_experiment(cfg, x, y, T=0.2, n_paths=20,
+                                         n_record=5, bootstrap=0)
+        times, curve = rec.series("sync_l2_capped")
+        sx = simulate(cfg, x, times.tolist())
+        sy = simulate(cfg, y, times.tolist())
+        expected = [float(np.minimum(np.sqrt(l2_sq(sx[t] - sy[t])), 1.0)
+                          .mean()) for t in times.tolist()]
+        assert len(expected) == 5 and max(expected) < 1.0
+        assert curve.tolist() == expected
 
 
 class TestErgodicity:

@@ -4,6 +4,7 @@ equivariance, dissipativity, reproducibility, and config validation."""
 import numpy as np
 import pytest
 
+from monotone_ergo.experiments import synchronization_experiment
 from monotone_ergo.spde import (ConfigError, DriftSpec, Field, NoiseSpec,
                                 NonFinite, NotOrdered, SpdeConfig, Stepper,
                                 comparison_check, field_distance_sq, l2_sq,
@@ -61,8 +62,9 @@ class TestDrift:
     def test_negative_slope_bound(self):
         d = DriftSpec("cubic", {"K": 1.0}, K1=1.0, K2=0.5, K3=1.0)
         # f' = 1 - 3x^2, most negative at the clamp edge
-        assert d.negative_slope_bound(15.0) == pytest.approx(
-            3 * 15.0 ** 2 - 1.0, rel=1e-3)
+        assert d.negative_slope_bound(15.0) == 3 * 15 ** 2 - 1
+        lin = DriftSpec("linear", {"a": -2.0}, K1=1.0, K2=1.0, K3=1.0)
+        assert lin.negative_slope_bound(15.0) == 2.0
         z = DriftSpec("zero", {}, K1=1.0, K2=1.0, K3=1.0)
         assert z.negative_slope_bound(15.0) == 0.0
 
@@ -121,15 +123,23 @@ class TestStructure:
         out = Stepper(cfg).step(u, np.zeros((1, 0)))
         assert l2_sq(out)[0] < l2_sq(u)[0]
 
-    def test_nonfinite_detection(self):
-        # an explosive linear drift overflows within a few steps
+    @pytest.mark.parametrize("run", [
+        lambda cfg, x, y: simulate(cfg, x, [5.0]),
+        lambda cfg, x, y: comparison_check(cfg, x, y, T=5.0, n_paths=2),
+        lambda cfg, x, y: synchronization_experiment(cfg, x, y, T=5.0,
+                                                     n_paths=2),
+    ], ids=["simulate", "comparison_check", "synchronization_experiment"])
+    def test_nonfinite_detection(self, run):
+        # an explosive linear drift overflows in the first step's FFT
         cfg = make_config(noise=NoiseSpec(0, ()),
                           drift=DriftSpec("linear", {"a": 1e308},
                                           K1=1.0, K2=1.0, K3=1e308),
                           dt=1.0, T=5.0)
-        u0 = Field(np.full(cfg.N, 1.0))
-        with pytest.raises(NonFinite):
-            simulate(cfg, u0, [5.0])
+        x = Field(np.full(cfg.N, 1.0))
+        y = Field(np.full(cfg.N, 2.0))
+        with pytest.raises(NonFinite) as exc:
+            run(cfg, x, y)
+        assert exc.value.step_index == 1
 
 
 class TestReproducibility:
