@@ -189,7 +189,7 @@ def cmd_spde(args) -> int:
                          config.N)
         T = float(cfg_obj.get("T", config.T))
         n_record = int(cfg_obj.get("n_record", 11))
-        times = [0.0] + experiments._record_grid(T, config.dt, n_record)
+        times = experiments._record_grid(T, config.dt, n_record)
         from dataclasses import replace
         cfg = replace(config, T=T)
         snaps = spde.simulate(cfg, u0, times)

@@ -78,7 +78,8 @@ def write_run_archive(outdir: str, record: ExperimentRecord,
 
 
 def _record_grid(T: float, dt: float, n_record: int) -> list[float]:
-    """About n_record times in (0, T], snapped to multiples of dt."""
+    """About n_record times in [0, T], starting at 0.0, snapped to
+    multiples of dt."""
     ks = sorted({int(round(f * T / dt)) for f in np.linspace(0, 1, n_record)})
     return [k * dt for k in ks]
 
@@ -101,7 +102,7 @@ def energy_moments(config: SpdeConfig, u0: Field, T: float, n_paths: int,
     if n_paths < 100:
         raise ValueError("need at least 100 paths")
     cfg = replace(config, T=T, n_paths=n_paths)
-    times = [0.0] + _record_grid(T, cfg.dt, n_record)
+    times = _record_grid(T, cfg.dt, n_record)
     snaps = simulate(cfg, u0, times)
     rec = ExperimentRecord(name="energy", config=cfg.to_json_obj(),
                            times=times)
@@ -178,9 +179,8 @@ def synchronization_experiment(config: SpdeConfig, x: Field, y: Field,
     for t, dists in zip(times, curve):
         m = float(dists.mean())
         if bootstrap:
-            boots = np.array([
-                dists[rng.integers(0, n_paths, n_paths)].mean()
-                for _ in range(bootstrap)])
+            boots = dists[rng.integers(0, n_paths, (bootstrap, n_paths))] \
+                .mean(axis=1)
             lo, hi = np.quantile(boots, [0.025, 0.975])
         else:
             lo = hi = float("nan")

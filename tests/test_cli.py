@@ -114,6 +114,17 @@ class TestSpde:
         snaps = serialize.read_snapshots(out_dir)
         assert len(snaps) >= 2
 
+    def test_run_times_start_at_zero_once(self, tmp_path, capsys):
+        cfg = serialize.load(fixture_path("spde_constants.json"))
+        serialize.dump({"spde": cfg["spde"], "T": 5.0, "n_record": 3},
+                       str(tmp_path / "run.json"))
+        code, out, err = run(["spde", "run", str(tmp_path / "run.json")],
+                             capsys)
+        assert code == 0
+        times = json.loads(out)["times"]
+        assert times == [0.0, 2.5, 5.0]
+        assert "3 snapshots" in err
+
 
 class TestGallery:
     def test_all_cases_pass(self, capsys):

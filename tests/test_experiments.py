@@ -82,6 +82,14 @@ class TestEnergy:
         assert e2[0] == pytest.approx(9.0)
         assert e2[-1] < e2[0]  # strong decay from u0 = 3
 
+    def test_times_start_at_zero_once(self):
+        rec = energy_moments(small_config(), Field(np.full(16, 1.0)), T=0.05,
+                             n_paths=100, n_record=6)
+        assert rec.times[0] == 0.0
+        assert all(a < b for a, b in zip(rec.times, rec.times[1:]))
+        t, _ = rec.series("energy_l2sq")
+        assert t.tolist() == rec.times
+
     def test_needs_enough_paths(self):
         with pytest.raises(ValueError):
             energy_moments(small_config(), Field(np.zeros(16)), T=0.1,

@@ -59,6 +59,28 @@ class TestDrift:
         ok, _ = d.check_dissipativity()
         assert not ok
 
+    def test_dissipativity_closed_form(self):
+        # cubic: K1 - (K2 + K) x^2 + x^4 is smallest at x^2 = (K2 + K) / 2
+        d = DriftSpec("cubic", {"K": 1.0}, K1=1.0, K2=0.5, K3=1.0)
+        ok, rep = d.check_dissipativity()
+        assert ok
+        assert rep == {"min_growth_margin": 1.0 - 1.5 ** 2 / 4.0,
+                       "min_lipschitz_margin": 0.0,
+                       "Cf": (2.0 / 3.0) * np.sqrt(1.0 / 3.0)}
+        # vertex x^2 = 2 beyond R^2 = 1: the edge value 1 - 4 + 1
+        _, rep = DriftSpec("cubic", {"K": 3.0}, K1=1.0, K2=1.0,
+                           K3=1.0).check_dissipativity(R=1.0)
+        assert rep == {"min_growth_margin": -2.0,
+                       "min_lipschitz_margin": -2.0, "Cf": 2.0}
+        _, rep = DriftSpec("linear", {"a": -2.0}, K1=1.0, K2=1.0,
+                           K3=0.0).check_dissipativity()
+        assert rep == {"min_growth_margin": 1.0,
+                       "min_lipschitz_margin": 2.0, "Cf": 0.0}
+        _, rep = DriftSpec("zero", {}, K1=1.0, K2=1.0,
+                           K3=1.0).check_dissipativity(R=2.0)
+        assert rep == {"min_growth_margin": -3.0,
+                       "min_lipschitz_margin": 1.0, "Cf": 0.0}
+
     def test_negative_slope_bound(self):
         d = DriftSpec("cubic", {"K": 1.0}, K1=1.0, K2=0.5, K3=1.0)
         # f' = 1 - 3x^2, most negative at the clamp edge
@@ -93,6 +115,63 @@ class TestMonotonicity:
         ua = step(Field(a), cfg, g)
         ub = step(Field(b), cfg, g)
         assert np.all(ua.values <= ub.values + 1e-12)
+
+
+DRIFTS = {
+    "cubic": DriftSpec("cubic", {"K": 1.0}, K1=1.0, K2=0.5, K3=1.0),
+    "linear": DriftSpec("linear", {"a": -2.0}, K1=1.0, K2=1.0, K3=1.0),
+    "zero": DriftSpec("zero", {}, K1=1.0, K2=1.0, K3=1.0),
+}
+
+
+def reference_step(cfg, u, draws):
+    """Stepper.step written out directly, with K x - x**3 and numpy.fft."""
+    N, d = cfg.N, cfg.drift
+    c = np.clip(u, -cfg.clamp_R, cfg.clamp_R)
+    f = {"cubic": lambda: d.params.get("K", 1.0) * c - c ** 3,
+         "linear": lambda: d.params.get("a", -1.0) * c,
+         "zero": lambda: np.zeros_like(c)}[d.name]()
+    rhs = u + cfg.dt * f + np.sqrt(cfg.dt) * (draws @ cfg.noise.tabulate(N))
+    lam = -2.0 * N * N * (1.0 - np.cos(2.0 * np.pi * np.arange(N // 2 + 1)
+                                       / N))
+    return np.fft.irfft(np.fft.rfft(rhs, axis=-1) / (1.0 - cfg.dt * lam),
+                        n=N, axis=-1)
+
+
+class TestStep:
+    @pytest.mark.parametrize("drift", sorted(DRIFTS))
+    def test_matches_reference(self, rng, drift):
+        cfg = make_config(N=64, drift=DRIFTS[drift], n_paths=50,
+                          noise=NoiseSpec(2, ({"kind": "cos", "amp": 0.5},
+                                              {"kind": "sin", "freq": 3})))
+        u = rng.normal(0.0, 2.0, (50, cfg.N))
+        u[0, :4] = [-40.0, -16.0, 16.0, 40.0]  # beyond the clamp
+        draws = noise_draws(5, 1, 50, 2)
+        out, ref = Stepper(cfg).step(u, draws), reference_step(cfg, u, draws)
+        if drift == "cubic":
+            # x (K - x x) and K x - x**3 round differently in the last bit;
+            # atol covers outputs that cancel to near zero
+            np.testing.assert_allclose(out, ref, rtol=1e-13,
+                                       atol=1e-13 * np.abs(ref).max())
+        else:
+            assert np.array_equal(out, ref)
+
+    def test_constant_ensemble_stays_exactly_constant(self):
+        cfg = make_config(N=64, n_paths=8)
+        u = np.linspace(-3.0, 3.0, 8)[:, None] * np.ones(cfg.N)
+        st = Stepper(cfg)
+        for k in range(1, 201):
+            u = st.step(u, noise_draws(cfg.seed, k, 8, 1))
+        assert np.ptp(u, axis=-1).max() == 0.0
+
+    @pytest.mark.parametrize("drift", sorted(DRIFTS))
+    def test_no_order_violation(self, rng, drift):
+        cfg = make_config(drift=DRIFTS[drift])
+        for _ in range(3):
+            x = rng.normal(0.0, 2.0, cfg.N)
+            y = x + np.abs(rng.normal(0.0, 1.0, cfg.N))
+            assert comparison_check(cfg, Field(x), Field(y), T=0.05,
+                                    n_paths=10) == 0.0
 
 
 class TestStructure:
