@@ -292,6 +292,8 @@ def cmd_gallery(args) -> int:
         kwargs["n"] = args.n
     if args.samples is not None:
         kwargs["samples"] = args.samples
+    if args.seed is not None:
+        kwargs["seed"] = args.seed
     reports = [gallery.run_case(name, **kwargs) for name in names]
     all_hold = all(r["all_hold"] for r in reports)
     for r in reports:

@@ -271,7 +271,8 @@ def _permutation_null(samples_a, samples_b, cost_fn: str, rng,
     for k in range(resamples):
         perm = rng.permutation(len(pool))
         ia, ib = perm[:n], perm[n:]
-        vals[k] = transport._uniform_assignment_value(cmat[np.ix_(ia, ib)])
+        vals[k] = transport._uniform_assignment_value(
+            cmat.take(ia, 0).take(ib, 1))
     return float(vals.mean()), float(vals.std(ddof=1))
 
 

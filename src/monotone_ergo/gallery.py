@@ -253,7 +253,7 @@ ALL_CASES = {
     "example-3-5": lambda **kw: run_example_3_5(int(kw.get("n", 4))),
     "example-3-6": lambda **kw: run_example_3_6(int(kw.get("n", 10))),
     "example-2-6-2-7": lambda **kw: run_example_2_6_2_7(
-        int(kw.get("samples", 10_000))),
+        int(kw.get("samples", 10_000)), int(kw.get("seed", 0))),
 }
 
 

@@ -305,23 +305,36 @@ def _as_matrix(samples):
     return arr
 
 
+# byte budget for one row block of the (rows, n_y, N) difference temporary
+_BLOCK_BYTES = 8 * 2 ** 20
+
+# each named cost as a function of the mean squared difference
+_COSTS = {
+    "l2_capped": lambda diff_sq: np.minimum(np.sqrt(diff_sq), 1.0),
+    "l2sq_capped": lambda diff_sq: np.minimum(diff_sq, 1.0),
+    "l2": np.sqrt,
+    "abs": np.sqrt,
+    "discrete": lambda diff_sq: (diff_sq > 0).astype(float),
+}
+
+
 def pairwise_cost(xs, ys, cost_fn: str) -> np.ndarray:
     """Cost matrix between two sample sets for a named cost.
 
     Field samples use the unit-volume quadrature (mean over grid points)
-    inside the L2 norm.
+    inside the L2 norm. The squared distances are built a block of rows
+    at a time, so memory stays near the size of the result; every entry
+    is still the mean over the same contiguous grid values.
     """
+    if cost_fn not in _COSTS:
+        raise TransportError(f"unknown cost function {cost_fn!r}")
     xs, ys = _as_matrix(xs), _as_matrix(ys)
-    diff_sq = ((xs[:, None, :] - ys[None, :, :]) ** 2).mean(axis=2)
-    if cost_fn == "l2_capped":
-        return np.minimum(np.sqrt(diff_sq), 1.0)
-    if cost_fn == "l2sq_capped":
-        return np.minimum(diff_sq, 1.0)
-    if cost_fn in ("l2", "abs"):
-        return np.sqrt(diff_sq)
-    if cost_fn == "discrete":
-        return (diff_sq > 0).astype(float)
-    raise TransportError(f"unknown cost function {cost_fn!r}")
+    diff_sq = np.empty((len(xs), len(ys)))
+    rows = max(1, _BLOCK_BYTES // max(1, ys.nbytes))
+    for start in range(0, len(xs), rows):
+        blk = slice(start, start + rows)
+        diff_sq[blk] = ((xs[blk, None, :] - ys[None, :, :]) ** 2).mean(axis=2)
+    return _COSTS[cost_fn](diff_sq)
 
 
 def _uniform_assignment_value(cmat) -> float:
@@ -347,12 +360,14 @@ def wasserstein_empirical(samples_x, samples_y, cost_fn: str = "l2_capped",
     if method == "exact":
         value = _uniform_assignment_value(cmat)
         eps_used = None
+        iterations, gap = 0, 0.0
     else:
         eps_used = epsilon if epsilon is not None else 0.01 * float(cmat.mean())
         eps_used = max(eps_used, 1e-9)
         unif = np.full(n, 1.0 / n)
         res = sinkhorn(unif, unif, CostMatrix(cmat), eps_used, tol=1e-7)
         value = res.value
+        iterations, gap = res.iterations, res.gap
 
     ci_low = ci_high = None
     if bootstrap and bootstrap > 0:
@@ -361,7 +376,7 @@ def wasserstein_empirical(samples_x, samples_y, cost_fn: str = "l2_capped",
         for k in range(bootstrap):
             ix = rng.integers(0, n, size=n)
             iy = rng.integers(0, n, size=n)
-            sub = cmat[np.ix_(ix, iy)]
+            sub = cmat.take(ix, 0).take(iy, 1)
             if method == "exact":
                 vals[k] = _uniform_assignment_value(sub)
             else:
@@ -372,19 +387,6 @@ def wasserstein_empirical(samples_x, samples_y, cost_fn: str = "l2_capped",
         ci_high = float(np.quantile(vals, 0.975))
 
     return TransportResult(value=value, method=method, n=n, epsilon=eps_used,
+                           iterations=iterations, gap=gap,
                            ci_low=ci_low, ci_high=ci_high)
 
-
-def bootstrap_se(samples_x, samples_y, cost_fn: str = "l2_capped",
-                 resamples: int = BOOTSTRAP_RESAMPLES, rng=None) -> float:
-    """Bootstrap standard error of the empirical coupling distance."""
-    xs, ys = _as_matrix(samples_x), _as_matrix(samples_y)
-    n = len(xs)
-    cmat = pairwise_cost(xs, ys, cost_fn)
-    rng = np.random.default_rng(0) if rng is None else rng
-    vals = np.empty(resamples)
-    for k in range(resamples):
-        ix = rng.integers(0, n, size=n)
-        iy = rng.integers(0, n, size=n)
-        vals[k] = _uniform_assignment_value(cmat[np.ix_(ix, iy)])
-    return float(vals.std(ddof=1))

@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from monotone_ergo import cli, fixture_path, serialize
+from monotone_ergo import cli, fixture_path, gallery, serialize
 
 
 def run(argv, capsys):
@@ -141,6 +141,21 @@ class TestGallery:
         row = rep["table"][10]
         assert row["expected_distance"] == pytest.approx(row["tv_bound"]
                                                          * 1024.0)
+
+    def test_seed_reaches_sampled_case(self, capsys, monkeypatch):
+        seeds = []
+        sample = gallery.run_example_2_6_2_7
+
+        def spy(samples, seed=0):
+            seeds.append(seed)
+            return sample(samples, seed)
+
+        monkeypatch.setattr(gallery, "run_example_2_6_2_7", spy)
+        outs = [run(["gallery", "example-2-6-2-7", "--samples", "1000",
+                     *extra], capsys)[1]
+                for extra in (["--seed", "7"], ["--seed", "7"], [])]
+        assert seeds == [7, 7, 0]
+        assert outs[0] == outs[1]
 
     def test_unknown_case_exit_4(self, capsys):
         code, _, err = run(["gallery", "bogus-name"], capsys)

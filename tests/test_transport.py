@@ -1,6 +1,8 @@
 """Transport solvers: exact simplex vs dense-LP oracle, Sinkhorn,
 total variation, and empirical estimation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -147,11 +149,37 @@ class TestEmpirical:
                                    epsilon=0.001)
         assert abs(ex.value - sk.value) < 0.02 * max(ex.value, 1e-6) + 1e-4
 
+    def test_sinkhorn_route_reports_iterations_and_gap(self, rng):
+        xs = rng.normal(0.0, 1.0, size=(32, 2))
+        ys = rng.normal(0.5, 1.0, size=(32, 2))
+        res = wasserstein_empirical(xs, ys, method="sinkhorn", bootstrap=0,
+                                    epsilon=0.05)
+        unif = np.full(32, 1.0 / 32)
+        direct = sinkhorn(unif, unif,
+                          CostMatrix(pairwise_cost(xs, ys, "l2_capped")),
+                          0.05, tol=1e-7)
+        assert res.iterations == direct.iterations > 0
+        assert res.gap == direct.gap
+        assert res.value == direct.value
+
     def test_capped_cost_bounded(self, rng):
         xs = rng.normal(0.0, 10.0, size=(32, 2))
         ys = rng.normal(50.0, 10.0, size=(32, 2))
         res = wasserstein_empirical(xs, ys, cost_fn="l2_capped", bootstrap=0)
         assert res.value <= 1.0 + 1e-12
+
+
+COST_NAMES = ("l2_capped", "l2sq_capped", "l2", "abs", "discrete")
+
+
+def broadcast_cost(xs, ys, cost_fn):
+    """The cost matrix from one (n_x, n_y, N) broadcast temporary."""
+    xs, ys = transport._as_matrix(xs), transport._as_matrix(ys)
+    diff_sq = ((xs[:, None, :] - ys[None, :, :]) ** 2).mean(axis=2)
+    return {"l2_capped": np.minimum(np.sqrt(diff_sq), 1.0),
+            "l2sq_capped": np.minimum(diff_sq, 1.0),
+            "l2": np.sqrt(diff_sq), "abs": np.sqrt(diff_sq),
+            "discrete": (diff_sq > 0).astype(float)}[cost_fn]
 
 
 class TestCosts:
@@ -169,3 +197,40 @@ class TestCosts:
             CostMatrix(np.array([[-1.0]]))
         assert CostMatrix(np.array([[0.5]])).bounded_by_one
         assert not CostMatrix(np.array([[1.5]])).bounded_by_one
+
+    @pytest.mark.parametrize("extra_rows", [-1, 0, 1])
+    def test_blocked_equals_broadcast(self, rng, extra_rows):
+        ys = rng.normal(size=(64, 16))
+        # rows of xs whose difference temporary fills exactly one block
+        block_rows = transport._BLOCK_BYTES // ys.nbytes
+        xs = rng.normal(size=(block_rows + extra_rows, 16))
+        xs[::7] = ys[0]  # some zero distances for the discrete cost
+        for name in COST_NAMES:
+            assert np.array_equal(pairwise_cost(xs, ys, name),
+                                  broadcast_cost(xs, ys, name))
+
+    def test_blocked_equals_broadcast_1d(self, rng):
+        xs = rng.normal(size=300)
+        ys = np.concatenate([xs[:5], rng.normal(size=200)])
+        for name in COST_NAMES:
+            assert np.array_equal(pairwise_cost(xs, ys, name),
+                                  broadcast_cost(xs, ys, name))
+
+    def test_unknown_cost_rejected_before_arithmetic(self, monkeypatch):
+        def no_matrix(samples):
+            raise AssertionError("samples converted for an unknown cost")
+        monkeypatch.setattr(transport, "_as_matrix", no_matrix)
+        with pytest.raises(transport.TransportError, match="bogus"):
+            pairwise_cost(np.zeros((2, 2)), np.zeros((2, 2)), "bogus")
+
+    def test_memory_bounded(self, rng):
+        # the pooled 1024-row, 64-point ensemble of the permutation null;
+        # one broadcast temporary would take 1024 * 1024 * 64 * 8 B = 512 MiB
+        pool = rng.normal(size=(1024, 64))
+        tracemalloc.start()
+        try:
+            pairwise_cost(pool, pool, "l2_capped")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 20
