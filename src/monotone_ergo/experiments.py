@@ -267,12 +267,9 @@ def _permutation_null(samples_a, samples_b, cost_fn: str, rng,
                            np.asarray(samples_b, dtype=float)])
     n = len(samples_a)
     cmat = transport.pairwise_cost(pool, pool, cost_fn)
-    vals = np.empty(resamples)
-    for k in range(resamples):
-        perm = rng.permutation(len(pool))
-        ia, ib = perm[:n], perm[n:]
-        vals[k] = transport._uniform_assignment_value(
-            cmat.take(ia, 0).take(ib, 1))
+    perms = [rng.permutation(len(pool)) for _ in range(resamples)]
+    vals = transport._resampled_assignment_values(
+        cmat, [(perm[:n], perm[n:]) for perm in perms])
     return float(vals.mean()), float(vals.std(ddof=1))
 
 

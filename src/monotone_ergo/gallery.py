@@ -211,7 +211,7 @@ def run_example_2_6_2_7(samples: int = 10_000, seed: int = 0):
     rng = np.random.default_rng(seed)
     claims = []
 
-    worst = 0.0
+    worst = -np.inf
     for p in (1, 2, 3):
         a = rng.uniform(-5, 5, samples)
         b = a + rng.uniform(0, 5, samples)
@@ -231,7 +231,7 @@ def run_example_2_6_2_7(samples: int = 10_000, seed: int = 0):
 
     # discrete-field sandwich: d_p = ||x-y||_p^p against the signed-power
     # integral functional
-    worst_low = worst_high = 0.0
+    worst_low = worst_high = -np.inf
     for p in (1, 2):
         x = rng.uniform(-3, 3, (samples // 10, 16))
         y = x + np.abs(rng.normal(0, 1, x.shape))

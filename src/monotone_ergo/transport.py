@@ -9,9 +9,12 @@ confidence intervals.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.optimize
 from scipy.optimize import linear_sum_assignment
 
 EXACT_SUPPORT_LIMIT = 4096
@@ -67,6 +70,7 @@ class TransportResult:
     ci_low: float | None = None
     ci_high: float | None = None
     reg_value: float | None = None
+    converged: bool = True
 
     def to_json_obj(self):
         obj = {"value": self.value, "method": self.method}
@@ -213,7 +217,8 @@ def wasserstein_exact(mu, nu, cost: CostMatrix,
         in_basis[list(bi), list(bj)] = True
         red_masked = np.where(in_basis, 0.0, red)
         kmin = np.unravel_index(np.argmin(red_masked), red_masked.shape)
-        if red_masked[kmin] >= -tol or it > max_iter:
+        converged = bool(red_masked[kmin] >= -tol)
+        if converged or it > max_iter:
             break
         if it > max_iter // 2:
             # Bland-style anti-cycling: first improving cell instead
@@ -239,7 +244,8 @@ def wasserstein_exact(mu, nu, cost: CostMatrix,
     du[rows], dv[cols] = u, v
     gap = float(-min(0.0, red_masked.min()))
     return TransportResult(value=value, plan=full_plan, method="exact",
-                           iterations=it, gap=gap, dual_u=du, dual_v=dv)
+                           iterations=it, gap=gap, dual_u=du, dual_v=dv,
+                           converged=converged)
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +290,7 @@ def sinkhorn(mu, nu, cost: CostMatrix, epsilon: float,
     reg_value = plan_cost + epsilon * float(ent)
     return TransportResult(value=plan_cost, plan=plan, method="sinkhorn",
                            iterations=it, gap=err, epsilon=epsilon,
-                           reg_value=reg_value)
+                           reg_value=reg_value, converged=err < tol)
 
 
 def _logsumexp(mat, axis):
@@ -342,6 +348,54 @@ def _uniform_assignment_value(cmat) -> float:
     return float(cmat[ri, cj].mean())
 
 
+# rows of one gather block in `_resampled_assignment_values`
+_GATHER_ROWS = 64
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _resampled_assignment_values(cmat, draws) -> np.ndarray:
+    """Uniform assignment value of `cmat[row_idx][:, col_idx]` for each
+    `(row_idx, col_idx)` in `draws`, in order.
+
+    The draws are split over one thread per usable CPU (scipy's solver
+    releases the GIL). Each thread gathers its resampled matrices into
+    one buffer a block of rows at a time, so memory grows by about one
+    resampled matrix per thread. The buffers are allocated by the calling
+    thread: allocated in a worker, they stayed resident in its malloc
+    arena after the call. The threads call the solver through
+    `scipy.optimize`, not through this module's global name, so a wrapper
+    installed on that name never runs concurrently.
+    """
+    vals = np.empty(len(draws))
+    workers = min(_usable_cpus(), len(draws))
+    n_rows, n_cols = len(draws[0][0]), len(draws[0][1])
+
+    def solve(first, sub, rows):
+        for k in range(first, len(draws), workers):
+            row_idx, col_idx = draws[k]
+            for start in range(0, n_rows, _GATHER_ROWS):
+                blk = row_idx[start:start + _GATHER_ROWS]
+                np.take(cmat, blk, axis=0, out=rows[:len(blk)])
+                np.take(rows[:len(blk)], col_idx, axis=1,
+                        out=sub[start:start + len(blk)])
+            ri, cj = scipy.optimize.linear_sum_assignment(sub)
+            vals[k] = sub[ri, cj].mean()
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(solve, w, np.empty((n_rows, n_cols)),
+                               np.empty((_GATHER_ROWS, cmat.shape[1])))
+                   for w in range(workers)]
+        for future in futures:
+            future.result()
+    return vals
+
+
 def wasserstein_empirical(samples_x, samples_y, cost_fn: str = "l2_capped",
                           method: str = "auto", epsilon: float | None = None,
                           bootstrap: int = BOOTSTRAP_RESAMPLES,
@@ -360,33 +414,33 @@ def wasserstein_empirical(samples_x, samples_y, cost_fn: str = "l2_capped",
     if method == "exact":
         value = _uniform_assignment_value(cmat)
         eps_used = None
-        iterations, gap = 0, 0.0
+        iterations, gap, converged = 0, 0.0, True
     else:
         eps_used = epsilon if epsilon is not None else 0.01 * float(cmat.mean())
         eps_used = max(eps_used, 1e-9)
         unif = np.full(n, 1.0 / n)
         res = sinkhorn(unif, unif, CostMatrix(cmat), eps_used, tol=1e-7)
         value = res.value
-        iterations, gap = res.iterations, res.gap
+        iterations, gap, converged = res.iterations, res.gap, res.converged
 
     ci_low = ci_high = None
     if bootstrap and bootstrap > 0:
         rng = np.random.default_rng(0) if rng is None else rng
-        vals = np.empty(bootstrap)
-        for k in range(bootstrap):
-            ix = rng.integers(0, n, size=n)
-            iy = rng.integers(0, n, size=n)
-            sub = cmat.take(ix, 0).take(iy, 1)
-            if method == "exact":
-                vals[k] = _uniform_assignment_value(sub)
-            else:
-                unif = np.full(n, 1.0 / n)
-                vals[k] = sinkhorn(unif, unif, CostMatrix(sub), eps_used,
-                                   tol=1e-6).value
+        draws = [(rng.integers(0, n, size=n), rng.integers(0, n, size=n))
+                 for _ in range(bootstrap)]
+        if method == "exact":
+            vals = _resampled_assignment_values(cmat, draws)
+        else:
+            unif = np.full(n, 1.0 / n)
+            vals = np.array([
+                sinkhorn(unif, unif, CostMatrix(cmat.take(ix, 0).take(iy, 1)),
+                         eps_used, tol=1e-6).value
+                for ix, iy in draws])
         ci_low = float(np.quantile(vals, 0.025))
         ci_high = float(np.quantile(vals, 0.975))
 
     return TransportResult(value=value, method=method, n=n, epsilon=eps_used,
                            iterations=iterations, gap=gap,
+                           converged=converged,
                            ci_low=ci_low, ci_high=ci_high)
 

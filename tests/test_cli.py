@@ -153,9 +153,11 @@ class TestGallery:
         monkeypatch.setattr(gallery, "run_example_2_6_2_7", spy)
         outs = [run(["gallery", "example-2-6-2-7", "--samples", "1000",
                      *extra], capsys)[1]
-                for extra in (["--seed", "7"], ["--seed", "7"], [])]
-        assert seeds == [7, 7, 0]
+                for extra in (["--seed", "7"], ["--seed", "7"], [],
+                              ["--seed", "1"], ["--seed", "2"])]
+        assert seeds == [7, 7, 0, 1, 2]
         assert outs[0] == outs[1]
+        assert outs[3] != outs[4]
 
     def test_unknown_case_exit_4(self, capsys):
         code, _, err = run(["gallery", "bogus-name"], capsys)

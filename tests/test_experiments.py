@@ -6,9 +6,11 @@ import os
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
-from monotone_ergo import serialize
+from monotone_ergo import serialize, transport
 from monotone_ergo.experiments import (ExperimentRecord,
+                                       _permutation_null,
                                        constants_obstruction_demo,
                                        energy_moments, ergodicity_experiment,
                                        stochastic_convolution,
@@ -154,6 +156,23 @@ class TestErgodicity:
         checks = rec.extra["stationarity"]
         assert checks[0]["t_other"] == 0.8
         assert "below_2se" in checks[0]
+
+    def test_permutation_null_equals_serial_loop(self):
+        rng = np.random.default_rng(4)
+        a = rng.normal(0.0, 0.3, size=(80, 16))
+        b = rng.normal(0.1, 0.3, size=(80, 16))
+        ref_rng, rng = np.random.default_rng(9), np.random.default_rng(9)
+        cmat = transport.pairwise_cost(np.concatenate([a, b]),
+                                       np.concatenate([a, b]), "l2_capped")
+        vals = []
+        for _ in range(50):
+            perm = ref_rng.permutation(160)
+            sub = cmat.take(perm[:80], 0).take(perm[80:], 1)
+            ri, cj = linear_sum_assignment(sub)
+            vals.append(float(sub[ri, cj].mean()))
+        assert _permutation_null(a, b, "l2_capped", rng) == (
+            float(np.mean(vals)), float(np.std(vals, ddof=1)))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 class TestSwap:

@@ -1,13 +1,15 @@
 """Transport solvers: exact simplex vs dense-LP oracle, Sinkhorn,
 total variation, and empirical estimation."""
 
+import os
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import linprog
+from scipy.optimize import linear_sum_assignment, linprog
 
 from monotone_ergo import transport
 from monotone_ergo.transport import (CostMatrix, SinkhornDiverged,
@@ -55,6 +57,7 @@ class TestExact:
     def test_plan_and_duals_certify_optimality(self, rng):
         a, b, c = random_instance(rng, 6, 5)
         res = wasserstein_exact(a, b, CostMatrix(c))
+        assert res.converged is True
         assert np.abs(res.plan.sum(axis=1) - a).max() < 1e-10
         assert np.abs(res.plan.sum(axis=0) - b).max() < 1e-10
         # complementary slackness: all reduced costs nonnegative
@@ -112,6 +115,15 @@ class TestSinkhorn:
         assert np.abs(res.plan.sum(axis=1) - a).sum() < 1e-6
         assert res.reg_value is not None
 
+    def test_converged_flag(self, rng):
+        a, b, c = random_instance(rng, 5, 7)
+        capped = sinkhorn(a, b, CostMatrix(c), epsilon=0.001, max_iter=10)
+        assert capped.converged is False
+        assert capped.gap >= 1e-9
+        done = sinkhorn(a, b, CostMatrix(c), epsilon=0.05)
+        assert done.converged is True
+        assert done.gap < 1e-9
+
     def test_bad_epsilon(self):
         with pytest.raises(transport.TransportError):
             sinkhorn([1.0], [1.0], CostMatrix(np.zeros((1, 1))), epsilon=0.0)
@@ -160,6 +172,7 @@ class TestEmpirical:
                           0.05, tol=1e-7)
         assert res.iterations == direct.iterations > 0
         assert res.gap == direct.gap
+        assert res.converged is direct.converged
         assert res.value == direct.value
 
     def test_capped_cost_bounded(self, rng):
@@ -234,3 +247,104 @@ class TestCosts:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2 ** 20
+
+
+def serial_assignment_values(cmat, draws):
+    """The resample loop run one assignment after another."""
+    vals = np.empty(len(draws))
+    for k, (row_idx, col_idx) in enumerate(draws):
+        sub = cmat.take(row_idx, 0).take(col_idx, 1)
+        ri, cj = linear_sum_assignment(sub)
+        vals[k] = float(sub[ri, cj].mean())
+    return vals
+
+
+def set_usable_cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(count)), raising=False)
+    assert transport._usable_cpus() == count
+
+
+@pytest.fixture
+def fast_switching():
+    """Threads switch far more often than usual, so a lost write shows."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
+class TestResampledAssignments:
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("n_draws", [1, 3, 200])
+    def test_bootstrap_draws_equal_serial(self, rng, monkeypatch,
+                                          fast_switching, workers, n_draws):
+        set_usable_cpus(monkeypatch, workers)
+        # 150 rows: two full gather blocks and a partial one
+        n = 150
+        # spread 0.5 keeps most costs below the cap of 1
+        cmat = pairwise_cost(rng.normal(0.0, 0.5, size=(n, 8)),
+                             rng.normal(0.1, 0.5, size=(n, 8)), "l2_capped")
+        draws = [(rng.integers(0, n, size=n), rng.integers(0, n, size=n))
+                 for _ in range(n_draws)]
+        assert np.array_equal(
+            transport._resampled_assignment_values(cmat, draws),
+            serial_assignment_values(cmat, draws))
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("n_draws", [1, 3, 200])
+    def test_split_draws_equal_serial(self, rng, monkeypatch, fast_switching,
+                                      workers, n_draws):
+        # the permutation null: n rows and n other columns of the 2n x 2n
+        # pooled cost matrix
+        set_usable_cpus(monkeypatch, workers)
+        n = 150
+        pool = rng.normal(0.0, 0.5, size=(2 * n, 8))
+        cmat = pairwise_cost(pool, pool, "l2_capped")
+        perms = [rng.permutation(2 * n) for _ in range(n_draws)]
+        draws = [(perm[:n], perm[n:]) for perm in perms]
+        assert np.array_equal(
+            transport._resampled_assignment_values(cmat, draws),
+            serial_assignment_values(cmat, draws))
+
+    def test_cpu_count_without_affinity(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert transport._usable_cpus() == 3
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_bootstrap_ci_and_generator_state_equal_serial(
+            self, rng, monkeypatch, workers):
+        set_usable_cpus(monkeypatch, workers)
+        xs = rng.normal(0.0, 0.5, size=(96, 8))
+        ys = rng.normal(0.1, 0.5, size=(96, 8))
+        ref_rng = np.random.default_rng(3)
+        cmat = pairwise_cost(xs, ys, "l2_capped")
+        vals = serial_assignment_values(
+            cmat, [(ref_rng.integers(0, 96, size=96),
+                    ref_rng.integers(0, 96, size=96)) for _ in range(50)])
+        res_rng = np.random.default_rng(3)
+        res = wasserstein_empirical(xs, ys, bootstrap=50, rng=res_rng)
+        assert res.ci_low == float(np.quantile(vals, 0.025))
+        assert res.ci_high == float(np.quantile(vals, 0.975))
+        assert res_rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_memory_bounded(self, rng, monkeypatch):
+        # one n x n buffer and one block of gathered rows per worker; a
+        # full-matrix temporary per resample would exceed the slack
+        workers, n = 2, 512
+        set_usable_cpus(monkeypatch, workers)
+        cmat = pairwise_cost(rng.normal(size=(n, 64)),
+                             rng.normal(size=(n, 64)), "l2_capped")
+        draws = [(rng.integers(0, n, size=n), rng.integers(0, n, size=n))
+                 for _ in range(200)]
+        tracemalloc.start()
+        try:
+            transport._resampled_assignment_values(cmat, draws)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < workers * (n * n + transport._GATHER_ROWS * n) * 8 \
+            + 4 * 2 ** 20
