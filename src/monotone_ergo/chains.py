@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import linprog
 
-from . import transport
+from . import serialize, transport
 from .fitting import RateFit, fit_exponential_rate
 from .posets import (Coupling, Distribution, FinitePoset, Infeasible,
                      is_monotone, strassen_coupling, stochastically_dominates,
@@ -67,7 +67,6 @@ class TooLarge(ChainError):
 @dataclass(frozen=True)
 class FiniteKernel:
     P: np.ndarray
-    dt_unit: float = 1.0
 
     def __post_init__(self):
         P = np.asarray(self.P, dtype=float)
@@ -96,8 +95,7 @@ class FiniteKernel:
 
     @staticmethod
     def from_json_obj(obj) -> "FiniteKernel":
-        return FiniteKernel(np.asarray(obj["P"], dtype=float),
-                            dt_unit=float(obj.get("dt_unit", 1.0)))
+        return FiniteKernel(np.asarray(obj["P"], dtype=float))
 
 
 @dataclass(frozen=True)
@@ -168,20 +166,8 @@ class ConditionReport:
 
     def to_json_obj(self):
         return {"condition": self.condition, "holds": self.holds,
-                "witness": _jsonable(self.witness),
-                "attained": _jsonable(self.attained)}
-
-
-def _jsonable(x):
-    if isinstance(x, (frozenset, set)):
-        return sorted(x)
-    if isinstance(x, np.ndarray):
-        return x.tolist()
-    if isinstance(x, tuple):
-        return list(x)
-    if isinstance(x, dict):
-        return {k: _jsonable(v) for k, v in x.items()}
-    return x
+                "witness": serialize._convert(self.witness),
+                "attained": serialize._convert(self.attained)}
 
 
 @dataclass
@@ -505,7 +491,7 @@ class InequalityReport:
 
     def to_json_obj(self):
         return {"lhs": self.lhs, "rhs": self.rhs, "holds": self.holds,
-                "details": _jsonable(self.details)}
+                "details": serialize._convert(self.details)}
 
 
 def lemma33_verify(spec: OrderedSpaceSpec, X_law, Y_law, psi,

@@ -24,6 +24,10 @@ from .spde import Field, SpdeConfig, integrate, l2_sq
 from .spde import noise_draws, simulate  # noqa: F401
 
 RANGE_TOL = 1e-6
+# cost of the ergodicity experiment's coupling distance
+COST = "l2_capped"
+# re-splits of the pooled ensemble in the stationarity null
+NULL_RESAMPLES = 50
 
 
 @dataclass
@@ -204,14 +208,14 @@ def _capped_distance(Ux, Uy) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def ergodicity_experiment(config: SpdeConfig, x: Field, y: Field, time_grid,
-                          n_paths: int, extra_x_times=(),
-                          cost_fn: str = "l2_capped") -> ExperimentRecord:
-    """Empirical coupling distance between the x- and y-ensembles (driven
-    by independent noise) at each grid time, with a log-linear rate fit.
+                          n_paths: int, extra_x_times=()) -> ExperimentRecord:
+    """Empirical coupling distance (capped L2 cost) between the x- and
+    y-ensembles (driven by independent noise) at each grid time, with a
+    log-linear rate fit.
 
     `extra_x_times` lets the x-ensemble run further for the stationarity
     self-check (distance between x-ensemble snapshots at the last grid
-    time and each extra time, against twice the bootstrap SE)."""
+    time and each extra time, against a permutation null at 2 SD)."""
     time_grid = [float(t) for t in time_grid]
     cfg = replace(config, T=max(time_grid + list(extra_x_times)),
                   n_paths=n_paths)
@@ -225,9 +229,9 @@ def ergodicity_experiment(config: SpdeConfig, x: Field, y: Field, time_grid,
     values = []
     for t in time_grid:
         res = transport.wasserstein_empirical(snaps_x[t], snaps_y[t],
-                                              cost_fn=cost_fn, rng=rng)
+                                              cost_fn=COST, rng=rng)
         values.append(res.value)
-        rec.add_stat(t, f"w_{cost_fn}", res.value, res.ci_low, res.ci_high)
+        rec.add_stat(t, f"w_{COST}", res.value, res.ci_low, res.ci_high)
     # the empirical coupling distance between finite same-law ensembles has
     # a positive sampling floor, which contaminates late grid times; the
     # rate is therefore fitted over the whole grid (no burn-in), where the
@@ -240,34 +244,30 @@ def ergodicity_experiment(config: SpdeConfig, x: Field, y: Field, time_grid,
         t_last = max(time_grid)
         checks = []
         for t_ex in extra_x_times:
-            res = transport.wasserstein_empirical(
-                snaps_x[t_last], snaps_x[float(t_ex)], cost_fn=cost_fn,
-                rng=rng, bootstrap=0)
-            # permutation null: pool the two ensembles and re-split; under
-            # stationarity the observed distance is a draw from this null,
-            # which carries the same sampling floor
-            null_mean, null_se = _permutation_null(
-                snaps_x[t_last], snaps_x[float(t_ex)], cost_fn, rng)
-            excess = res.value - null_mean
+            # one cost matrix over the pooled ensembles: its cross block is
+            # the observed distance, its re-splits the permutation null
+            pool = np.concatenate([snaps_x[t_last], snaps_x[float(t_ex)]])
+            cmat = transport.pairwise_cost(pool, pool, COST)
+            w = transport._uniform_assignment_value(cmat[:n_paths, n_paths:])
+            # under stationarity the observed distance is a draw from the
+            # null, which carries the same sampling floor
+            null_mean, null_se = _permutation_null(cmat, rng)
             checks.append({"t_ref": t_last, "t_other": float(t_ex),
-                           "w": res.value, "null_mean": null_mean,
+                           "w": w, "null_mean": null_mean,
                            "bootstrap_se": null_se,
-                           "below_2se": bool(excess < 2.0 * null_se)})
-            rec.add_stat(float(t_ex), f"w_stationarity_{cost_fn}", res.value,
+                           "below_2se": bool(w - null_mean < 2.0 * null_se)})
+            rec.add_stat(float(t_ex), f"w_stationarity_{COST}", w,
                          null_mean - 2 * null_se, null_mean + 2 * null_se)
         rec.extra["stationarity"] = checks
     return rec
 
 
-def _permutation_null(samples_a, samples_b, cost_fn: str, rng,
-                      resamples: int = 50):
+def _permutation_null(cmat, rng):
     """Mean and SD of the empirical coupling distance between random
-    re-splits of the pooled ensemble (the exchangeability null)."""
-    pool = np.concatenate([np.asarray(samples_a, dtype=float),
-                           np.asarray(samples_b, dtype=float)])
-    n = len(samples_a)
-    cmat = transport.pairwise_cost(pool, pool, cost_fn)
-    perms = [rng.permutation(len(pool)) for _ in range(resamples)]
+    re-splits of a pooled ensemble (the exchangeability null), given the
+    pool's (2n x 2n) cost matrix."""
+    n = len(cmat) // 2
+    perms = [rng.permutation(len(cmat)) for _ in range(NULL_RESAMPLES)]
     vals = transport._resampled_assignment_values(
         cmat, [(perm[:n], perm[n:]) for perm in perms])
     return float(vals.mean()), float(vals.std(ddof=1))
@@ -350,10 +350,10 @@ def stochastic_convolution(config: SpdeConfig, T: float,
     integrate(cfg, (np.zeros((1, cfg.N)),), seed, n, store)
     rec = ExperimentRecord(name="convolution", config=cfg.to_json_obj())
 
-    def _dyadic_exponent(quotient_at):
+    def _dyadic_exponent(quotient_at, max_lag):
         lags, sups = [], []
         L = 1
-        while L <= max(1, n // 4):
+        while L <= max_lag:
             q = quotient_at(L)
             if q > 0:
                 lags.append(L)
@@ -366,24 +366,10 @@ def stochastic_convolution(config: SpdeConfig, T: float,
         return float(slope), lags, sups
 
     t_exp, t_lags, t_sups = _dyadic_exponent(
-        lambda L: float(np.abs(W[L:] - W[:-L]).max()))
-
-    def _space_quotient(S):
-        return float(np.abs(np.roll(W, -S, axis=1) - W).max())
-
-    s_lags, s_sups = [], []
-    S = 1
-    while S <= cfg.N // 4:
-        q = _space_quotient(S)
-        if q > 0:
-            s_lags.append(S)
-            s_sups.append(q)
-        S *= 2
-    if len(s_lags) >= 2:
-        s_exp = float(np.polyfit(np.log(np.array(s_lags, dtype=float)),
-                                 np.log(np.array(s_sups)), 1)[0])
-    else:
-        s_exp = float("nan")
+        lambda L: float(np.abs(W[L:] - W[:-L]).max()), max(1, n // 4))
+    s_exp, s_lags, s_sups = _dyadic_exponent(
+        lambda S: float(np.abs(np.roll(W, -S, axis=1) - W).max()),
+        cfg.N // 4)
 
     rec.extra = {
         "time_holder_exponent": t_exp,

@@ -18,9 +18,6 @@ class RateFit:
     t_used: np.ndarray
     verdict: bool     # rate > 0 and fit quality threshold met
 
-    def envelope(self, t):
-        return self.C * np.exp(-self.rate * np.asarray(t, dtype=float))
-
 
 def fit_exponential_rate(times, values, burn_in_frac: float = 0.25,
                          r2_threshold: float = 0.99) -> RateFit:

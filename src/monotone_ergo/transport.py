@@ -3,22 +3,21 @@
 Exact optimal transport on finite supports via the transportation simplex
 (with dual potentials, so optimality is certifiable through reduced
 costs), total variation, entropic regularization (log-domain Sinkhorn),
-and empirical Wasserstein estimation from sample ensembles with bootstrap
-confidence intervals.
+and empirical Wasserstein estimation from equal-size sample ensembles by
+the exact uniform assignment, with bootstrap confidence intervals.
 """
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.optimize
 from scipy.optimize import linear_sum_assignment
 
 EXACT_SUPPORT_LIMIT = 4096
-EXACT_SAMPLE_DEFAULT = 1024
 BOOTSTRAP_RESAMPLES = 200
 
 
@@ -45,14 +44,12 @@ class SinkhornDiverged(TransportError):
 @dataclass(frozen=True)
 class CostMatrix:
     c: np.ndarray
-    bounded_by_one: bool = field(init=False)
 
     def __post_init__(self):
         c = np.asarray(self.c, dtype=float)
         if np.any(c < 0) or not np.all(np.isfinite(c)):
             raise TransportError("costs must be finite and nonnegative")
         object.__setattr__(self, "c", c)
-        object.__setattr__(self, "bounded_by_one", bool(np.all(c <= 1.0)))
         self.c.setflags(write=False)
 
 
@@ -317,10 +314,7 @@ _BLOCK_BYTES = 8 * 2 ** 20
 # each named cost as a function of the mean squared difference
 _COSTS = {
     "l2_capped": lambda diff_sq: np.minimum(np.sqrt(diff_sq), 1.0),
-    "l2sq_capped": lambda diff_sq: np.minimum(diff_sq, 1.0),
-    "l2": np.sqrt,
     "abs": np.sqrt,
-    "discrete": lambda diff_sq: (diff_sq > 0).astype(float),
 }
 
 
@@ -397,50 +391,27 @@ def _resampled_assignment_values(cmat, draws) -> np.ndarray:
 
 
 def wasserstein_empirical(samples_x, samples_y, cost_fn: str = "l2_capped",
-                          method: str = "auto", epsilon: float | None = None,
                           bootstrap: int = BOOTSTRAP_RESAMPLES,
                           rng=None) -> TransportResult:
-    """Empirical coupling distance between two equal-size sample ensembles."""
+    """Empirical coupling distance between two equal-size sample ensembles:
+    the value of the optimal uniform assignment, with a bootstrap CI."""
     xs, ys = _as_matrix(samples_x), _as_matrix(samples_y)
     if len(xs) != len(ys):
         raise UnequalSampleCounts(f"{len(xs)} vs {len(ys)}")
     n = len(xs)
-    if method == "auto":
-        method = "exact" if n <= EXACT_SAMPLE_DEFAULT else "sinkhorn"
-    if method == "exact" and n > EXACT_SUPPORT_LIMIT:
-        raise TooLarge(f"{n} samples for exact method")
+    if n > EXACT_SUPPORT_LIMIT:
+        raise TooLarge(f"{n} samples for the exact assignment")
     cmat = pairwise_cost(xs, ys, cost_fn)
-
-    if method == "exact":
-        value = _uniform_assignment_value(cmat)
-        eps_used = None
-        iterations, gap, converged = 0, 0.0, True
-    else:
-        eps_used = epsilon if epsilon is not None else 0.01 * float(cmat.mean())
-        eps_used = max(eps_used, 1e-9)
-        unif = np.full(n, 1.0 / n)
-        res = sinkhorn(unif, unif, CostMatrix(cmat), eps_used, tol=1e-7)
-        value = res.value
-        iterations, gap, converged = res.iterations, res.gap, res.converged
+    value = _uniform_assignment_value(cmat)
 
     ci_low = ci_high = None
     if bootstrap and bootstrap > 0:
         rng = np.random.default_rng(0) if rng is None else rng
         draws = [(rng.integers(0, n, size=n), rng.integers(0, n, size=n))
                  for _ in range(bootstrap)]
-        if method == "exact":
-            vals = _resampled_assignment_values(cmat, draws)
-        else:
-            unif = np.full(n, 1.0 / n)
-            vals = np.array([
-                sinkhorn(unif, unif, CostMatrix(cmat.take(ix, 0).take(iy, 1)),
-                         eps_used, tol=1e-6).value
-                for ix, iy in draws])
+        vals = _resampled_assignment_values(cmat, draws)
         ci_low = float(np.quantile(vals, 0.025))
         ci_high = float(np.quantile(vals, 0.975))
 
-    return TransportResult(value=value, method=method, n=n, epsilon=eps_used,
-                           iterations=iterations, gap=gap,
-                           converged=converged,
+    return TransportResult(value=value, method="exact", n=n,
                            ci_low=ci_low, ci_high=ci_high)
-

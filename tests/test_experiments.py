@@ -3,6 +3,7 @@ on small, fast configurations."""
 
 import csv
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -157,6 +158,28 @@ class TestErgodicity:
         assert checks[0]["t_other"] == 0.8
         assert "below_2se" in checks[0]
 
+    def test_stationarity_uses_one_pooled_cost_matrix(self, monkeypatch):
+        cfg = small_config(n_paths=32)
+        x = Field(np.full(16, -1.0))
+        calls = []
+        pairwise_cost = transport.pairwise_cost
+
+        def counted(*args):
+            calls.append(args)
+            return pairwise_cost(*args)
+
+        monkeypatch.setattr(transport, "pairwise_cost", counted)
+        rec = ergodicity_experiment(cfg, x, Field(np.full(16, 1.0)),
+                                    time_grid=[0.1, 0.2], n_paths=32,
+                                    extra_x_times=(0.4,))
+        monkeypatch.undo()
+        assert len(calls) == 2 + 1
+        snaps = simulate(replace(cfg, T=0.4), x, [0.2, 0.4])
+        w = transport.wasserstein_empirical(snaps[0.2], snaps[0.4],
+                                            bootstrap=0).value
+        assert rec.extra["stationarity"][0]["w"] == w
+        assert rec.series("w_stationarity_l2_capped")[1].tolist() == [w]
+
     def test_permutation_null_equals_serial_loop(self):
         rng = np.random.default_rng(4)
         a = rng.normal(0.0, 0.3, size=(80, 16))
@@ -170,7 +193,7 @@ class TestErgodicity:
             sub = cmat.take(perm[:80], 0).take(perm[80:], 1)
             ri, cj = linear_sum_assignment(sub)
             vals.append(float(sub[ri, cj].mean()))
-        assert _permutation_null(a, b, "l2_capped", rng) == (
+        assert _permutation_null(cmat, rng) == (
             float(np.mean(vals)), float(np.std(vals, ddof=1)))
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 

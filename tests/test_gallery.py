@@ -105,6 +105,20 @@ class TestExample2627:
         assert gallery.run_example_2_6_2_7(2000) == \
             gallery.run_example_2_6_2_7(2000)
 
+    def test_margins_per_p_are_negative_and_seed_dependent(self):
+        # at p = 1 the sampled inequalities are identities; the p = 2 and
+        # p = 3 claims carry strict, sample-dependent margins
+        def margins(seed):
+            return [c["lhs"] for c in gallery.run_example_2_6_2_7(
+                        2000, seed)["claims"]
+                    if c["statement"].endswith(("p = 2: worst violation",
+                                                "p = 3: worst violation",
+                                                "fields, p = 2"))]
+        one, two = margins(1), margins(2)
+        assert len(one) == 3
+        assert max(one) < 0 and max(two) < 0
+        assert all(a != b for a, b in zip(one, two))
+
 
 def test_run_case_dispatch():
     rep = gallery.run_case("example-3-6", n=4)

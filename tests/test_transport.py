@@ -153,27 +153,23 @@ class TestEmpirical:
                                     rng=np.random.default_rng(0))
         assert res.ci_low is not None and res.ci_low <= res.ci_high
 
-    def test_sinkhorn_route_close_to_exact_route(self, rng):
-        xs = rng.normal(0.0, 1.0, size=(128, 3))
-        ys = rng.normal(0.3, 1.0, size=(128, 3))
-        ex = wasserstein_empirical(xs, ys, method="exact", bootstrap=0)
-        sk = wasserstein_empirical(xs, ys, method="sinkhorn", bootstrap=0,
-                                   epsilon=0.001)
-        assert abs(ex.value - sk.value) < 0.02 * max(ex.value, 1e-6) + 1e-4
+    def test_exact_assignment_above_old_sample_default(self, rng):
+        # the exact assignment holds at every size up to
+        # EXACT_SUPPORT_LIMIT, not only up to 1024 samples
+        xs = rng.normal(0.0, 1.0, size=1025)
+        ys = rng.normal(0.5, 1.0, size=1025)
+        res = wasserstein_empirical(xs, ys, cost_fn="abs", bootstrap=0)
+        assert res.method == "exact"
+        assert res.value == transport._uniform_assignment_value(
+            pairwise_cost(xs, ys, "abs"))
 
-    def test_sinkhorn_route_reports_iterations_and_gap(self, rng):
-        xs = rng.normal(0.0, 1.0, size=(32, 2))
-        ys = rng.normal(0.5, 1.0, size=(32, 2))
-        res = wasserstein_empirical(xs, ys, method="sinkhorn", bootstrap=0,
-                                    epsilon=0.05)
-        unif = np.full(32, 1.0 / 32)
-        direct = sinkhorn(unif, unif,
-                          CostMatrix(pairwise_cost(xs, ys, "l2_capped")),
-                          0.05, tol=1e-7)
-        assert res.iterations == direct.iterations > 0
-        assert res.gap == direct.gap
-        assert res.converged is direct.converged
-        assert res.value == direct.value
+    def test_too_large_rejected_before_arithmetic(self, monkeypatch):
+        def no_cost(*args):
+            raise AssertionError("cost matrix built for too many samples")
+        monkeypatch.setattr(transport, "pairwise_cost", no_cost)
+        xs = np.zeros(transport.EXACT_SUPPORT_LIMIT + 1)
+        with pytest.raises(transport.TooLarge):
+            wasserstein_empirical(xs, xs, bootstrap=0)
 
     def test_capped_cost_bounded(self, rng):
         xs = rng.normal(0.0, 10.0, size=(32, 2))
@@ -182,7 +178,7 @@ class TestEmpirical:
         assert res.value <= 1.0 + 1e-12
 
 
-COST_NAMES = ("l2_capped", "l2sq_capped", "l2", "abs", "discrete")
+COST_NAMES = ("l2_capped", "abs")
 
 
 def broadcast_cost(xs, ys, cost_fn):
@@ -190,15 +186,13 @@ def broadcast_cost(xs, ys, cost_fn):
     xs, ys = transport._as_matrix(xs), transport._as_matrix(ys)
     diff_sq = ((xs[:, None, :] - ys[None, :, :]) ** 2).mean(axis=2)
     return {"l2_capped": np.minimum(np.sqrt(diff_sq), 1.0),
-            "l2sq_capped": np.minimum(diff_sq, 1.0),
-            "l2": np.sqrt(diff_sq), "abs": np.sqrt(diff_sq),
-            "discrete": (diff_sq > 0).astype(float)}[cost_fn]
+            "abs": np.sqrt(diff_sq)}[cost_fn]
 
 
 class TestCosts:
     def test_pairwise_cost_names(self, rng):
         xs, ys = rng.normal(size=(4, 3)), rng.normal(size=(5, 3))
-        for name in ("l2_capped", "l2sq_capped", "l2", "abs", "discrete"):
+        for name in COST_NAMES:
             c = pairwise_cost(xs, ys, name)
             assert c.shape == (4, 5)
             assert np.all(c >= 0)
@@ -208,8 +202,6 @@ class TestCosts:
     def test_cost_matrix_validation(self):
         with pytest.raises(transport.TransportError):
             CostMatrix(np.array([[-1.0]]))
-        assert CostMatrix(np.array([[0.5]])).bounded_by_one
-        assert not CostMatrix(np.array([[1.5]])).bounded_by_one
 
     @pytest.mark.parametrize("extra_rows", [-1, 0, 1])
     def test_blocked_equals_broadcast(self, rng, extra_rows):
@@ -217,7 +209,7 @@ class TestCosts:
         # rows of xs whose difference temporary fills exactly one block
         block_rows = transport._BLOCK_BYTES // ys.nbytes
         xs = rng.normal(size=(block_rows + extra_rows, 16))
-        xs[::7] = ys[0]  # some zero distances for the discrete cost
+        xs[::7] = ys[0]  # some zero distances
         for name in COST_NAMES:
             assert np.array_equal(pairwise_cost(xs, ys, name),
                                   broadcast_cost(xs, ys, name))
