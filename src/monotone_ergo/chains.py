@@ -20,9 +20,9 @@ import numpy as np
 from scipy.optimize import linprog
 
 from . import serialize, transport
-from .fitting import RateFit, fit_exponential_rate
-from .posets import (Coupling, Distribution, FinitePoset, Infeasible,
-                     is_monotone, strassen_coupling, stochastically_dominates,
+from .fitting import fit_exponential_rate
+from .posets import (Distribution, FinitePoset, Infeasible,
+                     strassen_coupling, stochastically_dominates,
                      violating_upset)
 
 PRODUCT_CHAIN_LIMIT = 64

@@ -338,6 +338,10 @@ def cmd_transport(args) -> int:
         res = transport.wasserstein_exact(mu, nu, cost)
     _say(f"{res.method}: value {res.value:.12g}")
     _emit(res.to_json_obj(), args.out, "transport.json")
+    if not res.converged:
+        _say(f"numeric failure: {res.method} did not converge in "
+             f"{res.iterations} iterations (marginal gap {res.gap:.3g})")
+        return EXIT_NUMERIC
     return EXIT_PASS
 
 

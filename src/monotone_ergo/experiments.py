@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import os
-import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -171,14 +170,11 @@ def synchronization_experiment(config: SpdeConfig, x: Field, y: Field,
     Ux = np.broadcast_to(x.values, (n_paths, cfg.N)).copy()
     Uy = np.broadcast_to(y.values, (n_paths, cfg.N)).copy()
     rng = np.random.default_rng(cfg.seed + 10_000)
-    times, curve = [0.0], [_capped_distance(Ux, Uy)]
-
-    def record(k, ensembles):
-        if k in record_steps:
-            times.append(k * cfg.dt)
-            curve.append(_capped_distance(*ensembles))
-
-    integrate(cfg, (Ux, Uy), cfg.seed, cfg.n_steps, record)
+    distances = integrate(cfg, (Ux, Uy), cfg.seed, cfg.n_steps,
+                          lambda k, ensembles: _capped_distance(*ensembles)
+                          if k in record_steps else None)
+    times = [0.0] + [k * cfg.dt for k in distances]
+    curve = [_capped_distance(Ux, Uy), *distances.values()]
     means = []
     for t, dists in zip(times, curve):
         m = float(dists.mean())
@@ -343,11 +339,10 @@ def stochastic_convolution(config: SpdeConfig, T: float,
     seed = cfg.seed if seed is None else int(seed)
     n = cfg.n_steps
     W = np.zeros((n + 1, cfg.N))
-
-    def store(k, ensembles):
-        W[k] = ensembles[0][0]
-
-    integrate(cfg, (np.zeros((1, cfg.N)),), seed, n, store)
+    rows = integrate(cfg, (np.zeros((1, cfg.N)),), seed, n,
+                     lambda k, ensembles: ensembles[0][0])
+    for k, row in rows.items():
+        W[k] = row
     rec = ExperimentRecord(name="convolution", config=cfg.to_json_obj())
 
     def _dyadic_exponent(quotient_at, max_lag):

@@ -30,15 +30,36 @@ identical noise path.
 ensembles on one shared noise path, checks finiteness after every step
 and hands each step to an observer.  `simulate`, `comparison_check` and
 the experiments are observers on top of it.
+
+Stepping is row-independent bit for bit, so `integrate` splits the path
+axis into contiguous row shards, one per usable CPU as in
+`transport._resampled_assignment_values`, as long as every shard gets
+at least two rows and `_SHARD_MIN_WORK` cell-steps.  (numpy multiplies
+a one-row block of draws through BLAS gemv, whose sums over m >= 2
+modes can differ in the last bit from the gemm of a larger block; and a
+shorter job costs less than the forks that would spread it.)  Each
+shard steps in its own `fork`ed worker process; a single shard runs
+in-process through the same function.  Every shard draws the
+full noise block of each step and keeps its own rows, so the noise
+stream and every output are those of one unsharded loop.  An observer is
+therefore a per-shard reduction: it maps a shard's rows at step k to a
+partial result, and the parent merges the partials of step k in path
+order (snapshots and per-path distances concatenate, a running maximum
+takes the max).  A shard that meets a non-finite value stops and returns
+that step's index; the parent raises NonFinite for the smallest one.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import multiprocessing
 from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.fft
+
+from .transport import _usable_cpus
 
 ASSUMPTION_RANGE = 50.0
 
@@ -56,6 +77,9 @@ class NonFinite(SpdeError):
         self.step_index = step_index
         super().__init__(f"non-finite field values at step {step_index} "
                          f"(dt too large?)")
+
+    def __reduce__(self):
+        return NonFinite, (self.step_index,)
 
 
 class NotOrdered(SpdeError):
@@ -368,22 +392,103 @@ def step(u: Field, config: SpdeConfig, gaussian_draws) -> Field:
     return Field(out)
 
 
+# cell-steps (paths x grid points x ensembles x steps) one forked shard
+# must carry; below it the fork and the hand-back cost more than the
+# stepping they spread
+_SHARD_MIN_WORK = 1 << 22
+
+
 def integrate(config: SpdeConfig, ensembles: tuple, seed: int,
-              n_steps: int, observe) -> None:
+              n_steps: int, observe, merge=np.concatenate) -> dict:
     """Advance every ensemble in `ensembles` (arrays (n_paths, N)) through
     steps 1..n_steps, all on the one noise path keyed by `seed`.
 
-    After step k, raises NonFinite(k) if any ensemble has a non-finite
-    value, else calls observe(k, ensembles) with the stepped tuple.
+    The paths are split into row shards (module docstring).  After each
+    step k, observe(k, ensembles) sees a shard's stepped rows and returns
+    a partial result, or None to record nothing.  Returns {k: merged},
+    where merged is merge(partials of step k in path order), or the one
+    partial itself when there is one shard.  Raises NonFinite(k) for the
+    first step k after which any ensemble has a non-finite value.
     """
+    n_paths, N = ensembles[0].shape
+    work = n_paths * N * len(ensembles) * n_steps
+    shards = max(1, min(_usable_cpus(), n_paths // 2,
+                        work // _SHARD_MIN_WORK))
+    edges = [n_paths * i // shards for i in range(shards + 1)]
+    jobs = [functools.partial(_integrate_rows, config, ensembles, lo, hi,
+                              seed, n_steps, observe)
+            for lo, hi in zip(edges, edges[1:])]
+    results = _run_forked(jobs) if shards > 1 else [jobs[0]()]
+    failed = [k for k, _ in results if k is not None]
+    if failed:
+        raise NonFinite(min(failed))
+    if shards == 1:
+        return results[0][1]
+    return {k: merge([partials[k] for _, partials in results])
+            for k in results[0][1]}
+
+
+def _integrate_rows(config, ensembles, lo, hi, seed, n_steps, observe):
+    """Rows lo:hi of `integrate`: (first non-finite step or None,
+    {k: observe's partial})."""
     stepper = Stepper(config)
     n_paths = ensembles[0].shape[0]
+    ensembles = tuple(U[lo:hi] for U in ensembles)
+    partials = {}
     for k in range(1, n_steps + 1):
-        draws = noise_draws(seed, k, n_paths, config.noise.m)
+        draws = noise_draws(seed, k, n_paths, config.noise.m)[lo:hi]
         ensembles = tuple(stepper.step(U, draws) for U in ensembles)
         if not all(np.all(np.isfinite(U)) for U in ensembles):
-            raise NonFinite(k)
-        observe(k, ensembles)
+            return k, partials
+        partial = observe(k, ensembles)
+        if partial is not None:
+            partials[k] = partial
+    return None, partials
+
+
+def _run_forked(jobs) -> list:
+    """Results of the argument-free callables `jobs`, in order, each one
+    called in its own forked worker process.  An exception raised by a
+    job is raised here."""
+    ctx = multiprocessing.get_context("fork")
+    workers = []
+    try:
+        for job in jobs:
+            receiver, sender = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=_send_result, args=(sender, job),
+                               daemon=True)
+            proc.start()
+            sender.close()
+            workers.append((proc, receiver))
+        results = []
+        for proc, receiver in workers:
+            try:
+                ok, value = receiver.recv()
+            except EOFError:
+                proc.join()
+                raise RuntimeError(f"SPDE shard worker exited with code "
+                                   f"{proc.exitcode}") from None
+            if not ok:
+                raise value
+            results.append(value)
+    except BaseException:
+        for proc, _ in workers:
+            proc.terminate()
+        raise
+    finally:
+        for proc, receiver in workers:
+            receiver.close()
+            proc.join()
+    return results
+
+
+def _send_result(conn, job):
+    try:
+        result = (True, job())
+    except Exception as exc:
+        result = (False, exc)
+    conn.send(result)
+    conn.close()
 
 
 def simulate(config: SpdeConfig, u0, record_times, seed: int | None = None):
@@ -405,15 +510,12 @@ def simulate(config: SpdeConfig, u0, record_times, seed: int | None = None):
         if abs(k * config.dt - t) > 1e-9 * max(1.0, abs(t)):
             raise ConfigError(f"record time {t} is not a multiple of dt")
         steps_for.setdefault(k, float(t))
-    out = {}
-    if 0 in steps_for:
-        out[steps_for[0]] = U.copy()
-
-    def record(k, ensembles):
-        if k in steps_for:
-            out[steps_for[k]] = ensembles[0].copy()
-
-    integrate(config, (U,), seed, max(steps_for, default=0), record)
+    out = {steps_for[0]: U} if 0 in steps_for else {}
+    # every step returns fresh arrays, so a snapshot needs no copy
+    snaps = integrate(config, (U,), seed, max(steps_for, default=0),
+                      lambda k, ensembles:
+                      ensembles[0] if k in steps_for else None)
+    out.update((steps_for[k], snap) for k, snap in snaps.items())
     return out
 
 
@@ -424,14 +526,10 @@ def comparison_check(config: SpdeConfig, x: Field, y: Field, T: float,
     if not x.leq(y):
         raise SpdeError("initial fields must satisfy x <= y pointwise")
     cfg = replace(config, T=T, n_paths=n_paths)
-    worst = 0.0
-
-    def track(k, ensembles):
-        nonlocal worst
-        Ux, Uy = ensembles
-        worst = max(worst, float((Ux - Uy).max()))
-
-    integrate(cfg, (np.broadcast_to(x.values, (n_paths, cfg.N)).copy(),
-                    np.broadcast_to(y.values, (n_paths, cfg.N)).copy()),
-              cfg.seed, cfg.n_steps, track)
-    return max(0.0, worst)
+    worst = integrate(
+        cfg, (np.broadcast_to(x.values, (n_paths, cfg.N)).copy(),
+              np.broadcast_to(y.values, (n_paths, cfg.N)).copy()),
+        cfg.seed, cfg.n_steps,
+        lambda k, ensembles: float((ensembles[0] - ensembles[1]).max()),
+        merge=max)
+    return max([0.0, *worst.values()])

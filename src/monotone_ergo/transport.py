@@ -70,7 +70,8 @@ class TransportResult:
     converged: bool = True
 
     def to_json_obj(self):
-        obj = {"value": self.value, "method": self.method}
+        obj = {"value": self.value, "method": self.method,
+               "converged": self.converged}
         if self.n is not None:
             obj["n"] = self.n
         if self.epsilon is not None:

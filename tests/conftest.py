@@ -1,6 +1,9 @@
+import os
+
 import numpy as np
 import pytest
 
+from monotone_ergo import transport
 from monotone_ergo.posets import Distribution, FinitePoset, validate_poset
 
 
@@ -27,3 +30,11 @@ def random_dist(rng: np.random.Generator, n: int) -> Distribution:
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+def set_usable_cpus(monkeypatch, count):
+    """Make `transport._usable_cpus`, the worker count of the parallel
+    layers, report `count`."""
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(count)), raising=False)
+    assert transport._usable_cpus() == count

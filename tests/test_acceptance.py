@@ -9,11 +9,10 @@ import math
 import time
 
 import numpy as np
-import pytest
 from scipy.optimize import linprog
 
 from conftest import random_dist, random_poset
-from monotone_ergo import fixture_path, gallery, serialize, transport
+from monotone_ergo import fixture_path, gallery, transport
 from monotone_ergo.chains import (FiniteKernel, OrderedSpaceSpec,
                                   return_time_exp_moments,
                                   theorem_main_verify)
@@ -21,8 +20,8 @@ from monotone_ergo.experiments import (constants_obstruction_demo,
                                        energy_moments, ergodicity_experiment,
                                        swap_probability_estimate,
                                        synchronization_experiment)
-from monotone_ergo.posets import (Coupling, Distribution, FinitePoset,
-                                  strassen_coupling, stochastically_dominates)
+from monotone_ergo.posets import (Coupling, FinitePoset, strassen_coupling,
+                                  stochastically_dominates)
 from monotone_ergo.spde import (DriftSpec, Field, SpdeConfig,
                                 comparison_check)
 

@@ -191,6 +191,24 @@ class TestTransport:
              "--cost", fixture_path("transport_cost.json")], capsys)
         assert code == 0
         assert json.loads(out)["value"] == pytest.approx(expect, abs=1e-12)
+        assert json.loads(out)["converged"] is True
+
+    def test_unconverged_solve_exits_3(self, monkeypatch, capsys):
+        from monotone_ergo import transport
+
+        def capped(mu, nu, cost, epsilon):
+            return transport.TransportResult(
+                value=0.5, method="sinkhorn", iterations=7, gap=1e-3,
+                epsilon=epsilon, converged=False)
+
+        monkeypatch.setattr(transport, "sinkhorn", capped)
+        code, out, err = run(
+            ["transport", fixture_path("transport_mu.json"),
+             fixture_path("transport_nu.json"), "--method", "sinkhorn"],
+            capsys)
+        assert code == 3
+        assert json.loads(out)["converged"] is False
+        assert "did not converge in 7 iterations" in err
 
     def test_sinkhorn_close_to_exact(self, capsys):
         args = ["transport", fixture_path("transport_mu.json"),

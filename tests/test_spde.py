@@ -1,9 +1,15 @@
 """Solver invariants: monotonicity, constants closure, translation
 equivariance, dissipativity, reproducibility, and config validation."""
 
+import os
+import pickle
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from conftest import set_usable_cpus
+from monotone_ergo import spde
 from monotone_ergo.experiments import synchronization_experiment
 from monotone_ergo.spde import (ConfigError, DriftSpec, Field, NoiseSpec,
                                 NonFinite, NotOrdered, SpdeConfig, Stepper,
@@ -241,6 +247,143 @@ class TestReproducibility:
         cfg = make_config()
         with pytest.raises(ConfigError, match="multiple of dt"):
             simulate(cfg, Field(np.zeros(cfg.N)), [0.00033])
+
+
+@pytest.fixture
+def shard_counts(monkeypatch):
+    """Set the usable-CPU count with shards for jobs of any length, and
+    record the number of forked shards of each integrate call."""
+    counts = []
+    run_forked = spde._run_forked
+
+    def counted(jobs):
+        counts.append(len(jobs))
+        return run_forked(jobs)
+
+    monkeypatch.setattr(spde, "_SHARD_MIN_WORK", 1)
+    monkeypatch.setattr(spde, "_run_forked", counted)
+
+    def use(cpus):
+        set_usable_cpus(monkeypatch, cpus)
+        counts.clear()
+        return counts
+
+    return use
+
+
+def two_mode_config(**over):
+    # two modes: the draws enter through a matrix product, not a scaling
+    return make_config(noise=NoiseSpec(2, ({"kind": "const", "amp": 1.0},
+                                           {"kind": "cos", "amp": 0.5})),
+                       **over)
+
+
+class TestShards:
+    """Sharded integration equals one in-process shard bit for bit."""
+
+    # 3 paths stay one shard: a one-row shard would multiply its draws
+    # through gemv, which rounds differently
+    @pytest.mark.parametrize("n_paths,shards", [(3, [1, 1, 1]),
+                                                (7, [1, 2, 3]),
+                                                (8, [1, 2, 3])])
+    def test_simulate_snapshots(self, rng, shard_counts, n_paths, shards):
+        cfg = two_mode_config(n_paths=n_paths)
+        u0 = rng.normal(0.0, 1.0, (n_paths, cfg.N))
+        runs = {}
+        for cpus, expected in zip((1, 2, 3), shards):
+            counts = shard_counts(cpus)
+            runs[cpus] = simulate(cfg, u0, [0.0, 0.05, 0.1])
+            assert counts == ([] if expected == 1 else [expected])
+        for snaps in runs.values():
+            assert list(snaps) == [0.0, 0.05, 0.1]
+            for t, snap in snaps.items():
+                assert np.array_equal(snap, runs[1][t])
+
+    def test_synchronization_curve_and_cis(self, shard_counts):
+        cfg = two_mode_config()
+        x = Field(np.full(cfg.N, -1.0))
+        y = Field(np.full(cfg.N, 1.0))
+        runs = {}
+        for cpus in (1, 2, 3):
+            counts = shard_counts(cpus)
+            rec = synchronization_experiment(cfg, x, y, T=0.2, n_paths=9,
+                                             n_record=8, bootstrap=50)
+            assert counts == ([] if cpus == 1 else [cpus])
+            runs[cpus] = (rec.times, np.array(
+                [[r["t"], r["value"], r["ci_low"], r["ci_high"]]
+                 for r in rec.statistics]))
+        for times, stats in runs.values():
+            assert times == runs[1][0]
+            assert np.array_equal(stats, runs[1][1])
+        assert len(runs[1][0]) == 8
+
+    def test_comparison_check_value(self, shard_counts):
+        # starts 1e-13 apart at one point: the violations are rounding
+        # residues of about 1e-16 whose maximum depends on the path
+        cfg = two_mode_config()
+        x = np.cos(2 * np.pi * np.arange(cfg.N) / cfg.N)
+        y = x.copy()
+        y[3] += 1e-13
+        values = {}
+        for cpus in (1, 2, 3):
+            counts = shard_counts(cpus)
+            values[cpus] = comparison_check(cfg, Field(x), Field(y), T=0.05,
+                                            n_paths=7)
+            assert counts == ([] if cpus == 1 else [cpus])
+        assert 0.0 < values[1] < 1e-15
+        assert values[2] == values[1] and values[3] == values[1]
+
+    def test_nonfinite_in_a_later_shard_reports_the_first_step(
+            self, shard_counts):
+        # constant rows grow tenfold a step (no clamp in reach, no noise);
+        # row 6 overflows first, row 2 later, the other rows never
+        cfg = make_config(noise=NoiseSpec(0, ()), n_paths=7, dt=1.0, T=10.0,
+                          clamp_R=1e308,
+                          drift=DriftSpec("linear", {"a": 9.0},
+                                          K1=1.0, K2=1.0, K3=9.0))
+        u0 = np.ones((7, cfg.N))
+        u0[2], u0[6] = 1e300, 1e304
+        first = {}
+        for row in (2, 6):
+            with pytest.raises(NonFinite) as exc:
+                simulate(replace(cfg, n_paths=1), u0[row], [10.0])
+            first[row] = exc.value.step_index
+        assert first[6] < first[2]
+        for cpus in (1, 2, 3):
+            counts = shard_counts(cpus)
+            with pytest.raises(NonFinite) as exc:
+                simulate(cfg, u0, [10.0])
+            assert exc.value.step_index == first[6]
+            assert counts == ([] if cpus == 1 else [cpus])
+
+    def test_short_job_steps_in_process(self, monkeypatch):
+        set_usable_cpus(monkeypatch, 2)
+        called = []
+        monkeypatch.setattr(spde, "_run_forked", called.append)
+        cfg = make_config(n_paths=8)
+        simulate(cfg, Field(np.zeros(cfg.N)), [0.1])
+        assert called == []
+
+    def test_worker_exception_reaches_the_caller(self, shard_counts):
+        shard_counts(2)
+
+        def observe(k, ensembles):
+            raise KeyError(f"observer failed at step {k}")
+
+        with pytest.raises(KeyError, match="observer failed at step 1"):
+            spde.integrate(make_config(), (np.zeros((4, 32)),), 0, 3,
+                           observe)
+
+    def test_worker_that_dies_is_reported(self):
+        with pytest.raises(RuntimeError, match="exited with code 5"):
+            spde._run_forked([lambda: 1, lambda: os._exit(5)])
+
+
+def test_nonfinite_pickle_round_trip():
+    exc = pickle.loads(pickle.dumps(NonFinite(7)))
+    assert isinstance(exc, NonFinite)
+    assert exc.step_index == 7
+    assert str(exc) == str(NonFinite(7))
 
 
 class TestFunctionals:

@@ -11,11 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment, linprog
 
+from conftest import set_usable_cpus
 from monotone_ergo import transport
-from monotone_ergo.transport import (CostMatrix, SinkhornDiverged,
-                                     UnequalSampleCounts, pairwise_cost,
-                                     sinkhorn, total_variation,
-                                     wasserstein_empirical, wasserstein_exact)
+from monotone_ergo.transport import (CostMatrix, UnequalSampleCounts,
+                                     pairwise_cost, sinkhorn,
+                                     total_variation, wasserstein_empirical,
+                                     wasserstein_exact)
 
 
 def lp_oracle(a, b, c):
@@ -249,12 +250,6 @@ def serial_assignment_values(cmat, draws):
         ri, cj = linear_sum_assignment(sub)
         vals[k] = float(sub[ri, cj].mean())
     return vals
-
-
-def set_usable_cpus(monkeypatch, count):
-    monkeypatch.setattr(os, "sched_getaffinity",
-                        lambda pid: set(range(count)), raising=False)
-    assert transport._usable_cpus() == count
 
 
 @pytest.fixture
