@@ -34,19 +34,18 @@ the experiments are observers on top of it.
 Stepping is row-independent bit for bit, so `integrate` splits the path
 axis into contiguous row shards, one per usable CPU as in
 `transport._resampled_assignment_values`, as long as every shard gets
-at least two rows and `_SHARD_MIN_WORK` cell-steps.  (numpy multiplies
-a one-row block of draws through BLAS gemv, whose sums over m >= 2
-modes can differ in the last bit from the gemm of a larger block; and a
-shorter job costs less than the forks that would spread it.)  Each
-shard steps in its own `fork`ed worker process; a single shard runs
-in-process through the same function.  Every shard draws the
-full noise block of each step and keeps its own rows, so the noise
-stream and every output are those of one unsharded loop.  An observer is
+`_SHARD_MIN_WORK` cell-steps (a shorter job costs less than the forks
+that would spread it).  Each shard steps in its own `fork`ed worker
+process; a single shard runs in-process through the same function.
+Every shard draws the full noise block of each step, forms the noise
+increment of the whole block and keeps its own rows, so the noise stream
+and every output are those of one unsharded loop.  An observer is
 therefore a per-shard reduction: it maps a shard's rows at step k to a
-partial result, and the parent merges the partials of step k in path
-order (snapshots and per-path distances concatenate, a running maximum
-takes the max).  A shard that meets a non-finite value stops and returns
-that step's index; the parent raises NonFinite for the smallest one.
+partial result array, and the parent concatenates the partials of step k
+in path order (snapshots and per-path distances row by row; a maximum
+as one value per shard, whose maximum the caller takes).  A shard that
+meets a non-finite value stops and returns that step's index; the
+parent raises NonFinite for the smallest one.
 """
 
 from __future__ import annotations
@@ -365,8 +364,14 @@ class Stepper:
         self.sqrt_dt = math.sqrt(config.dt)
         self.f = _drift_function(config.drift.name, config.drift.params)[0]
 
-    def step(self, u: np.ndarray, draws: np.ndarray) -> np.ndarray:
-        """One semi-implicit step of an ensemble u (paths on leading axes)."""
+    def increment(self, draws: np.ndarray) -> np.ndarray:
+        """The noise increment sqrt(dt) sum_k sigma_k g_k of each row of a
+        draw block (paths, m)."""
+        return self.sqrt_dt * (draws @ self.sigma)
+
+    def step(self, u: np.ndarray, noise: np.ndarray) -> np.ndarray:
+        """One semi-implicit step of an ensemble u (paths on leading axes);
+        `noise` holds u's rows of `increment(draws)`."""
         cfg = self.config
         clamped = np.clip(u, -cfg.clamp_R, cfg.clamp_R)
         # u + dt f(clamp(u)) built in the drift's fresh array; IEEE + and *
@@ -375,7 +380,7 @@ class Stepper:
         rhs *= cfg.dt
         rhs += u
         if cfg.noise.m:
-            rhs += self.sqrt_dt * (draws @ self.sigma)
+            rhs += noise
         spec = scipy.fft.rfft(rhs, axis=-1)
         spec *= self.implicit_factor
         return scipy.fft.irfft(spec, n=cfg.N, axis=-1)
@@ -386,7 +391,8 @@ def step(u: Field, config: SpdeConfig, gaussian_draws) -> Field:
     draws = np.asarray(gaussian_draws, dtype=float).reshape(1, -1)
     if draws.shape[1] != config.noise.m:
         raise ConfigError(f"expected {config.noise.m} gaussian draws")
-    out = Stepper(config).step(u.values[None, :], draws)[0]
+    stepper = Stepper(config)
+    out = stepper.step(u.values[None, :], stepper.increment(draws))[0]
     if not np.all(np.isfinite(out)):
         raise NonFinite(0)
     return Field(out)
@@ -399,21 +405,21 @@ _SHARD_MIN_WORK = 1 << 22
 
 
 def integrate(config: SpdeConfig, ensembles: tuple, seed: int,
-              n_steps: int, observe, merge=np.concatenate) -> dict:
+              n_steps: int, observe) -> dict:
     """Advance every ensemble in `ensembles` (arrays (n_paths, N)) through
     steps 1..n_steps, all on the one noise path keyed by `seed`.
 
     The paths are split into row shards (module docstring).  After each
     step k, observe(k, ensembles) sees a shard's stepped rows and returns
-    a partial result, or None to record nothing.  Returns {k: merged},
-    where merged is merge(partials of step k in path order), or the one
-    partial itself when there is one shard.  Raises NonFinite(k) for the
-    first step k after which any ensemble has a non-finite value.
+    a partial result, an array with one row per path or per shard, or None
+    to record nothing.  Returns {k: the partials of step k concatenated in
+    path order}, or {k: the one partial} when there is one shard.  Raises
+    NonFinite(k) for the first step k after which any ensemble has a
+    non-finite value.
     """
     n_paths, N = ensembles[0].shape
     work = n_paths * N * len(ensembles) * n_steps
-    shards = max(1, min(_usable_cpus(), n_paths // 2,
-                        work // _SHARD_MIN_WORK))
+    shards = max(1, min(_usable_cpus(), n_paths, work // _SHARD_MIN_WORK))
     edges = [n_paths * i // shards for i in range(shards + 1)]
     jobs = [functools.partial(_integrate_rows, config, ensembles, lo, hi,
                               seed, n_steps, observe)
@@ -424,7 +430,7 @@ def integrate(config: SpdeConfig, ensembles: tuple, seed: int,
         raise NonFinite(min(failed))
     if shards == 1:
         return results[0][1]
-    return {k: merge([partials[k] for _, partials in results])
+    return {k: np.concatenate([partials[k] for _, partials in results])
             for k in results[0][1]}
 
 
@@ -436,8 +442,10 @@ def _integrate_rows(config, ensembles, lo, hi, seed, n_steps, observe):
     ensembles = tuple(U[lo:hi] for U in ensembles)
     partials = {}
     for k in range(1, n_steps + 1):
-        draws = noise_draws(seed, k, n_paths, config.noise.m)[lo:hi]
-        ensembles = tuple(stepper.step(U, draws) for U in ensembles)
+        # the increment of the whole block, as one unsharded loop forms it
+        noise = stepper.increment(
+            noise_draws(seed, k, n_paths, config.noise.m))[lo:hi]
+        ensembles = tuple(stepper.step(U, noise) for U in ensembles)
         if not all(np.all(np.isfinite(U)) for U in ensembles):
             return k, partials
         partial = observe(k, ensembles)
@@ -530,6 +538,5 @@ def comparison_check(config: SpdeConfig, x: Field, y: Field, T: float,
         cfg, (np.broadcast_to(x.values, (n_paths, cfg.N)).copy(),
               np.broadcast_to(y.values, (n_paths, cfg.N)).copy()),
         cfg.seed, cfg.n_steps,
-        lambda k, ensembles: float((ensembles[0] - ensembles[1]).max()),
-        merge=max)
-    return max([0.0, *worst.values()])
+        lambda k, ensembles: np.array([(ensembles[0] - ensembles[1]).max()]))
+    return max([0.0, *(float(v.max()) for v in worst.values())])
