@@ -652,8 +652,7 @@ def triple_order_exact(kernel: FiniteKernel, poset: FinitePoset, x: int,
 
 def coupling_construct_simulate(kernel: FiniteKernel, poset: FinitePoset,
                                 x: int, y: int, t: int, n_paths: int,
-                                rng, with_exact: bool = False,
-                                spec: OrderedSpaceSpec | None = None
+                                rng, with_exact: bool = False
                                 ) -> CouplingSimReport:
     """Monte-Carlo run of the three-element coupling construction.
 

@@ -262,12 +262,9 @@ def cmd_spde(args) -> int:
     _say(summary)
     print(serialize.dumps(rec.to_json_obj()))
     if args.out:
-        experiments.write_run_archive(args.out, rec, snapshots=snapshots,
-                                      n_grid=config.N,
-                                      n_paths=config.n_paths)
-        written = ["record.json", "config.json", "statistics.csv"]
-        if snapshots:
-            written.append("snapshots.bin")
+        written = experiments.write_run_archive(
+            args.out, rec, snapshots=snapshots, n_grid=config.N,
+            n_paths=config.n_paths)
         out_hashes = {fn: serialize.file_hash(os.path.join(args.out, fn))
                       for fn in written}
         _write_manifest(args.out, f"spde {sub}", args.config, config.seed,

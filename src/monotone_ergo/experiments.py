@@ -70,14 +70,18 @@ class ExperimentRecord:
 def write_run_archive(outdir: str, record: ExperimentRecord,
                       snapshots: dict | None = None,
                       n_grid: int | None = None,
-                      n_paths: int | None = None) -> None:
+                      n_paths: int | None = None) -> list[str]:
+    """Write the run's files into `outdir`; returns their names."""
     os.makedirs(outdir, exist_ok=True)
     serialize.dump(record.config, os.path.join(outdir, "config.json"))
     serialize.dump(record.to_json_obj(), os.path.join(outdir, "record.json"))
     serialize.write_statistics_csv(os.path.join(outdir, "statistics.csv"),
                                    record.statistics)
+    written = ["record.json", "config.json", "statistics.csv"]
     if snapshots:
         serialize.write_snapshots(outdir, snapshots, n_grid, n_paths)
+        written += ["snapshots.bin", "snapshots.json"]
+    return written
 
 
 def _record_grid(T: float, dt: float, n_record: int) -> list[float]:

@@ -11,8 +11,10 @@ from __future__ import annotations
 import numpy as np
 from scipy.optimize import linprog
 
-from .chains import FiniteKernel, check_lyapunov, check_order_preserving
+from .chains import (FiniteKernel, check_lyapunov, check_order_preserving,
+                     moment_bound_M)
 from .posets import antichain_poset
+from .transport import CostMatrix, wasserstein_exact
 
 TOL = 1e-10
 
@@ -67,7 +69,8 @@ def run_example_2_4():
         for i in range(2) for j in range(2) if poset.leq[i, j])
     claims.append(_claim("premetric sandwich holds with phi identically 0",
                          float(sandwich_ok), 1.0))
-    claims.append(_claim("M(x) = sup_t P_t phi^2(x) is 0", 0.0, 0.0))
+    M, _ = moment_bound_M(kernel, phi)
+    claims.append(_claim("M(x) = sup_t P_t phi^2(x) is 0", M.max(), 0.0))
 
     for s, name in ((0, "delta_0"), (1, "delta_1")):
         p = np.zeros(2)
@@ -88,8 +91,14 @@ def run_example_2_4():
                          float(len(found)), 0.0))
 
     # the two point masses stay at coupling distance 1 forever
-    claims.append(_claim("W_{d^1}(P_t delta_0, P_t delta_1) for any t",
-                         1.0, 1.0))
+    cost = CostMatrix(d)
+    mu, nu = np.eye(2)
+    w_min = np.inf
+    for _ in range(21):
+        w_min = min(w_min, wasserstein_exact(mu, nu, cost).value)
+        mu, nu = mu @ kernel.P, nu @ kernel.P
+    claims.append(_claim("W_{d^1}(P_t delta_0, P_t delta_1), smallest over "
+                         "t <= 20", w_min, 1.0))
     return _report("example-2-4", claims)
 
 
@@ -146,8 +155,6 @@ def run_example_3_5(n: int):
     dist = np.mean([min(np.abs(fs[(k + 1) % n] - fs[k]).max(), 1.0)
                     for k in range(n)])
     claims.append(_claim("E[sup-distance capped at 1]", dist, 1.0))
-    same_law = float(np.mean([0.0]))  # X and Xtilde are the same function of eta
-    claims.append(_claim("Law(X) equals Law(Xtilde)", same_law, 0.0))
 
     # premetric infeasibility: minimize phi(top) - phi(bottom) subject to
     # phi increments dominating the pairwise distances along the chain
@@ -187,7 +194,7 @@ def run_example_3_6(n: int):
     xs = np.arange(1, n + 1, dtype=float)
     ys = np.where(xs < n, xs + 1, 1.0)
     claims = []
-    p_order = float(np.mean((xs <= ys) & (ys <= ys)))  # Y == Xtilde here
+    p_order = float(np.mean(xs <= ys))  # Y == Xtilde here
     claims.append(_claim("P(X <= Y <= Xtilde)", p_order, 1.0 - 1.0 / n))
     e_dist = float(np.mean(np.minimum(np.abs(xs - ys), 1.0)))
     claims.append(_claim("E[|X - Y| ^ 1]", e_dist, 1.0))
@@ -211,9 +218,10 @@ def run_example_2_6_2_7(samples: int = 10_000, seed: int = 0):
     rng = np.random.default_rng(seed)
     claims = []
 
-    # one claim per p: at p = 1 both sampled inequalities are identities,
-    # so a maximum over p would hide the p = 2 and p = 3 margins
-    for p in (1, 2, 3):
+    # one claim per p; at p = 1 the sampled inequalities are identities
+    # (|a - b| = b - a for a <= b, and d = phi(y) - phi(x) on ordered
+    # fields), so no p = 1 claim is made
+    for p in (2, 3):
         a = rng.uniform(-5, 5, samples)
         b = a + rng.uniform(0, 5, samples)
         lhs = np.abs(a - b) ** p
@@ -229,24 +237,17 @@ def run_example_2_6_2_7(samples: int = 10_000, seed: int = 0):
                          2.0 ** (p - 1) * (abs(b) ** p * np.sign(b)
                                            - abs(a) ** p * np.sign(a))))
 
-    # discrete-field sandwich: d_p = ||x-y||_p^p against the signed-power
-    # integral functional
-    worst_low = -np.inf
-    worst_high = {}
-    for p in (1, 2):
-        x = rng.uniform(-3, 3, (samples // 10, 16))
-        y = x + np.abs(rng.normal(0, 1, x.shape))
-        d = (np.abs(x - y) ** p).mean(axis=1)
-        phi_x = 2.0 ** (p - 1) * (np.abs(x) ** p * np.sign(x)).mean(axis=1)
-        phi_y = 2.0 ** (p - 1) * (np.abs(y) ** p * np.sign(y)).mean(axis=1)
-        worst_low = max(worst_low, float((-d).max()))
-        worst_high[p] = float((d - (phi_y - phi_x)).max())
-    claims.append(_claim("d >= 0 on ordered random fields", worst_low, 0.0,
-                         op="le"))
-    for p, worst in worst_high.items():
-        claims.append(_claim(
-            f"d <= phi(y) - phi(x) on ordered random fields, p = {p}",
-            worst, 0.0, op="le"))
+    # discrete-field sandwich at p = 2: d_p = ||x-y||_p^p against the
+    # signed-power integral functional (d >= 0 holds by construction)
+    p = 2
+    x = rng.uniform(-3, 3, (samples // 10, 16))
+    y = x + np.abs(rng.normal(0, 1, x.shape))
+    d = (np.abs(x - y) ** p).mean(axis=1)
+    phi_x = 2.0 ** (p - 1) * (np.abs(x) ** p * np.sign(x)).mean(axis=1)
+    phi_y = 2.0 ** (p - 1) * (np.abs(y) ** p * np.sign(y)).mean(axis=1)
+    claims.append(_claim(
+        f"d <= phi(y) - phi(x) on ordered random fields, p = {p}",
+        float((d - (phi_y - phi_x)).max()), 0.0, op="le"))
     return _report("example-2-6-2-7", claims)
 
 

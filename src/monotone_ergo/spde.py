@@ -32,11 +32,11 @@ and hands each step to an observer.  `simulate`, `comparison_check` and
 the experiments are observers on top of it.
 
 Stepping is row-independent bit for bit, so `integrate` splits the path
-axis into contiguous row shards, one per usable CPU as in
-`transport._resampled_assignment_values`, as long as every shard gets
-`_SHARD_MIN_WORK` cell-steps (a shorter job costs less than the forks
-that would spread it).  Each shard steps in its own `fork`ed worker
-process; a single shard runs in-process through the same function.
+axis into contiguous row shards, one per usable CPU, as long as every
+shard gets `_SHARD_MIN_WORK` cell-steps (a shorter job costs less than
+the forks that would spread it), and runs them through
+`shards.run_sharded`: each shard steps in its own `fork`ed worker
+process, and a single shard runs in-process through the same function.
 Every shard draws the full noise block of each step, forms the noise
 increment of the whole block and keeps its own rows, so the noise stream
 and every output are those of one unsharded loop.  An observer is
@@ -50,15 +50,13 @@ parent raises NonFinite for the smallest one.
 
 from __future__ import annotations
 
-import functools
 import math
-import multiprocessing
 from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.fft
 
-from .transport import _usable_cpus
+from .shards import run_sharded, usable_cpus
 
 ASSUMPTION_RANGE = 50.0
 
@@ -386,18 +384,6 @@ class Stepper:
         return scipy.fft.irfft(spec, n=cfg.N, axis=-1)
 
 
-def step(u: Field, config: SpdeConfig, gaussian_draws) -> Field:
-    """Single-field convenience wrapper around Stepper.step."""
-    draws = np.asarray(gaussian_draws, dtype=float).reshape(1, -1)
-    if draws.shape[1] != config.noise.m:
-        raise ConfigError(f"expected {config.noise.m} gaussian draws")
-    stepper = Stepper(config)
-    out = stepper.step(u.values[None, :], stepper.increment(draws))[0]
-    if not np.all(np.isfinite(out)):
-        raise NonFinite(0)
-    return Field(out)
-
-
 # cell-steps (paths x grid points x ensembles x steps) one forked shard
 # must carry; below it the fork and the hand-back cost more than the
 # stepping they spread
@@ -413,23 +399,17 @@ def integrate(config: SpdeConfig, ensembles: tuple, seed: int,
     step k, observe(k, ensembles) sees a shard's stepped rows and returns
     a partial result, an array with one row per path or per shard, or None
     to record nothing.  Returns {k: the partials of step k concatenated in
-    path order}, or {k: the one partial} when there is one shard.  Raises
-    NonFinite(k) for the first step k after which any ensemble has a
-    non-finite value.
+    path order}.  Raises NonFinite(k) for the first step k after which any
+    ensemble has a non-finite value.
     """
     n_paths, N = ensembles[0].shape
     work = n_paths * N * len(ensembles) * n_steps
-    shards = max(1, min(_usable_cpus(), n_paths, work // _SHARD_MIN_WORK))
-    edges = [n_paths * i // shards for i in range(shards + 1)]
-    jobs = [functools.partial(_integrate_rows, config, ensembles, lo, hi,
-                              seed, n_steps, observe)
-            for lo, hi in zip(edges, edges[1:])]
-    results = _run_forked(jobs) if shards > 1 else [jobs[0]()]
+    shards = max(1, min(usable_cpus(), n_paths, work // _SHARD_MIN_WORK))
+    results = run_sharded(n_paths, shards, lambda lo, hi: _integrate_rows(
+        config, ensembles, lo, hi, seed, n_steps, observe))
     failed = [k for k, _ in results if k is not None]
     if failed:
         raise NonFinite(min(failed))
-    if shards == 1:
-        return results[0][1]
     return {k: np.concatenate([partials[k] for _, partials in results])
             for k in results[0][1]}
 
@@ -452,51 +432,6 @@ def _integrate_rows(config, ensembles, lo, hi, seed, n_steps, observe):
         if partial is not None:
             partials[k] = partial
     return None, partials
-
-
-def _run_forked(jobs) -> list:
-    """Results of the argument-free callables `jobs`, in order, each one
-    called in its own forked worker process.  An exception raised by a
-    job is raised here."""
-    ctx = multiprocessing.get_context("fork")
-    workers = []
-    try:
-        for job in jobs:
-            receiver, sender = ctx.Pipe(duplex=False)
-            proc = ctx.Process(target=_send_result, args=(sender, job),
-                               daemon=True)
-            proc.start()
-            sender.close()
-            workers.append((proc, receiver))
-        results = []
-        for proc, receiver in workers:
-            try:
-                ok, value = receiver.recv()
-            except EOFError:
-                proc.join()
-                raise RuntimeError(f"SPDE shard worker exited with code "
-                                   f"{proc.exitcode}") from None
-            if not ok:
-                raise value
-            results.append(value)
-    except BaseException:
-        for proc, _ in workers:
-            proc.terminate()
-        raise
-    finally:
-        for proc, receiver in workers:
-            receiver.close()
-            proc.join()
-    return results
-
-
-def _send_result(conn, job):
-    try:
-        result = (True, job())
-    except Exception as exc:
-        result = (False, exc)
-    conn.send(result)
-    conn.close()
 
 
 def simulate(config: SpdeConfig, u0, record_times, seed: int | None = None):

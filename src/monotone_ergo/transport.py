@@ -9,13 +9,12 @@ the exact uniform assignment, with bootstrap confidence intervals.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 from scipy.optimize import linear_sum_assignment
+
+from .shards import run_sharded, usable_cpus
 
 EXACT_SUPPORT_LIMIT = 4096
 BOOTSTRAP_RESAMPLES = 200
@@ -343,52 +342,14 @@ def _uniform_assignment_value(cmat) -> float:
     return float(cmat[ri, cj].mean())
 
 
-# rows of one gather block in `_resampled_assignment_values`
-_GATHER_ROWS = 64
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 def _resampled_assignment_values(cmat, draws) -> np.ndarray:
     """Uniform assignment value of `cmat[row_idx][:, col_idx]` for each
-    `(row_idx, col_idx)` in `draws`, in order.
-
-    The draws are split over one thread per usable CPU (scipy's solver
-    releases the GIL). Each thread gathers its resampled matrices into
-    one buffer a block of rows at a time, so memory grows by about one
-    resampled matrix per thread. The buffers are allocated by the calling
-    thread: allocated in a worker, they stayed resident in its malloc
-    arena after the call. The threads call the solver through
-    `scipy.optimize`, not through this module's global name, so a wrapper
-    installed on that name never runs concurrently.
-    """
-    vals = np.empty(len(draws))
-    workers = min(_usable_cpus(), len(draws))
-    n_rows, n_cols = len(draws[0][0]), len(draws[0][1])
-
-    def solve(first, sub, rows):
-        for k in range(first, len(draws), workers):
-            row_idx, col_idx = draws[k]
-            for start in range(0, n_rows, _GATHER_ROWS):
-                blk = row_idx[start:start + _GATHER_ROWS]
-                np.take(cmat, blk, axis=0, out=rows[:len(blk)])
-                np.take(rows[:len(blk)], col_idx, axis=1,
-                        out=sub[start:start + len(blk)])
-            ri, cj = scipy.optimize.linear_sum_assignment(sub)
-            vals[k] = sub[ri, cj].mean()
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(solve, w, np.empty((n_rows, n_cols)),
-                               np.empty((_GATHER_ROWS, cmat.shape[1])))
-                   for w in range(workers)]
-        for future in futures:
-            future.result()
-    return vals
+    `(row_idx, col_idx)` in `draws`, in order, the draws split over one
+    shard per usable CPU (`shards.run_sharded`)."""
+    shards = min(usable_cpus(), len(draws))
+    return np.concatenate(run_sharded(len(draws), shards, lambda lo, hi: [
+        _uniform_assignment_value(cmat.take(row_idx, 0).take(col_idx, 1))
+        for row_idx, col_idx in draws[lo:hi]]))
 
 
 def wasserstein_empirical(samples_x, samples_y, cost_fn: str = "l2_capped",

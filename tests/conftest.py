@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from monotone_ergo import transport
+from monotone_ergo import shards
 from monotone_ergo.posets import Distribution, FinitePoset, validate_poset
 
 
@@ -33,8 +33,8 @@ def rng():
 
 
 def set_usable_cpus(monkeypatch, count):
-    """Make `transport._usable_cpus`, the worker count of the parallel
-    layers, report `count`."""
+    """Make `shards.usable_cpus`, the worker count of the parallel layers,
+    report `count`."""
     monkeypatch.setattr(os, "sched_getaffinity",
                         lambda pid: set(range(count)), raising=False)
-    assert transport._usable_cpus() == count
+    assert shards.usable_cpus() == count

@@ -113,6 +113,11 @@ class TestSpde:
         assert code == 0
         snaps = serialize.read_snapshots(out_dir)
         assert len(snaps) >= 2
+        manifest = serialize.load(os.path.join(out_dir, "manifest.json"))
+        assert sorted(manifest["output_hashes"]) == sorted(
+            set(os.listdir(out_dir)) - {"manifest.json"})
+        for fn, digest in manifest["output_hashes"].items():
+            assert serialize.file_hash(os.path.join(out_dir, fn)) == digest
 
     def test_run_times_start_at_zero_once(self, tmp_path, capsys):
         cfg = serialize.load(fixture_path("spde_constants.json"))

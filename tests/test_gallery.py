@@ -1,6 +1,8 @@
 """Gallery cases: every claim must hold, with spot checks of the exact
 values."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from monotone_ergo import gallery
@@ -24,6 +26,20 @@ class TestExample24:
         rep = claims(gallery.run_example_2_4())
         c = rep["number of ordered distinct subset pairs (A, B)"]
         assert c["lhs"] == 0.0
+
+    def test_moment_and_distance_claims_are_computed(self, monkeypatch):
+        # a nonzero moment scan or a distance below 1 at some t must fail
+        # the claims, so they read the computations, not constants
+        monkeypatch.setattr(gallery, "moment_bound_M",
+                            lambda kernel, phi: (phi + 0.5, False))
+        monkeypatch.setattr(gallery, "wasserstein_exact",
+                            lambda mu, nu, cost: SimpleNamespace(
+                                value=float(mu @ cost.c @ nu) / 2))
+        rep = claims(gallery.run_example_2_4())
+        m = rep["M(x) = sup_t P_t phi^2(x) is 0"]
+        w = rep["W_{d^1}(P_t delta_0, P_t delta_1), smallest over t <= 20"]
+        assert (m["lhs"], w["lhs"]) == (0.5, 0.5)
+        assert not m["holds"] and not w["holds"]
 
 
 class TestExample32:
@@ -106,8 +122,7 @@ class TestExample2627:
             gallery.run_example_2_6_2_7(2000)
 
     def test_margins_per_p_are_negative_and_seed_dependent(self):
-        # at p = 1 the sampled inequalities are identities; the p = 2 and
-        # p = 3 claims carry strict, sample-dependent margins
+        # the p = 2 and p = 3 claims carry strict, sample-dependent margins
         def margins(seed):
             return [c["lhs"] for c in gallery.run_example_2_6_2_7(
                         2000, seed)["claims"]

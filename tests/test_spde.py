@@ -9,13 +9,13 @@ import numpy as np
 import pytest
 
 from conftest import set_usable_cpus
-from monotone_ergo import spde
+from monotone_ergo import shards, spde
 from monotone_ergo.experiments import synchronization_experiment
 from monotone_ergo.spde import (ConfigError, DriftSpec, Field, NoiseSpec,
                                 NonFinite, NotOrdered, SpdeConfig, Stepper,
                                 comparison_check, field_distance_sq, l2_sq,
                                 noise_draws, phi, phi_condition_check, psi,
-                                simulate, step)
+                                simulate)
 
 
 def make_config(**over):
@@ -118,9 +118,10 @@ class TestMonotonicity:
         g = rng.normal(size=cfg.noise.m)
         a = rng.normal(0.0, 2.0, cfg.N)
         b = a + np.abs(rng.normal(0.0, 2.0, cfg.N))
-        ua = step(Field(a), cfg, g)
-        ub = step(Field(b), cfg, g)
-        assert np.all(ua.values <= ub.values + 1e-12)
+        st = Stepper(cfg)
+        ua = st.step(a[None], st.increment(g[None]))
+        ub = st.step(b[None], st.increment(g[None]))
+        assert np.all(ua <= ub + 1e-12)
 
 
 DRIFTS = {
@@ -256,16 +257,15 @@ class TestReproducibility:
 @pytest.fixture
 def shard_counts(monkeypatch):
     """Set the usable-CPU count with shards for jobs of any length, and
-    record the number of forked shards of each integrate call."""
+    record the shard count of each integrate call."""
     counts = []
-    run_forked = spde._run_forked
 
-    def counted(jobs):
-        counts.append(len(jobs))
-        return run_forked(jobs)
+    def counted(n, shard_count, job):
+        counts.append(shard_count)
+        return shards.run_sharded(n, shard_count, job)
 
     monkeypatch.setattr(spde, "_SHARD_MIN_WORK", 1)
-    monkeypatch.setattr(spde, "_run_forked", counted)
+    monkeypatch.setattr(spde, "run_sharded", counted)
 
     def use(cpus):
         set_usable_cpus(monkeypatch, cpus)
@@ -295,7 +295,7 @@ class TestShards:
         for cpus in (1, 2, 3):
             counts = shard_counts(cpus)
             runs[cpus] = simulate(cfg, u0, [0.0, 0.05, 0.1])
-            assert counts == ([] if cpus == 1 else [cpus])
+            assert counts == [cpus]
         for snaps in runs.values():
             assert list(snaps) == [0.0, 0.05, 0.1]
             for t, snap in snaps.items():
@@ -310,7 +310,7 @@ class TestShards:
             counts = shard_counts(cpus)
             rec = synchronization_experiment(cfg, x, y, T=0.2, n_paths=9,
                                              n_record=8, bootstrap=50)
-            assert counts == ([] if cpus == 1 else [cpus])
+            assert counts == [cpus]
             runs[cpus] = (rec.times, np.array(
                 [[r["t"], r["value"], r["ci_low"], r["ci_high"]]
                  for r in rec.statistics]))
@@ -331,7 +331,7 @@ class TestShards:
             counts = shard_counts(cpus)
             values[cpus] = comparison_check(cfg, Field(x), Field(y), T=0.05,
                                             n_paths=7)
-            assert counts == ([] if cpus == 1 else [cpus])
+            assert counts == [cpus]
         assert 0.0 < values[1] < 1e-15
         assert values[2] == values[1] and values[3] == values[1]
 
@@ -356,29 +356,38 @@ class TestShards:
             with pytest.raises(NonFinite) as exc:
                 simulate(cfg, u0, [10.0])
             assert exc.value.step_index == first[6]
-            assert counts == ([] if cpus == 1 else [cpus])
+            assert counts == [cpus]
 
     def test_short_job_steps_in_process(self, monkeypatch):
         set_usable_cpus(monkeypatch, 2)
         called = []
-        monkeypatch.setattr(spde, "_run_forked", called.append)
+        monkeypatch.setattr(shards, "_run_forked", called.append)
         cfg = make_config(n_paths=8)
         simulate(cfg, Field(np.zeros(cfg.N)), [0.1])
         assert called == []
 
-    def test_worker_exception_reaches_the_caller(self, shard_counts):
-        shard_counts(2)
+    @pytest.mark.parametrize("shard_count", [1, 2, 3])
+    def test_contiguous_blocks_in_order(self, shard_count):
+        blocks = shards.run_sharded(7, shard_count, lambda lo, hi: (lo, hi))
+        assert blocks == [(7 * i // shard_count, 7 * (i + 1) // shard_count)
+                          for i in range(shard_count)]
 
-        def observe(k, ensembles):
-            raise KeyError(f"observer failed at step {k}")
+    def test_blocks_run_in_worker_processes(self):
+        pids = shards.run_sharded(2, 2, lambda lo, hi: os.getpid())
+        assert os.getpid() not in pids and pids[0] != pids[1]
 
-        with pytest.raises(KeyError, match="observer failed at step 1"):
-            spde.integrate(make_config(), (np.zeros((4, 32)),), 0, 3,
-                           observe)
+    def test_worker_exception_reaches_the_caller(self):
+        def job(lo, hi):
+            if lo:
+                raise KeyError(f"job failed on rows {lo}:{hi}")
+            return lo
+
+        with pytest.raises(KeyError, match="job failed on rows 2:4"):
+            shards.run_sharded(4, 2, job)
 
     def test_worker_that_dies_is_reported(self):
         with pytest.raises(RuntimeError, match="exited with code 5"):
-            spde._run_forked([lambda: 1, lambda: os._exit(5)])
+            shards.run_sharded(2, 2, lambda lo, hi: os._exit(5) if lo else lo)
 
 
 def test_nonfinite_pickle_round_trip():
