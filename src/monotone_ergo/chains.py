@@ -209,8 +209,24 @@ def check_lyapunov(kernel: FiniteKernel, V, lambda_: float, K: float):
                 "PV": PV}
 
 
+def _one_closed_class(P) -> bool:
+    """Whether the chain has exactly one closed communicating class."""
+    reach = (P > 0) | np.eye(len(P), dtype=bool)
+    for _ in range(len(P).bit_length()):
+        reach = reach @ reach
+    # x is recurrent iff every state it reaches reaches it back; the
+    # closed classes are one iff all recurrent states reach each other
+    recurrent = np.all(reach <= reach.T, axis=1)
+    return bool(reach[np.ix_(recurrent, recurrent)].all())
+
+
 def moment_bound_M(kernel: FiniteKernel, phi, t_max: int = M_SCAN_STEPS):
     """M(x) = sup_t P_t phi^2(x), scanned over t <= t_max plus stationarity.
+
+    The stationary value pi phi^2 is added only when the chain has one
+    closed class: then the time averages of P_t phi^2(x) tend to it from
+    every start x, so the sup is at least that value. With two or more
+    closed classes pi is not unique and need not be reached from x.
 
     Returns (M vector, saturated_flag): saturated_flag notes whether the
     scan was still increasing at t_max (sup possibly not attained).
@@ -227,8 +243,8 @@ def moment_bound_M(kernel: FiniteKernel, phi, t_max: int = M_SCAN_STEPS):
         M = newM
         if t - last_improve > 50:
             break
-    pi = kernel.stationary()
-    M = np.maximum(M, float(pi @ phi2))
+    if _one_closed_class(kernel.P):
+        M = np.maximum(M, float(kernel.stationary() @ phi2))
     return M, bool(last_improve >= t_max - 50)
 
 

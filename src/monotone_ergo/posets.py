@@ -164,13 +164,6 @@ def _upset_masks(poset: FinitePoset) -> np.ndarray:
     return masks[closure == masks]
 
 
-def upsets(poset: FinitePoset) -> list[frozenset]:
-    out = []
-    for mask in _upset_masks(poset):
-        out.append(frozenset(i for i in range(poset.n) if mask >> i & 1))
-    return out
-
-
 def _mask_sums(masks: np.ndarray, weights: np.ndarray) -> np.ndarray:
     sums = np.zeros(len(masks))
     for i, w in enumerate(weights):

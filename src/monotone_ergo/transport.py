@@ -5,6 +5,9 @@ Exact optimal transport on finite supports via the transportation simplex
 costs), total variation, entropic regularization (log-domain Sinkhorn),
 and empirical Wasserstein estimation from equal-size sample ensembles by
 the exact uniform assignment, with bootstrap confidence intervals.
+
+The simplex keeps its basis as a spanning tree and returns the same bits
+as rebuilding the tree every pivot (`tests/reference_simplex.py`).
 """
 
 from __future__ import annotations
@@ -84,14 +87,32 @@ class TransportResult:
 
 
 def total_variation(mu, nu) -> float:
-    mu = np.asarray(getattr(mu, "p", mu), dtype=float)
-    nu = np.asarray(getattr(nu, "p", nu), dtype=float)
+    mu, nu = _masses(mu, nu)
     return float(0.5 * np.abs(mu - nu).sum())
+
+
+def _masses(mu, nu):
+    """Both mass vectors as float arrays, checked to be finite,
+    nonnegative, not all zero and of equal totals (to 1e-9 relative)."""
+    a = np.asarray(getattr(mu, "p", mu), dtype=float)
+    b = np.asarray(getattr(nu, "p", nu), dtype=float)
+    sa, sb = float(a.sum()), float(b.sum())
+    if not (np.all(a >= 0) and np.all(b >= 0) and np.isfinite(sa + sb)):
+        raise TransportError("masses must be finite and nonnegative")
+    if sa <= 0 or sb <= 0:
+        raise Degenerate("zero total mass")
+    if abs(sa - sb) > 1e-9 * max(sa, sb):
+        raise TransportError(f"total masses differ: {sa!r} vs {sb!r}")
+    return a, b
 
 
 # ---------------------------------------------------------------------------
 # exact solver: transportation simplex
 # ---------------------------------------------------------------------------
+
+# a non-basic cell enters when its reduced cost is below -_REDUCED_TOL
+_REDUCED_TOL = 1e-12
+
 
 def _northwest_basis(a, b):
     """North-west corner starting plan plus a spanning basis of m+n-1 cells."""
@@ -110,87 +131,38 @@ def _northwest_basis(a, b):
             break
         # advance one index only, keeping the basis a spanning tree even
         # when both the row and the column are exhausted (degenerate cell)
-        if ra[i] <= rb[j] and i < m - 1:
+        # or rounding leaves the last column short of the rows' mass
+        if i < m - 1 and (ra[i] <= rb[j] or j == n - 1):
             i += 1
         else:
             j += 1
     return plan, basis
 
 
-def _duals(cost, basis, m, n):
-    u = np.full(m, np.nan)
-    v = np.full(n, np.nan)
-    by_row = [[] for _ in range(m)]
-    by_col = [[] for _ in range(n)]
-    for (i, j) in basis:
-        by_row[i].append(j)
-        by_col[j].append(i)
-    u[0] = 0.0
-    stack = [("r", 0)]
+def _hang(top, parent, depth, nbrs, pot, cost, m):
+    """Depth, parent and dual of each node under the edge (top, parent[top]),
+    top-down; rows are nodes 0..m-1, columns m.., and a node's dual is
+    c_ij minus its parent's: v_j = c_ij - u_i, u_i = c_ij - v_j."""
+    stack = [top]
     while stack:
-        kind, k = stack.pop()
-        if kind == "r":
-            for j in by_row[k]:
-                if np.isnan(v[j]):
-                    v[j] = cost[k, j] - u[k]
-                    stack.append(("c", j))
-        else:
-            for i in by_col[k]:
-                if np.isnan(u[i]):
-                    u[i] = cost[i, k] - v[k]
-                    stack.append(("r", i))
-    return u, v
+        k = stack.pop()
+        p = parent[k]
+        depth[k] = depth[p] + 1
+        pot[k] = (cost[k][p - m] if k < m else cost[p][k - m]) - pot[p]
+        for w in nbrs[k]:
+            if w != p:
+                parent[w] = k
+                stack.append(w)
 
 
-def _find_cycle(basis, enter):
-    """Alternating cycle created by adding `enter` to the basis tree."""
-    i0, j0 = enter
-    by_row, by_col = {}, {}
-    for (i, j) in basis:
-        by_row.setdefault(i, []).append(j)
-        by_col.setdefault(j, []).append(i)
-    # path from column j0 back to row i0 through basis edges
-    prev = {("c", j0): None}
-    stack = [("c", j0)]
-    while stack:
-        node = stack.pop()
-        kind, k = node
-        if kind == "c":
-            for i in by_col.get(k, []):
-                nxt = ("r", i)
-                if nxt not in prev:
-                    prev[nxt] = node
-                    if i == i0:
-                        stack = []
-                        break
-                    stack.append(nxt)
-        else:
-            for j in by_row.get(k, []):
-                nxt = ("c", j)
-                if nxt not in prev:
-                    prev[nxt] = node
-                    stack.append(nxt)
-    node = ("r", i0)
-    path = []
-    while node is not None:
-        path.append(node)
-        node = prev[node]
-    # path alternates row, col, row, ... from i0 to j0
-    cells = [enter]
-    for a, b in zip(path, path[1:]):
-        (ka, xa), (kb, xb) = a, b
-        cells.append((xa, xb) if ka == "r" else (xb, xa))
-    return cells  # even positions gain mass, odd positions lose
+def wasserstein_exact(mu, nu, cost: CostMatrix) -> TransportResult:
+    """Optimal transport value and plan by the transportation simplex.
 
-
-def wasserstein_exact(mu, nu, cost: CostMatrix,
-                      tol: float = 1e-12) -> TransportResult:
-    """Optimal transport value and plan by the transportation simplex."""
-    a = np.asarray(getattr(mu, "p", mu), dtype=float)
-    b = np.asarray(getattr(nu, "p", nu), dtype=float)
+    The basis is a spanning tree rooted at row 0. A pivot walks parents to
+    find its cycle and re-hangs only the subtree the leaving edge cuts off;
+    each dual is the same root-path sum a fresh walk of the tree gives."""
+    a, b = _masses(mu, nu)
     c = cost.c
-    if a.sum() <= 0 or b.sum() <= 0:
-        raise Degenerate("zero total mass")
     if len(a) > EXACT_SUPPORT_LIMIT or len(b) > EXACT_SUPPORT_LIMIT:
         raise TooLarge(f"support sizes {len(a)}x{len(b)}")
     if c.shape != (len(a), len(b)):
@@ -203,35 +175,63 @@ def wasserstein_exact(mu, nu, cost: CostMatrix,
     m, n = len(rows), len(cols)
 
     plan, basis = _northwest_basis(ar, bc)
+    in_basis = np.zeros((m, n), dtype=bool)
+    nbrs = [set() for _ in range(m + n)]
+    for (i, j) in basis:
+        in_basis[i, j] = True
+        nbrs[i].add(m + j)
+        nbrs[m + j].add(i)
+    costs = cr.tolist()
+    parent, depth, pot = [-1] * (m + n), [0] * (m + n), [0.0] * (m + n)
+    for w in nbrs[0]:
+        parent[w] = 0
+        _hang(w, parent, depth, nbrs, pot, costs, m)
     max_iter = 50 * (m + n) + 1000
     it = 0
     while True:
         it += 1
-        u, v = _duals(cr, basis, m, n)
+        u, v = np.array(pot[:m]), np.array(pot[m:])
         red = cr - u[:, None] - v[None, :]
-        in_basis = np.zeros((m, n), dtype=bool)
-        bi, bj = zip(*basis)
-        in_basis[list(bi), list(bj)] = True
         red_masked = np.where(in_basis, 0.0, red)
         kmin = np.unravel_index(np.argmin(red_masked), red_masked.shape)
-        converged = bool(red_masked[kmin] >= -tol)
+        converged = bool(red_masked[kmin] >= -_REDUCED_TOL)
         if converged or it > max_iter:
             break
         if it > max_iter // 2:
             # Bland-style anti-cycling: first improving cell instead
-            cand = np.argwhere(red_masked < -tol)
-            kmin = tuple(cand[0])
-        cycle = _find_cycle(basis, (int(kmin[0]), int(kmin[1])))
-        losers = cycle[1::2]
-        theta_idx = min(range(len(losers)),
-                        key=lambda k: (plan[losers[k]], losers[k]))
-        leave = losers[theta_idx]
+            kmin = tuple(np.argwhere(red_masked < -_REDUCED_TOL)[0])
+        i0, j0 = int(kmin[0]), int(kmin[1])
+        # cycle: (i0, j0) and the tree path from row i0 up to the common
+        # ancestor and down to column j0; an edge crossed from a row to a
+        # column loses mass, and `lose` keeps the entering end below it
+        gain, lose = [(i0, j0)], {}
+        x, y = i0, m + j0
+        while x != y:
+            if depth[x] >= depth[y]:
+                k, x, end = x, parent[x], i0
+            else:
+                k, y, end = y, parent[y], m + j0
+            p = parent[k]
+            cell = (k, p - m) if k < m else (p, k - m)
+            if (k < m) == (end == i0):
+                lose[cell] = end
+            else:
+                gain.append(cell)
+        leave = min(lose, key=lambda cell: (plan[cell], cell))
         theta = plan[leave]
-        for k, cell in enumerate(cycle):
-            plan[cell] += theta if k % 2 == 0 else -theta
+        for cell in gain:
+            plan[cell] += theta
+        for cell in lose:
+            plan[cell] -= theta
         plan[leave] = 0.0
-        basis.remove(leave)
-        basis.append((int(kmin[0]), int(kmin[1])))
+        in_basis[leave], in_basis[i0, j0] = False, True
+        nbrs[leave[0]].discard(m + leave[1])
+        nbrs[m + leave[1]].discard(leave[0])
+        nbrs[i0].add(m + j0)
+        nbrs[m + j0].add(i0)
+        top = lose[leave]
+        parent[top] = i0 + m + j0 - top
+        _hang(top, parent, depth, nbrs, pot, costs, m)
 
     full_plan = np.zeros_like(c)
     full_plan[np.ix_(rows, cols)] = plan
@@ -254,8 +254,7 @@ def sinkhorn(mu, nu, cost: CostMatrix, epsilon: float,
     """Log-domain Sinkhorn scaling; reports regularized and plan costs."""
     if epsilon <= 0:
         raise TransportError("epsilon must be positive")
-    a = np.asarray(getattr(mu, "p", mu), dtype=float)
-    b = np.asarray(getattr(nu, "p", nu), dtype=float)
+    a, b = _masses(mu, nu)
     c = cost.c
     with np.errstate(divide="ignore"):
         loga = np.log(a)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from monotone_ergo import shards
-from monotone_ergo.posets import Distribution, FinitePoset, validate_poset
+from monotone_ergo.posets import (Distribution, FinitePoset, _upset_masks,
+                                  validate_poset)
 
 
 def random_poset(rng: np.random.Generator, n: int) -> FinitePoset:
@@ -20,6 +21,12 @@ def random_poset(rng: np.random.Generator, n: int) -> FinitePoset:
     for k in range(n):
         leq |= leq[:, k][:, None] & leq[k, :][None, :]
     return validate_poset(leq)
+
+
+def upsets(poset: FinitePoset) -> list[frozenset]:
+    """Every up-set of `poset`, each as a frozenset of its elements."""
+    return [frozenset(i for i in range(poset.n) if mask >> i & 1)
+            for mask in _upset_masks(poset)]
 
 
 def random_dist(rng: np.random.Generator, n: int) -> Distribution:

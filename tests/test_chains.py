@@ -99,6 +99,18 @@ class TestConditions:
         expect = np.maximum(space.phi ** 2, stat)
         assert M == pytest.approx(expect, abs=1e-9)
 
+    def test_moment_bound_on_reducible_kernels(self):
+        # the identity never moves: M = phi^2, not raised to a stationary
+        # value that state 1 never sees
+        M, _ = moment_bound_M(FiniteKernel(np.eye(2)), [1.0, 0.0])
+        assert np.array_equal(M, [1.0, 0.0])
+        # state 0 drains into the absorbing state 1 at rate 1/2, so
+        # P_t phi^2(0) = 1 - 2^-t climbs to the stationary value 1 and
+        # the sup over all t is 1 even where the scan stops short of it
+        P = np.array([[0.5, 0.5], [0.0, 1.0]])
+        M, _ = moment_bound_M(FiniteKernel(P), [0.0, 1.0], t_max=3)
+        assert M == pytest.approx([1.0, 1.0], abs=1e-12)
+
     def test_spec_validation_rejects_bad_premetric(self):
         poset = chain_poset(2)
         with pytest.raises(ChainError, match="premetric"):

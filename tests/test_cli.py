@@ -234,6 +234,22 @@ class TestTransport:
         assert code == 2
         assert "mismatch" in err
 
+    @pytest.mark.parametrize("mu, nu, message", [
+        ([0.5, 0.5], [0.3, 0.3], "total masses differ"),
+        ([-0.5, 1.5], [0.5, 0.5], "finite and nonnegative"),
+    ], ids=["unbalanced", "negative"])
+    @pytest.mark.parametrize("method", ["exact", "sinkhorn", "tv"])
+    def test_invalid_masses_exit_2(self, tmp_path, capsys, mu, nu, message,
+                                   method):
+        serialize.dump({"p": mu}, str(tmp_path / "mu.json"))
+        serialize.dump({"p": nu}, str(tmp_path / "nu.json"))
+        code, out, err = run(
+            ["transport", str(tmp_path / "mu.json"), str(tmp_path / "nu.json"),
+             "--cost", "discrete", "--method", method], capsys)
+        assert code == 2
+        assert out == ""
+        assert message in err
+
 
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:

@@ -2,7 +2,9 @@
 name it never uses.  An import line marked `# noqa: F401` is kept on
 purpose (a name looked up by another module) and is not reported.  No
 module of the package but `shards` imports a way to start processes or
-threads, so the package has one way to use more than one core."""
+threads, so the package has one way to use more than one core.  Every
+public top-level function or class of the package is read by package
+code, apart from a fixed list of names only the tests call."""
 
 import ast
 import pathlib
@@ -83,3 +85,60 @@ def test_concurrency_scan_reports_each_form():
     ids=lambda p: p.name)
 def test_only_the_shard_module_starts_workers(path):
     assert concurrency_imports(path.read_text()) == []
+
+
+# public top-level names of the package that only the tests call; a name
+# leaves this list when it gains a caller in the package or moves into
+# tests/, and no name joins it
+TEST_ONLY_NAMES = {
+    "spde.phi_condition_check", "spde.comparison_check",
+    "chains.return_time_exp_moments",
+    "chains.absorbed_chain_second_eigenvalue", "chains.lemma33_verify",
+    "chains.lemma44_verify", "chains.coupling_construct_simulate",
+    "posets.is_monotone", "posets.chain_poset", "serialize.read_snapshots",
+    "__init__.fixture_path",
+}
+
+
+def unreferenced_public_names(sources: dict[str, str]) -> list[str]:
+    """`module.name` of each public top-level function or class of the
+    package modules `sources` (module name -> text) that no package code
+    reads: no name in its own module, no `from .module import name` and
+    no `module.name` elsewhere."""
+    trees = {mod: ast.parse(text) for mod, text in sources.items()}
+    refs = {mod: {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+            for mod, tree in trees.items()}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                target = node.module or "__init__"
+                refs.setdefault(target, set()).update(
+                    alias.name for alias in node.names)
+            elif isinstance(node, ast.Attribute) \
+                    and isinstance(node.value, ast.Name):
+                refs.setdefault(node.value.id, set()).add(node.attr)
+    return sorted(f"{mod}.{node.name}" for mod, tree in trees.items()
+                  for node in tree.body
+                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                  and not node.name.startswith("_")
+                  and node.name not in refs[mod])
+
+
+def test_reference_scan_reports_only_unread_names():
+    sources = {
+        "a": "def used(): pass\ndef unread(): pass\ndef _private(): pass\n"
+             "class Local: pass\nclass Lonely: pass\nx = Local()\n",
+        "b": "from .a import used\nfrom . import c\nc.via_attribute()\n",
+        "c": "def via_attribute(): pass\ndef unread(): pass\n",
+        "__init__": "def helper(): pass\n",
+    }
+    assert unreferenced_public_names(sources) == [
+        "__init__.helper", "a.Lonely", "a.unread", "c.unread"]
+    sources["d"] = "from . import helper\nfrom .a import Lonely, unread\n"
+    assert unreferenced_public_names(sources) == ["c.unread"]
+
+
+def test_public_names_have_a_caller_in_the_package():
+    package = ROOT / "src" / "monotone_ergo"
+    sources = {p.stem: p.read_text() for p in package.glob("*.py")}
+    assert set(unreferenced_public_names(sources)) == TEST_ONLY_NAMES

@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_dist, random_poset
+from conftest import random_dist, random_poset, upsets
 from monotone_ergo.posets import (Coupling, Distribution, FinitePoset,
                                   Infeasible, NotAntisymmetric, NotReflexive,
                                   NotTransitive, TooLarge, antichain_poset,
                                   chain_poset, is_monotone,
                                   stochastically_dominates, strassen_coupling,
-                                  upsets, validate_poset, violating_upset)
+                                  validate_poset, violating_upset)
 
 
 class TestValidation:

@@ -1,6 +1,7 @@
 """Transport solvers: exact simplex vs dense-LP oracle, Sinkhorn,
 total variation, and empirical estimation."""
 
+import dataclasses
 import os
 import tracemalloc
 
@@ -12,6 +13,7 @@ from scipy.optimize import linear_sum_assignment, linprog
 
 from conftest import set_usable_cpus
 from monotone_ergo import shards, transport
+from reference_simplex import reference_exact
 from monotone_ergo.transport import (CostMatrix, UnequalSampleCounts,
                                      pairwise_cost, sinkhorn,
                                      total_variation, wasserstein_empirical,
@@ -87,6 +89,112 @@ class TestExact:
         with pytest.raises(transport.Degenerate):
             wasserstein_exact(np.zeros(2), np.zeros(2),
                               CostMatrix(np.zeros((2, 2))))
+
+    def test_rounding_short_last_column_keeps_a_spanning_basis(self):
+        # the rows outweigh the columns by 1e-13, within the balance
+        # tolerance; the north-west start must still span both rows
+        a, b = np.array([1.0, 1e-12]), np.array([0.4, 0.6 - 1e-13])
+        res = wasserstein_exact(a, b, CostMatrix(1.0 - np.eye(2)))
+        assert res.converged is True
+        assert res.value == pytest.approx(0.6, abs=1e-12)
+        assert np.all(np.isfinite(res.dual_u)) and \
+            np.all(np.isfinite(res.dual_v))
+
+
+def assert_same_result(new, ref):
+    """Every TransportResult field equal, arrays entry for entry (the
+    duals of zero-mass rows and columns are NaN in both)."""
+    for f in dataclasses.fields(transport.TransportResult):
+        x, y = getattr(new, f.name), getattr(ref, f.name)
+        if isinstance(y, np.ndarray):
+            assert np.array_equal(x, y, equal_nan=True), f.name
+        else:
+            assert x == y, f.name
+
+
+def degenerate_instance(rng):
+    """Integer masses with zeros and equal totals, integer costs with
+    ties; every fifth instance has one row, every seventh one column."""
+    m, n = rng.integers(1, 12, size=2)
+    k = int(rng.integers(0, 35))
+    m = 1 if k % 5 == 0 else m
+    n = 1 if k % 7 == 0 else n
+    a = rng.integers(0, 4, size=m).astype(float)
+    b = rng.integers(0, 4, size=n).astype(float)
+    a[rng.integers(0, m)] += 1.0
+    gap = a.sum() - b.sum()
+    if gap > 0:
+        b[rng.integers(0, n)] += gap
+    else:
+        a[rng.integers(0, m)] -= gap
+    return a, b, rng.integers(0, 3, size=(m, n)).astype(float)
+
+
+class TestReferenceSimplex:
+    """The tree-held simplex against the list-held one it replaced
+    (`tests/reference_simplex.py`): same pivots, so the same bits."""
+
+    def test_exact_workload_sizes(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(12):
+            m, n = rng.integers(20, 61, size=2)
+            a = rng.random(m) + 1e-3
+            b = rng.random(n) + 1e-3
+            xs, ys = rng.random((m, 2)), rng.random((n, 2))
+            cost = CostMatrix(np.sqrt(
+                ((xs[:, None, :] - ys[None, :, :]) ** 2).sum(axis=2)))
+            a, b = a / a.sum(), b / b.sum()
+            assert_same_result(wasserstein_exact(a, b, cost),
+                               reference_exact(a, b, cost))
+
+    def test_small_degenerate_instances(self):
+        rng = np.random.default_rng(7)
+        shapes = set()
+        for _ in range(400):
+            a, b, c = degenerate_instance(rng)
+            shapes.add((len(a) == 1, len(b) == 1, bool(np.any(a == 0))))
+            assert_same_result(wasserstein_exact(a, b, CostMatrix(c)),
+                               reference_exact(a, b, CostMatrix(c)))
+        # single rows, single columns and zero masses all occurred
+        assert {s[0] for s in shapes} == {s[1] for s in shapes} == \
+            {s[2] for s in shapes} == {True, False}
+
+    def test_comparison_sees_a_changed_dual(self, rng):
+        a, b, c = random_instance(rng, 6, 5)
+        ref = reference_exact(a, b, CostMatrix(c))
+        bad = dataclasses.replace(ref, dual_v=np.nextafter(ref.dual_v, 9.0))
+        with pytest.raises(AssertionError, match="dual_v"):
+            assert_same_result(bad, ref)
+
+
+class TestMassChecks:
+    @pytest.mark.parametrize("mu, nu", [
+        ([0.5, 0.5], [0.3, 0.3]),
+        ([-0.5, 1.5], [0.5, 0.5]),
+        ([0.5, np.nan], [0.5, 0.5]),
+        ([0.5, 0.5], [np.inf, 0.5]),
+    ], ids=["unbalanced", "negative", "nan", "inf"])
+    @pytest.mark.parametrize("solve", [
+        wasserstein_exact,
+        lambda mu, nu, cost: sinkhorn(mu, nu, cost, epsilon=0.1),
+        lambda mu, nu, cost: total_variation(mu, nu),
+    ], ids=["exact", "sinkhorn", "tv"])
+    def test_rejected(self, solve, mu, nu):
+        cost = CostMatrix(1.0 - np.eye(2))
+        with pytest.raises(transport.TransportError):
+            solve(np.array(mu), np.array(nu), cost)
+
+    def test_totals_equal_to_rounding_accepted(self):
+        a = np.array([0.1, 0.2, 0.7])
+        b = np.array([0.3, 0.3, 0.4 + 1e-12])
+        res = wasserstein_exact(a, b, CostMatrix(1.0 - np.eye(3)))
+        assert res.converged is True
+        assert res.value == pytest.approx(0.3, abs=1e-9)
+
+    def test_unnormalized_equal_totals_accepted(self):
+        res = wasserstein_exact([2.0, 0.0], [1.0, 1.0],
+                                CostMatrix(1.0 - np.eye(2)))
+        assert res.value == 1.0
 
 
 class TestTotalVariation:
