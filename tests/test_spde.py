@@ -1,7 +1,9 @@
 """Solver invariants: monotonicity, constants closure, translation
 equivariance, dissipativity, reproducibility, and config validation."""
 
+import json
 import os
+import pathlib
 import pickle
 from dataclasses import replace
 
@@ -9,13 +11,14 @@ import numpy as np
 import pytest
 
 from conftest import set_usable_cpus
-from monotone_ergo import shards, spde
+from monotone_ergo import fixture_path, shards, spde
 from monotone_ergo.experiments import synchronization_experiment
 from monotone_ergo.spde import (ConfigError, DriftSpec, Field, NoiseSpec,
                                 NonFinite, NotOrdered, SpdeConfig, Stepper,
                                 comparison_check, field_distance_sq, l2_sq,
                                 noise_draws, phi, phi_condition_check, psi,
                                 simulate)
+from monotone_ergo.spde import _resolvent as spde_resolvent
 
 
 def make_config(**over):
@@ -145,25 +148,109 @@ def reference_step(cfg, u, draws):
                         n=N, axis=-1)
 
 
+# the resolvent product and the FFT sum in different orders, and
+# x (K - x x) and K x - x**3 round differently in the last bit
+REFERENCE_TOL = 1e-13
+
+
+def reference_mismatch(rng, drift):
+    """Max |Stepper.step - reference_step| over 50 random rows, some of
+    them beyond the clamp, in units of max |reference_step|."""
+    cfg = make_config(N=64, drift=DRIFTS[drift], n_paths=50,
+                      noise=NoiseSpec(2, ({"kind": "cos", "amp": 0.5},
+                                          {"kind": "sin", "freq": 3})))
+    u = rng.normal(0.0, 2.0, (50, cfg.N))
+    u[0, :4] = [-40.0, -16.0, 16.0, 40.0]  # beyond the clamp
+    draws = noise_draws(5, 1, 50, 2)
+    st = Stepper(cfg)
+    out = st.step(u, st.increment(draws))
+    ref = reference_step(cfg, u, draws)
+    return np.abs(out - ref).max() / np.abs(ref).max()
+
+
+def fft_resolvent(N, dt):
+    """(I - dt L_h)^{-1} from numpy.fft applied to the identity."""
+    lam = -2.0 * N * N * (1.0 - np.cos(2.0 * np.pi * np.arange(N // 2 + 1)
+                                       / N))
+    return np.fft.irfft(np.fft.rfft(np.eye(N), axis=-1) / (1.0 - dt * lam),
+                        n=N, axis=-1)
+
+
+# shards of a 300-path block: the whole block, one-row shards, and others
+SHARD_ROWS = [(0, 300), (0, 1), (137, 138), (299, 300), (0, 150), (100, 233)]
+
+SPDE_FIXTURES = sorted(
+    p.name for p in pathlib.Path(fixture_path("spde_sync.json")).parent
+    .glob("spde_*.json"))
+
+
 class TestStep:
     @pytest.mark.parametrize("drift", sorted(DRIFTS))
     def test_matches_reference(self, rng, drift):
-        cfg = make_config(N=64, drift=DRIFTS[drift], n_paths=50,
-                          noise=NoiseSpec(2, ({"kind": "cos", "amp": 0.5},
-                                              {"kind": "sin", "freq": 3})))
-        u = rng.normal(0.0, 2.0, (50, cfg.N))
-        u[0, :4] = [-40.0, -16.0, 16.0, 40.0]  # beyond the clamp
-        draws = noise_draws(5, 1, 50, 2)
+        assert reference_mismatch(rng, drift) <= REFERENCE_TOL
+
+    @pytest.mark.parametrize("mutant", [
+        lambda N, dt: spde_resolvent(N, dt / 2),
+        lambda N, dt: spde_resolvent(N, dt / N),  # L_h scaled by N
+    ], ids=["half_dt", "laplacian_times_N"])
+    def test_reference_rejects_a_wrong_resolvent(self, rng, monkeypatch,
+                                                 mutant):
+        monkeypatch.setattr(spde, "_resolvent", mutant)
+        assert reference_mismatch(rng, "cubic") > REFERENCE_TOL
+
+    @pytest.mark.parametrize("N", [64, 256])
+    @pytest.mark.parametrize("dt", [1e-3, 1e-4, 1e-6])
+    def test_resolvent_is_positive_and_exact(self, N, dt):
+        G = Stepper(make_config(N=N, dt=dt)).resolvent
+        assert G.min() >= 0.0
+        assert np.abs(G - fft_resolvent(N, dt)).max() <= 1e-15
+        assert np.array_equal(G, G.T)
+
+    @pytest.mark.parametrize("name", SPDE_FIXTURES)
+    def test_fixture_resolvents_are_positive(self, name):
+        with open(fixture_path(name)) as fh:
+            cfg = SpdeConfig.from_json_obj(json.load(fh)["spde"])
+        assert Stepper(cfg).resolvent.min() >= 0.0
+
+    def test_negative_resolvent_refused(self, monkeypatch):
+        # the FFT inverse at N = 64, dt = 1e-4 rounds some entries below 0
+        assert fft_resolvent(64, 1e-4).min() < 0.0
+        monkeypatch.setattr(spde, "_resolvent", fft_resolvent)
+        with pytest.raises(ConfigError, match="negative entry"):
+            Stepper(make_config(N=64, dt=1e-4))
+
+    def test_rows_step_independently(self, rng):
+        # shards and blocks of every size and offset, across the edges of
+        # the fixed-size product blocks
+        cfg = two_mode_config(n_paths=300)
+        u = rng.normal(0.0, 2.0, (300, cfg.N))
+        draws = noise_draws(cfg.seed, 1, 300, 2)
         st = Stepper(cfg)
-        out = st.step(u, st.increment(draws))
-        ref = reference_step(cfg, u, draws)
-        if drift == "cubic":
-            # x (K - x x) and K x - x**3 round differently in the last bit;
-            # atol covers outputs that cancel to near zero
-            np.testing.assert_allclose(out, ref, rtol=1e-13,
-                                       atol=1e-13 * np.abs(ref).max())
-        else:
-            assert np.array_equal(out, ref)
+        full = st.step(u, st.increment(draws))
+        for a in range(40):
+            for b in [a + w for w in [*range(1, 20), 127, 128, 129]]:
+                part = st.step(u[a:b], st.increment(draws[a:b]))
+                assert np.array_equal(part, full[a:b]), (a, b)
+
+    def test_one_mode_shard_increment_is_the_block_product(self):
+        st = Stepper(make_config(n_paths=300))
+        for k in range(1, 50):
+            draws = noise_draws(0, k, 300, 1)
+            block = st.sqrt_dt * (draws @ st.sigma)
+            for lo, hi in SHARD_ROWS:
+                assert np.array_equal(st.increment(draws[lo:hi]),
+                                      block[lo:hi])
+
+    def test_two_mode_shard_increment_within_an_ulp_of_the_product(self):
+        # sqrt(2^-10) = 2^-5 scales exactly, so the gap is the sums' own
+        st = Stepper(two_mode_config(dt=2.0 ** -10))
+        for k in range(1, 200):
+            draws = noise_draws(0, k, 300, 2)
+            block = st.sqrt_dt * (draws @ st.sigma)
+            ulp = np.spacing(st.sqrt_dt * (np.abs(draws) @ np.abs(st.sigma)))
+            for lo, hi in SHARD_ROWS:
+                gap = np.abs(st.increment(draws[lo:hi]) - block[lo:hi])
+                assert np.all(gap <= ulp[lo:hi])
 
     def test_constant_ensemble_stays_exactly_constant(self):
         cfg = make_config(N=64, n_paths=8)
@@ -220,13 +307,14 @@ class TestStructure:
                                                      n_paths=2),
     ], ids=["simulate", "comparison_check", "synchronization_experiment"])
     def test_nonfinite_detection(self, run):
-        # an explosive linear drift overflows in the first step's FFT
+        # an explosive linear drift overflows in the first step's drift,
+        # a x = 2e308 on the smaller start already
         cfg = make_config(noise=NoiseSpec(0, ()),
                           drift=DriftSpec("linear", {"a": 1e308},
                                           K1=1.0, K2=1.0, K3=1e308),
                           dt=1.0, T=5.0)
-        x = Field(np.full(cfg.N, 1.0))
-        y = Field(np.full(cfg.N, 2.0))
+        x = Field(np.full(cfg.N, 2.0))
+        y = Field(np.full(cfg.N, 3.0))
         with pytest.raises(NonFinite) as exc:
             run(cfg, x, y)
         assert exc.value.step_index == 1
