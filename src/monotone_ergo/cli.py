@@ -136,7 +136,7 @@ def cmd_chain_verify(args) -> int:
 
     out_hashes = _emit(report.to_json_obj(), args.out, "report.json")
     if args.out:
-        _write_manifest(args.out, "chain-verify", args.config, args.seed,
+        _write_manifest(args.out, "chain-verify", args.config, None,
                         input_hashes, out_hashes, t0)
     return EXIT_PASS if report.verdict else EXIT_VERDICT
 
@@ -370,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="check the framework conditions and the "
                              "coupling-distance decay on a finite chain")
     p.add_argument("config")
-    _add_common(p)
+    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_chain_verify)
 
     p = subs.add_parser("spde", help="torus reaction-diffusion experiments")
@@ -397,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=["exact", "sinkhorn", "tv"],
                    default="exact")
     p.add_argument("--epsilon", type=float, default=0.01)
-    _add_common(p)
+    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_transport)
     return parser
 

@@ -66,14 +66,7 @@ def max_flow_bipartite(mu, nu, allowed):
         flow[i, js] = cap[n + 1 + js, 1 + i]  # reverse capacity = flow sent
     value = float(flow.sum())
 
-    reachable = np.zeros(size, dtype=bool)
-    reachable[src] = True
-    queue = deque([src])
-    while queue:
-        v = queue.popleft()
-        for w in np.nonzero(cap[v] > _EPS)[0]:
-            if not reachable[w]:
-                reachable[w] = True
-                queue.append(w)
-    source_side = frozenset(np.nonzero(reachable[1:n + 1])[0].tolist())
+    # the last search missed the sink, so it marked every node the
+    # source reaches in the final residual graph
+    source_side = frozenset(np.nonzero(parent[1:n + 1] >= 0)[0].tolist())
     return flow, value, source_side

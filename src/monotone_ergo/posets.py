@@ -53,7 +53,6 @@ class TooLarge(PosetError):
 class FinitePoset:
     n: int
     leq: np.ndarray  # boolean n x n, leq[i, j] <=> i precedes j
-    labels: tuple | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "leq", np.asarray(self.leq, dtype=bool))
@@ -72,15 +71,11 @@ class FinitePoset:
         return frozenset(np.nonzero(mask)[0].tolist())
 
     def to_json_obj(self):
-        obj = {"n": self.n, "leq": self.leq.astype(int).tolist()}
-        if self.labels is not None:
-            obj["labels"] = list(self.labels)
-        return obj
+        return {"n": self.n, "leq": self.leq.astype(int).tolist()}
 
     @staticmethod
     def from_json_obj(obj) -> "FinitePoset":
-        labels = tuple(obj["labels"]) if obj.get("labels") else None
-        return validate_poset(np.asarray(obj["leq"], dtype=bool), labels=labels)
+        return validate_poset(np.asarray(obj["leq"], dtype=bool))
 
 
 @dataclass(frozen=True)
@@ -95,13 +90,6 @@ class Distribution:
             raise ValueError(f"probabilities sum to {p.sum()!r}, not 1")
         object.__setattr__(self, "p", p)
         self.p.setflags(write=False)
-
-    def to_json_obj(self):
-        return {"p": self.p.tolist()}
-
-    @staticmethod
-    def from_json_obj(obj) -> "Distribution":
-        return Distribution(np.asarray(obj["p"], dtype=float))
 
 
 @dataclass(frozen=True)
@@ -126,7 +114,7 @@ class Infeasible:
     nu_mass: float
 
 
-def validate_poset(leq, labels=None) -> FinitePoset:
+def validate_poset(leq) -> FinitePoset:
     leq = np.asarray(leq)
     if leq.ndim != 2 or leq.shape[0] != leq.shape[1]:
         raise PosetError("relation matrix must be square")
@@ -146,22 +134,27 @@ def validate_poset(leq, labels=None) -> FinitePoset:
         i, k = np.argwhere(bad)[0]
         j = int(np.nonzero(leq[i] & leq[:, k])[0][0])
         raise NotTransitive(int(i), j, int(k))
-    return FinitePoset(n=n, leq=leq, labels=labels)
+    return FinitePoset(n=n, leq=leq)
 
 
 def _upset_masks(poset: FinitePoset) -> np.ndarray:
-    """Bitmasks of all upward-closed subsets (ascending order)."""
+    """Bitmasks of all upward-closed subsets (ascending order).
+
+    Built top-down: the elements are visited by ascending up-set size, so
+    every strict successor of i is visited before i, and the masks so far
+    are the up-sets of the visited elements.  Each one that holds all of
+    i's strict successors stays an up-set with i added.  The cost is
+    proportional to the number of up-sets, not to 2^n.
+    """
     n = poset.n
     if n > UPSET_ENUM_LIMIT:
         raise TooLarge(n, UPSET_ENUM_LIMIT)
-    uprows = np.array(
-        [sum(1 << j for j in np.nonzero(poset.leq[i])[0]) for i in range(n)],
-        dtype=np.int64)
-    masks = np.arange(1 << n, dtype=np.int64)
-    closure = np.zeros_like(masks)
-    for i in range(n):
-        closure |= np.where(masks & (1 << i), uprows[i], 0)
-    return masks[closure == masks]
+    leq = poset.leq
+    masks = np.zeros(1, dtype=np.int64)
+    for i in np.argsort(leq.sum(axis=1), kind="stable").tolist():
+        above = sum(1 << j for j in np.flatnonzero(leq[i]).tolist() if j != i)
+        masks = np.concatenate([masks, masks[masks & above == above] | 1 << i])
+    return np.sort(masks)
 
 
 def _mask_sums(masks: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -174,17 +167,15 @@ def _mask_sums(masks: np.ndarray, weights: np.ndarray) -> np.ndarray:
 def stochastically_dominates(mu: Distribution, nu: Distribution,
                              poset: FinitePoset) -> bool:
     """True iff mu(U) <= nu(U) for every up-set U (mu below nu)."""
-    if poset.n > UPSET_ENUM_LIMIT:
-        return not isinstance(strassen_coupling(mu, nu, poset), Infeasible)
-    masks = _upset_masks(poset)
-    mu_s = _mask_sums(masks, mu.p)
-    nu_s = _mask_sums(masks, nu.p)
-    return bool(np.all(mu_s <= nu_s + DOMINATION_TOL))
+    return violating_upset(mu, nu, poset) is None
 
 
 def violating_upset(mu: Distribution, nu: Distribution,
                     poset: FinitePoset) -> frozenset | None:
-    """A maximally violating up-set, or None if mu is dominated by nu."""
+    """A maximally violating up-set, or None if mu is dominated by nu.
+
+    Orders larger than UPSET_ENUM_LIMIT take it from max-flow's min cut.
+    """
     if poset.n > UPSET_ENUM_LIMIT:
         res = strassen_coupling(mu, nu, poset)
         return res.witness_upset if isinstance(res, Infeasible) else None

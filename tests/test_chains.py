@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import random_poset
 from monotone_ergo import fixture_path
 from monotone_ergo.chains import (ChainError, Divergent, EmptyTarget,
                                   FiniteKernel, MarginalMismatch,
@@ -121,6 +122,26 @@ class TestConditions:
                              swap_eps=0.1)
 
 
+    def test_spec_validation_rejects_rho_above_d_power(self):
+        poset = chain_poset(2)
+        rho = np.array([[0.0, 0.5], [0.5, 0.0]])
+        with pytest.raises(ChainError, match=r"rho > d\^delta at pair \(0, 1\)"):
+            OrderedSpaceSpec(poset=poset, d=np.array([[0.0, 0.2], [0.2, 0.0]]),
+                             phi=np.array([0.0, 1.0]), rho=rho, V=np.ones(2),
+                             gamma=0.5, K=1.0, swap_A=[0], swap_B=[1],
+                             swap_eps=0.1)
+
+    def test_spec_validation_rejects_nan_distance(self):
+        poset = chain_poset(2)
+        with pytest.raises(ChainError, match="premetric"):
+            OrderedSpaceSpec(poset=poset,
+                             d=np.array([[0.0, np.nan], [1.0, 0.0]]),
+                             phi=np.array([0.0, 1.0]),
+                             rho=np.zeros((2, 2)), V=np.ones(2),
+                             gamma=0.5, K=1.0, swap_A=[0], swap_B=[1],
+                             swap_eps=0.1)
+
+
 class TestReturnTimes:
     def test_two_state_closed_form(self):
         # E_0[r^tau] for tau = hitting time of state 1 from 0 equals
@@ -203,6 +224,22 @@ class TestDominationTails:
         sr = absorbed_chain_second_eigenvalue(kernel, poset)
         assert sr < 1.0
         assert tails[30] <= tails[20] * sr ** 10 * 10  # loose envelope
+
+    def test_absorbed_chain_matches_pair_by_pair_matrix(self):
+        rng = np.random.default_rng(3)
+        for n in (1, 2, 3, 5, 7):
+            P = rng.random((n, n))
+            kernel = FiniteKernel(P / P.sum(axis=1, keepdims=True))
+            for poset in (random_poset(rng, n), chain_poset(n),
+                          antichain_poset(n)):
+                free = [(a, b) for a in range(n) for b in range(n)
+                        if not poset.leq[a, b]]
+                T = np.array([[kernel.P[a, a2] * kernel.P[b, b2]
+                               for a2, b2 in free] for a, b in free])
+                expect = float(np.max(np.abs(np.linalg.eigvals(T)))) \
+                    if free else 0.0
+                assert absorbed_chain_second_eigenvalue(kernel, poset) \
+                    == expect
 
 
 class TestTheorem:

@@ -54,6 +54,14 @@ class TestChainVerify:
         assert "report.json" in manifest["output_hashes"]
 
 
+    def test_seed_option_removed_exit_4(self, capsys):
+        # chain-verify draws no random number, so it takes no seed
+        with pytest.raises(SystemExit) as exc:
+            run(["chain-verify", fixture_path("chain5_verify.json"),
+                 "--seed", "1"], capsys)
+        assert exc.value.code == 4
+
+
 class TestSpde:
     def test_dt_guard_exit_2(self, tmp_path, capsys):
         cfg = serialize.load(fixture_path("spde_sync.json"))
@@ -249,6 +257,12 @@ class TestTransport:
         assert code == 2
         assert out == ""
         assert message in err
+
+    def test_seed_option_removed_exit_4(self, capsys):
+        mu = fixture_path("transport_mu.json")
+        with pytest.raises(SystemExit) as exc:
+            run(["transport", mu, mu, "--seed", "1"], capsys)
+        assert exc.value.code == 4
 
 
 def test_version_flag(capsys):

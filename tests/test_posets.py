@@ -7,12 +7,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_dist, random_poset, upsets
-from monotone_ergo.posets import (Coupling, Distribution, FinitePoset,
-                                  Infeasible, NotAntisymmetric, NotReflexive,
-                                  NotTransitive, TooLarge, antichain_poset,
-                                  chain_poset, is_monotone,
-                                  stochastically_dominates, strassen_coupling,
-                                  validate_poset, violating_upset)
+from monotone_ergo.maxflow import max_flow_bipartite
+from monotone_ergo.posets import (UPSET_ENUM_LIMIT, Coupling, Distribution,
+                                  FinitePoset, Infeasible, NotAntisymmetric,
+                                  NotReflexive, NotTransitive, TooLarge,
+                                  _upset_masks, antichain_poset, chain_poset,
+                                  is_monotone, stochastically_dominates,
+                                  strassen_coupling, validate_poset,
+                                  violating_upset)
+
+
+def upset_masks_by_filter(poset: FinitePoset) -> np.ndarray:
+    """Oracle: every one of the 2^n subset masks that equals its own
+    up-closure, in ascending order."""
+    n = poset.n
+    uprows = np.array(
+        [sum(1 << j for j in np.nonzero(poset.leq[i])[0]) for i in range(n)],
+        dtype=np.int64)
+    masks = np.arange(1 << n, dtype=np.int64)
+    closure = np.zeros_like(masks)
+    for i in range(n):
+        closure |= np.where(masks & (1 << i), uprows[i], 0)
+    return masks[closure == masks]
 
 
 class TestValidation:
@@ -73,6 +89,19 @@ class TestUpsets:
         with pytest.raises(TooLarge):
             upsets(antichain_poset(25))
 
+    def test_matches_subset_filter_on_random_orders(self):
+        rng = np.random.default_rng(2024)
+        for n in list(range(1, 13)) * 10:
+            p = random_poset(rng, n)
+            assert np.array_equal(_upset_masks(p), upset_masks_by_filter(p))
+
+    def test_matches_subset_filter_on_chains_and_antichains(self):
+        for n in range(14):
+            for p in (chain_poset(n), antichain_poset(n)):
+                masks = _upset_masks(p)
+                assert masks.dtype == np.int64
+                assert np.array_equal(masks, upset_masks_by_filter(p))
+
 
 class TestDomination:
     def test_chain_shift(self):
@@ -91,6 +120,32 @@ class TestDomination:
         mu = sum(hi.p[i] for i in U)
         nu = sum(lo.p[i] for i in U)
         assert mu > nu
+
+    def test_orders_above_the_guard_use_max_flow(self):
+        # on a chain the up-sets are the tails {k, ..., n-1}, so mu is
+        # dominated by nu iff every tail sum of mu is at most nu's
+        n = UPSET_ENUM_LIMIT + 6
+        p = chain_poset(n)
+        with pytest.raises(TooLarge):
+            _upset_masks(p)
+        rng = np.random.default_rng(5)
+        lo = np.sort(rng.random(n))[::-1]
+        pairs = [(lo / lo.sum(), lo[::-1] / lo.sum())]
+        pairs += [(random_dist(rng, n).p, random_dist(rng, n).p)
+                  for _ in range(4)]
+        for a, b in pairs:
+            for mu, nu in ((Distribution(a), Distribution(b)),
+                           (Distribution(b), Distribution(a))):
+                tails = np.cumsum((mu.p - nu.p)[::-1])[::-1]
+                dominated = stochastically_dominates(mu, nu, p)
+                assert dominated == bool(tails.max() <= 1e-12)
+                assert dominated == isinstance(
+                    strassen_coupling(mu, nu, p), Coupling)
+                U = violating_upset(mu, nu, p)
+                assert (U is None) == dominated
+                if U is not None:
+                    assert p.up_closure(U) == U
+                    assert mu.p[sorted(U)].sum() > nu.p[sorted(U)].sum()
 
     def test_antichain_only_equal(self):
         p = antichain_poset(3)
@@ -133,6 +188,29 @@ class TestStrassen:
         assert masks_ok == isinstance(res, Coupling)
         if masks_ok:
             assert res.marginal_error(mu, nu) < 1e-10
+
+
+    def test_certificate_is_a_minimum_cut(self):
+        # max-flow equals min-cut: the witness falls short by exactly the
+        # flow that could not be sent, the largest up-set violation
+        rng = np.random.default_rng(11)
+        infeasible = 0
+        for _ in range(60):
+            n = int(rng.integers(2, 9))
+            poset = random_poset(rng, n)
+            mu, nu = random_dist(rng, n), random_dist(rng, n)
+            _, value, _ = max_flow_bipartite(mu.p, nu.p, poset.leq)
+            res = strassen_coupling(mu, nu, poset)
+            if isinstance(res, Coupling):
+                continue
+            infeasible += 1
+            U = sorted(violating_upset(mu, nu, poset))
+            largest = mu.p[U].sum() - nu.p[U].sum()
+            assert res.mu_mass - res.nu_mass == pytest.approx(1.0 - value,
+                                                              abs=1e-9)
+            assert res.mu_mass - res.nu_mass == pytest.approx(largest,
+                                                              abs=1e-9)
+        assert infeasible >= 20
 
 
 class TestMonotone:
