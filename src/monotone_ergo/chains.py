@@ -72,9 +72,10 @@ class FiniteKernel:
         P = np.asarray(self.P, dtype=float)
         if P.ndim != 2 or P.shape[0] != P.shape[1]:
             raise ChainError("kernel must be square")
-        if np.any(P < 0):
-            raise ChainError("negative kernel entry")
-        bad = np.abs(P.sum(axis=1) - 1.0) > 1e-12
+        # written as "not (holds)", so that a NaN entry fails each check
+        if not np.all(P >= 0):
+            raise ChainError("negative or NaN kernel entry")
+        bad = ~(np.abs(P.sum(axis=1) - 1.0) <= 1e-12)
         if bad.any():
             i = int(np.nonzero(bad)[0][0])
             raise ChainError(f"row {i} sums to {P[i].sum()!r}, not 1")

@@ -34,46 +34,54 @@ def _say(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
-def _emit(obj, out: str | None, filename: str) -> dict:
-    """Print JSON to stdout; with --out also write it to a file.
-
-    Returns {filename: sha256} for the manifest."""
-    text = serialize.dumps(obj)
-    print(text)
-    hashes = {}
-    if out:
-        os.makedirs(out, exist_ok=True)
-        path = os.path.join(out, filename)
-        with serialize.atomic_open(path) as fh:
-            fh.write(text + "\n")
-        hashes[filename] = serialize.file_hash(path)
-    return hashes
-
-
-def _write_manifest(out: str, subcommand: str, config_path, seed,
-                    input_hashes: dict, output_hashes: dict,
-                    t_start: float) -> None:
-    manifest = {
-        "subcommand": subcommand,
-        "config_path": config_path,
-        "seed": seed,
-        "out_dir": out,
-        "tool_version": __version__,
-        "input_hashes": input_hashes,
-        "output_hashes": output_hashes,
-        "duration_seconds": time.monotonic() - t_start,
-    }
-    os.makedirs(out, exist_ok=True)
-    serialize.dump(manifest, os.path.join(out, "manifest.json"))
-
-
-def _load_config(path: str):
+def _read_config(path: str, keys: dict) -> dict:
+    """The JSON object at `path` with every key of `keys` (key -> default,
+    ... if it must be given) filled in; a missing or an unknown key is a
+    ConfigError."""
     try:
-        return serialize.load(path)
+        cfg = serialize.load(path)
     except FileNotFoundError:
         raise spde.ConfigError(f"config file not found: {path}")
     except ValueError as exc:
         raise spde.ConfigError(f"config is not valid JSON: {exc}")
+    if not isinstance(cfg, dict):
+        raise spde.ConfigError("config must be a JSON object")
+    spde.reject_unknown(cfg, keys, "config")
+    missing = [key for key, default in keys.items()
+               if default is ... and key not in cfg]
+    if missing:
+        raise spde.ConfigError(f"missing field(s) {missing}")
+    return {**keys, **cfg}
+
+
+def _write(args, subcommand: str, name: str, payload, t0: float, seed=None,
+           inputs=None, files=None) -> None:
+    """Print `payload` as JSON.  With --out, write it to `<name>.json` and
+    each of `files` (file name -> text or bytes) into the out directory,
+    then manifest.json with the sha256 of every file written and of every
+    input file (`inputs`, label -> path)."""
+    text = serialize.dumps(payload)
+    print(text)
+    if not args.out:
+        return
+    os.makedirs(args.out, exist_ok=True)
+    outputs = {}
+    for fn, content in {f"{name}.json": text + "\n", **(files or {})}.items():
+        path = os.path.join(args.out, fn)
+        with serialize.atomic_open(path, "wb") as fh:
+            fh.write(content.encode() if isinstance(content, str) else content)
+        outputs[fn] = serialize.file_hash(path)
+    serialize.dump({
+        "subcommand": subcommand,
+        "config_path": getattr(args, "config", None),
+        "seed": seed,
+        "out_dir": args.out,
+        "tool_version": __version__,
+        "input_hashes": {label: serialize.file_hash(path)
+                         for label, path in (inputs or {}).items()},
+        "output_hashes": outputs,
+        "duration_seconds": time.monotonic() - t0,
+    }, os.path.join(args.out, "manifest.json"))
 
 
 def _resolve(obj, config_dir: str, field_name: str):
@@ -92,36 +100,34 @@ def _resolve(obj, config_dir: str, field_name: str):
 # chain-verify
 # ---------------------------------------------------------------------------
 
+# pairs defaults to every pair i < j of the poset
+CHAIN_KEYS = {"poset": ..., "kernel": ..., "space": ...,
+              "pairs": None, "horizon": 40, "burn_in_frac": 0.125,
+              "r2_threshold": 0.99}
+
+
 def cmd_chain_verify(args) -> int:
     t0 = time.monotonic()
-    cfg = _load_config(args.config)
+    cfg = _read_config(args.config, CHAIN_KEYS)
     cdir = os.path.dirname(os.path.abspath(args.config))
-    input_hashes = {"config.json": serialize.file_hash(args.config)}
+    inputs = {"config.json": args.config}
     for key in ("poset", "kernel", "space"):
-        if key not in cfg:
-            raise spde.ConfigError(f"missing field {key!r}")
-    poset_obj, p_path = _resolve(cfg["poset"], cdir, "poset")
-    kernel_obj, k_path = _resolve(cfg["kernel"], cdir, "kernel")
-    space_obj, s_path = _resolve(cfg["space"], cdir, "space")
-    for name, path in (("poset", p_path), ("kernel", k_path),
-                       ("space", s_path)):
+        cfg[key], path = _resolve(cfg[key], cdir, key)
         if path:
-            input_hashes[name] = serialize.file_hash(path)
+            inputs[key] = path
     try:
-        poset = FinitePoset.from_json_obj(poset_obj)
-        kernel = FiniteKernel.from_json_obj(kernel_obj)
-        space = OrderedSpaceSpec.from_json_obj(space_obj, poset)
+        poset = FinitePoset.from_json_obj(cfg["poset"])
+        kernel = FiniteKernel.from_json_obj(cfg["kernel"])
+        space = OrderedSpaceSpec.from_json_obj(cfg["space"], poset)
     except (PosetError, ChainError, KeyError, TypeError) as exc:
         raise spde.ConfigError(str(exc))
 
-    pairs = [tuple(p) for p in cfg.get(
-        "pairs", [(i, j) for i in range(poset.n) for j in range(poset.n)
-                  if i < j])]
-    horizon = int(cfg.get("horizon", 40))
+    pairs = [tuple(p) for p in cfg["pairs"]] if cfg["pairs"] is not None \
+        else [(i, j) for i in range(poset.n) for j in range(poset.n) if i < j]
     report = theorem_main_verify(
-        space, kernel, pairs, horizon,
-        burn_in_frac=float(cfg.get("burn_in_frac", 0.125)),
-        r2_threshold=float(cfg.get("r2_threshold", 0.99)))
+        space, kernel, pairs, int(cfg["horizon"]),
+        burn_in_frac=float(cfg["burn_in_frac"]),
+        r2_threshold=float(cfg["r2_threshold"]))
 
     _say(f"{'condition':32s} verdict")
     for c in report.conditions:
@@ -134,10 +140,8 @@ def cmd_chain_verify(args) -> int:
              f" {'pass' if fit.verdict or x == y else 'FAIL'}")
     _say(f"overall verdict: {'pass' if report.verdict else 'FAIL'}")
 
-    out_hashes = _emit(report.to_json_obj(), args.out, "report.json")
-    if args.out:
-        _write_manifest(args.out, "chain-verify", args.config, None,
-                        input_hashes, out_hashes, t0)
+    _write(args, "chain-verify", "report", report.to_json_obj(), t0,
+           inputs=inputs)
     return EXIT_PASS if report.verdict else EXIT_VERDICT
 
 
@@ -145,130 +149,93 @@ def cmd_chain_verify(args) -> int:
 # spde
 # ---------------------------------------------------------------------------
 
-def _make_field(obj, N: int) -> spde.Field:
-    if not isinstance(obj, dict):
-        raise spde.ConfigError("field spec must be an object")
-    if "values" in obj:
-        v = np.asarray(obj["values"], dtype=float)
-        if len(v) != N:
-            raise spde.ConfigError(f"field has {len(v)} values, grid has {N}")
-        return spde.Field(v)
-    kind = obj.get("kind")
-    grid = np.arange(N) / N
-    amp = float(obj.get("amp", 1.0))
-    if kind == "const":
-        return spde.Field(np.full(N, float(obj.get("value", amp))))
-    if kind == "cos":
-        return spde.Field(amp * np.cos(2 * np.pi * float(obj.get("freq", 1))
-                                       * grid))
-    if kind == "sin":
-        return spde.Field(amp * np.sin(2 * np.pi * float(obj.get("freq", 1))
-                                       * grid))
-    raise spde.ConfigError(f"unknown field kind {kind!r}")
+def _fit(rec, name, key):
+    return rec.fits.get(name, {}).get(key, float("nan"))
 
 
-def _spde_common(args):
-    cfg_obj = _load_config(args.config)
-    if "spde" not in cfg_obj:
-        raise spde.ConfigError("missing field 'spde'")
-    config = spde.SpdeConfig.from_json_obj(cfg_obj["spde"])
-    if args.seed is not None:
-        config = config.with_seed(args.seed)
-    return cfg_obj, config
+# subcommand -> (experiment, {top-level key it reads: default}, stderr
+# summary of its record); a default of None is the solver block's own T or
+# n_paths
+SPDE_EXPERIMENTS = {
+    "run": (experiments.snapshot_run,
+            {"u0": {"kind": "const", "value": 0.0}, "T": None,
+             "n_paths": None, "n_record": 11},
+            lambda rec: f"run: {len(rec.times)} snapshots, final mean L2^2 "
+                        f"{rec.statistics[-1]['value']:.6g}"),
+    "sync": (experiments.synchronization_experiment,
+             {"x": ..., "y": ..., "T": None, "n_paths": None},
+             lambda rec: f"sync: rate {_fit(rec, 'sync_rate', 'rate'):.6g}, "
+                         f"R^2 {_fit(rec, 'sync_rate', 'r_squared'):.4f}, "
+                         f"verdict {rec.extra.get('verdict')}"),
+    "ergodicity": (experiments.ergodicity_experiment,
+                   {"x": ..., "y": ..., "time_grid": ...,
+                    "n_paths": None, "extra_x_times": ()},
+                   lambda rec: f"ergodicity: rate "
+                               f"{_fit(rec, 'w_rate', 'rate'):.6g}, "
+                               f"verdict {rec.extra.get('verdict')}"),
+    "swap": (experiments.swap_probability_estimate,
+             {"x": ..., "T": 1.0, "n_paths": None},
+             lambda rec: f"swap: p_below {rec.extra['p_below_zero']:.4f} "
+                         f"(se {rec.extra['p_below_zero_se']:.4f}), "
+                         f"p_above {rec.extra['p_above_zero']:.4f}"),
+    "energy": (experiments.energy_moments,
+               {"u0": ..., "T": None, "n_paths": None},
+               lambda rec: f"energy: dissipation inequality "
+                           f"{rec.extra['dissipation_inequality_holds']}, "
+                           f"C4 {rec.extra['smallest_C4']:.6g}"),
+    "constants-demo": (
+        experiments.constants_obstruction_demo,
+        {"x_nonconst": ..., "x_const": ..., "T": None,
+         "n_paths": None},
+        lambda rec: f"constants-demo: const fraction "
+                    f"{rec.extra['fraction_constant_const']:.4f}, nonconst "
+                    f"{rec.extra['fraction_constant_nonconst']:.4f}, "
+                    f"indicator TV {rec.extra['indicator_tv']:.4f}"),
+    "convolution": (experiments.stochastic_convolution, {"T": None},
+                    lambda rec: f"convolution: time exponent "
+                                f"{rec.extra['time_holder_exponent']:.4f}, "
+                                f"space exponent "
+                                f"{rec.extra['space_holder_exponent']:.4f}"),
+}
+# how each top-level key but the initial fields becomes an argument
+_SPDE_VALUES = {"T": float, "n_paths": int, "n_record": int,
+                "time_grid": list, "extra_x_times": tuple}
+
+
+def read_spde(path: str, sub: str, seed=None):
+    """(solver config, experiment keyword arguments) of `spde sub` from the
+    config file at `path`, the solver seed replaced by `seed` if given."""
+    cfg = _read_config(path, {"spde": ..., **SPDE_EXPERIMENTS[sub][1]})
+    config = spde.SpdeConfig.from_json_obj(cfg.pop("spde"))
+    if seed is not None:
+        config = config.with_seed(seed)
+    solver = {"T": config.T, "n_paths": config.n_paths}
+    kwargs = {}
+    for key, value in cfg.items():
+        value = solver.get(key) if value is None else value
+        try:
+            kwargs[key] = _SPDE_VALUES[key](value) if key in _SPDE_VALUES \
+                else spde.Field.from_json_obj(value, config.N)
+        except (TypeError, ValueError) as exc:
+            raise spde.ConfigError(f"field {key!r}: {exc}")
+    return config, kwargs
 
 
 def cmd_spde(args) -> int:
     t0 = time.monotonic()
-    cfg_obj, config = _spde_common(args)
-    input_hashes = {"config.json": serialize.file_hash(args.config)}
     sub = args.spde_command
-    snapshots = None
-
-    if sub == "run":
-        u0 = _make_field(cfg_obj.get("u0", {"kind": "const", "value": 0.0}),
-                         config.N)
-        T = float(cfg_obj.get("T", config.T))
-        n_record = int(cfg_obj.get("n_record", 11))
-        times = experiments._record_grid(T, config.dt, n_record)
-        from dataclasses import replace
-        cfg = replace(config, T=T)
-        snaps = spde.simulate(cfg, u0, times)
-        rec = experiments.ExperimentRecord(name="run",
-                                           config=cfg.to_json_obj(),
-                                           times=times)
-        for t in times:
-            nsq = spde.l2_sq(snaps[t])
-            m, _, lo, hi = experiments._mean_ci(nsq) if len(nsq) > 1 else (
-                float(nsq[0]), 0.0, float(nsq[0]), float(nsq[0]))
-            rec.add_stat(t, "energy_l2sq", m, lo, hi)
-        snapshots = snaps
-        summary = f"run: {len(times)} snapshots, final mean L2^2 " \
-                  f"{rec.statistics[-1]['value']:.6g}"
-    elif sub == "sync":
-        x = _make_field(cfg_obj["x"], config.N)
-        y = _make_field(cfg_obj["y"], config.N)
-        rec = experiments.synchronization_experiment(
-            config, x, y, T=float(cfg_obj.get("T", config.T)),
-            n_paths=int(cfg_obj.get("n_paths", config.n_paths)))
-        fit = rec.fits.get("sync_rate", {})
-        summary = f"sync: rate {fit.get('rate', float('nan')):.6g}, " \
-                  f"R^2 {fit.get('r_squared', float('nan')):.4f}, " \
-                  f"verdict {rec.extra.get('verdict')}"
-    elif sub == "ergodicity":
-        x = _make_field(cfg_obj["x"], config.N)
-        y = _make_field(cfg_obj["y"], config.N)
-        rec = experiments.ergodicity_experiment(
-            config, x, y, time_grid=cfg_obj["time_grid"],
-            n_paths=int(cfg_obj.get("n_paths", config.n_paths)),
-            extra_x_times=tuple(cfg_obj.get("extra_x_times", ())))
-        fit = rec.fits.get("w_rate", {})
-        summary = f"ergodicity: rate {fit.get('rate', float('nan')):.6g}, " \
-                  f"verdict {rec.extra.get('verdict')}"
-    elif sub == "swap":
-        x = _make_field(cfg_obj["x"], config.N)
-        rec = experiments.swap_probability_estimate(
-            config, x, T=float(cfg_obj.get("T", 1.0)),
-            n_paths=int(cfg_obj.get("n_paths", config.n_paths)))
-        summary = f"swap: p_below {rec.extra['p_below_zero']:.4f} " \
-                  f"(se {rec.extra['p_below_zero_se']:.4f}), " \
-                  f"p_above {rec.extra['p_above_zero']:.4f}"
-    elif sub == "energy":
-        u0 = _make_field(cfg_obj["u0"], config.N)
-        rec = experiments.energy_moments(
-            config, u0, T=float(cfg_obj.get("T", config.T)),
-            n_paths=int(cfg_obj.get("n_paths", config.n_paths)))
-        summary = f"energy: dissipation inequality " \
-                  f"{rec.extra['dissipation_inequality_holds']}, " \
-                  f"C4 {rec.extra['smallest_C4']:.6g}"
-    elif sub == "constants-demo":
-        rec = experiments.constants_obstruction_demo(
-            config, x_nonconst=_make_field(cfg_obj["x_nonconst"], config.N),
-            x_const=_make_field(cfg_obj["x_const"], config.N),
-            T=float(cfg_obj.get("T", config.T)),
-            n_paths=int(cfg_obj.get("n_paths", config.n_paths)))
-        summary = f"constants-demo: const fraction " \
-                  f"{rec.extra['fraction_constant_const']:.4f}, nonconst " \
-                  f"{rec.extra['fraction_constant_nonconst']:.4f}, " \
-                  f"indicator TV {rec.extra['indicator_tv']:.4f}"
-    elif sub == "convolution":
-        rec = experiments.stochastic_convolution(
-            config, T=float(cfg_obj.get("T", config.T)))
-        summary = f"convolution: time exponent " \
-                  f"{rec.extra['time_holder_exponent']:.4f}, space exponent " \
-                  f"{rec.extra['space_holder_exponent']:.4f}"
-    else:  # pragma: no cover - argparse restricts choices
-        raise spde.ConfigError(f"unknown spde subcommand {sub!r}")
-
-    _say(summary)
-    print(serialize.dumps(rec.to_json_obj()))
-    if args.out:
-        written = experiments.write_run_archive(
-            args.out, rec, snapshots=snapshots, n_grid=config.N,
-            n_paths=config.n_paths)
-        out_hashes = {fn: serialize.file_hash(os.path.join(args.out, fn))
-                      for fn in written}
-        _write_manifest(args.out, f"spde {sub}", args.config, config.seed,
-                        input_hashes, out_hashes, t0)
+    experiment, _, summary = SPDE_EXPERIMENTS[sub]
+    config, kwargs = read_spde(args.config, sub, args.seed)
+    # looked up by name, so that a wrapper installed on the module (a
+    # profiler's span) sees the call
+    rec = getattr(experiments, experiment.__name__)(config, **kwargs)
+    _say(summary(rec))
+    files = {} if not args.out else {
+        "config.json": serialize.dumps(rec.config) + "\n",
+        "statistics.csv": serialize.statistics_csv(rec.statistics),
+        **serialize.snapshot_files(rec.snapshots)}
+    _write(args, f"spde {sub}", "record", rec.to_json_obj(), t0,
+           seed=config.seed, inputs={"config.json": args.config}, files=files)
     return EXIT_PASS
 
 
@@ -284,13 +251,10 @@ def cmd_gallery(args) -> int:
             _say(f"unknown gallery case {name!r}; known: "
                  f"{', '.join(gallery.ALL_CASES)}")
             return EXIT_USAGE
-    kwargs = {}
-    if args.n is not None:
-        kwargs["n"] = args.n
-    if args.samples is not None:
-        kwargs["samples"] = args.samples
-    if args.seed is not None:
-        kwargs["seed"] = args.seed
+    kwargs = {key: value for key, value in (("n", args.n),
+                                            ("samples", args.samples),
+                                            ("seed", args.seed))
+              if value is not None}
     reports = [gallery.run_case(name, **kwargs) for name in names]
     all_hold = all(r["all_hold"] for r in reports)
     for r in reports:
@@ -300,10 +264,7 @@ def cmd_gallery(args) -> int:
                  f"(lhs {c['lhs']:.6g}, rhs {c['rhs']:.6g})")
     obj = reports[0] if len(reports) == 1 else {"cases": reports,
                                                "all_hold": all_hold}
-    out_hashes = _emit(obj, args.out, "gallery.json")
-    if args.out:
-        _write_manifest(args.out, "gallery", None, args.seed, {},
-                        out_hashes, t0)
+    _write(args, "gallery", "gallery", obj, t0, seed=args.seed)
     return EXIT_PASS if all_hold else EXIT_VERDICT
 
 
@@ -312,6 +273,8 @@ def cmd_gallery(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_transport(args) -> int:
+    t0 = time.monotonic()
+    inputs = {"mu": args.mu, "nu": args.nu}
     try:
         mu = np.asarray(serialize.load(args.mu)["p"], dtype=float)
         nu = np.asarray(serialize.load(args.nu)["p"], dtype=float)
@@ -320,7 +283,7 @@ def cmd_transport(args) -> int:
     if args.cost == "discrete":
         c = 1.0 - np.eye(len(mu))
     else:
-        cobj, _ = _resolve(args.cost, os.getcwd(), "cost")
+        cobj, inputs["cost"] = _resolve(args.cost, os.getcwd(), "cost")
         c = np.asarray(cobj["C"], dtype=float)
     if len(mu) != len(nu) or c.shape != (len(mu), len(nu)):
         raise spde.ConfigError(
@@ -334,7 +297,8 @@ def cmd_transport(args) -> int:
     else:
         res = transport.wasserstein_exact(mu, nu, cost)
     _say(f"{res.method}: value {res.value:.12g}")
-    _emit(res.to_json_obj(), args.out, "transport.json")
+    _write(args, "transport", "transport", res.to_json_obj(), t0,
+           inputs=inputs)
     if not res.converged:
         _say(f"numeric failure: {res.method} did not converge in "
              f"{res.iterations} iterations (marginal gap {res.gap:.3g})")
@@ -374,9 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_chain_verify)
 
     p = subs.add_parser("spde", help="torus reaction-diffusion experiments")
-    p.add_argument("spde_command",
-                   choices=["run", "sync", "ergodicity", "swap", "energy",
-                            "constants-demo", "convolution"])
+    p.add_argument("spde_command", choices=list(SPDE_EXPERIMENTS))
     p.add_argument("config")
     _add_common(p)
     p.set_defaults(func=cmd_spde)
@@ -386,7 +348,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--samples", type=int, default=None)
     _add_common(p)
-    p.set_defaults(func=cmd_gallery)
+    # the sampled case's seed when none is given, recorded in the manifest
+    p.set_defaults(func=cmd_gallery, seed=0)
 
     p = subs.add_parser("transport", help="coupling distance between two "
                                           "distribution files")

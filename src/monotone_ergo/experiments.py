@@ -2,23 +2,22 @@
 synchronization, ergodicity, swap probabilities, the constants-set
 total-variation obstruction, and the stochastic convolution modulus.
 
-Every experiment returns an ExperimentRecord that serializes to a run
-archive (config.json + statistics.csv + record.json + optional binary
-snapshots).  Identical (config, seed) inputs reproduce bit-identical
+Every experiment returns an ExperimentRecord, which the CLI archives as
+record.json, config.json, statistics.csv and, for `snapshot_run`, binary
+snapshots.  Identical (config, seed) inputs reproduce bit-identical
 records.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import serialize, transport
 from .fitting import RateFit, fit_exponential_rate
-from .spde import Field, SpdeConfig, integrate, l2_sq
+from .spde import DriftSpec, Field, SpdeConfig, integrate, l2_sq
 # perfbench/spans.py traces noise_draws and simulate under these names
 from .spde import noise_draws, simulate  # noqa: F401
 
@@ -38,6 +37,8 @@ class ExperimentRecord:
     statistics: list = field(default_factory=list)   # rows for statistics.csv
     fits: dict = field(default_factory=dict)
     extra: dict = field(default_factory=dict)
+    # {t: (n_paths, N) array}, archived beside the record, not in its JSON
+    snapshots: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if not self.content_hash:
@@ -67,23 +68,6 @@ class ExperimentRecord:
                 "extra": serialize._convert(self.extra)}
 
 
-def write_run_archive(outdir: str, record: ExperimentRecord,
-                      snapshots: dict | None = None,
-                      n_grid: int | None = None,
-                      n_paths: int | None = None) -> list[str]:
-    """Write the run's files into `outdir`; returns their names."""
-    os.makedirs(outdir, exist_ok=True)
-    serialize.dump(record.config, os.path.join(outdir, "config.json"))
-    serialize.dump(record.to_json_obj(), os.path.join(outdir, "record.json"))
-    serialize.write_statistics_csv(os.path.join(outdir, "statistics.csv"),
-                                   record.statistics)
-    written = ["record.json", "config.json", "statistics.csv"]
-    if snapshots:
-        serialize.write_snapshots(outdir, snapshots, n_grid, n_paths)
-        written += ["snapshots.bin", "snapshots.json"]
-    return written
-
-
 def _record_grid(T: float, dt: float, n_record: int) -> list[float]:
     """About n_record times in [0, T], starting at 0.0, snapped to
     multiples of dt."""
@@ -95,6 +79,27 @@ def _mean_ci(samples: np.ndarray):
     m = float(samples.mean())
     se = float(samples.std(ddof=1) / math.sqrt(len(samples)))
     return m, se, m - 1.96 * se, m + 1.96 * se
+
+
+# ---------------------------------------------------------------------------
+# snapshots of one ensemble
+# ---------------------------------------------------------------------------
+
+def snapshot_run(config: SpdeConfig, u0: Field, T: float, n_paths: int,
+                 n_record: int) -> ExperimentRecord:
+    """An ensemble from u0 with its snapshots at about n_record times in
+    [0, T] and the mean squared L2 norm at each."""
+    cfg = replace(config, T=T, n_paths=n_paths)
+    times = _record_grid(T, cfg.dt, n_record)
+    snaps = simulate(cfg, u0, times)
+    rec = ExperimentRecord(name="run", config=cfg.to_json_obj(), times=times,
+                           snapshots=snaps)
+    for t in times:
+        nsq = l2_sq(snaps[t])
+        m, _, lo, hi = _mean_ci(nsq) if len(nsq) > 1 else (
+            float(nsq[0]), 0.0, float(nsq[0]), float(nsq[0]))
+        rec.add_stat(t, "energy_l2sq", m, lo, hi)
+    return rec
 
 
 # ---------------------------------------------------------------------------
@@ -277,9 +282,8 @@ def _permutation_null(cmat, rng):
 # swap probabilities (signed half-space hits at time 1)
 # ---------------------------------------------------------------------------
 
-def swap_probability_estimate(config: SpdeConfig, x: Field, T: float = 1.0,
-                              n_paths: int | None = None) -> ExperimentRecord:
-    n_paths = config.n_paths if n_paths is None else n_paths
+def swap_probability_estimate(config: SpdeConfig, x: Field, T: float,
+                              n_paths: int) -> ExperimentRecord:
     cfg = replace(config, T=T, n_paths=n_paths)
     snaps = simulate(cfg, x, [T])
     U = snaps[T]
@@ -332,18 +336,15 @@ def constants_obstruction_demo(config: SpdeConfig, x_nonconst: Field,
 # stochastic convolution modulus
 # ---------------------------------------------------------------------------
 
-def stochastic_convolution(config: SpdeConfig, T: float,
-                           seed: int | None = None) -> ExperimentRecord:
+def stochastic_convolution(config: SpdeConfig, T: float) -> ExperimentRecord:
     """Single path of the linear (zero-drift) equation from w(0) = 0 with
     empirical Hoelder-quotient exponents in time and space (reported, not
     asserted: the constants are path-dependent)."""
-    from .spde import DriftSpec
     cfg = replace(config, T=T, n_paths=1,
                   drift=DriftSpec("zero", {}, K1=1.0, K2=1.0, K3=1.0))
-    seed = cfg.seed if seed is None else int(seed)
     n = cfg.n_steps
     W = np.zeros((n + 1, cfg.N))
-    rows = integrate(cfg, (np.zeros((1, cfg.N)),), seed, n,
+    rows = integrate(cfg, (np.zeros((1, cfg.N)),), cfg.seed, n,
                      lambda k, ensembles: ensembles[0][0])
     for k, row in rows.items():
         W[k] = row

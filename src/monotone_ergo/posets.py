@@ -84,9 +84,10 @@ class Distribution:
 
     def __post_init__(self):
         p = np.asarray(self.p, dtype=float)
-        if np.any(p < 0):
-            raise ValueError("negative probability entry")
-        if abs(p.sum() - 1.0) > 1e-12:
+        # written as "not (holds)", so that a NaN entry fails each check
+        if not np.all(p >= 0):
+            raise ValueError("negative or NaN probability entry")
+        if not abs(p.sum() - 1.0) <= 1e-12:
             raise ValueError(f"probabilities sum to {p.sum()!r}, not 1")
         object.__setattr__(self, "p", p)
         self.p.setflags(write=False)
@@ -216,12 +217,6 @@ def strassen_coupling(mu: Distribution, nu: Distribution,
     mu_mass = float(mu.p[list(witness)].sum()) if witness else 0.0
     nu_mass = float(nu.p[list(witness)].sum()) if witness else 0.0
     return Infeasible(witness_upset=witness, mu_mass=mu_mass, nu_mass=nu_mass)
-
-
-def is_monotone(f, poset: FinitePoset) -> bool:
-    f = np.asarray(f, dtype=float)
-    ii, jj = np.nonzero(poset.leq)
-    return bool(np.all(f[ii] <= f[jj] + 1e-15))
 
 
 def chain_poset(n: int) -> FinitePoset:

@@ -1,11 +1,13 @@
 """JSON serialization helpers: 17-significant-digit floats, content hashes,
-and the binary snapshot / run-archive formats used by the CLI."""
+and the contents of the binary snapshot and statistics files the CLI
+archives."""
 
 from __future__ import annotations
 
 import contextlib
 import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -121,38 +123,33 @@ def file_hash(path: str) -> str:
     return h.hexdigest()
 
 
-def write_snapshots(outdir: str, snapshots: dict[float, np.ndarray],
-                    n_grid: int, n_paths: int) -> None:
-    """Snapshot archive: little-endian float64 flat binary plus JSON header."""
+def snapshot_files(snapshots: dict[float, np.ndarray]) -> dict:
+    """Contents of the snapshot archive of {t: (n_paths, N) array}:
+    snapshots.bin, little-endian float64 in time order, and its JSON
+    header snapshots.json; empty for no snapshots."""
+    if not snapshots:
+        return {}
     times = sorted(snapshots)
-    with atomic_open(os.path.join(outdir, "snapshots.bin"), "wb") as fh:
-        for t in times:
-            arr = np.ascontiguousarray(snapshots[t], dtype="<f8")
-            fh.write(arr.tobytes())
-    dump({"N": n_grid, "n_paths": n_paths, "times": [float(t) for t in times]},
-         os.path.join(outdir, "snapshots.json"))
+    n_paths, n_grid = snapshots[times[0]].shape
+    return {"snapshots.bin": b"".join(
+                np.ascontiguousarray(snapshots[t], dtype="<f8").tobytes()
+                for t in times),
+            "snapshots.json": dumps({"N": n_grid, "n_paths": n_paths,
+                                     "times": [float(t) for t in times]})
+            + "\n"}
 
 
-def read_snapshots(outdir: str) -> dict[float, np.ndarray]:
-    header = load(os.path.join(outdir, "snapshots.json"))
-    n_grid, n_paths = header["N"], header["n_paths"]
-    raw = np.fromfile(os.path.join(outdir, "snapshots.bin"), dtype="<f8")
-    per = n_paths * n_grid
-    out = {}
-    for k, t in enumerate(header["times"]):
-        out[t] = raw[k * per:(k + 1) * per].reshape(n_paths, n_grid)
-    return out
-
-
-def write_statistics_csv(path: str, rows: list[dict]) -> None:
-    """Rows: dicts with keys t, stat, value, ci_low, ci_high."""
-    with atomic_open(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "stat", "value", "ci_low", "ci_high"])
-        for r in rows:
-            writer.writerow([
-                _fmt_float(float(r["t"])), r["stat"],
-                _fmt_float(float(r["value"])),
-                _fmt_float(float(r.get("ci_low", float("nan")))),
-                _fmt_float(float(r.get("ci_high", float("nan")))),
-            ])
+def statistics_csv(rows: list[dict]) -> str:
+    """Text of statistics.csv; rows are dicts with keys t, stat, value,
+    ci_low, ci_high."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["t", "stat", "value", "ci_low", "ci_high"])
+    for r in rows:
+        writer.writerow([
+            _fmt_float(float(r["t"])), r["stat"],
+            _fmt_float(float(r["value"])),
+            _fmt_float(float(r.get("ci_low", float("nan")))),
+            _fmt_float(float(r.get("ci_high", float("nan")))),
+        ])
+    return buf.getvalue()

@@ -102,6 +102,10 @@ class NotOrdered(SpdeError):
 # drift and noise specifications
 # ---------------------------------------------------------------------------
 
+# the params each drift family reads
+_DRIFT_PARAMS = {"cubic": {"K"}, "linear": {"a"}, "zero": set()}
+
+
 def _drift_function(name, params):
     """(f(x, xi), L(R)) of a drift family; L(R) = max(0, -min f' on [-R, R])
     in closed form."""
@@ -112,9 +116,7 @@ def _drift_function(name, params):
     if name == "linear":
         a = float(params.get("a", -1.0))
         return lambda x, xi: a * x, lambda R: max(0.0, -a)
-    if name == "zero":
-        return lambda x, xi: np.zeros_like(x), lambda R: 0.0
-    raise ConfigError(f"unknown drift {name!r}")
+    return lambda x, xi: np.zeros_like(x), lambda R: 0.0
 
 
 def _dissipativity_margins(name, params, K1, K2, K3, R):
@@ -156,7 +158,10 @@ class DriftSpec:
     def __post_init__(self):
         if self.K1 <= 0 or self.K2 <= 0:
             raise ConfigError("need K1, K2 > 0")
-        _drift_function(self.name, self.params)  # validates the name
+        if self.name not in _DRIFT_PARAMS:
+            raise ConfigError(f"unknown drift {self.name!r}")
+        reject_unknown(self.params, _DRIFT_PARAMS[self.name],
+                       f"{self.name} drift params")
 
     def check_dissipativity(self, R: float = ASSUMPTION_RANGE):
         """One-sided growth and one-sided Lipschitz bounds on |x| <= R, in
@@ -180,23 +185,31 @@ class DriftSpec:
 
     @staticmethod
     def from_json_obj(obj):
-        allowed = {"name", "params", "K1", "K2", "K3"}
-        _reject_unknown(obj, allowed, "drift")
+        reject_unknown(obj, {"name", "params", "K1", "K2", "K3"}, "drift")
         return DriftSpec(name=obj["name"], params=dict(obj.get("params", {})),
                          K1=float(obj["K1"]), K2=float(obj["K2"]),
                          K3=float(obj["K3"]))
 
 
-def _sigma_values(spec, grid):
-    kind = spec.get("kind")
+# the keys of each closed-form profile kind
+_PROFILE_KEYS = {"const": {"kind", "amp", "value"},
+                 "cos": {"kind", "amp", "freq"}, "sin": {"kind", "amp", "freq"}}
+
+
+def profile(spec, N: int) -> np.ndarray:
+    """A closed-form profile (a noise coefficient or a field) at the grid
+    points j / N: const `value` (else `amp`), or amp cos / amp sin of
+    2 pi freq x; amp and freq default to 1."""
+    kind = spec.get("kind") if isinstance(spec, dict) else None
+    if kind not in _PROFILE_KEYS:
+        raise ConfigError(f"not a const, cos or sin profile: {spec!r}")
+    reject_unknown(spec, _PROFILE_KEYS[kind], f"{kind} profile")
+    grid = np.arange(N) / N
     amp = float(spec.get("amp", 1.0))
     if kind == "const":
-        return np.full_like(grid, amp)
-    if kind == "cos":
-        return amp * np.cos(2 * np.pi * float(spec.get("freq", 1)) * grid)
-    if kind == "sin":
-        return amp * np.sin(2 * np.pi * float(spec.get("freq", 1)) * grid)
-    raise ConfigError(f"unknown noise profile {kind!r}")
+        return np.full(N, float(spec.get("value", amp)))
+    wave = np.cos if kind == "cos" else np.sin
+    return amp * wave(2 * np.pi * float(spec.get("freq", 1)) * grid)
 
 
 @dataclass(frozen=True)
@@ -210,17 +223,14 @@ class NoiseSpec:
         object.__setattr__(self, "sigma", tuple(dict(s) for s in self.sigma))
 
     def tabulate(self, N: int) -> np.ndarray:
-        grid = np.arange(N) / N
-        if self.m == 0:
-            return np.zeros((0, N))
-        return np.stack([_sigma_values(s, grid) for s in self.sigma])
+        return np.array([profile(s, N) for s in self.sigma]).reshape(self.m, N)
 
     def to_json_obj(self):
         return {"m": self.m, "sigma": [dict(s) for s in self.sigma]}
 
     @staticmethod
     def from_json_obj(obj):
-        _reject_unknown(obj, {"m", "sigma"}, "noise")
+        reject_unknown(obj, {"m", "sigma"}, "noise")
         return NoiseSpec(m=int(obj["m"]), sigma=tuple(obj.get("sigma", [])))
 
 
@@ -245,6 +255,17 @@ class Field:
 
     def leq(self, other: "Field") -> bool:
         return bool(np.all(self.values <= other.values))
+
+    @staticmethod
+    def from_json_obj(obj, N: int) -> "Field":
+        """Explicit {"values": [N numbers]} or a closed-form `profile`."""
+        if not (isinstance(obj, dict) and "values" in obj):
+            return Field(profile(obj, N))
+        reject_unknown(obj, {"values"}, "field")
+        if len(obj["values"]) != N:
+            raise ConfigError(f"field has {len(obj['values'])} values, "
+                              f"grid has {N}")
+        return Field(obj["values"])
 
 
 def l2_sq(values: np.ndarray) -> np.ndarray:
@@ -291,10 +312,11 @@ def phi_condition_check(pairs, tol: float = 1e-10):
 # configuration
 # ---------------------------------------------------------------------------
 
-def _reject_unknown(obj, allowed, where):
+def reject_unknown(obj, allowed, where):
+    """Raise ConfigError naming every key of `obj` not in `allowed`."""
     unknown = set(obj) - set(allowed)
     if unknown:
-        raise ConfigError(f"unknown {where} field(s): {sorted(unknown)}")
+        raise ConfigError(f"unknown {where} key(s): {sorted(unknown)}")
 
 
 @dataclass(frozen=True)
@@ -314,6 +336,7 @@ class SpdeConfig:
             raise ConfigError(f"unsupported scheme {self.scheme!r}")
         if self.N < 2 or self.dt <= 0 or self.T < 0 or self.n_paths < 1:
             raise ConfigError("invalid grid/time parameters")
+        self.noise.tabulate(self.N)  # a bad profile fails here, not in a step
         L_R = self.drift.negative_slope_bound(self.clamp_R)
         if self.dt * L_R > 1.0 + 1e-12:
             raise ConfigError(
@@ -336,9 +359,8 @@ class SpdeConfig:
 
     @staticmethod
     def from_json_obj(obj) -> "SpdeConfig":
-        allowed = {"N", "dt", "T", "drift", "noise", "seed", "n_paths",
-                   "clamp_R", "scheme"}
-        _reject_unknown(obj, allowed, "config")
+        reject_unknown(obj, {"N", "dt", "T", "drift", "noise", "seed",
+                             "n_paths", "clamp_R", "scheme"}, "spde")
         return SpdeConfig(
             N=int(obj["N"]), dt=float(obj["dt"]), T=float(obj["T"]),
             drift=DriftSpec.from_json_obj(obj["drift"]),

@@ -47,6 +47,10 @@ class TestKernel:
         with pytest.raises(ChainError):
             FiniteKernel(P)
 
+    def test_nan_entry(self):
+        with pytest.raises(ChainError, match="NaN"):
+            FiniteKernel([[np.nan, 0.5], [0.5, 0.5]])
+
     def test_stationary_distribution(self):
         P = np.array([[0.9, 0.1], [0.4, 0.6]])
         pi = FiniteKernel(P).stationary()

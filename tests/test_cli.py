@@ -1,17 +1,137 @@
 """Command-line contract: exit codes, outputs, manifests, determinism."""
 
+import csv
+import glob
 import json
 import os
 
+import numpy as np
 import pytest
 
-from monotone_ergo import cli, fixture_path, gallery, serialize
+from monotone_ergo import (cli, experiments, fixture_path, gallery,
+                          serialize, spde)
 
 
 def run(argv, capsys):
     code = cli.main(argv)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def read_snapshots(outdir: str) -> dict:
+    """{t: (n_paths, N) array} of a run archive's snapshots.bin/json."""
+    header = serialize.load(os.path.join(outdir, "snapshots.json"))
+    n_grid, n_paths = header["N"], header["n_paths"]
+    raw = np.fromfile(os.path.join(outdir, "snapshots.bin"), dtype="<f8")
+    per = n_paths * n_grid
+    return {t: raw[k * per:(k + 1) * per].reshape(n_paths, n_grid)
+            for k, t in enumerate(header["times"])}
+
+
+def run_config(tmp_path) -> str:
+    """A short `spde run` config in tmp_path: 20 steps of 4 paths."""
+    cfg = serialize.load(fixture_path("spde_constants.json"))["spde"]
+    cfg.update(dt=0.001, T=0.02, n_paths=4)
+    path = str(tmp_path / "run.json")
+    serialize.dump({"spde": cfg, "T": 0.02, "n_record": 3}, path)
+    return path
+
+
+# subcommand -> (argv, its payload file, the input labels its manifest
+# hashes, the seed its manifest records)
+OUT_CASES = {
+    "chain-verify": (lambda tmp: ["chain-verify",
+                                  fixture_path("chain5_verify.json")],
+                     "report.json", ["config.json", "kernel", "poset",
+                                     "space"], None),
+    "spde-run": (lambda tmp: ["spde", "run", run_config(tmp)], "record.json",
+                 ["config.json"], 0),
+    "gallery": (lambda tmp: ["gallery", "example-3-2", "--n", "4"],
+                "gallery.json", [], 0),
+    "transport": (lambda tmp: ["transport", fixture_path("transport_mu.json"),
+                               fixture_path("transport_nu.json"), "--cost",
+                               fixture_path("transport_cost.json")],
+                  "transport.json", ["cost", "mu", "nu"], None),
+}
+
+
+@pytest.mark.parametrize("case", list(OUT_CASES))
+def test_out_writes_payload_and_manifest(tmp_path, capsys, case):
+    argv, payload, inputs, seed = OUT_CASES[case]
+    out_dir = str(tmp_path / "out")
+    code, out, _ = run([*argv(tmp_path), "--out", out_dir], capsys)
+    assert code == 0
+    with open(os.path.join(out_dir, payload)) as fh:
+        assert fh.read() == out
+    manifest = serialize.load(os.path.join(out_dir, "manifest.json"))
+    assert sorted(manifest["output_hashes"]) == sorted(
+        set(os.listdir(out_dir)) - {"manifest.json"})
+    for fn, digest in manifest["output_hashes"].items():
+        assert serialize.file_hash(os.path.join(out_dir, fn)) == digest
+    assert sorted(manifest["input_hashes"]) == inputs
+    assert manifest["seed"] == seed
+
+
+# the subcommand that reads each shipped spde config
+FIXTURE_SUBCOMMANDS = {
+    "spde_constants.json": "constants-demo",
+    "spde_convolution.json": "convolution", "spde_energy.json": "energy",
+    "spde_ergodicity.json": "ergodicity", "spde_swap.json": "swap",
+    "spde_swap_control.json": "swap", "spde_sync.json": "sync",
+    "spde_sync_zero_noise.json": "sync",
+}
+
+
+def test_shipped_configs_pass_the_reader():
+    fixtures = os.path.dirname(fixture_path("spde_sync.json"))
+    names = sorted(os.path.basename(p) for p in
+                   glob.glob(os.path.join(fixtures, "spde_*.json")))
+    assert names == sorted(FIXTURE_SUBCOMMANDS)
+    for name, sub in FIXTURE_SUBCOMMANDS.items():
+        cli.read_spde(fixture_path(name), sub)
+    for path in glob.glob(os.path.join(fixtures, "*_verify.json")):
+        cli._read_config(path, cli.CHAIN_KEYS)
+
+
+def chain_config(tmp_path, **top) -> str:
+    """chain5_verify.json with absolute paths, plus `top`."""
+    cfg = serialize.load(fixture_path("chain5_verify.json"))
+    for key in ("poset", "kernel", "space"):
+        cfg[key] = fixture_path(cfg[key])
+    path = str(tmp_path / "cfg.json")
+    serialize.dump({**cfg, **top}, path)
+    return path
+
+
+def spde_config(tmp_path, where, key) -> str:
+    """spde_sync.json with `key` added to the object at path `where`."""
+    cfg = serialize.load(fixture_path("spde_sync.json"))
+    target = cfg
+    for step in where:
+        target = target[step]
+    target[key] = 3
+    path = str(tmp_path / "cfg.json")
+    serialize.dump(cfg, path)
+    return path
+
+
+@pytest.mark.parametrize("argv, key", [
+    (lambda tmp: ["chain-verify", chain_config(tmp, horizn=10)], "horizn"),
+    (lambda tmp: ["spde", "sync", spde_config(tmp, (), "npaths")], "npaths"),
+    (lambda tmp: ["spde", "sync", spde_config(tmp, ("x",), "frequency")],
+     "frequency"),
+    (lambda tmp: ["spde", "sync",
+                  spde_config(tmp, ("spde", "noise", "sigma", 0), "ampl")],
+     "ampl"),
+    (lambda tmp: ["spde", "sync",
+                  spde_config(tmp, ("spde", "drift", "params"), "k")], "k"),
+], ids=["chain-verify-top-level", "spde-top-level", "field-profile",
+        "noise-profile", "drift-params"])
+def test_unknown_key_exit_2(tmp_path, capsys, argv, key):
+    code, out, err = run(argv(tmp_path), capsys)
+    assert code == 2
+    assert out == ""
+    assert f"'{key}'" in err
 
 
 class TestChainVerify:
@@ -38,6 +158,16 @@ class TestChainVerify:
                              capsys)
         assert code == 2
         assert "row 0" in err
+
+    def test_nan_kernel_exit_2(self, tmp_path, capsys):
+        path = str(tmp_path / "kernel.json")
+        serialize.dump({"P": [[float("nan"), 0.5], [0.5, 0.5]]}, path)
+        code, out, err = run(["chain-verify", chain_config(
+            tmp_path, poset=fixture_path("antichain2_poset.json"),
+            kernel=path, space=fixture_path("antichain2_space.json"),
+            pairs=[[0, 1]])], capsys)
+        assert code == 2
+        assert "NaN kernel entry" in err
 
     def test_missing_config_exit_2(self, capsys):
         code, _, err = run(["chain-verify", "/nonexistent.json"], capsys)
@@ -103,6 +233,22 @@ class TestSpde:
                 outs.append(fh.read())
         assert outs[0] == outs[1]
 
+    def test_experiment_looked_up_at_call(self, tmp_path, capsys,
+                                          monkeypatch):
+        # a wrapper installed on `experiments` after import sees the call
+        calls = []
+        original = experiments.snapshot_run
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "snapshot_run", spy)
+        code, _, _ = run(["spde", "run", run_config(tmp_path)], capsys)
+        assert code == 0
+        assert [sorted(kw) for kw in calls] == [["T", "n_paths", "n_record",
+                                                 "u0"]]
+
     def test_threads_option_removed_exit_4(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run(["spde", "sync", fixture_path("spde_sync.json"),
@@ -119,8 +265,17 @@ class TestSpde:
         code, _, _ = run(["spde", "run", str(tmp_path / "run.json"),
                           "--out", out_dir], capsys)
         assert code == 0
-        snaps = serialize.read_snapshots(out_dir)
+        snaps = read_snapshots(out_dir)
         assert len(snaps) >= 2
+        # the archived snapshots and statistics give back the record's
+        # energy statistics exactly
+        record = serialize.load(os.path.join(out_dir, "record.json"))
+        assert [r["value"] for r in record["statistics"]] == [
+            float(spde.l2_sq(snaps[t]).mean()) for t in record["times"]]
+        with open(os.path.join(out_dir, "statistics.csv")) as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["stat"], float(r["value"])) for r in rows] == [
+            (r["stat"], r["value"]) for r in record["statistics"]]
         manifest = serialize.load(os.path.join(out_dir, "manifest.json"))
         assert sorted(manifest["output_hashes"]) == sorted(
             set(os.listdir(out_dir)) - {"manifest.json"})

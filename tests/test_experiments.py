@@ -1,7 +1,6 @@
 """Experiment harness: records, archives, and the statistical experiments
 on small, fast configurations."""
 
-import csv
 import os
 from dataclasses import replace
 
@@ -16,8 +15,7 @@ from monotone_ergo.experiments import (ExperimentRecord,
                                        energy_moments, ergodicity_experiment,
                                        stochastic_convolution,
                                        swap_probability_estimate,
-                                       synchronization_experiment,
-                                       write_run_archive)
+                                       synchronization_experiment)
 from monotone_ergo.spde import (DriftSpec, Field, NoiseSpec, SpdeConfig, l2_sq,
                                 simulate)
 
@@ -48,22 +46,6 @@ class TestRecord:
         assert r1.content_hash == r2.content_hash
         assert r1.content_hash != ExperimentRecord(
             name="x", config={"a": 2}).content_hash
-
-    def test_archive_round_trip(self, tmp_path):
-        rec = ExperimentRecord(name="demo", config={"N": 4})
-        rec.add_stat(0.5, "s", 1.25, 1.0, 1.5)
-        snaps = {0.5: np.arange(8.0).reshape(2, 4)}
-        write_run_archive(str(tmp_path), rec, snapshots=snaps, n_grid=4,
-                          n_paths=2)
-        for fn in ("config.json", "record.json", "statistics.csv",
-                   "snapshots.bin", "snapshots.json"):
-            assert (tmp_path / fn).exists()
-        back = serialize.read_snapshots(str(tmp_path))
-        assert np.array_equal(back[0.5], snaps[0.5])
-        with open(tmp_path / "statistics.csv") as fh:
-            rows = list(csv.DictReader(fh))
-        assert rows[0]["stat"] == "s"
-        assert float(rows[0]["value"]) == 1.25
 
     def test_failed_dump_keeps_old_file(self, tmp_path):
         path = str(tmp_path / "record.json")

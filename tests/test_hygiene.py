@@ -95,8 +95,7 @@ TEST_ONLY_NAMES = {
     "chains.return_time_exp_moments",
     "chains.absorbed_chain_second_eigenvalue", "chains.lemma33_verify",
     "chains.lemma44_verify", "chains.coupling_construct_simulate",
-    "posets.is_monotone", "posets.chain_poset", "serialize.read_snapshots",
-    "__init__.fixture_path",
+    "posets.chain_poset", "__init__.fixture_path",
 }
 
 

@@ -12,9 +12,15 @@ from monotone_ergo.posets import (UPSET_ENUM_LIMIT, Coupling, Distribution,
                                   FinitePoset, Infeasible, NotAntisymmetric,
                                   NotReflexive, NotTransitive, TooLarge,
                                   _upset_masks, antichain_poset, chain_poset,
-                                  is_monotone, stochastically_dominates,
+                                  stochastically_dominates,
                                   strassen_coupling, validate_poset,
                                   violating_upset)
+
+
+def is_monotone(f, poset: FinitePoset) -> bool:
+    f = np.asarray(f, dtype=float)
+    ii, jj = np.nonzero(poset.leq)
+    return bool(np.all(f[ii] <= f[jj] + 1e-15))
 
 
 def upset_masks_by_filter(poset: FinitePoset) -> np.ndarray:
@@ -67,6 +73,8 @@ class TestValidation:
             Distribution([0.5, 0.4])
         with pytest.raises(ValueError):
             Distribution([1.2, -0.2])
+        with pytest.raises(ValueError, match="NaN"):
+            Distribution([np.nan, 0.5, 0.5])
 
 
 class TestUpsets:

@@ -55,6 +55,38 @@ class TestConfig:
         with pytest.raises(ConfigError):
             NoiseSpec(2, ({"kind": "const"},))
 
+    @pytest.mark.parametrize("name, params, key", [
+        ("cubic", {"k": 5}, "k"), ("linear", {"K": 1}, "K"),
+        ("zero", {"a": 1}, "a")], ids=["cubic", "linear", "zero"])
+    def test_unknown_drift_params(self, name, params, key):
+        with pytest.raises(ConfigError, match=f"'{key}'"):
+            DriftSpec(name, params, K1=1.0, K2=1.0, K3=1.0)
+
+    def test_noise_profile_checked_at_load(self):
+        obj = make_config().to_json_obj()
+        obj["noise"]["sigma"][0]["ampl"] = 7
+        with pytest.raises(ConfigError, match="'ampl'"):
+            SpdeConfig.from_json_obj(obj)
+
+    def test_profiles(self):
+        grid = np.arange(8) / 8
+        assert np.array_equal(spde.profile({"kind": "const", "value": 2},
+                                           8), np.full(8, 2.0))
+        assert np.array_equal(spde.profile({"kind": "const", "amp": 3}, 8),
+                              np.full(8, 3.0))
+        assert np.array_equal(
+            spde.profile({"kind": "sin", "amp": 0.5, "freq": 3}, 8),
+            0.5 * np.sin(2 * np.pi * 3.0 * grid))
+        field = Field.from_json_obj({"kind": "cos"}, 8)
+        assert np.array_equal(field.values, np.cos(2 * np.pi * 1.0 * grid))
+        assert Field.from_json_obj({"values": [1, 2]}, 2).values.tolist() \
+            == [1.0, 2.0]
+        for bad in ({"values": [1, 2]}, {"values": [1] * 3, "kind": "const"},
+                    {"kind": "cos", "frequency": 3},
+                    {"kind": "const", "freq": 3}, {"kind": "square"}, 1.0):
+            with pytest.raises(ConfigError):
+                Field.from_json_obj(bad, 3)
+
 
 class TestDrift:
     def test_cubic_dissipativity(self):
