@@ -34,18 +34,25 @@ def _say(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
+def _load_object(path: str, what: str) -> dict:
+    """The JSON object in the file at `path`; a missing file, invalid JSON
+    or any other top-level value is a ConfigError naming `what`."""
+    try:
+        obj = serialize.load(path)
+    except FileNotFoundError:
+        raise spde.ConfigError(f"{what}: file not found: {path}")
+    except ValueError as exc:
+        raise spde.ConfigError(f"{what}: not valid JSON: {exc}")
+    if not isinstance(obj, dict):
+        raise spde.ConfigError(f"{what}: must be a JSON object")
+    return obj
+
+
 def _read_config(path: str, keys: dict) -> dict:
     """The JSON object at `path` with every key of `keys` (key -> default,
     ... if it must be given) filled in; a missing or an unknown key is a
     ConfigError."""
-    try:
-        cfg = serialize.load(path)
-    except FileNotFoundError:
-        raise spde.ConfigError(f"config file not found: {path}")
-    except ValueError as exc:
-        raise spde.ConfigError(f"config is not valid JSON: {exc}")
-    if not isinstance(cfg, dict):
-        raise spde.ConfigError("config must be a JSON object")
+    cfg = _load_object(path, "config")
     spde.reject_unknown(cfg, keys, "config")
     missing = [key for key, default in keys.items()
                if default is ... and key not in cfg]
@@ -88,9 +95,7 @@ def _resolve(obj, config_dir: str, field_name: str):
     """A config field may hold an inline object or a path to a JSON file."""
     if isinstance(obj, str):
         path = obj if os.path.isabs(obj) else os.path.join(config_dir, obj)
-        if not os.path.exists(path):
-            raise spde.ConfigError(f"field {field_name!r}: file not found: {path}")
-        return serialize.load(path), path
+        return _load_object(path, f"field {field_name!r}"), path
     if isinstance(obj, dict):
         return obj, None
     raise spde.ConfigError(f"field {field_name!r} must be an object or a path")
@@ -272,19 +277,32 @@ def cmd_gallery(args) -> int:
 # transport
 # ---------------------------------------------------------------------------
 
+def _array_field(path: str, key: str, what: str, ndim: int) -> np.ndarray:
+    """The `ndim`-dimensional float array under `key` of the JSON object in
+    the file at `path`; anything else there is a ConfigError."""
+    obj = _load_object(path, f"{what} file")
+    if key not in obj:
+        raise spde.ConfigError(f"{what} file: missing key {key!r}: {path}")
+    try:
+        arr = np.asarray(obj[key], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise spde.ConfigError(f"{what} file: {key!r} is not numeric: {exc}")
+    if arr.ndim != ndim:
+        raise spde.ConfigError(
+            f"{what} file: {key!r} must be a {ndim}-d array: {path}")
+    return arr
+
+
 def cmd_transport(args) -> int:
     t0 = time.monotonic()
     inputs = {"mu": args.mu, "nu": args.nu}
-    try:
-        mu = np.asarray(serialize.load(args.mu)["p"], dtype=float)
-        nu = np.asarray(serialize.load(args.nu)["p"], dtype=float)
-    except (FileNotFoundError, KeyError, ValueError) as exc:
-        raise spde.ConfigError(f"bad distribution file: {exc}")
+    mu, nu = (_array_field(path, "p", "distribution", 1)
+              for path in (args.mu, args.nu))
     if args.cost == "discrete":
         c = 1.0 - np.eye(len(mu))
     else:
-        cobj, inputs["cost"] = _resolve(args.cost, os.getcwd(), "cost")
-        c = np.asarray(cobj["C"], dtype=float)
+        c = _array_field(args.cost, "C", "cost", 2)
+        inputs["cost"] = args.cost
     if len(mu) != len(nu) or c.shape != (len(mu), len(nu)):
         raise spde.ConfigError(
             f"shape mismatch: mu {len(mu)}, nu {len(nu)}, cost {c.shape}")

@@ -220,6 +220,9 @@ class NoiseSpec:
     def __post_init__(self):
         if self.m != len(self.sigma):
             raise ConfigError("m must match the number of noise profiles")
+        if not all(isinstance(s, dict) for s in self.sigma):
+            raise ConfigError(f"noise profiles must be objects: "
+                              f"{list(self.sigma)!r}")
         object.__setattr__(self, "sigma", tuple(dict(s) for s in self.sigma))
 
     def tabulate(self, N: int) -> np.ndarray:
@@ -359,16 +362,27 @@ class SpdeConfig:
 
     @staticmethod
     def from_json_obj(obj) -> "SpdeConfig":
+        """The solver block `obj`; a missing key or a value of the wrong
+        type, in it or in its drift or noise, is a ConfigError."""
+        if not isinstance(obj, dict):
+            raise ConfigError("the spde block must be an object")
         reject_unknown(obj, {"N", "dt", "T", "drift", "noise", "seed",
                              "n_paths", "clamp_R", "scheme"}, "spde")
-        return SpdeConfig(
-            N=int(obj["N"]), dt=float(obj["dt"]), T=float(obj["T"]),
-            drift=DriftSpec.from_json_obj(obj["drift"]),
-            noise=NoiseSpec.from_json_obj(obj["noise"]),
-            seed=int(obj.get("seed", 0)),
-            n_paths=int(obj.get("n_paths", 1)),
-            clamp_R=float(obj.get("clamp_R", 20.0)),
-            scheme=obj.get("scheme", "semi_implicit"))
+        try:
+            return SpdeConfig(
+                N=int(obj["N"]), dt=float(obj["dt"]), T=float(obj["T"]),
+                drift=DriftSpec.from_json_obj(obj["drift"]),
+                noise=NoiseSpec.from_json_obj(obj["noise"]),
+                seed=int(obj.get("seed", 0)),
+                n_paths=int(obj.get("n_paths", 1)),
+                clamp_R=float(obj.get("clamp_R", 20.0)),
+                scheme=obj.get("scheme", "semi_implicit"))
+        except KeyError as exc:
+            raise ConfigError(f"missing spde key {exc}") from None
+        except ConfigError:
+            raise
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad spde value: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

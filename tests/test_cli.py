@@ -173,6 +173,17 @@ class TestChainVerify:
         code, _, err = run(["chain-verify", "/nonexistent.json"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("key", ["poset", "kernel", "space"])
+    def test_named_file_not_json_exit_2(self, tmp_path, capsys, key):
+        path = tmp_path / f"{key}.json"
+        path.write_text("{not json")
+        code, out, err = run(
+            ["chain-verify", chain_config(tmp_path, **{key: str(path)})],
+            capsys)
+        assert code == 2
+        assert out == ""
+        assert f"field '{key}': not valid JSON" in err
+
     def test_writes_report_and_manifest(self, tmp_path, capsys):
         out_dir = str(tmp_path / "run")
         code, _, _ = run(["chain-verify", fixture_path("chain5_verify.json"),
@@ -210,6 +221,21 @@ class TestSpde:
             ["spde", "constants-demo", str(tmp_path / "bad.json")], capsys)
         assert code == 2
         assert "bogus" in err
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda block: block.pop("N"), "missing spde key 'N'"),
+        (lambda block: block["noise"].update(sigma=["const"]),
+         "noise profiles must be objects"),
+    ], ids=["missing-N", "sigma-not-objects"])
+    def test_bad_solver_block_exit_2(self, tmp_path, capsys, edit, message):
+        cfg = serialize.load(fixture_path("spde_sync.json"))
+        edit(cfg["spde"])
+        serialize.dump(cfg, str(tmp_path / "bad.json"))
+        code, out, err = run(["spde", "sync", str(tmp_path / "bad.json")],
+                             capsys)
+        assert code == 2
+        assert out == ""
+        assert message in err
 
     def test_constants_demo_archive(self, tmp_path, capsys):
         out_dir = str(tmp_path / "run")
@@ -409,6 +435,28 @@ class TestTransport:
         code, out, err = run(
             ["transport", str(tmp_path / "mu.json"), str(tmp_path / "nu.json"),
              "--cost", "discrete", "--method", method], capsys)
+        assert code == 2
+        assert out == ""
+        assert message in err
+
+    @pytest.mark.parametrize("which, text, message", [
+        ("mu", "[0.5, 0.5]", "distribution file: must be a JSON object"),
+        ("nu", '{"q": [0.5, 0.5]}', "distribution file: missing key 'p'"),
+        ("mu", '{"p": 0.5}', "'p' must be a 1-d array"),
+        ("nu", '{"p": ["a", "b"]}', "'p' is not numeric"),
+        ("cost", "[[0, 1], [1, 0]]", "cost file: must be a JSON object"),
+        ("cost", "{not json", "cost file: not valid JSON"),
+    ], ids=["list", "no-p", "scalar-p", "text-p", "cost-list",
+            "cost-not-json"])
+    def test_bad_input_file_exit_2(self, tmp_path, capsys, which, text,
+                                   message):
+        files = {"mu": '{"p": [0.5, 0.5]}', "nu": '{"p": [0.5, 0.5]}',
+                 "cost": '{"C": [[0, 1], [1, 0]]}', which: text}
+        for name, content in files.items():
+            (tmp_path / f"{name}.json").write_text(content)
+        code, out, err = run(
+            ["transport", str(tmp_path / "mu.json"), str(tmp_path / "nu.json"),
+             "--cost", str(tmp_path / "cost.json")], capsys)
         assert code == 2
         assert out == ""
         assert message in err

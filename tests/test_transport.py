@@ -14,6 +14,7 @@ from scipy.optimize import linear_sum_assignment, linprog
 from conftest import set_usable_cpus
 from monotone_ergo import shards, transport
 from reference_simplex import reference_exact
+from reference_sinkhorn import reference_sinkhorn
 from monotone_ergo.transport import (CostMatrix, UnequalSampleCounts,
                                      pairwise_cost, sinkhorn,
                                      total_variation, wasserstein_empirical,
@@ -235,6 +236,94 @@ class TestSinkhorn:
     def test_bad_epsilon(self):
         with pytest.raises(transport.TransportError):
             sinkhorn([1.0], [1.0], CostMatrix(np.zeros((1, 1))), epsilon=0.0)
+
+    def test_cost_shape_mismatch(self):
+        with pytest.raises(transport.TransportError, match="shape"):
+            sinkhorn([0.5, 0.5], [0.5, 0.5], CostMatrix(np.zeros((3, 3))),
+                     epsilon=0.1)
+
+    def test_tiny_masses(self, rng):
+        # a row and a column of mass 1e-300: a kernel that held the masses
+        # would have all their entries below the kernel floor
+        a, b, c = random_instance(rng, 6, 7)
+        a[2], b[3] = 1e-300, 1e-300
+        a, b = a / a.sum(), b / b.sum()
+        res = sinkhorn(a, b, CostMatrix(c), epsilon=0.001)
+        assert res.converged is True
+        assert res.value == pytest.approx(
+            reference_sinkhorn(a, b, CostMatrix(c), 0.001).value, abs=1e-9)
+
+
+def criterion_11_instances():
+    """The 50 instances of criterion 11 (`tests/test_acceptance.py`),
+    drawn in its order."""
+    rng = np.random.default_rng(31)
+    for _ in range(50):
+        m, n = rng.integers(2, 9, size=2)
+        a = rng.random(m) + 0.05
+        b = rng.random(n) + 0.05
+        yield a / a.sum(), b / b.sum(), rng.random((m, n))
+
+
+class TestReferenceSinkhorn:
+    """The stabilized scaling loop against the log-domain loop it replaced
+    (`tests/reference_sinkhorn.py`): the same value to 1e-9 wherever the
+    oracle converges."""
+
+    def test_exact_workload_sizes(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(12):
+            m, n = rng.integers(20, 61, size=2)
+            a = rng.random(m) + 1e-3
+            b = rng.random(n) + 1e-3
+            xs, ys = rng.random((m, 2)), rng.random((n, 2))
+            cost = CostMatrix(np.sqrt(
+                ((xs[:, None, :] - ys[None, :, :]) ** 2).sum(axis=2)))
+            a, b = a / a.sum(), b / b.sum()
+            new = sinkhorn(a, b, cost, 0.05)
+            ref = reference_sinkhorn(a, b, cost, 0.05)
+            assert new.converged is True and ref.converged is True
+            assert new.value == pytest.approx(ref.value, abs=1e-9)
+
+    def test_criterion_11_instances(self):
+        unconverged = 0
+        for a, b, c in criterion_11_instances():
+            new = sinkhorn(a, b, CostMatrix(c), 0.001)
+            ref = reference_sinkhorn(a, b, CostMatrix(c), 0.001)
+            assert new.converged is True
+            if ref.converged:
+                assert new.value == pytest.approx(ref.value, abs=1e-9)
+            else:
+                unconverged += 1
+        # the oracle stops at its cap on one instance
+        assert unconverged == 1
+
+    def test_zero_masses(self, rng):
+        a, b, c = random_instance(rng, 7, 6)
+        a[[1, 4]] = 0.0
+        b[2] = 0.0
+        a, b = a / a.sum(), b / b.sum()
+        new = sinkhorn(a, b, CostMatrix(c), 0.01)
+        ref = reference_sinkhorn(a, b, CostMatrix(c), 0.01)
+        assert new.converged is True and ref.converged is True
+        assert new.value == pytest.approx(ref.value, abs=1e-9)
+        assert np.all(new.plan[[1, 4]] == 0.0)
+        assert np.all(new.plan[:, 2] == 0.0)
+
+    def test_capped_128_l2_capped_instance(self):
+        # two seeded 128-sample ensembles at epsilon = 0.001: neither loop
+        # converges in 20000 iterations, but every stage before the last
+        # must end in time for the last one to reach epsilon
+        rng = np.random.default_rng(12345)
+        xs = rng.normal(0.0, 1.0, size=(128, 3))
+        ys = rng.normal(0.3, 1.0, size=(128, 3))
+        cost = CostMatrix(pairwise_cost(xs, ys, "l2_capped"))
+        a = np.full(128, 1.0 / 128)
+        exact = wasserstein_exact(a, a, cost).value
+        new = sinkhorn(a, a, cost, 0.001)
+        ref = reference_sinkhorn(a, a, cost, 0.001)
+        assert abs(new.value - exact) <= 0.01 * exact
+        assert new.gap <= ref.gap
 
 
 class TestEmpirical:
