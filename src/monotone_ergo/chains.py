@@ -1,11 +1,13 @@
 """Exact verification of the ergodicity framework on finite ordered chains.
 
-Conditions checked against a finite kernel and an OrderedSpaceSpec:
+Conditions checked against a finite kernel and an OrderedSpaceSpec, each
+by one `check_*` function that returns its ConditionReport:
 (1) order preservation, (2) one-step Lyapunov drift (the continuous-time
 integral form reduces to Q V <= lambda V + K with gamma = -log lambda),
 (3) premetric sandwich 0 <= d <= phi(y) - phi(x) on ordered pairs,
 (4) finiteness of M(x) = sup_t P_t phi^2(x), (5) the swap condition on
 the Lyapunov sublevel set, (6) rho <= d^delta, (7) M^kappa <= K(1 + V).
+The spec itself checks only the shapes and ranges of its data.
 Plus return-time exponential moments, domination-time tails, the
 three-element coupling construction, and the two domination-distance
 lemmas, all computed exactly where possible.
@@ -14,12 +16,13 @@ lemmas, all computed exactly where possible.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import linprog
 
-from . import serialize, transport
+from . import transport
 from .fitting import fit_exponential_rate
 from .posets import (Distribution, FinitePoset, Infeasible,
                      strassen_coupling, stochastically_dominates,
@@ -45,10 +48,6 @@ class EmptyTarget(ChainError):
     pass
 
 
-class EmptySublevel(ChainError):
-    pass
-
-
 class PremiseViolated(ChainError):
     def __init__(self, premise, witness):
         self.premise = premise
@@ -69,7 +68,10 @@ class FiniteKernel:
     P: np.ndarray
 
     def __post_init__(self):
-        P = np.asarray(self.P, dtype=float)
+        try:
+            P = np.asarray(self.P, dtype=float)
+        except (TypeError, ValueError):
+            raise ChainError("kernel 'P' is not a numeric array")
         if P.ndim != 2 or P.shape[0] != P.shape[1]:
             raise ChainError("kernel must be square")
         # written as "not (holds)", so that a NaN entry fails each check
@@ -96,11 +98,26 @@ class FiniteKernel:
 
     @staticmethod
     def from_json_obj(obj) -> "FiniteKernel":
-        return FiniteKernel(np.asarray(obj["P"], dtype=float))
+        return FiniteKernel(obj["P"])
+
+
+# what each array of the space is, for input error messages
+_SPACE_ARRAYS = {"d": "premetric", "phi": "premetric potential",
+                 "rho": "metric", "V": "Lyapunov function"}
+_SPACE_KEYS = ("d", "phi", "rho", "V", "gamma", "K", "swap_A", "swap_B",
+               "swap_eps")
 
 
 @dataclass(frozen=True)
 class OrderedSpaceSpec:
+    """The ordered-space data of the framework on a finite poset.
+
+    Construction checks the input only: d and rho are n x n and phi and V
+    have length n, every entry is finite, V is nonnegative, the swap sets
+    hold elements of the poset and the constants lie in their ranges.
+    Whether the data satisfy the framework's conditions is for
+    `check_all_conditions`.
+    """
     poset: FinitePoset
     d: np.ndarray
     phi: np.ndarray
@@ -115,25 +132,50 @@ class OrderedSpaceSpec:
     kappa: float = 1.0
 
     def __post_init__(self):
-        for name in ("d", "phi", "rho", "V"):
-            object.__setattr__(self, name,
-                               np.asarray(getattr(self, name), dtype=float))
-        object.__setattr__(self, "swap_A", frozenset(self.swap_A))
-        object.__setattr__(self, "swap_B", frozenset(self.swap_B))
-        sandwich, rho = _premetric_failures(self)
-        if sandwich is not None:
-            i, j = sandwich
-            raise ChainError(
-                f"premetric condition fails at ordered pair ({i}, {j}): "
-                f"d={self.d[i, j]!r}, phi gap={self.phi[j] - self.phi[i]!r}")
-        if rho is not None:
-            raise ChainError(f"rho > d^delta at pair {rho}")
-        for a in self.swap_A:
-            for b in self.swap_B:
-                if not self.poset.leq[a, b]:
-                    raise ChainError(f"swap sets not ordered: {a} does not precede {b}")
-        if self.gamma <= 0 or self.K <= 0 or not (0 < self.delta <= 1) or self.kappa <= 0:
-            raise ChainError("constants out of range")
+        n = self.poset.n
+        for name, shape in (("d", (n, n)), ("phi", (n,)), ("rho", (n, n)),
+                            ("V", (n,))):
+            field_name = f"space field {name!r} ({_SPACE_ARRAYS[name]})"
+            try:
+                arr = np.asarray(getattr(self, name), dtype=float)
+            except (TypeError, ValueError):
+                raise ChainError(f"{field_name} is not a numeric array")
+            if arr.shape != shape:
+                raise ChainError(f"{field_name} has shape {arr.shape}, not "
+                                 f"{shape} for a {n}-element poset")
+            bad = np.argwhere(~np.isfinite(arr))
+            if len(bad):
+                raise ChainError(f"{field_name}: entry "
+                                 f"{tuple(bad[0].tolist())} is not finite")
+            if name == "V" and np.any(arr < 0):
+                raise ChainError(f"{field_name} takes the negative value "
+                                 f"{arr.min()!r}")
+            object.__setattr__(self, name, arr)
+        for name in ("swap_A", "swap_B"):
+            try:
+                elements = frozenset(map(operator.index, getattr(self, name)))
+            except TypeError:
+                raise ChainError(f"space field {name!r} must be a list of "
+                                 f"element indices")
+            outside = sorted(a for a in elements if not 0 <= a < n)
+            if outside:
+                raise ChainError(f"space field {name!r}: {outside[0]} is not "
+                                 f"an element of the {n}-element poset")
+            object.__setattr__(self, name, elements)
+        for name in ("gamma", "K", "swap_eps", "delta", "kappa"):
+            try:
+                object.__setattr__(self, name, float(getattr(self, name)))
+            except (TypeError, ValueError):
+                raise ChainError(f"space field {name!r} must be a number")
+        in_range = {"gamma": 0 < self.gamma < math.inf,
+                    "K": 0 < self.K < math.inf,
+                    "swap_eps": math.isfinite(self.swap_eps),
+                    "delta": 0 < self.delta <= 1,
+                    "kappa": 0 < self.kappa < math.inf}
+        for name, ok in in_range.items():
+            if not ok:
+                raise ChainError(f"space field {name!r} out of range: "
+                                 f"{getattr(self, name)!r}")
 
     @property
     def lambda_(self) -> float:
@@ -141,32 +183,15 @@ class OrderedSpaceSpec:
 
     @staticmethod
     def from_json_obj(obj, poset: FinitePoset) -> "OrderedSpaceSpec":
+        missing = [key for key in _SPACE_KEYS if key not in obj]
+        if missing:
+            raise ChainError(f"space: missing field(s) {missing}")
+        unknown = sorted(set(obj) - {*_SPACE_KEYS, "delta", "kappa"})
+        if unknown:
+            raise ChainError(f"space: unknown field(s) {unknown}")
         return OrderedSpaceSpec(
-            poset=poset,
-            d=np.asarray(obj["d"], dtype=float),
-            phi=np.asarray(obj["phi"], dtype=float),
-            rho=np.asarray(obj["rho"], dtype=float),
-            V=np.asarray(obj["V"], dtype=float),
-            gamma=float(obj["gamma"]), K=float(obj["K"]),
-            swap_A=frozenset(obj["swap_A"]), swap_B=frozenset(obj["swap_B"]),
-            swap_eps=float(obj["swap_eps"]),
-            delta=float(obj.get("delta", 1.0)),
-            kappa=float(obj.get("kappa", 1.0)))
-
-
-def _premetric_failures(spec: OrderedSpaceSpec):
-    """First pair (i, j) failing (3), 0 <= d <= phi(j) - phi(i) on ordered
-    pairs, and first pair failing (6), rho <= d^delta; None where the
-    condition holds.  A NaN fails the condition it enters."""
-    ii, jj = np.nonzero(spec.poset.leq)
-    d = spec.d[ii, jj]
-    sandwich = np.flatnonzero(~(
-        (d >= -CONDITION_TOL)
-        & (d <= spec.phi[jj] - spec.phi[ii] + CONDITION_TOL)))
-    rho = np.argwhere(~(spec.rho <= spec.d ** spec.delta + CONDITION_TOL))
-    return ((int(ii[sandwich[0]]), int(jj[sandwich[0]])) if len(sandwich)
-            else None,
-            (int(rho[0, 0]), int(rho[0, 1])) if len(rho) else None)
+            poset=poset, **{key: obj[key] for key in _SPACE_KEYS},
+            **{key: obj[key] for key in ("delta", "kappa") if key in obj})
 
 
 @dataclass
@@ -178,8 +203,7 @@ class ConditionReport:
 
     def to_json_obj(self):
         return {"condition": self.condition, "holds": self.holds,
-                "witness": serialize._convert(self.witness),
-                "attained": serialize._convert(self.attained)}
+                "witness": self.witness, "attained": self.attained}
 
 
 @dataclass
@@ -191,34 +215,6 @@ class ReturnTimeReport:
     verdict: np.ndarray | None     # moments <= bound per state
     spectral_radius: float
     smallest_C: float | None = None  # min C with E_x[rate^tau] <= C V(x)
-
-
-# ---------------------------------------------------------------------------
-# condition checks
-# ---------------------------------------------------------------------------
-
-def check_order_preserving(kernel: FiniteKernel, poset: FinitePoset):
-    """(True, None) or (False, (i, j, witness_upset))."""
-    for i, j in poset.comparable_pairs():
-        mu = Distribution(kernel.P[i])
-        nu = Distribution(kernel.P[j])
-        if not stochastically_dominates(mu, nu, poset):
-            return False, (i, j, violating_upset(mu, nu, poset))
-    return True, None
-
-
-def check_lyapunov(kernel: FiniteKernel, V, lambda_: float, K: float):
-    """One-step drift P V <= lambda V + K; returns (verdict, report dict)."""
-    V = np.asarray(V, dtype=float)
-    if not (0 < lambda_ < 1) or K <= 0:
-        raise ChainError("need lambda in (0,1) and K > 0")
-    PV = kernel.P @ V
-    slack = lambda_ * V + K - PV
-    ok = bool(slack.min() >= -CONDITION_TOL)
-    worst = int(np.argmin(slack))
-    return ok, {"gamma": -math.log(lambda_), "K": K,
-                "min_slack": float(slack.min()), "argmin": worst,
-                "PV": PV}
 
 
 def _one_closed_class(P) -> bool:
@@ -260,62 +256,110 @@ def moment_bound_M(kernel: FiniteKernel, phi, t_max: int = M_SCAN_STEPS):
     return M, bool(last_improve >= t_max - 50)
 
 
-def check_swap_condition(spec: OrderedSpaceSpec, kernel: FiniteKernel):
-    """Swap condition on the sublevel set {V <= 4K/gamma}."""
+# ---------------------------------------------------------------------------
+# condition checks: one function per condition, each returning its report;
+# a failed pair condition names the first failing pair as its witness
+# ---------------------------------------------------------------------------
+
+def _first_failure(failed):
+    """The first index pair (i, j), in row-major order, where the n x n
+    mask `failed` holds; None where it holds nowhere."""
+    hits = np.argwhere(failed)
+    return tuple(hits[0].tolist()) if len(hits) else None
+
+
+def check_order_preserving(kernel: FiniteKernel,
+                           poset: FinitePoset) -> ConditionReport:
+    """(1): P(i, .) is dominated by P(j, .) for every ordered pair i <= j;
+    the witness is (i, j, an up-set U with P(i, U) > P(j, U))."""
+    for i, j in poset.comparable_pairs():
+        mu = Distribution(kernel.P[i])
+        nu = Distribution(kernel.P[j])
+        if not stochastically_dominates(mu, nu, poset):
+            return ConditionReport("order_preserving", False, witness=(
+                i, j, violating_upset(mu, nu, poset)))
+    return ConditionReport("order_preserving", True)
+
+
+def check_lyapunov(kernel: FiniteKernel, V, lambda_: float,
+                   K: float) -> ConditionReport:
+    """(2): one-step drift P V <= lambda V + K; the witness is the state
+    of least slack."""
+    slack = lambda_ * V + K - kernel.P @ V
+    ok = bool(slack.min() >= -CONDITION_TOL)
+    return ConditionReport(
+        "lyapunov_drift", ok, witness=None if ok else int(np.argmin(slack)),
+        attained={"gamma": -math.log(lambda_), "K": K,
+                  "min_slack": float(slack.min())})
+
+
+def check_premetric_sandwich(poset: FinitePoset, d, phi) -> ConditionReport:
+    """(3): 0 <= d(i, j) <= phi(j) - phi(i) on every ordered pair i <= j."""
+    gap = phi[None, :] - phi[:, None]
+    witness = _first_failure(poset.leq & ~(
+        (d >= -CONDITION_TOL) & (d <= gap + CONDITION_TOL)))
+    return ConditionReport("premetric_sandwich", witness is None,
+                           witness=witness)
+
+
+def check_moment_bound(M, truncated: bool) -> ConditionReport:
+    """(4): M(x) = sup_t P_t phi^2(x), from `moment_bound_M`, is finite."""
+    return ConditionReport("phi_second_moment_bounded",
+                           bool(np.all(np.isfinite(M))),
+                           attained={"M": M, "scan_truncated": truncated})
+
+
+def check_swap_condition(spec: OrderedSpaceSpec,
+                         kernel: FiniteKernel) -> ConditionReport:
+    """(5): every a in swap_A precedes every b in swap_B (else the witness
+    is a pair (a, b) that is not ordered), and from each state of the
+    sublevel set {V <= 4K/gamma} both sets are hit with probability above
+    swap_eps."""
+    A = sorted(spec.swap_A)
+    B = sorted(spec.swap_B)
+    unordered = [(a, b) for a in A for b in B if not spec.poset.leq[a, b]]
+    if unordered:
+        return ConditionReport("swap", False, witness=unordered[0])
     level = 4.0 * spec.K / spec.gamma
     sub = np.nonzero(spec.V <= level)[0]
     if len(sub) == 0:
-        raise EmptySublevel(f"{{V <= {level:.6g}}} is empty")
-    A = sorted(spec.swap_A)
-    B = sorted(spec.swap_B)
+        return ConditionReport("swap", False,
+                               witness=f"{{V <= {level:.6g}}} is empty")
     pA = kernel.P[np.ix_(sub, A)].sum(axis=1)
     pB = kernel.P[np.ix_(sub, B)].sum(axis=1)
-    attained = float(min(pA.min(), pB.min()))
-    arg = int(sub[np.argmin(np.minimum(pA, pB))])
-    ok = bool(pA.min() > spec.swap_eps and pB.min() > spec.swap_eps)
-    return ok, {"sublevel": sub.tolist(), "level": level,
-                "attained_eps": attained, "argmin_state": arg,
-                "min_P_A": float(pA.min()), "min_P_B": float(pB.min())}
+    return ConditionReport(
+        "swap", bool(pA.min() > spec.swap_eps and pB.min() > spec.swap_eps),
+        attained={"sublevel": sub.tolist(), "level": level,
+                  "attained_eps": float(min(pA.min(), pB.min())),
+                  "argmin_state": int(sub[np.argmin(np.minimum(pA, pB))]),
+                  "min_P_A": float(pA.min()), "min_P_B": float(pB.min())})
+
+
+def check_rho_dominated(d, rho, delta: float) -> ConditionReport:
+    """(6): rho <= d^delta on every pair."""
+    witness = _first_failure(~(rho <= d ** delta + CONDITION_TOL))
+    return ConditionReport("rho_dominated_by_d_power", witness is None,
+                           witness=witness, attained={"delta": delta})
+
+
+def check_moment_vs_lyapunov(M, V, kappa: float) -> ConditionReport:
+    """(7): M^kappa <= K7 (1 + V) for a finite K7; attains the smallest."""
+    K7 = float((M ** kappa / (1.0 + V)).max())
+    return ConditionReport("moment_vs_lyapunov", bool(np.isfinite(K7)),
+                           attained={"kappa": kappa, "smallest_K": K7})
 
 
 def check_all_conditions(spec: OrderedSpaceSpec, kernel: FiniteKernel,
                          t_max: int = M_SCAN_STEPS) -> list[ConditionReport]:
-    reports = []
-    ok1, wit1 = check_order_preserving(kernel, spec.poset)
-    reports.append(ConditionReport("order_preserving", ok1, witness=wit1))
-
-    ok2, info2 = check_lyapunov(kernel, spec.V, spec.lambda_, spec.K)
-    reports.append(ConditionReport(
-        "lyapunov_drift", ok2,
-        attained={"gamma": info2["gamma"], "K": spec.K,
-                  "min_slack": info2["min_slack"]},
-        witness=None if ok2 else info2["argmin"]))
-
-    # (3) and (6) are enforced at spec construction; re-checked here so the
-    # report is self-contained
-    sandwich, rho = _premetric_failures(spec)
-    reports.append(ConditionReport("premetric_sandwich", sandwich is None))
-
-    M, unsaturated = moment_bound_M(kernel, spec.phi, t_max=t_max)
-    reports.append(ConditionReport(
-        "phi_second_moment_bounded", bool(np.all(np.isfinite(M))),
-        attained={"M": M, "scan_truncated": unsaturated}))
-
-    try:
-        ok5, info5 = check_swap_condition(spec, kernel)
-        reports.append(ConditionReport("swap", ok5, attained=info5))
-    except EmptySublevel as exc:
-        reports.append(ConditionReport("swap", False, witness=str(exc)))
-
-    reports.append(ConditionReport("rho_dominated_by_d_power", rho is None,
-                                   attained={"delta": spec.delta}))
-
-    # (7): minimal feasible constant for M^kappa <= K7 (1 + V)
-    K7 = float((M ** spec.kappa / (1.0 + spec.V)).max())
-    reports.append(ConditionReport(
-        "moment_vs_lyapunov", bool(np.isfinite(K7)),
-        attained={"kappa": spec.kappa, "smallest_K": K7}))
-    return reports
+    """The reports of conditions (1)-(7), in order."""
+    M, truncated = moment_bound_M(kernel, spec.phi, t_max=t_max)
+    return [check_order_preserving(kernel, spec.poset),
+            check_lyapunov(kernel, spec.V, spec.lambda_, spec.K),
+            check_premetric_sandwich(spec.poset, spec.d, spec.phi),
+            check_moment_bound(M, truncated),
+            check_swap_condition(spec, kernel),
+            check_rho_dominated(spec.d, spec.rho, spec.delta),
+            check_moment_vs_lyapunov(M, spec.V, spec.kappa)]
 
 
 # ---------------------------------------------------------------------------
@@ -427,13 +471,24 @@ class TheoremReport:
     def to_json_obj(self):
         return {
             "conditions": [c.to_json_obj() for c in self.conditions],
-            "pairs": [list(p) for p in self.pairs],
-            "times": self.times.tolist(),
-            "series": [s.tolist() for s in self.series],
+            "pairs": self.pairs, "times": self.times, "series": self.series,
             "fits": [{"C": f.C, "rate": f.rate, "r_squared": f.r_squared,
                       "verdict": f.verdict} for f in self.fits],
             "verdict": self.verdict,
         }
+
+
+def _element_pairs(pairs, n: int) -> list:
+    """`pairs` as a list of (x, y) tuples of elements of range(n)."""
+    try:
+        pairs = [tuple(map(operator.index, p)) for p in pairs]
+    except TypeError:
+        raise ChainError("'pairs' must be a list of [x, y] element pairs")
+    for p in pairs:
+        if len(p) != 2 or not all(0 <= v < n for v in p):
+            raise ChainError(f"'pairs': {list(p)} is not a pair of "
+                             f"elements of the {n}-element poset")
+    return pairs
 
 
 def theorem_main_verify(spec: OrderedSpaceSpec, kernel: FiniteKernel,
@@ -443,7 +498,15 @@ def theorem_main_verify(spec: OrderedSpaceSpec, kernel: FiniteKernel,
 
     The overall verdict requires all condition checks and, for each pair
     with a nonzero series, a positive fitted rate with good fit quality.
+    A kernel on another number of states than the poset's, a pair that is
+    not two elements of the poset or a negative horizon is a ChainError.
     """
+    if kernel.n != spec.poset.n:
+        raise ChainError(f"'kernel' has {kernel.n} states, but the poset "
+                         f"has {spec.poset.n} elements")
+    if horizon < 0:
+        raise ChainError(f"'horizon' must not be negative: {horizon}")
+    pairs = _element_pairs(pairs, kernel.n)
     conditions = check_all_conditions(spec, kernel)
     conditions_ok = all(c.holds for c in conditions)
     cost = transport.CostMatrix(np.minimum(spec.d, 1.0))
@@ -451,10 +514,7 @@ def theorem_main_verify(spec: OrderedSpaceSpec, kernel: FiniteKernel,
     series_all, fits = [], []
     pair_ok = True
     for (x, y) in pairs:
-        mu = np.zeros(kernel.n)
-        nu = np.zeros(kernel.n)
-        mu[x] = 1.0
-        nu[y] = 1.0
+        mu, nu = np.eye(kernel.n)[[x, y]]
         series = np.empty(horizon + 1)
         for t in range(horizon + 1):
             if t > 0:
@@ -468,7 +528,7 @@ def theorem_main_verify(spec: OrderedSpaceSpec, kernel: FiniteKernel,
         fits.append(fit)
         if x != y and not fit.verdict:
             pair_ok = False
-    return TheoremReport(conditions=conditions, pairs=list(pairs),
+    return TheoremReport(conditions=conditions, pairs=pairs,
                          series=series_all, times=times, fits=fits,
                          verdict=bool(conditions_ok and pair_ok))
 
@@ -505,7 +565,7 @@ class InequalityReport:
 
     def to_json_obj(self):
         return {"lhs": self.lhs, "rhs": self.rhs, "holds": self.holds,
-                "details": serialize._convert(self.details)}
+                "details": self.details}
 
 
 def lemma33_verify(spec: OrderedSpaceSpec, X_law, Y_law, psi,
@@ -528,12 +588,11 @@ def lemma33_verify(spec: OrderedSpaceSpec, X_law, Y_law, psi,
     if isinstance(cpl, Infeasible):
         raise PremiseViolated("ordered_coupling_exists",
                               sorted(cpl.witness_upset))
-    n = spec.poset.n
-    for i in range(n):
-        for j in range(n):
-            if abs(spec.phi[i] - spec.phi[j]) > \
-                    spec.d[i, j] ** k * (psi[i] + psi[j]) + CONDITION_TOL:
-                raise PremiseViolated("holder_bound", (i, j))
+    failed = _first_failure(
+        np.abs(spec.phi[:, None] - spec.phi[None, :])
+        > spec.d ** k * (psi[:, None] + psi[None, :]) + CONDITION_TOL)
+    if failed is not None:
+        raise PremiseViolated("holder_bound", failed)
     lhs = _max_monotone_coupling_value(X_law, Y_law, spec.d, spec.poset.leq)
     eps = transport.wasserstein_exact(X_law, Y_law,
                                       transport.CostMatrix(spec.d)).value

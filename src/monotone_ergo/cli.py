@@ -120,19 +120,23 @@ def cmd_chain_verify(args) -> int:
         cfg[key], path = _resolve(cfg[key], cdir, key)
         if path:
             inputs[key] = path
+    # a malformed input is a config error (exit 2), raised by the input
+    # types and theorem_main_verify; a failed condition is a verdict (exit 1)
     try:
         poset = FinitePoset.from_json_obj(cfg["poset"])
         kernel = FiniteKernel.from_json_obj(cfg["kernel"])
         space = OrderedSpaceSpec.from_json_obj(cfg["space"], poset)
-    except (PosetError, ChainError, KeyError, TypeError) as exc:
+        horizon = int(cfg["horizon"])
+        burn_in_frac = float(cfg["burn_in_frac"])
+        r2_threshold = float(cfg["r2_threshold"])
+    except (KeyError, TypeError, ValueError) as exc:
         raise spde.ConfigError(str(exc))
 
-    pairs = [tuple(p) for p in cfg["pairs"]] if cfg["pairs"] is not None \
+    pairs = cfg["pairs"] if cfg["pairs"] is not None \
         else [(i, j) for i in range(poset.n) for j in range(poset.n) if i < j]
-    report = theorem_main_verify(
-        space, kernel, pairs, int(cfg["horizon"]),
-        burn_in_frac=float(cfg["burn_in_frac"]),
-        r2_threshold=float(cfg["r2_threshold"]))
+    report = theorem_main_verify(space, kernel, pairs, horizon,
+                                 burn_in_frac=burn_in_frac,
+                                 r2_threshold=r2_threshold)
 
     _say(f"{'condition':32s} verdict")
     for c in report.conditions:
@@ -391,7 +395,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         return args.func(args)
-    except spde.NonFinite as exc:
+    except (spde.NonFinite, transport.SinkhornDiverged) as exc:
         _say(f"numeric failure: {exc}")
         return EXIT_NUMERIC
     except (spde.ConfigError, ChainError, PosetError,

@@ -65,7 +65,7 @@ class ExperimentRecord:
         return {"name": self.name, "config": self.config,
                 "content_hash": self.content_hash, "times": list(self.times),
                 "statistics": self.statistics, "fits": self.fits,
-                "extra": serialize._convert(self.extra)}
+                "extra": self.extra}
 
 
 def _record_grid(T: float, dt: float, n_record: int) -> list[float]:
@@ -179,7 +179,7 @@ def synchronization_experiment(config: SpdeConfig, x: Field, y: Field,
     Ux = np.broadcast_to(x.values, (n_paths, cfg.N)).copy()
     Uy = np.broadcast_to(y.values, (n_paths, cfg.N)).copy()
     rng = np.random.default_rng(cfg.seed + 10_000)
-    distances = integrate(cfg, (Ux, Uy), cfg.seed, cfg.n_steps,
+    distances = integrate(cfg, (Ux, Uy), cfg.n_steps,
                           lambda k, ensembles: _capped_distance(*ensembles)
                           if k in record_steps else None)
     times = [0.0] + [k * cfg.dt for k in distances]
@@ -225,9 +225,9 @@ def ergodicity_experiment(config: SpdeConfig, x: Field, y: Field, time_grid,
     cfg = replace(config, T=max(time_grid + list(extra_x_times)),
                   n_paths=n_paths)
     x_times = sorted(set(time_grid) | set(float(t) for t in extra_x_times))
-    snaps_x = simulate(cfg, x, x_times, seed=cfg.seed)
-    snaps_y = simulate(replace(cfg, T=max(time_grid)), y, time_grid,
-                       seed=cfg.seed + 1)
+    snaps_x = simulate(cfg, x, x_times)
+    snaps_y = simulate(replace(cfg, T=max(time_grid)).with_seed(cfg.seed + 1),
+                       y, time_grid)
     rec = ExperimentRecord(name="ergodicity", config=cfg.to_json_obj(),
                            times=time_grid)
     rng = np.random.default_rng(cfg.seed + 20_000)
@@ -344,7 +344,7 @@ def stochastic_convolution(config: SpdeConfig, T: float) -> ExperimentRecord:
                   drift=DriftSpec("zero", {}, K1=1.0, K2=1.0, K3=1.0))
     n = cfg.n_steps
     W = np.zeros((n + 1, cfg.N))
-    rows = integrate(cfg, (np.zeros((1, cfg.N)),), cfg.seed, n,
+    rows = integrate(cfg, (np.zeros((1, cfg.N)),), n,
                      lambda k, ensembles: ensembles[0][0])
     for k, row in rows.items():
         W[k] = row

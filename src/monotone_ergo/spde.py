@@ -490,10 +490,10 @@ class Stepper:
 _SHARD_MIN_WORK = 1 << 22
 
 
-def integrate(config: SpdeConfig, ensembles: tuple, seed: int,
-              n_steps: int, observe) -> dict:
+def integrate(config: SpdeConfig, ensembles: tuple, n_steps: int,
+              observe) -> dict:
     """Advance every ensemble in `ensembles` (arrays (n_paths, N)) through
-    steps 1..n_steps, all on the one noise path keyed by `seed`.
+    steps 1..n_steps, all on the one noise path keyed by `config.seed`.
 
     The paths are split into row shards (module docstring).  After each
     step k, observe(k, ensembles) sees a shard's stepped rows and returns
@@ -506,7 +506,7 @@ def integrate(config: SpdeConfig, ensembles: tuple, seed: int,
     work = n_paths * N * len(ensembles) * n_steps
     shards = max(1, min(usable_cpus(), n_paths, work // _SHARD_MIN_WORK))
     results = run_sharded(n_paths, shards, lambda lo, hi: _integrate_rows(
-        config, ensembles, lo, hi, seed, n_steps, observe))
+        config, ensembles, lo, hi, n_steps, observe))
     failed = [k for k, _ in results if k is not None]
     if failed:
         raise NonFinite(min(failed))
@@ -514,7 +514,7 @@ def integrate(config: SpdeConfig, ensembles: tuple, seed: int,
             for k in results[0][1]}
 
 
-def _integrate_rows(config, ensembles, lo, hi, seed, n_steps, observe):
+def _integrate_rows(config, ensembles, lo, hi, n_steps, observe):
     """Rows lo:hi of `integrate`: (first non-finite step or None,
     {k: observe's partial})."""
     stepper = Stepper(config)
@@ -525,7 +525,7 @@ def _integrate_rows(config, ensembles, lo, hi, seed, n_steps, observe):
         # the whole block is drawn, as the generator makes it in one
         # stream, but only rows lo:hi of its increment are formed
         noise = stepper.increment(
-            noise_draws(seed, k, n_paths, config.noise.m)[lo:hi])
+            noise_draws(config.seed, k, n_paths, config.noise.m)[lo:hi])
         ensembles = tuple(stepper.step(U, noise) for U in ensembles)
         if not all(np.all(np.isfinite(U)) for U in ensembles):
             return k, partials
@@ -535,14 +535,14 @@ def _integrate_rows(config, ensembles, lo, hi, seed, n_steps, observe):
     return None, partials
 
 
-def simulate(config: SpdeConfig, u0, record_times, seed: int | None = None):
+def simulate(config: SpdeConfig, u0, record_times):
     """Run an ensemble and return {time: array (n_paths, N)} snapshots.
 
-    u0 may be a Field (broadcast over paths) or an (n_paths, N) array.
-    `seed` overrides config.seed, which is how a second initial condition
-    rides the identical noise path (same seed) or an independent one.
+    u0 may be a Field (broadcast over paths) or an (n_paths, N) array.  The
+    noise path is config.seed's: a second initial condition rides the
+    identical noise path under the same config, or an independent one
+    under `config.with_seed` of another seed.
     """
-    seed = config.seed if seed is None else int(seed)
     u0v = u0.values if isinstance(u0, Field) else np.asarray(u0, dtype=float)
     if u0v.ndim == 1:
         U = np.broadcast_to(u0v, (config.n_paths, config.N)).copy()
@@ -556,7 +556,7 @@ def simulate(config: SpdeConfig, u0, record_times, seed: int | None = None):
         steps_for.setdefault(k, float(t))
     out = {steps_for[0]: U} if 0 in steps_for else {}
     # every step returns fresh arrays, so a snapshot needs no copy
-    snaps = integrate(config, (U,), seed, max(steps_for, default=0),
+    snaps = integrate(config, (U,), max(steps_for, default=0),
                       lambda k, ensembles:
                       ensembles[0] if k in steps_for else None)
     out.update((steps_for[k], snap) for k, snap in snaps.items())
@@ -573,6 +573,6 @@ def comparison_check(config: SpdeConfig, x: Field, y: Field, T: float,
     worst = integrate(
         cfg, (np.broadcast_to(x.values, (n_paths, cfg.N)).copy(),
               np.broadcast_to(y.values, (n_paths, cfg.N)).copy()),
-        cfg.seed, cfg.n_steps,
+        cfg.n_steps,
         lambda k, ensembles: np.array([(ensembles[0] - ensembles[1]).max()]))
     return max([0.0, *(float(v.max()) for v in worst.values())])

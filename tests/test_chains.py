@@ -4,6 +4,7 @@ domination-distance inequalities, and the coupling construction."""
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,6 +24,10 @@ from monotone_ergo.chains import (ChainError, Divergent, EmptyTarget,
                                   return_time_exp_moments,
                                   theorem_main_verify, triple_order_exact)
 from monotone_ergo.posets import (FinitePoset, antichain_poset, chain_poset)
+
+
+def report_of(reports, condition):
+    return next(r for r in reports if r.condition == condition)
 
 
 def load_chain5():
@@ -72,25 +77,39 @@ class TestConditions:
         # a kernel that maps the top state down and the bottom up
         poset = chain_poset(2)
         P = np.array([[0.0, 1.0], [1.0, 0.0]])
-        ok, wit = check_order_preserving(FiniteKernel(P), poset)
-        assert not ok
-        i, j, U = wit
+        rep = check_order_preserving(FiniteKernel(P), poset)
+        assert not rep.holds
+        i, j, U = rep.witness
         assert (i, j) == (0, 1)
         assert U is not None
 
     def test_lyapunov_slack_sign(self):
         _, kernel, space = load_chain5()
-        ok, info = check_lyapunov(kernel, space.V, space.lambda_, space.K)
-        assert ok
-        assert info["min_slack"] == pytest.approx(0.04, abs=1e-12)
-        assert not check_lyapunov(kernel, space.V, space.lambda_, 0.01)[0]
+        rep = check_lyapunov(kernel, space.V, space.lambda_, space.K)
+        assert rep.holds
+        assert rep.attained["min_slack"] == pytest.approx(0.04, abs=1e-12)
+        assert not check_lyapunov(kernel, space.V, space.lambda_, 0.01).holds
 
     def test_swap_attained_epsilon(self):
         _, kernel, space = load_chain5()
-        ok, info = check_swap_condition(space, kernel)
-        assert ok
-        assert info["attained_eps"] == pytest.approx(0.09, abs=1e-12)
-        assert set(info["sublevel"]) == {0, 1, 2, 3, 4}
+        rep = check_swap_condition(space, kernel)
+        assert rep.holds
+        assert rep.attained["attained_eps"] == pytest.approx(0.09, abs=1e-12)
+        assert set(rep.attained["sublevel"]) == {0, 1, 2, 3, 4}
+
+    def test_swap_sets_not_ordered(self):
+        # the spec accepts any swap sets; the report names a pair (a, b)
+        # of them with a not below b
+        _, kernel, space = load_chain5()
+        rep = check_swap_condition(replace(space, swap_A=[3, 1],
+                                           swap_B=[2]), kernel)
+        assert (rep.holds, rep.witness) == (False, (3, 2))
+
+    def test_empty_sublevel_fails_swap(self):
+        _, kernel, space = load_chain5()
+        rep = check_swap_condition(replace(space, V=space.V + 100.0), kernel)
+        assert not rep.holds
+        assert rep.witness.endswith("is empty")
 
     def test_moment_bound_matches_geometry(self):
         # for the lazy-mixture kernel, P_t phi^2 = pi(phi^2) +
@@ -116,24 +135,26 @@ class TestConditions:
         M, _ = moment_bound_M(FiniteKernel(P), [0.0, 1.0], t_max=3)
         assert M == pytest.approx([1.0, 1.0], abs=1e-12)
 
-    def test_spec_validation_rejects_bad_premetric(self):
-        poset = chain_poset(2)
-        with pytest.raises(ChainError, match="premetric"):
-            OrderedSpaceSpec(poset=poset, d=np.array([[0.0, 5.0], [5.0, 0.0]]),
-                             phi=np.array([0.0, 1.0]),
-                             rho=np.zeros((2, 2)), V=np.ones(2),
-                             gamma=0.5, K=1.0, swap_A=[0], swap_B=[1],
-                             swap_eps=0.1)
+    def test_report_fails_bad_premetric(self):
+        # d(0, 1) = 5 exceeds the phi gap 1 on the ordered pair (0, 1)
+        space = OrderedSpaceSpec(
+            poset=chain_poset(2), d=[[0.0, 5.0], [5.0, 0.0]],
+            phi=[0.0, 1.0], rho=np.zeros((2, 2)), V=np.ones(2), gamma=0.5,
+            K=1.0, swap_A=[0], swap_B=[1], swap_eps=0.1)
+        rep = report_of(check_all_conditions(space, FiniteKernel(np.eye(2))),
+                        "premetric_sandwich")
+        assert (rep.holds, rep.witness) == (False, (0, 1))
 
-
-    def test_spec_validation_rejects_rho_above_d_power(self):
-        poset = chain_poset(2)
-        rho = np.array([[0.0, 0.5], [0.5, 0.0]])
-        with pytest.raises(ChainError, match=r"rho > d\^delta at pair \(0, 1\)"):
-            OrderedSpaceSpec(poset=poset, d=np.array([[0.0, 0.2], [0.2, 0.0]]),
-                             phi=np.array([0.0, 1.0]), rho=rho, V=np.ones(2),
-                             gamma=0.5, K=1.0, swap_A=[0], swap_B=[1],
-                             swap_eps=0.1)
+    def test_report_fails_rho_above_d_power(self):
+        # rho = 0.5 > d^delta = 0.2 on both off-diagonal pairs
+        space = OrderedSpaceSpec(
+            poset=chain_poset(2), d=[[0.0, 0.2], [0.2, 0.0]],
+            phi=[0.0, 1.0], rho=[[0.0, 0.5], [0.5, 0.0]], V=np.ones(2),
+            gamma=0.5, K=1.0, swap_A=[0], swap_B=[1], swap_eps=0.1)
+        rep = report_of(check_all_conditions(space, FiniteKernel(np.eye(2))),
+                        "rho_dominated_by_d_power")
+        assert (rep.holds, rep.witness) == (False, (0, 1))
+        assert rep.attained == {"delta": 1.0}
 
     def test_spec_validation_rejects_nan_distance(self):
         poset = chain_poset(2)
@@ -144,6 +165,49 @@ class TestConditions:
                              rho=np.zeros((2, 2)), V=np.ones(2),
                              gamma=0.5, K=1.0, swap_A=[0], swap_B=[1],
                              swap_eps=0.1)
+
+
+CHAIN5_SPACE = json.load(open(fixture_path("chain5_space.json")))
+
+
+class TestSpecShapes:
+    @pytest.mark.parametrize("key, value", [
+        ("d", np.zeros((4, 4))), ("rho", np.zeros((5, 4))),
+        ("phi", [0.0, 1.0, 2.0, 3.0]), ("V", [5.0, 2.0, 1.0]),
+        ("d", [[0.0] * 5] * 4 + [[0.0] * 4]), ("V", "high"),
+        ("phi", [0.0, 1.0, np.inf, 3.0, 4.0]),
+        ("V", [5.0, 2.0, -1.0, 2.0, 5.0]),
+        ("swap_A", [7]), ("swap_B", [-1]), ("swap_A", [1.5]),
+        ("gamma", 0.0), ("K", "one"), ("delta", 1.5), ("kappa", np.nan),
+        ("swap_eps", np.inf),
+    ])
+    def test_malformed_field_is_named(self, key, value):
+        with pytest.raises(ChainError, match=f"'{key}'"):
+            OrderedSpaceSpec.from_json_obj({**CHAIN5_SPACE, key: value},
+                                           chain_poset(5))
+
+    def test_missing_field_is_named(self):
+        obj = {k: v for k, v in CHAIN5_SPACE.items() if k != "rho"}
+        with pytest.raises(ChainError, match=r"missing field\(s\) \['rho'\]"):
+            OrderedSpaceSpec.from_json_obj(obj, chain_poset(5))
+
+    def test_unknown_field_is_named(self):
+        # a misspelled optional constant would otherwise take its default
+        with pytest.raises(ChainError, match=r"unknown field\(s\) \['kapa'\]"):
+            OrderedSpaceSpec.from_json_obj({**CHAIN5_SPACE, "kapa": 2.0},
+                                           chain_poset(5))
+
+    def test_conditions_are_not_checked(self):
+        # data that fail (3), (5) and (6) make a spec all the same
+        space = OrderedSpaceSpec.from_json_obj(
+            {**CHAIN5_SPACE, "d": np.full((5, 5), 9.0), "swap_A": [4],
+             "swap_B": [0]}, chain_poset(5))
+        assert space.swap_A == frozenset({4})
+        assert space.d.dtype == float
+
+    def test_ragged_kernel(self):
+        with pytest.raises(ChainError, match="kernel 'P'"):
+            FiniteKernel.from_json_obj({"P": [[1.0, 0.0], [1.0]]})
 
 
 class TestReturnTimes:
@@ -282,6 +346,20 @@ class TestTheorem:
         rep = theorem_main_verify(space, kernel, [(0, 1)], horizon=15)
         assert not rep.verdict
         assert np.all(rep.series[0] == 1.0)
+
+
+    def test_kernel_size_must_match_poset(self):
+        _, _, space = load_chain5()
+        with pytest.raises(ChainError, match="'kernel' has 4 states"):
+            theorem_main_verify(space, FiniteKernel(np.eye(4)), [(0, 1)],
+                                horizon=5)
+
+    @pytest.mark.parametrize("pairs", [[(0, 9)], [(0,)], [(0, 1, 2)],
+                                       [(-1, 0)], [(0.5, 1)], 3, [7]])
+    def test_pairs_must_be_element_pairs(self, pairs):
+        _, kernel, space = load_chain5()
+        with pytest.raises(ChainError, match="'pairs'"):
+            theorem_main_verify(space, kernel, pairs, horizon=5)
 
 
 class TestLemma33:

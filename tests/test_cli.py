@@ -103,6 +103,16 @@ def chain_config(tmp_path, **top) -> str:
     return path
 
 
+def chain_variant(tmp_path, space=None, kernel=None, **top) -> str:
+    """chain5_verify.json with its poset, kernel and space inline, the
+    fields `space` and `kernel` of the last two replaced, plus `top`."""
+    inline = {key: serialize.load(fixture_path(f"chain5_{key}.json"))
+              for key in ("poset", "kernel", "space")}
+    inline["space"].update(space or {})
+    inline["kernel"].update(kernel or {})
+    return chain_config(tmp_path, **inline, **top)
+
+
 def spde_config(tmp_path, where, key) -> str:
     """spde_sync.json with `key` added to the object at path `where`."""
     cfg = serialize.load(fixture_path("spde_sync.json"))
@@ -172,6 +182,54 @@ class TestChainVerify:
     def test_missing_config_exit_2(self, capsys):
         code, _, err = run(["chain-verify", "/nonexistent.json"], capsys)
         assert code == 2
+
+    # each input is malformed in the field named, so the run stops before
+    # any condition is checked
+    @pytest.mark.parametrize("change, field", [
+        ({"space": {"phi": [0, 1, 2, 3]}}, "phi"),
+        ({"space": {"d": (1 - np.eye(4)).tolist()}}, "d"),
+        ({"kernel": {"P": np.eye(4).tolist()}}, "kernel"),
+        ({"space": {"V": [5, 2, 1]}}, "V"),
+        ({"space": {"swap_A": [7]}}, "swap_A"),
+        ({"pairs": [[0, 9]]}, "pairs"),
+        ({"pairs": [[0]]}, "pairs"),
+        ({"space": {"rho": [[0, 1]] * 5}}, "rho"),
+        ({"space": {"gamma": -1}}, "gamma"),
+        ({"horizon": -5}, "horizon"),
+    ], ids=["phi-length", "d-4x4", "kernel-4x4", "V-length",
+            "swap-index", "pair-index", "not-a-pair", "rho-shape",
+            "gamma-range", "negative-horizon"])
+    def test_malformed_input_exit_2(self, tmp_path, capsys, change, field):
+        code, out, err = run(
+            ["chain-verify", chain_variant(tmp_path, **change)], capsys)
+        assert code == 2
+        assert out == ""
+        assert f"'{field}'" in err
+        assert "Traceback" not in err
+
+    # for each condition that an input can fail, chain5 changed so that it
+    # fails: the report entry reads FAIL with its witness, and the run
+    # exits 1
+    @pytest.mark.parametrize("change, condition, witness", [
+        ({"kernel": {"P": serialize.load(fixture_path(
+            "chain5_kernel.json"))["P"][::-1]}},
+         "order_preserving", [0, 1, [4]]),
+        ({"space": {"K": 0.1}}, "lyapunov_drift", 2),
+        ({"space": {"d": np.where(np.eye(5, k=1), 5.0, np.abs(
+            np.subtract.outer(np.arange(5.0), np.arange(5.0)))).tolist()}},
+         "premetric_sandwich", [0, 1]),
+        ({"space": {"swap_A": [3], "swap_B": [1]}}, "swap", [3, 1]),
+        ({"space": {"delta": 0.25}}, "rho_dominated_by_d_power", [0, 2]),
+    ], ids=["1-order", "2-drift", "3-premetric", "5-swap", "6-rho"])
+    def test_failed_condition_exit_1(self, tmp_path, capsys, change,
+                                     condition, witness):
+        code, out, err = run(
+            ["chain-verify", chain_variant(tmp_path, **change)], capsys)
+        assert code == 1
+        entry = {c["condition"]: c for c in json.loads(out)["conditions"]}
+        assert entry[condition]["holds"] is False
+        assert entry[condition]["witness"] == witness
+        assert f"{condition:32s} FAIL" in err
 
     @pytest.mark.parametrize("key", ["poset", "kernel", "space"])
     def test_named_file_not_json_exit_2(self, tmp_path, capsys, key):
@@ -403,6 +461,22 @@ class TestTransport:
         assert code == 3
         assert json.loads(out)["converged"] is False
         assert "did not converge in 7 iterations" in err
+
+    def test_diverged_sinkhorn_exits_3(self, monkeypatch, capsys):
+        from monotone_ergo import transport
+
+        def diverged(mu, nu, cost, epsilon):
+            raise transport.SinkhornDiverged(
+                "non-finite scalings at iteration 1")
+
+        monkeypatch.setattr(transport, "sinkhorn", diverged)
+        code, out, err = run(
+            ["transport", fixture_path("transport_mu.json"),
+             fixture_path("transport_nu.json"), "--method", "sinkhorn"],
+            capsys)
+        assert code == 3
+        assert out == ""
+        assert "numeric failure: non-finite scalings" in err
 
     def test_sinkhorn_close_to_exact(self, capsys):
         args = ["transport", fixture_path("transport_mu.json"),

@@ -6,6 +6,7 @@ from types import SimpleNamespace
 import pytest
 
 from monotone_ergo import gallery
+from monotone_ergo.chains import ConditionReport
 
 
 def claims(report):
@@ -40,6 +41,17 @@ class TestExample24:
         w = rep["W_{d^1}(P_t delta_0, P_t delta_1), smallest over t <= 20"]
         assert (m["lhs"], w["lhs"]) == (0.5, 0.5)
         assert not m["holds"] and not w["holds"]
+
+
+    def test_condition_claims_read_the_chain_checks(self, monkeypatch):
+        # the order, drift and premetric claims are the verdicts of the
+        # chains module's condition functions
+        failed = ConditionReport("any", False)
+        for name in ("check_order_preserving", "check_lyapunov",
+                     "check_premetric_sandwich"):
+            monkeypatch.setattr(gallery, name, lambda *a, **kw: failed)
+        rep = gallery.run_example_2_4()
+        assert [c["holds"] for c in rep["claims"][:3]] == [False] * 3
 
 
 class TestExample32:

@@ -3,8 +3,9 @@ name it never uses.  An import line marked `# noqa: F401` is kept on
 purpose (a name looked up by another module) and is not reported.  No
 module of the package but `shards` imports a way to start processes or
 threads, so the package has one way to use more than one core.  Every
-public top-level function or class of the package is read by package
-code, apart from a fixed list of names only the tests call."""
+public top-level function or class of the package, and every public
+method of its classes, is read by package code, apart from a fixed list
+of names only the tests call."""
 
 import ast
 import pathlib
@@ -87,15 +88,16 @@ def test_only_the_shard_module_starts_workers(path):
     assert concurrency_imports(path.read_text()) == []
 
 
-# public top-level names of the package that only the tests call; a name
-# leaves this list when it gains a caller in the package or moves into
-# tests/, and no name joins it
+# public top-level names and class methods of the package that only the
+# tests call; a name leaves this list when it gains a caller in the
+# package or moves into tests/, and no name joins it
 TEST_ONLY_NAMES = {
     "spde.phi_condition_check", "spde.comparison_check",
     "chains.return_time_exp_moments",
     "chains.absorbed_chain_second_eigenvalue", "chains.lemma33_verify",
     "chains.lemma44_verify", "chains.coupling_construct_simulate",
     "posets.chain_poset", "__init__.fixture_path",
+    "spde.DriftSpec.check_dissipativity", "posets.Coupling.marginal_error",
 }
 
 
@@ -103,7 +105,10 @@ def unreferenced_public_names(sources: dict[str, str]) -> list[str]:
     """`module.name` of each public top-level function or class of the
     package modules `sources` (module name -> text) that no package code
     reads: no name in its own module, no `from .module import name` and
-    no `module.name` elsewhere."""
+    no `module.name` elsewhere; and `module.Class.name` of each public
+    method of a public top-level class whose name no package code reads as an
+    attribute (`anything.name`), since the owner of an attribute read is
+    not known before run time."""
     trees = {mod: ast.parse(text) for mod, text in sources.items()}
     refs = {mod: {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
             for mod, tree in trees.items()}
@@ -116,24 +121,39 @@ def unreferenced_public_names(sources: dict[str, str]) -> list[str]:
             elif isinstance(node, ast.Attribute) \
                     and isinstance(node.value, ast.Name):
                 refs.setdefault(node.value.id, set()).add(node.attr)
-    return sorted(f"{mod}.{node.name}" for mod, tree in trees.items()
-                  for node in tree.body
-                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                  and not node.name.startswith("_")
-                  and node.name not in refs[mod])
+    attributes = {node.attr for tree in trees.values()
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)}
+    names = [f"{mod}.{node.name}" for mod, tree in trees.items()
+             for node in tree.body
+             if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+             and not node.name.startswith("_")
+             and node.name not in refs[mod]]
+    methods = [f"{mod}.{cls.name}.{fn.name}" for mod, tree in trees.items()
+               for cls in tree.body if isinstance(cls, ast.ClassDef)
+               and not cls.name.startswith("_")
+               for fn in cls.body if isinstance(fn, ast.FunctionDef)
+               and not fn.name.startswith("_")
+               and fn.name not in attributes]
+    return sorted(names + methods)
 
 
 def test_reference_scan_reports_only_unread_names():
     sources = {
         "a": "def used(): pass\ndef unread(): pass\ndef _private(): pass\n"
-             "class Local: pass\nclass Lonely: pass\nx = Local()\n",
+             "class Local:\n    def run(self): pass\n"
+             "    def idle(self): pass\n    def _own(self): pass\n"
+             "    def __len__(self): return 0\n"
+             "class Lonely: pass\nx = Local()\nx.run()\n",
         "b": "from .a import used\nfrom . import c\nc.via_attribute()\n",
         "c": "def via_attribute(): pass\ndef unread(): pass\n",
         "__init__": "def helper(): pass\n",
     }
     assert unreferenced_public_names(sources) == [
-        "__init__.helper", "a.Lonely", "a.unread", "c.unread"]
-    sources["d"] = "from . import helper\nfrom .a import Lonely, unread\n"
+        "__init__.helper", "a.Local.idle", "a.Lonely", "a.unread",
+        "c.unread"]
+    sources["d"] = ("from . import helper\nfrom .a import Lonely, unread\n"
+                    "def _read(obj): return obj.idle\n")
     assert unreferenced_public_names(sources) == ["c.unread"]
 
 
