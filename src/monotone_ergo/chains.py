@@ -491,6 +491,11 @@ def _element_pairs(pairs, n: int) -> list:
     return pairs
 
 
+# times t in the decay fit's window that a horizon must give: through two
+# points every line fits with R^2 = 1, so the fit's gate could not fail
+_MIN_FIT_TIMES = 3
+
+
 def theorem_main_verify(spec: OrderedSpaceSpec, kernel: FiniteKernel,
                         pairs, horizon: int, burn_in_frac: float = 0.25,
                         r2_threshold: float = 0.99) -> TheoremReport:
@@ -499,18 +504,25 @@ def theorem_main_verify(spec: OrderedSpaceSpec, kernel: FiniteKernel,
     The overall verdict requires all condition checks and, for each pair
     with a nonzero series, a positive fitted rate with good fit quality.
     A kernel on another number of states than the poset's, a pair that is
-    not two elements of the poset or a negative horizon is a ChainError.
+    not two elements of the poset or a horizon whose fit window
+    (t >= burn_in_frac * horizon) holds fewer than _MIN_FIT_TIMES times is
+    a ChainError.
     """
     if kernel.n != spec.poset.n:
         raise ChainError(f"'kernel' has {kernel.n} states, but the poset "
                          f"has {spec.poset.n} elements")
-    if horizon < 0:
-        raise ChainError(f"'horizon' must not be negative: {horizon}")
+    times = np.arange(horizon + 1)
+    # the times fit_exponential_rate keeps, before it drops zero values
+    fitted = int(np.count_nonzero(times >= burn_in_frac * horizon - 1e-12))
+    if fitted < _MIN_FIT_TIMES:
+        raise ChainError(
+            f"'horizon' {horizon} with burn_in_frac {burn_in_frac} leaves "
+            f"{fitted} times in the fit window t >= burn_in_frac * horizon; "
+            f"a decay fit needs at least {_MIN_FIT_TIMES}")
     pairs = _element_pairs(pairs, kernel.n)
     conditions = check_all_conditions(spec, kernel)
     conditions_ok = all(c.holds for c in conditions)
     cost = transport.CostMatrix(np.minimum(spec.d, 1.0))
-    times = np.arange(horizon + 1)
     series_all, fits = [], []
     pair_ok = True
     for (x, y) in pairs:

@@ -5,7 +5,12 @@ Exact optimal transport on finite supports via the transportation simplex
 costs), total variation, entropic regularization (stabilized Sinkhorn
 scaling with epsilon annealing), and empirical Wasserstein estimation from
 equal-size sample ensembles by the exact uniform assignment, with
-bootstrap confidence intervals.
+m-out-of-n bootstrap confidence intervals (m = ceil(n^(2/3)) of n
+samples, consistent also where the two laws are equal).  A batch of
+resampled assignments runs in-process when it is small, as the
+bootstrap's m x m resamples are at the fixtures' sizes, and otherwise
+over one forked shard per usable CPU, as the permutation null's
+n x n re-splits do.
 
 The simplex keeps its basis as a spanning tree and returns the same bits
 as rebuilding the tree every pivot (`tests/reference_simplex.py`).  The
@@ -26,6 +31,8 @@ from .shards import run_sharded, usable_cpus
 
 EXACT_SUPPORT_LIMIT = 4096
 BOOTSTRAP_RESAMPLES = 200
+# the CI `wasserstein_empirical` reports: the basic m-out-of-n interval
+BOOTSTRAP_METHOD = "m_out_of_n_basic"
 
 
 class TransportError(ValueError):
@@ -401,21 +408,66 @@ def _uniform_assignment_value(cmat) -> float:
     return float(cmat[ri, cj].mean())
 
 
+# resampled cost-matrix cells (rows x columns, summed over a batch) one
+# forked shard must carry; below it the forks (about 10 ms for two) and
+# the hand-back cost more than the assignments they spread.  200 draws of
+# m x m from the `ergodicity` workload's 512-path cost matrices at
+# t = 0.5, 1, 2 on a 2-core Xeon, 160 MiB parent (medians of 15), one
+# shard against two: m = 64 (410k cells a shard) 16, 28, 37 / 21, 30,
+# 33 ms; m = 80 (640k) 21, 45, 65 / 21, 38, 50 ms; m = 96 (922k) 31, 65,
+# 95 / 33, 50, 61 ms
+_SHARD_MIN_CELLS = 1 << 19
+
+
 def _resampled_assignment_values(cmat, draws) -> np.ndarray:
     """Uniform assignment value of `cmat[row_idx][:, col_idx]` for each
     `(row_idx, col_idx)` in `draws`, in order, the draws split over one
-    shard per usable CPU (`shards.run_sharded`)."""
-    shards = min(usable_cpus(), len(draws))
+    shard per usable CPU (`shards.run_sharded`) as long as every shard
+    gets `_SHARD_MIN_CELLS` resampled cells; a smaller batch runs
+    in-process."""
+    cells = sum(len(row_idx) * len(col_idx) for row_idx, col_idx in draws)
+    shards = max(1, min(usable_cpus(), len(draws),
+                        cells // _SHARD_MIN_CELLS))
     return np.concatenate(run_sharded(len(draws), shards, lambda lo, hi: [
         _uniform_assignment_value(cmat.take(row_idx, 0).take(col_idx, 1))
         for row_idx, col_idx in draws[lo:hi]]))
+
+
+def bootstrap_size(n: int) -> int:
+    """The resample size m = ceil(n^(2/3)) of the m-out-of-n bootstrap,
+    the least m with m^3 >= n^2 (64 at n = 512): m -> inf and m/n -> 0,
+    the conditions under which resampling m of n observations is
+    consistent (Bickel, Goetze & van Zwet 1997, Statistica Sinica 7)."""
+    # a start at or below the answer, whatever the float power's rounding
+    m = max(1, round(n ** (2 / 3)) - 1)
+    while m ** 3 < n * n:
+        m += 1
+    return m
 
 
 def wasserstein_empirical(samples_x, samples_y, cost_fn: str = "l2_capped",
                           bootstrap: int = BOOTSTRAP_RESAMPLES,
                           rng=None) -> TransportResult:
     """Empirical coupling distance between two equal-size sample ensembles:
-    the value of the optimal uniform assignment, with a bootstrap CI."""
+    the value W_n of the optimal uniform assignment, with an m-out-of-n
+    bootstrap CI.
+
+    Each of the `bootstrap` resamples draws two length-n index vectors
+    from `rng` and keeps the first m = `bootstrap_size(n)` of each, an
+    m-out-of-n draw with replacement from each ensemble, whose m x m
+    assignment value is W*_m.  With q the 2.5 and 97.5 % quantiles of
+    W*_m - W_n, the CI is the basic interval
+    [W_n - sqrt(m/n) q_97.5, W_n - sqrt(m/n) q_2.5], its lower end
+    clipped at 0.  The scaling assumes the sqrt(n) rate: sqrt(n) (W_n - W)
+    has a limit law.  That holds on finite spaces (Sommerfeld & Munk 2018,
+    JRSS-B 80) and for 1-D laws with a finite integral of
+    sqrt(F (1 - F)) (del Barrio, Gine & Matran 1999, Ann. Probab. 27),
+    such as the laws of the constant fields of the constant-start SPDE
+    fixtures.  Where the two laws are equal that limit is not normal and
+    the n-out-of-n bootstrap is inconsistent (Sommerfeld & Munk); the
+    m-out-of-n bootstrap with m -> inf and m/n -> 0 is consistent (Bickel,
+    Goetze & van Zwet 1997).  Near the sampling floor the bias of W*_m can
+    put the whole interval below W_n."""
     xs, ys = _as_matrix(samples_x), _as_matrix(samples_y)
     if len(xs) != len(ys):
         raise UnequalSampleCounts(f"{len(xs)} vs {len(ys)}")
@@ -428,11 +480,14 @@ def wasserstein_empirical(samples_x, samples_y, cost_fn: str = "l2_capped",
     ci_low = ci_high = None
     if bootstrap and bootstrap > 0:
         rng = np.random.default_rng(0) if rng is None else rng
-        draws = [(rng.integers(0, n, size=n), rng.integers(0, n, size=n))
-                 for _ in range(bootstrap)]
+        m = bootstrap_size(n)
+        draws = [(rng.integers(0, n, size=n)[:m],
+                  rng.integers(0, n, size=n)[:m]) for _ in range(bootstrap)]
         vals = _resampled_assignment_values(cmat, draws)
-        ci_low = float(np.quantile(vals, 0.025))
-        ci_high = float(np.quantile(vals, 0.975))
+        q_lo, q_hi = math.sqrt(m / n) * np.quantile(vals - value,
+                                                    [0.025, 0.975])
+        ci_low = max(0.0, float(value - q_hi))
+        ci_high = float(value - q_lo)
 
     return TransportResult(value=value, method="exact", n=n,
                            ci_low=ci_low, ci_high=ci_high)

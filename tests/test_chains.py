@@ -354,6 +354,21 @@ class TestTheorem:
             theorem_main_verify(space, FiniteKernel(np.eye(4)), [(0, 1)],
                                 horizon=5)
 
+    @pytest.mark.parametrize("horizon, burn_in_frac",
+                             [(-1, 0.25), (2, 0.5), (3, 0.5), (40, 1.0)])
+    def test_fit_window_needs_three_times(self, horizon, burn_in_frac):
+        _, kernel, space = load_chain5()
+        with pytest.raises(ChainError, match="'horizon'"):
+            theorem_main_verify(space, kernel, [(0, 1)], horizon,
+                                burn_in_frac=burn_in_frac)
+
+    @pytest.mark.parametrize("horizon, burn_in_frac", [(2, 0.0), (4, 0.5)])
+    def test_three_fitted_times_run(self, horizon, burn_in_frac):
+        _, kernel, space = load_chain5()
+        rep = theorem_main_verify(space, kernel, [(0, 1)], horizon,
+                                  burn_in_frac=burn_in_frac)
+        assert rep.fits[0].n_points == 3
+
     @pytest.mark.parametrize("pairs", [[(0, 9)], [(0,)], [(0, 1, 2)],
                                        [(-1, 0)], [(0.5, 1)], 3, [7]])
     def test_pairs_must_be_element_pairs(self, pairs):

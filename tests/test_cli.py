@@ -207,6 +207,25 @@ class TestChainVerify:
         assert f"'{field}'" in err
         assert "Traceback" not in err
 
+    # a fit window of fewer than 3 times could not fail the R^2 gate
+    # (horizon 2) or could not fit at all (horizons 0 and 1)
+    @pytest.mark.parametrize("horizon", [0, 1, 2])
+    def test_horizon_too_short_to_fit_exit_2(self, tmp_path, capsys,
+                                             horizon):
+        code, out, err = run(
+            ["chain-verify", chain_variant(tmp_path, horizon=horizon)],
+            capsys)
+        assert code == 2
+        assert out == ""
+        assert "'horizon'" in err
+        assert "Traceback" not in err
+
+    def test_shortest_fittable_horizon_runs(self, tmp_path, capsys):
+        code, out, _ = run(
+            ["chain-verify", chain_variant(tmp_path, horizon=3)], capsys)
+        assert code == 0
+        assert json.loads(out)["times"] == [0, 1, 2, 3]
+
     # for each condition that an input can fail, chain5 changed so that it
     # fails: the report entry reads FAIL with its witness, and the run
     # exits 1

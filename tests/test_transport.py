@@ -2,6 +2,8 @@
 total variation, and empirical estimation."""
 
 import dataclasses
+import functools
+import math
 import os
 import tracemalloc
 
@@ -375,6 +377,43 @@ class TestEmpirical:
         assert res.value <= 1.0 + 1e-12
 
 
+@functools.cache
+def bootstrap_coverage(w, reps):
+    """Share of `reps` draws of two 216-sample ensembles, N(0, 1) and
+    N(w, 1), whose bootstrap CI (m = 36) covers the 1-D W1 distance w
+    between the two laws."""
+    rng = np.random.default_rng(2024)
+    hits = 0
+    for _ in range(reps):
+        xs = rng.normal(0.0, 1.0, size=216)
+        ys = rng.normal(w, 1.0, size=216)
+        res = wasserstein_empirical(xs, ys, cost_fn="abs", rng=rng)
+        hits += res.ci_low <= w <= res.ci_high
+    return hits / reps
+
+
+class TestBootstrapCoverage:
+    REPS = 100
+    # the nominal 0.95 less three binomial standard errors of a coverage
+    # estimated from REPS draws
+    BOUND = 0.95 - 3 * math.sqrt(0.95 * 0.05 / REPS)
+
+    @pytest.mark.parametrize("w", [
+        1.0,
+        pytest.param(0.0, marks=pytest.mark.xfail(strict=True, reason=(
+            "at n = 216 the interval covers W = 0 in about 89 % of draws: "
+            "centring the resamples at W_n > 0 shifts their law by "
+            "sqrt(m/n) sqrt(n) W_n, which vanishes only as n^(-1/6)"))),
+    ], ids=["gaussian-shift", "same-law"])
+    def test_interval_covers_known_w(self, w):
+        assert bootstrap_coverage(w, self.REPS) >= self.BOUND
+
+    def test_same_law_covered_more_often_than_not(self):
+        # the n-out-of-n percentile interval, which is inconsistent when
+        # the laws are equal, covered W = 0 in none of 30 such draws
+        assert bootstrap_coverage(0.0, self.REPS) > 0.5
+
+
 COST_NAMES = ("l2_capped", "abs")
 
 
@@ -454,6 +493,8 @@ class TestResampledAssignments:
     def test_bootstrap_draws_equal_serial(self, rng, monkeypatch, workers,
                                           n_draws):
         set_usable_cpus(monkeypatch, workers)
+        # no work floor, so every batch is split over `workers` shards
+        monkeypatch.setattr(transport, "_SHARD_MIN_CELLS", 1)
         n = 150
         # spread 0.5 keeps most costs below the cap of 1
         cmat = pairwise_cost(rng.normal(0.0, 0.5, size=(n, 8)),
@@ -471,6 +512,7 @@ class TestResampledAssignments:
         # the permutation null: n rows and n other columns of the 2n x 2n
         # pooled cost matrix
         set_usable_cpus(monkeypatch, workers)
+        monkeypatch.setattr(transport, "_SHARD_MIN_CELLS", 1)
         n = 150
         pool = rng.normal(0.0, 0.5, size=(2 * n, 8))
         cmat = pairwise_cost(pool, pool, "l2_capped")
@@ -488,19 +530,82 @@ class TestResampledAssignments:
     @pytest.mark.parametrize("workers", [1, 3])
     def test_bootstrap_ci_and_generator_state_equal_serial(
             self, rng, monkeypatch, workers):
+        # oracle: the same draws, the first m of each n-index vector,
+        # solved one after another, and the basic interval from them; the
+        # same-law case clips the lower end at 0, the shifted one does not
         set_usable_cpus(monkeypatch, workers)
-        xs = rng.normal(0.0, 0.5, size=(96, 8))
-        ys = rng.normal(0.1, 0.5, size=(96, 8))
-        ref_rng = np.random.default_rng(3)
-        cmat = pairwise_cost(xs, ys, "l2_capped")
-        vals = serial_assignment_values(
-            cmat, [(ref_rng.integers(0, 96, size=96),
-                    ref_rng.integers(0, 96, size=96)) for _ in range(50)])
-        res_rng = np.random.default_rng(3)
-        res = wasserstein_empirical(xs, ys, bootstrap=50, rng=res_rng)
-        assert res.ci_low == float(np.quantile(vals, 0.025))
-        assert res.ci_high == float(np.quantile(vals, 0.975))
-        assert res_rng.bit_generator.state == ref_rng.bit_generator.state
+        n, m = 96, 21  # the least m with m^3 >= n^2
+        xs = rng.normal(0.0, 0.5, size=(n, 1))
+        ci_lows = []
+        for shift in (0.0, 1.0):
+            ys = rng.normal(shift, 0.5, size=(n, 1))
+            ref_rng = np.random.default_rng(3)
+            cmat = pairwise_cost(xs, ys, "abs")
+            draws = []
+            for _ in range(50):
+                row_idx = ref_rng.integers(0, n, size=n)
+                col_idx = ref_rng.integers(0, n, size=n)
+                draws.append((row_idx[:m], col_idx[:m]))
+            vals = serial_assignment_values(cmat, draws)
+            value = serial_assignment_values(
+                cmat, [(np.arange(n), np.arange(n))])[0]
+            q_lo, q_hi = np.quantile(vals - value, [0.025, 0.975])
+            res_rng = np.random.default_rng(3)
+            res = wasserstein_empirical(xs, ys, cost_fn="abs", bootstrap=50,
+                                        rng=res_rng)
+            assert res.value == value
+            assert res.ci_low == pytest.approx(
+                max(0.0, value - math.sqrt(m / n) * q_hi),
+                rel=1e-12, abs=1e-15)
+            assert res.ci_high == pytest.approx(
+                value - math.sqrt(m / n) * q_lo, rel=1e-12, abs=1e-15)
+            assert res_rng.bit_generator.state == ref_rng.bit_generator.state
+            ci_lows.append(res.ci_low)
+        assert ci_lows[0] == 0.0 < ci_lows[1]
+
+    def test_bootstrap_size_rule(self):
+        for n in range(1, transport.EXACT_SUPPORT_LIMIT + 1):
+            m = transport.bootstrap_size(n)
+            assert m ** 3 >= n * n > (m - 1) ** 3
+        assert transport.bootstrap_size(512) == 64
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_bootstrap_batches_run_in_process(self, rng, monkeypatch,
+                                              workers):
+        # the ergodicity workload's 200 resamples of its 512-path
+        # ensembles: m = 64, too little work to repay a fork
+        set_usable_cpus(monkeypatch, workers)
+
+        def no_fork(jobs):
+            raise AssertionError("a bootstrap batch forked")
+
+        monkeypatch.setattr(shards, "_run_forked", no_fork)
+        xs = rng.normal(0.0, 0.5, size=(512, 8))
+        ys = rng.normal(0.1, 0.5, size=(512, 8))
+        res = wasserstein_empirical(xs, ys, rng=np.random.default_rng(0))
+        assert res.ci_low <= res.ci_high
+
+    def test_full_size_null_batch_forks_and_equals_serial(self, rng,
+                                                          monkeypatch):
+        # the permutation null of the ergodicity workload: 50 re-splits of
+        # two 512-path ensembles, split over 2 forked shards
+        set_usable_cpus(monkeypatch, 2)
+        n = 512
+        pool = rng.normal(0.0, 0.5, size=(2 * n, 8))
+        cmat = pairwise_cost(pool, pool, "l2_capped")
+        perms = [rng.permutation(2 * n) for _ in range(50)]
+        draws = [(perm[:n], perm[n:]) for perm in perms]
+        forked, run_forked = [], shards._run_forked
+
+        def counted(jobs):
+            forked.append(len(jobs))
+            return run_forked(jobs)
+
+        monkeypatch.setattr(shards, "_run_forked", counted)
+        assert np.array_equal(
+            transport._resampled_assignment_values(cmat, draws),
+            serial_assignment_values(cmat, draws))
+        assert forked == [2]
 
     def test_memory_bounded(self, rng, monkeypatch):
         # the resampled n x n matrices (2 MiB each) are built in the
