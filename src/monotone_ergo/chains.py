@@ -8,27 +8,27 @@ integral form reduces to Q V <= lambda V + K with gamma = -log lambda),
 (4) finiteness of M(x) = sup_t P_t phi^2(x), (5) the swap condition on
 the Lyapunov sublevel set, (6) rho <= d^delta, (7) M^kappa <= K(1 + V).
 The spec itself checks only the shapes and ranges of its data.
-Plus return-time exponential moments, domination-time tails, the
-three-element coupling construction, and the two domination-distance
-lemmas, all computed exactly where possible.
+`theorem_main_verify` runs all seven checks and the exact W_{d^1} decay
+between point masses, which `chain-verify` reports.  Return-time
+exponential moments and the spectral radius of the product chain
+absorbed on ordered pairs are computed exactly as well.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from . import transport
 from .fitting import fit_exponential_rate
-from .posets import (Distribution, FinitePoset, Infeasible,
-                     strassen_coupling, stochastically_dominates,
+from .posets import (Distribution, FinitePoset, stochastically_dominates,
                      violating_upset)
+# perfbench/spans.py traces strassen_coupling under this module's name
+from .posets import strassen_coupling  # noqa: F401
 
-PRODUCT_CHAIN_LIMIT = 64
 CONDITION_TOL = 1e-10
 M_SCAN_STEPS = 10_000
 
@@ -45,21 +45,6 @@ class Divergent(ChainError):
 
 
 class EmptyTarget(ChainError):
-    pass
-
-
-class PremiseViolated(ChainError):
-    def __init__(self, premise, witness):
-        self.premise = premise
-        self.witness = witness
-        super().__init__(f"premise {premise} violated at {witness}")
-
-
-class MarginalMismatch(ChainError):
-    pass
-
-
-class TooLarge(ChainError):
     pass
 
 
@@ -208,7 +193,6 @@ class ConditionReport:
 
 @dataclass
 class ReturnTimeReport:
-    target: frozenset
     rate: float
     moments: np.ndarray            # E_x[rate^tau] per state
     bound: np.ndarray | None       # comparison bound per state, if available
@@ -413,7 +397,7 @@ def return_time_exp_moments(kernel: FiniteKernel, target, rate: float,
                 PV = P @ V
                 bound = np.where(inside, rate * PV, V)
                 verdict = h <= bound + 1e-8
-    return ReturnTimeReport(target=target, rate=rate, moments=h, bound=bound,
+    return ReturnTimeReport(rate=rate, moments=h, bound=bound,
                             verdict=verdict, spectral_radius=sr,
                             smallest_C=smallest_C)
 
@@ -421,29 +405,6 @@ def return_time_exp_moments(kernel: FiniteKernel, target, rate: float,
 # ---------------------------------------------------------------------------
 # domination times on the product chain
 # ---------------------------------------------------------------------------
-
-def domination_time_tail(kernel: FiniteKernel, poset: FinitePoset,
-                         x: int, y: int, horizon: int) -> np.ndarray:
-    """P(tau > t) for tau = first time independent copies from x, y are
-    ordered (copy-from-x below copy-from-y), t = 0..horizon."""
-    n = kernel.n
-    if n > PRODUCT_CHAIN_LIMIT:
-        raise TooLarge(f"n={n} exceeds product-chain guard {PRODUCT_CHAIN_LIMIT}")
-    leq = poset.leq
-    tails = np.empty(horizon + 1)
-    if leq[x, y]:
-        tails[:] = 0.0
-        return tails
-    mass = np.zeros((n, n))
-    mass[x, y] = 1.0
-    tails[0] = 1.0
-    P = kernel.P
-    for t in range(1, horizon + 1):
-        mass = P.T @ mass @ P
-        mass[leq] = 0.0  # absorbed on the ordered set
-        tails[t] = float(mass.sum())
-    return tails
-
 
 def absorbed_chain_second_eigenvalue(kernel: FiniteKernel,
                                      poset: FinitePoset) -> float:
@@ -543,250 +504,3 @@ def theorem_main_verify(spec: OrderedSpaceSpec, kernel: FiniteKernel,
     return TheoremReport(conditions=conditions, pairs=pairs,
                          series=series_all, times=times, fits=fits,
                          verdict=bool(conditions_ok and pair_ok))
-
-
-# ---------------------------------------------------------------------------
-# domination-distance lemmas
-# ---------------------------------------------------------------------------
-
-def _max_monotone_coupling_value(X_law, Y_law, objective, leq):
-    """LP: maximize sum(plan * objective) over couplings supported on the
-    order graph.  Returns the optimal value."""
-    n = len(X_law)
-    cells = [(i, j) for i in range(n) for j in range(n) if leq[i, j]]
-    nv = len(cells)
-    A_eq = np.zeros((2 * n, nv))
-    for k, (i, j) in enumerate(cells):
-        A_eq[i, k] = 1.0
-        A_eq[n + j, k] = 1.0
-    b_eq = np.concatenate([X_law, Y_law])
-    c = -np.array([objective[i, j] for (i, j) in cells])
-    res = linprog(c, A_eq=A_eq, b_eq=b_eq, bounds=[(0, None)] * nv,
-                  method="highs")
-    if not res.success:
-        raise ChainError(f"monotone-coupling LP failed: {res.message}")
-    return float(-res.fun)
-
-
-@dataclass
-class InequalityReport:
-    lhs: float
-    rhs: float
-    holds: bool
-    details: dict = field(default_factory=dict)
-
-    def to_json_obj(self):
-        return {"lhs": self.lhs, "rhs": self.rhs, "holds": self.holds,
-                "details": self.details}
-
-
-def lemma33_verify(spec: OrderedSpaceSpec, X_law, Y_law, psi,
-                   k: float) -> InequalityReport:
-    """Distance-vs-transport bound for ordered random elements.
-
-    Premises: a monotone coupling of (X_law, Y_law) exists, and the
-    Hoelder-type bound |phi(x) - phi(y)| <= d(x,y)^k (psi(x) + psi(y))
-    holds on all pairs.  The left side E d(X, Y) is maximized over all
-    monotone couplings (worst case), the right side uses
-    eps = W_d(X_law, Y_law).
-    """
-    X_law = np.asarray(getattr(X_law, "p", X_law), dtype=float)
-    Y_law = np.asarray(getattr(Y_law, "p", Y_law), dtype=float)
-    psi = np.asarray(psi, dtype=float)
-    if not (0 < k < 1):
-        raise ChainError("need k in (0, 1)")
-    cpl = strassen_coupling(Distribution(X_law), Distribution(Y_law),
-                            spec.poset)
-    if isinstance(cpl, Infeasible):
-        raise PremiseViolated("ordered_coupling_exists",
-                              sorted(cpl.witness_upset))
-    failed = _first_failure(
-        np.abs(spec.phi[:, None] - spec.phi[None, :])
-        > spec.d ** k * (psi[:, None] + psi[None, :]) + CONDITION_TOL)
-    if failed is not None:
-        raise PremiseViolated("holder_bound", failed)
-    lhs = _max_monotone_coupling_value(X_law, Y_law, spec.d, spec.poset.leq)
-    eps = transport.wasserstein_exact(X_law, Y_law,
-                                      transport.CostMatrix(spec.d)).value
-    ex = 1.0 / (1.0 - k)
-    mom_x = float((X_law @ psi ** ex) ** (1.0 - k))
-    mom_y = float((Y_law @ psi ** ex) ** (1.0 - k))
-    rhs = eps ** k * (mom_x + mom_y)
-    return InequalityReport(lhs=lhs, rhs=rhs, holds=bool(lhs <= rhs + 1e-10),
-                            details={"epsilon": eps, "k": k})
-
-
-def lemma44_verify(spec: OrderedSpaceSpec, joint_law, p: float,
-                   q: float) -> InequalityReport:
-    """Equal-marginal sandwich bound from a joint law over triples.
-
-    joint_law[i, j, k] = P(X = i, Y = j, Xtilde = k); requires the X and
-    Xtilde marginals to coincide and 1/p + 1/q = 1.
-    """
-    w = np.asarray(joint_law, dtype=float)
-    if abs(1.0 / p + 1.0 / q - 1.0) > 1e-12:
-        raise ChainError("need 1/p + 1/q = 1")
-    if abs(w.sum() - 1.0) > 1e-10 or np.any(w < -1e-15):
-        raise ChainError("joint law must be a probability array")
-    mx = w.sum(axis=(1, 2))
-    mxt = w.sum(axis=(0, 1))
-    if np.abs(mx - mxt).max() > 1e-10:
-        raise MarginalMismatch(
-            f"X and Xtilde marginals differ by {np.abs(mx - mxt).max():.3g}")
-    leq = spec.poset.leq
-    ordered = leq[:, :, None] & leq.T[:, None, :].swapaxes(0, 1)
-    # ordered[i, j, k] <=> i <= j and j <= k
-    eps = float(1.0 - w[ordered].sum())
-    eps = max(eps, 0.0)
-    lhs = float((w.sum(axis=2) * spec.d).sum())
-    mom = float((mx @ np.abs(spec.phi) ** q) ** (1.0 / q))
-    rhs = 2.0 * eps ** (1.0 / p) * mom + eps
-    return InequalityReport(lhs=lhs, rhs=rhs, holds=bool(lhs <= rhs + 1e-10),
-                            details={"epsilon": eps, "p": p, "q": q})
-
-
-# ---------------------------------------------------------------------------
-# three-element coupling construction
-# ---------------------------------------------------------------------------
-
-def _conditional_cubes(kernel: FiniteKernel, poset: FinitePoset):
-    """Conditional sampling cubes for the latched phases.
-
-    below[a, b, b', x'] = P(lower copy steps to x' | lower at a, driver at
-    b, driver steps to b') for a <= b, via a monotone coupling of the two
-    rows; above[c, b, b', x'] = same with the extra copy kept above the
-    driver (b <= c).  Unused (unordered) slots fall back to the plain row.
-    """
-    n = kernel.n
-    P = kernel.P
-    leq = poset.leq
-    below = np.tile(P[:, None, None, :], (1, n, n, 1)).copy()
-    above = np.tile(P[:, None, None, :], (1, n, n, 1)).copy()
-    for a in range(n):
-        for b in range(n):
-            if a != b and not leq[a, b]:
-                continue
-            plan = strassen_coupling(Distribution(P[a]), Distribution(P[b]),
-                                     poset)
-            if isinstance(plan, Infeasible):
-                raise ChainError(
-                    f"kernel is not order-preserving at pair ({a}, {b})")
-            m = plan.plan  # rows: lower successor, cols: upper successor
-            for bp in range(n):
-                if P[b, bp] > 0:
-                    below[a, b, bp, :] = m[:, bp] / P[b, bp]
-            for ap in range(n):
-                if P[a, ap] > 0:
-                    above[b, a, ap, :] = m[ap, :] / P[a, ap]
-    return below, above
-
-
-def _sample_rows(prob_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
-    cdf = np.cumsum(prob_rows, axis=1)
-    cdf[:, -1] = 1.0
-    return (cdf < u[:, None]).sum(axis=1)
-
-
-@dataclass
-class CouplingSimReport:
-    estimate: float
-    std_error: float
-    exact: float | None
-    lower_bound: float
-    tail_xy: np.ndarray
-    tail_yx: np.ndarray
-    marginal_tv_zx: float
-    marginal_tv_zxt: float
-
-
-def triple_order_exact(kernel: FiniteKernel, poset: FinitePoset, x: int,
-                       y: int, t: int) -> float:
-    """Exact P(Z^x <= Z^y <= Ztilde^x) for the simulated construction, by
-    pushing the joint law of (states, latch flags) through the chain."""
-    n = kernel.n
-    P = kernel.P
-    leq = poset.leq.astype(float)
-    below, above = _conditional_cubes(kernel, poset)
-    plain = np.tile(P[:, None, None, :], (1, n, n, 1))
-    ind1 = leq[:, :, None] * np.ones((1, 1, n))        # [p, q, r]: p <= q
-    ind2 = np.ones((n, 1, 1)) * leq[None, :, :]        # [p, q, r]: q <= r
-    # w[a, b, c, l1, l2]: states of (lower, driver, upper) plus latch flags
-    w = np.zeros((n, n, n, 2, 2))
-    w[x, y, x, int(poset.leq[x, y]), int(poset.leq[y, x])] = 1.0
-    for _ in range(t):
-        w2 = np.zeros_like(w)
-        for l1 in (0, 1):
-            stepx = below if l1 else plain
-            for l2 in (0, 1):
-                stepc = above if l2 else plain
-                joint = np.einsum("abc,bq,abqp,cbqr->pqr",
-                                  w[:, :, :, l1, l2], P, stepx, stepc,
-                                  optimize=True)
-                f1_hi = np.ones_like(ind1) if l1 else ind1
-                f2_hi = np.ones_like(ind2) if l2 else ind2
-                w2[:, :, :, 1, 1] += joint * f1_hi * f2_hi
-                if not l1:
-                    w2[:, :, :, 0, 1] += joint * (1 - f1_hi) * f2_hi
-                if not l2:
-                    w2[:, :, :, 1, 0] += joint * f1_hi * (1 - f2_hi)
-                if not l1 and not l2:
-                    w2[:, :, :, 0, 0] += joint * (1 - f1_hi) * (1 - f2_hi)
-        w = w2
-    return float(w[:, :, :, 1, 1].sum())
-
-
-def coupling_construct_simulate(kernel: FiniteKernel, poset: FinitePoset,
-                                x: int, y: int, t: int, n_paths: int,
-                                rng, with_exact: bool = False
-                                ) -> CouplingSimReport:
-    """Monte-Carlo run of the three-element coupling construction.
-
-    The driver copy starts at y.  A lower copy starts at x, runs
-    independently until it first sits below the driver and is then carried
-    along monotonically; an upper copy of the same law latches above the
-    driver symmetrically.  Reports the empirical probability that the
-    sandwich order holds at time t, together with the union-bound envelope
-    1 - tail_xy(t) - tail_yx(t) from the exact domination-time tails.
-    """
-    n = kernel.n
-    P = kernel.P
-    leq = poset.leq
-    below, above = _conditional_cubes(kernel, poset)
-    zx = np.full(n_paths, x)
-    zy = np.full(n_paths, y)
-    zxt = np.full(n_paths, x)
-    lat1 = np.full(n_paths, bool(leq[x, y]))
-    lat2 = np.full(n_paths, bool(leq[y, x]))
-    for _ in range(t):
-        u = rng.random((3, n_paths))
-        zy2 = _sample_rows(P[zy], u[0])
-        rows_x = np.where(lat1[:, None], below[zx, zy, zy2], P[zx])
-        zx2 = _sample_rows(rows_x, u[1])
-        rows_c = np.where(lat2[:, None], above[zxt, zy, zy2], P[zxt])
-        zxt2 = _sample_rows(rows_c, u[2])
-        lat1 = lat1 | leq[zx2, zy2]
-        lat2 = lat2 | leq[zy2, zxt2]
-        zx, zy, zxt = zx2, zy2, zxt2
-    both = leq[zx, zy] & leq[zy, zxt]
-    est = float(both.mean())
-    se = float(both.std(ddof=1) / math.sqrt(n_paths)) if n_paths > 1 else 0.0
-
-    tail_xy = domination_time_tail(kernel, poset, x, y, t)
-    tail_yx = domination_time_tail(kernel, poset, y, x, t)
-    lower = max(0.0, 1.0 - tail_xy[t] - tail_yx[t])
-
-    # marginal correctness of the two x-copies against the exact law
-    mu_t = np.zeros(n)
-    mu_t[x] = 1.0
-    for _ in range(t):
-        mu_t = mu_t @ P
-    emp_zx = np.bincount(zx, minlength=n) / n_paths
-    emp_zxt = np.bincount(zxt, minlength=n) / n_paths
-    tv_zx = transport.total_variation(emp_zx, mu_t)
-    tv_zxt = transport.total_variation(emp_zxt, mu_t)
-
-    exact = triple_order_exact(kernel, poset, x, y, t) if with_exact else None
-    return CouplingSimReport(estimate=est, std_error=se, exact=exact,
-                             lower_bound=lower, tail_xy=tail_xy,
-                             tail_yx=tail_yx, marginal_tv_zx=tv_zx,
-                             marginal_tv_zxt=tv_zxt)

@@ -109,8 +109,9 @@ def snapshot_run(config: SpdeConfig, u0: Field, T: float, n_paths: int,
 def energy_moments(config: SpdeConfig, u0: Field, T: float, n_paths: int,
                    n_record: int = 26) -> ExperimentRecord:
     """Monte-Carlo second and fourth moments of the L2 norm, with the
-    dissipation inequality checked at all recorded time pairs and the
-    smallest additive constant certifying the fourth-moment bound."""
+    dissipation inequality checked at all recorded time pairs, the
+    smallest additive constant certifying the fourth-moment bound, and
+    the drift's dissipativity margins (`DriftSpec.check_dissipativity`)."""
     if n_paths < 100:
         raise ValueError("need at least 100 paths")
     cfg = replace(config, T=T, n_paths=n_paths)
@@ -150,6 +151,9 @@ def energy_moments(config: SpdeConfig, u0: Field, T: float, n_paths: int,
                 ok = False
     u0_l4 = l2_sq(u0.values) ** 2
     c4 = max(0.0, max(e4[t] - u0_l4 * math.exp(-K2 * t) for t in ts))
+    # the growth condition, whose K1 and K2 the inequality above uses, and
+    # the one-sided Lipschitz condition, on the default range |x| <= R
+    drift_ok, drift_margins = cfg.drift.check_dissipativity()
     rec.extra = {
         "dissipation_inequality_holds": ok,
         "worst_margin": float(worst_margin),
@@ -157,6 +161,7 @@ def energy_moments(config: SpdeConfig, u0: Field, T: float, n_paths: int,
         "sigma_l2sq": sigma_sq,
         "smallest_C4": float(c4),
         "u0_l4": float(u0_l4),
+        "drift_dissipativity": {"holds": drift_ok, **drift_margins},
     }
     return rec
 

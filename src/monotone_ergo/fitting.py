@@ -15,7 +15,6 @@ class RateFit:
     rate: float       # decay rate (positive means decay)
     r_squared: float
     n_points: int
-    t_used: np.ndarray
     verdict: bool     # rate > 0 and fit quality threshold met
 
 
@@ -32,7 +31,7 @@ def fit_exponential_rate(times, values, burn_in_frac: float = 0.25,
     t_used, w_used = t[keep], w[keep]
     if len(t_used) < 2:
         return RateFit(C=float("nan"), rate=float("nan"), r_squared=0.0,
-                       n_points=len(t_used), t_used=t_used, verdict=False)
+                       n_points=len(t_used), verdict=False)
     y = np.log(w_used)
     A = np.vstack([np.ones_like(t_used), -t_used]).T
     coef, *_ = np.linalg.lstsq(A, y, rcond=None)
@@ -44,4 +43,4 @@ def fit_exponential_rate(times, values, burn_in_frac: float = 0.25,
         0.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot)
     verdict = bool(rate > 0 and r2 >= r2_threshold)
     return RateFit(C=float(np.exp(logC)), rate=float(rate), r_squared=float(r2),
-                   n_points=len(t_used), t_used=t_used, verdict=verdict)
+                   n_points=len(t_used), verdict=verdict)

@@ -101,11 +101,6 @@ class Coupling:
         object.__setattr__(self, "plan", np.asarray(self.plan, dtype=float))
         self.plan.setflags(write=False)
 
-    def marginal_error(self, mu: Distribution, nu: Distribution) -> float:
-        row = np.abs(self.plan.sum(axis=1) - mu.p).max()
-        col = np.abs(self.plan.sum(axis=0) - nu.p).max()
-        return max(row, col)
-
 
 @dataclass(frozen=True)
 class Infeasible:

@@ -41,8 +41,8 @@ identical noise path.
 
 `integrate` is the one time-stepping loop: it advances a tuple of
 ensembles on one shared noise path, checks finiteness after every step
-and hands each step to an observer.  `simulate`, `comparison_check` and
-the experiments are observers on top of it.
+and hands each step to an observer.  `simulate` and the experiments are
+observers on top of it.
 
 Stepping is row-independent bit for bit, so `integrate` splits the path
 axis into contiguous row shards, one per usable CPU, as long as every
@@ -90,12 +90,6 @@ class NonFinite(SpdeError):
 
     def __reduce__(self):
         return NonFinite, (self.step_index,)
-
-
-class NotOrdered(SpdeError):
-    def __init__(self, pair_index):
-        self.pair_index = pair_index
-        super().__init__(f"field pair {pair_index} is not pointwise ordered")
 
 
 # ---------------------------------------------------------------------------
@@ -256,9 +250,6 @@ class Field:
     def N(self):
         return len(self.values)
 
-    def leq(self, other: "Field") -> bool:
-        return bool(np.all(self.values <= other.values))
-
     @staticmethod
     def from_json_obj(obj, N: int) -> "Field":
         """Explicit {"values": [N numbers]} or a closed-form `profile`."""
@@ -282,35 +273,6 @@ def phi(values) -> np.ndarray | float:
     return 2.0 * (v ** 2 * np.sign(v)).mean(axis=-1)
 
 
-def psi(values) -> np.ndarray | float:
-    return 4.0 * math.sqrt(2.0) * (1.0 + l2_sq(values))
-
-
-def field_distance_sq(x, y) -> float:
-    """d(x, y) = squared L2 distance with unit-volume quadrature."""
-    return float(l2_sq(np.asarray(x, dtype=float) - np.asarray(y, dtype=float)))
-
-
-def phi_condition_check(pairs, tol: float = 1e-10):
-    """Verify the premetric sandwich and the square-root Hoelder bound on a
-    list of pointwise-ordered field pairs (x below y)."""
-    results = []
-    for idx, (x, y) in enumerate(pairs):
-        xv = x.values if isinstance(x, Field) else np.asarray(x, dtype=float)
-        yv = y.values if isinstance(y, Field) else np.asarray(y, dtype=float)
-        if not np.all(xv <= yv):
-            raise NotOrdered(idx)
-        d = field_distance_sq(xv, yv)
-        gap = float(phi(yv) - phi(xv))
-        sandwich = -tol <= d <= gap + tol
-        holder = abs(float(phi(xv) - phi(yv))) <= \
-            d ** 0.5 * (psi(xv) + psi(yv)) + tol
-        results.append({"pair": idx, "d": d, "phi_gap": gap,
-                        "sandwich": bool(sandwich), "holder": bool(holder)})
-    verdict = all(r["sandwich"] and r["holder"] for r in results)
-    return verdict, results
-
-
 # ---------------------------------------------------------------------------
 # configuration
 # ---------------------------------------------------------------------------
@@ -320,6 +282,12 @@ def reject_unknown(obj, allowed, where):
     unknown = set(obj) - set(allowed)
     if unknown:
         raise ConfigError(f"unknown {where} key(s): {sorted(unknown)}")
+
+
+# the keys of the spde block that SpdeConfig gives a default, each with its
+# conversion; the defaults themselves live in the dataclass alone
+_OPTIONAL_SPDE_KEYS = {"seed": int, "n_paths": int, "clamp_R": float,
+                       "scheme": lambda scheme: scheme}
 
 
 @dataclass(frozen=True)
@@ -366,17 +334,15 @@ class SpdeConfig:
         type, in it or in its drift or noise, is a ConfigError."""
         if not isinstance(obj, dict):
             raise ConfigError("the spde block must be an object")
-        reject_unknown(obj, {"N", "dt", "T", "drift", "noise", "seed",
-                             "n_paths", "clamp_R", "scheme"}, "spde")
+        reject_unknown(obj, {"N", "dt", "T", "drift", "noise",
+                             *_OPTIONAL_SPDE_KEYS}, "spde")
         try:
             return SpdeConfig(
                 N=int(obj["N"]), dt=float(obj["dt"]), T=float(obj["T"]),
                 drift=DriftSpec.from_json_obj(obj["drift"]),
                 noise=NoiseSpec.from_json_obj(obj["noise"]),
-                seed=int(obj.get("seed", 0)),
-                n_paths=int(obj.get("n_paths", 1)),
-                clamp_R=float(obj.get("clamp_R", 20.0)),
-                scheme=obj.get("scheme", "semi_implicit"))
+                **{key: cast(obj[key])
+                   for key, cast in _OPTIONAL_SPDE_KEYS.items() if key in obj})
         except KeyError as exc:
             raise ConfigError(f"missing spde key {exc}") from None
         except ConfigError:
@@ -562,17 +528,3 @@ def simulate(config: SpdeConfig, u0, record_times):
     out.update((steps_for[k], snap) for k, snap in snaps.items())
     return out
 
-
-def comparison_check(config: SpdeConfig, x: Field, y: Field, T: float,
-                     n_paths: int) -> float:
-    """Max pointwise order violation (u_x - u_y)+ over shared-noise pairs,
-    all steps, all grid points."""
-    if not x.leq(y):
-        raise SpdeError("initial fields must satisfy x <= y pointwise")
-    cfg = replace(config, T=T, n_paths=n_paths)
-    worst = integrate(
-        cfg, (np.broadcast_to(x.values, (n_paths, cfg.N)).copy(),
-              np.broadcast_to(y.values, (n_paths, cfg.N)).copy()),
-        cfg.n_steps,
-        lambda k, ensembles: np.array([(ensembles[0] - ensembles[1]).max()]))
-    return max([0.0, *(float(v.max()) for v in worst.values())])

@@ -1,4 +1,5 @@
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from monotone_ergo import shards
 from monotone_ergo.posets import (Distribution, FinitePoset, _upset_masks,
                                   validate_poset)
+from monotone_ergo.spde import integrate
 
 
 def random_poset(rng: np.random.Generator, n: int) -> FinitePoset:
@@ -45,3 +47,23 @@ def set_usable_cpus(monkeypatch, count):
     monkeypatch.setattr(os, "sched_getaffinity",
                         lambda pid: set(range(count)), raising=False)
     assert shards.usable_cpus() == count
+
+
+def marginal_error(coupling, mu: Distribution, nu: Distribution) -> float:
+    """Largest gap between a coupling's row and column sums and the
+    masses of mu and nu."""
+    return max(np.abs(coupling.plan.sum(axis=1) - mu.p).max(),
+               np.abs(coupling.plan.sum(axis=0) - nu.p).max())
+
+
+def comparison_check(config, x, y, T: float, n_paths: int) -> float:
+    """Largest pointwise order violation (u_x - u_y)+ of `n_paths`
+    shared-noise pairs started from the Fields x and y, over every step to
+    time T and every grid point."""
+    cfg = replace(config, T=T, n_paths=n_paths)
+    worst = integrate(
+        cfg, (np.broadcast_to(x.values, (n_paths, cfg.N)).copy(),
+              np.broadcast_to(y.values, (n_paths, cfg.N)).copy()),
+        cfg.n_steps,
+        lambda k, ensembles: np.array([(ensembles[0] - ensembles[1]).max()]))
+    return max([0.0, *(float(v.max()) for v in worst.values())])

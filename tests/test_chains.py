@@ -8,22 +8,25 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from conftest import random_poset
+from coupling_construction import (domination_time_tail, simulate,
+                                   triple_order_exact)
 from monotone_ergo import fixture_path
 from monotone_ergo.chains import (ChainError, Divergent, EmptyTarget,
-                                  FiniteKernel, MarginalMismatch,
-                                  OrderedSpaceSpec, PremiseViolated,
+                                  FiniteKernel, OrderedSpaceSpec,
                                   absorbed_chain_second_eigenvalue,
                                   check_all_conditions, check_lyapunov,
                                   check_order_preserving,
-                                  check_swap_condition,
-                                  coupling_construct_simulate,
-                                  domination_time_tail, lemma33_verify,
-                                  lemma44_verify, moment_bound_M,
+                                  check_swap_condition, moment_bound_M,
                                   return_time_exp_moments,
-                                  theorem_main_verify, triple_order_exact)
-from monotone_ergo.posets import (FinitePoset, antichain_poset, chain_poset)
+                                  theorem_main_verify)
+from monotone_ergo.posets import (Coupling, Distribution, FinitePoset,
+                                  antichain_poset, chain_poset,
+                                  strassen_coupling)
+from monotone_ergo.transport import (CostMatrix, total_variation,
+                                     wasserstein_exact)
 
 
 def report_of(reports, condition):
@@ -219,6 +222,8 @@ class TestReturnTimes:
         rep = return_time_exp_moments(FiniteKernel(P), {1}, r)
         assert rep.moments[0] == pytest.approx(r * p / (1 - r * (1 - p)),
                                                abs=1e-10)
+        # the series sum_t (r (1 - p))^t converges at that ratio
+        assert rep.spectral_radius == pytest.approx(r * (1 - p), abs=1e-15)
 
     def test_monte_carlo_oracle_ten_state_walk(self):
         # downward-biased lazy walk on 10 states, target {0}
@@ -377,40 +382,71 @@ class TestTheorem:
             theorem_main_verify(space, kernel, pairs, horizon=5)
 
 
+def ordered_coupling_lp(mu, nu, cost, leq):
+    """The linear program min E[-cost(X, Y)] over the couplings of mu and
+    nu supported on the order graph (X below Y): its -fun is the largest
+    E cost(X, Y), and its status is 2 when no such coupling exists."""
+    n = len(mu)
+    cells = np.argwhere(leq)
+    A_eq = np.zeros((2 * n, len(cells)))
+    A_eq[cells[:, 0], np.arange(len(cells))] = 1.0
+    A_eq[n + cells[:, 1], np.arange(len(cells))] = 1.0
+    return linprog(-cost[leq], A_eq=A_eq, b_eq=np.concatenate([mu, nu]),
+                   bounds=(0, None), method="highs")
+
+
+def chain5_laws(kernel, t):
+    """The time-t laws of chain5's `kernel` from its bottom and top
+    states."""
+    mu, nu = np.eye(5)[[0, 4]]
+    for _ in range(t):
+        mu, nu = mu @ kernel.P, nu @ kernel.P
+    return mu, nu
+
+
 class TestLemma33:
+    """Lemma 3.3: if mu is below nu and |phi(x) - phi(y)| <= d(x, y)^k
+    (psi(x) + psi(y)), every coupling with X below Y has E d(X, Y) <=
+    W_d(mu, nu)^k (||psi||_{L^(1/(1-k))(mu)} + ||psi||_{L^(1/(1-k))(nu)})."""
+
     def test_holds_on_chain5_marginals(self):
         poset, kernel, space = load_chain5()
-        mu = np.zeros(5)
-        mu[0] = 1.0
-        nu = np.zeros(5)
-        nu[4] = 1.0
-        for _ in range(3):
-            mu = mu @ kernel.P
-            nu = nu @ kernel.P
-        psi = 1.0 + space.phi ** 2
-        rep = lemma33_verify(space, mu, nu, psi, k=0.5)
-        assert rep.holds
-        assert rep.lhs <= rep.rhs + 1e-10
+        mu, nu = chain5_laws(kernel, 3)
+        psi, k = 1.0 + space.phi ** 2, 0.5
+        # the two premises
+        assert isinstance(strassen_coupling(Distribution(mu),
+                                            Distribution(nu), poset),
+                          Coupling)
+        assert np.all(np.abs(space.phi[:, None] - space.phi[None, :])
+                      <= space.d ** k * (psi[:, None] + psi[None, :]) + 1e-10)
+        # the left side at its worst over the ordered couplings
+        res = ordered_coupling_lp(mu, nu, space.d, poset.leq)
+        assert res.success
+        eps = wasserstein_exact(mu, nu, CostMatrix(space.d)).value
+        ex = 1.0 / (1.0 - k)
+        rhs = eps ** k * ((mu @ psi ** ex) ** (1.0 - k)
+                          + (nu @ psi ** ex) ** (1.0 - k))
+        assert 0.0 < -res.fun <= rhs + 1e-10
 
     def test_premise_violation_reported(self):
+        # mu above nu: max-flow certifies that no coupling has X below Y,
+        # and the left side's linear program finds none either
         poset, kernel, space = load_chain5()
-        mu = np.array([0.0, 0.0, 0.0, 0.0, 1.0])
-        nu = np.array([1.0, 0.0, 0.0, 0.0, 0.0])
-        with pytest.raises(PremiseViolated) as exc:
-            lemma33_verify(space, mu, nu, np.ones(5), k=0.5)
-        assert exc.value.premise == "ordered_coupling_exists"
-
-    def test_bad_exponent(self):
-        _, _, space = load_chain5()
-        u = np.full(5, 0.2)
-        with pytest.raises(ChainError):
-            lemma33_verify(space, u, u, np.ones(5), k=1.5)
+        nu, mu = chain5_laws(kernel, 3)
+        cpl = strassen_coupling(Distribution(mu), Distribution(nu), poset)
+        assert not isinstance(cpl, Coupling)
+        assert 4 in cpl.witness_upset
+        assert ordered_coupling_lp(mu, nu, space.d, poset.leq).status == 2
 
 
 class TestLemma44:
-    def make_joint(self, space, eps):
-        # X uniform; Xtilde = X; Y = X with prob 1-eps, else pushed to
-        # an unordered position
+    """Lemma 4.4: if X and Xtilde have one law and eps = P(not X <= Y <=
+    Xtilde), then E d(X, Y) <= 2 eps^(1/p) ||phi(X)||_q + eps for
+    1/p + 1/q = 1."""
+
+    def make_joint(self, eps):
+        # X uniform; Xtilde = X; Y = X with prob 1-eps, else one step
+        # down the cycle
         n = 5
         w = np.zeros((n, n, n))
         for i in range(n):
@@ -420,40 +456,43 @@ class TestLemma44:
 
     def test_inequality_holds(self):
         _, _, space = load_chain5()
-        w = self.make_joint(space, 0.1)
-        rep = lemma44_verify(space, w, p=2.0, q=2.0)
-        assert rep.holds
-        assert rep.details["epsilon"] <= 0.1 + 1e-12
-
-    def test_marginal_mismatch(self):
-        _, _, space = load_chain5()
-        w = np.zeros((5, 5, 5))
-        w[0, 0, 1] = 1.0
-        with pytest.raises(MarginalMismatch):
-            lemma44_verify(space, w, p=2.0, q=2.0)
-
-    def test_conjugate_exponents_required(self):
-        _, _, space = load_chain5()
-        w = self.make_joint(space, 0.0)
-        with pytest.raises(ChainError):
-            lemma44_verify(space, w, p=2.0, q=3.0)
+        w = self.make_joint(0.1)
+        law_x, law_xt = w.sum(axis=(1, 2)), w.sum(axis=(0, 1))
+        assert np.abs(law_x - law_xt).max() <= 1e-12
+        leq = space.poset.leq
+        # sandwiched[i, j, k] <=> i <= j and j <= k
+        sandwiched = leq[:, :, None] & leq[None, :, :]
+        eps = max(0.0, 1.0 - w[sandwiched].sum())
+        # every step down leaves the sandwich: from X = 0 it goes up to
+        # Y = 4, above X but not below Xtilde = 0
+        assert eps == pytest.approx(0.1, abs=1e-12)
+        p = q = 2.0
+        lhs = (w.sum(axis=2) * space.d).sum()
+        rhs = (2.0 * eps ** (1.0 / p)
+               * (law_x @ np.abs(space.phi) ** q) ** (1.0 / q) + eps)
+        assert lhs <= rhs + 1e-10
 
 
 class TestCouplingConstruction:
     def test_simulation_matches_exact_enumeration(self):
         _, kernel, _ = load_chain5()
         poset = chain_poset(5)
-        rng = np.random.default_rng(11)
-        rep = coupling_construct_simulate(kernel, poset, x=3, y=1, t=6,
-                                          n_paths=40_000, rng=rng,
-                                          with_exact=True)
-        assert rep.exact is not None
-        assert abs(rep.estimate - rep.exact) < 4 * max(rep.std_error, 1e-4)
+        x, y, t, n_paths = 3, 1, 6, 40_000
+        zx, zy, zxt = simulate(kernel, poset, x, y, t, n_paths,
+                               np.random.default_rng(11))
+        both = poset.leq[zx, zy] & poset.leq[zy, zxt]
+        std_error = both.std(ddof=1) / math.sqrt(n_paths)
+        exact = triple_order_exact(kernel, poset, x, y, t)
+        assert abs(both.mean() - exact) < 4 * max(std_error, 1e-4)
         # union-bound envelope from the exact domination tails
-        assert rep.exact >= rep.lower_bound - 1e-12
+        lower = 1.0 - domination_time_tail(kernel, poset, x, y, t)[t] \
+            - domination_time_tail(kernel, poset, y, x, t)[t]
+        assert exact >= lower - 1e-12
         # the two x-copies keep the exact time-t law
-        assert rep.marginal_tv_zx < 0.02
-        assert rep.marginal_tv_zxt < 0.02
+        law = np.eye(5)[x] @ np.linalg.matrix_power(kernel.P, t)
+        for z in (zx, zxt):
+            assert total_variation(np.bincount(z, minlength=5) / n_paths,
+                                   law) < 0.02
 
     def test_exact_probability_increases_with_time(self):
         _, kernel, _ = load_chain5()
@@ -463,13 +502,12 @@ class TestCouplingConstruction:
         assert vals[-1] > vals[0]
 
     def test_ordered_start_latches_immediately(self):
+        # x <= y initially, so the lower sandwich holds from the start and
+        # the upper copy, independent of the driver until it latches,
+        # completes the sandwich at the domination time of (y, x)
         _, kernel, _ = load_chain5()
         poset = chain_poset(5)
-        rng = np.random.default_rng(3)
-        rep = coupling_construct_simulate(kernel, poset, x=1, y=3, t=4,
-                                          n_paths=2000, rng=rng,
-                                          with_exact=True)
-        # x <= y initially, so the lower sandwich holds from the start and
-        # only the upper latch can lag
-        assert rep.tail_xy[0] == 0.0
-        assert rep.exact == pytest.approx(1.0 - rep.tail_yx[4], abs=0.35)
+        assert np.all(domination_time_tail(kernel, poset, 1, 3, 4) == 0.0)
+        tail_yx = domination_time_tail(kernel, poset, 3, 1, 4)
+        assert triple_order_exact(kernel, poset, 1, 3, 4) \
+            == pytest.approx(1.0 - tail_yx[4], abs=1e-12)

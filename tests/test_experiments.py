@@ -1,6 +1,7 @@
 """Experiment harness: records, archives, and the statistical experiments
 on small, fast configurations."""
 
+import json
 import os
 from dataclasses import replace
 
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from monotone_ergo import serialize, transport
+from monotone_ergo import fixture_path, serialize, transport
 from monotone_ergo.experiments import (ExperimentRecord,
                                        _permutation_null,
                                        constants_obstruction_demo,
@@ -79,6 +80,18 @@ class TestEnergy:
         with pytest.raises(ValueError):
             energy_moments(small_config(), Field(np.zeros(16)), T=0.1,
                            n_paths=10)
+
+    def test_drift_dissipativity_of_the_fixture(self):
+        # the record carries the drift's margins at the default range; the
+        # fixture's cubic drift K x - x^3 with K = 1, K1 = 1, K2 = 0.5 has
+        # growth margin 1 - (K2 + K)^2 / 4
+        with open(fixture_path("spde_energy.json")) as fh:
+            cfg = SpdeConfig.from_json_obj(json.load(fh)["spde"])
+        rec = energy_moments(cfg, Field(np.full(cfg.N, 3.0)), T=0.01,
+                             n_paths=100, n_record=3)
+        ok, margins = cfg.drift.check_dissipativity()
+        assert rec.extra["drift_dissipativity"] == {"holds": ok, **margins}
+        assert ok and margins["min_growth_margin"] == 0.4375
 
 
 class TestSynchronization:

@@ -5,7 +5,8 @@ module of the package but `shards` imports a way to start processes or
 threads, so the package has one way to use more than one core.  Every
 public top-level function or class of the package, and every public
 method of its classes, is read by package code, apart from a fixed list
-of names only the tests call."""
+of names only the tests call.  Every field of a package dataclass is read
+as an attribute somewhere in the package, the tests or the benchmark."""
 
 import ast
 import pathlib
@@ -15,6 +16,7 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SOURCES = sorted([*(ROOT / "src" / "monotone_ergo").glob("*.py"),
                   *(ROOT / "tests").glob("*.py")])
+READERS = sorted([*SOURCES, *(ROOT / "perfbench").rglob("*.py")])
 
 
 def unused_imports(source: str) -> list[str]:
@@ -92,12 +94,9 @@ def test_only_the_shard_module_starts_workers(path):
 # tests call; a name leaves this list when it gains a caller in the
 # package or moves into tests/, and no name joins it
 TEST_ONLY_NAMES = {
-    "spde.phi_condition_check", "spde.comparison_check",
     "chains.return_time_exp_moments",
-    "chains.absorbed_chain_second_eigenvalue", "chains.lemma33_verify",
-    "chains.lemma44_verify", "chains.coupling_construct_simulate",
+    "chains.absorbed_chain_second_eigenvalue",
     "posets.chain_poset", "__init__.fixture_path",
-    "spde.DriftSpec.check_dissipativity", "posets.Coupling.marginal_error",
 }
 
 
@@ -161,3 +160,45 @@ def test_public_names_have_a_caller_in_the_package():
     package = ROOT / "src" / "monotone_ergo"
     sources = {p.stem: p.read_text() for p in package.glob("*.py")}
     assert set(unreferenced_public_names(sources)) == TEST_ONLY_NAMES
+
+
+def unread_fields(dataclasses: dict[str, str],
+                  readers: list[str]) -> list[str]:
+    """`module.Class.field` of each field of a `@dataclass` class in the
+    modules `dataclasses` (module name -> text) that no source in
+    `readers` reads as an attribute (`anything.field`; a store is not a
+    read), since the owner of an attribute read is not known before run
+    time."""
+    read = {node.attr for text in readers for node in ast.walk(ast.parse(text))
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+    return sorted(
+        f"{mod}.{cls.name}.{stmt.target.id}"
+        for mod, text in dataclasses.items()
+        for cls in ast.walk(ast.parse(text)) if isinstance(cls, ast.ClassDef)
+        and any("dataclass" in ast.unparse(d) for d in cls.decorator_list)
+        for stmt in cls.body if isinstance(stmt, ast.AnnAssign)
+        and isinstance(stmt.target, ast.Name)
+        and stmt.target.id not in read)
+
+
+def test_field_scan_reports_only_unread_fields():
+    source = ("from dataclasses import dataclass\n"
+              "@dataclass(frozen=True)\nclass Spec:\n"
+              "    size: int\n    unread: float = 0.0\n"
+              "    written: str = ''\n"
+              "class Plain:\n    note: str\n"
+              "@dataclass\nclass Report:\n    lhs: float\n"
+              "    def check(self):\n        return self.lhs\n"
+              "spec = Spec(3)\nspec.written = 'x'\nprint(spec.size)\n")
+    assert unread_fields({"a": source}, [source]) == [
+        "a.Spec.unread", "a.Spec.written"]
+    assert unread_fields({"a": source},
+                         [source, "def f(s): return s.unread\n"]) == [
+        "a.Spec.written"]
+
+
+def test_dataclass_fields_are_read():
+    package = ROOT / "src" / "monotone_ergo"
+    assert unread_fields({p.stem: p.read_text() for p in package.glob("*.py")},
+                         [p.read_text() for p in READERS]) == []
