@@ -212,8 +212,9 @@ def _one_closed_class(P) -> bool:
     return bool(reach[np.ix_(recurrent, recurrent)].all())
 
 
-def moment_bound_M(kernel: FiniteKernel, phi, t_max: int = M_SCAN_STEPS):
-    """M(x) = sup_t P_t phi^2(x), scanned over t <= t_max plus stationarity.
+def moment_bound_M(kernel: FiniteKernel, phi):
+    """M(x) = sup_t P_t phi^2(x), scanned over t <= M_SCAN_STEPS plus
+    stationarity.
 
     The stationary value pi phi^2 is added only when the chain has one
     closed class: then the time averages of P_t phi^2(x) tend to it from
@@ -221,13 +222,13 @@ def moment_bound_M(kernel: FiniteKernel, phi, t_max: int = M_SCAN_STEPS):
     closed classes pi is not unique and need not be reached from x.
 
     Returns (M vector, saturated_flag): saturated_flag notes whether the
-    scan was still increasing at t_max (sup possibly not attained).
+    scan was still increasing at M_SCAN_STEPS (sup possibly not attained).
     """
     phi2 = np.asarray(phi, dtype=float) ** 2
     v = phi2.copy()
     M = v.copy()
     last_improve = 0
-    for t in range(1, t_max + 1):
+    for t in range(1, M_SCAN_STEPS + 1):
         v = kernel.P @ v
         newM = np.maximum(M, v)
         if np.any(newM > M + 1e-15):
@@ -237,7 +238,7 @@ def moment_bound_M(kernel: FiniteKernel, phi, t_max: int = M_SCAN_STEPS):
             break
     if _one_closed_class(kernel.P):
         M = np.maximum(M, float(kernel.stationary() @ phi2))
-    return M, bool(last_improve >= t_max - 50)
+    return M, bool(last_improve >= M_SCAN_STEPS - 50)
 
 
 # ---------------------------------------------------------------------------
@@ -333,10 +334,10 @@ def check_moment_vs_lyapunov(M, V, kappa: float) -> ConditionReport:
                            attained={"kappa": kappa, "smallest_K": K7})
 
 
-def check_all_conditions(spec: OrderedSpaceSpec, kernel: FiniteKernel,
-                         t_max: int = M_SCAN_STEPS) -> list[ConditionReport]:
+def check_all_conditions(spec: OrderedSpaceSpec,
+                         kernel: FiniteKernel) -> list[ConditionReport]:
     """The reports of conditions (1)-(7), in order."""
-    M, truncated = moment_bound_M(kernel, spec.phi, t_max=t_max)
+    M, truncated = moment_bound_M(kernel, spec.phi)
     return [check_order_preserving(kernel, spec.poset),
             check_lyapunov(kernel, spec.V, spec.lambda_, spec.K),
             check_premetric_sandwich(spec.poset, spec.d, spec.phi),
@@ -458,8 +459,8 @@ _MIN_FIT_TIMES = 3
 
 
 def theorem_main_verify(spec: OrderedSpaceSpec, kernel: FiniteKernel,
-                        pairs, horizon: int, burn_in_frac: float = 0.25,
-                        r2_threshold: float = 0.99) -> TheoremReport:
+                        pairs, horizon: int, burn_in_frac: float,
+                        r2_threshold: float) -> TheoremReport:
     """Exact W_{d^1} decay between P^t delta_x and P^t delta_y plus rate fit.
 
     The overall verdict requires all condition checks and, for each pair

@@ -211,7 +211,7 @@ _SPDE_VALUES = {"T": float, "n_paths": int, "n_record": int,
                 "time_grid": list, "extra_x_times": tuple}
 
 
-def read_spde(path: str, sub: str, seed=None):
+def read_spde(path: str, sub: str, seed):
     """(solver config, experiment keyword arguments) of `spde sub` from the
     config file at `path`, the solver seed replaced by `seed` if given."""
     cfg = _read_config(path, {"spde": ..., **SPDE_EXPERIMENTS[sub][1]})

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import serialize, transport
 from .fitting import RateFit, fit_exponential_rate
-from .spde import DriftSpec, Field, SpdeConfig, integrate, l2_sq
+from .spde import ConfigError, DriftSpec, Field, SpdeConfig, integrate, l2_sq
 # perfbench/spans.py traces noise_draws and simulate under these names
 from .spde import noise_draws, simulate  # noqa: F401
 
@@ -26,6 +26,11 @@ RANGE_TOL = 1e-6
 COST = "l2_capped"
 # re-splits of the pooled ensemble in the stationarity null
 NULL_RESAMPLES = 50
+# record times of the energy moments and of the synchronization curve, and
+# the bootstrap resamples of each synchronization CI
+ENERGY_RECORD_TIMES = 26
+SYNC_RECORD_TIMES = 40
+SYNC_BOOTSTRAP = 200
 
 
 @dataclass
@@ -55,11 +60,6 @@ class ExperimentRecord:
         self.fits[name] = {"C": fit.C, "rate": fit.rate,
                            "r_squared": fit.r_squared,
                            "n_points": fit.n_points, "verdict": fit.verdict}
-
-    def series(self, stat):
-        rows = [r for r in self.statistics if r["stat"] == stat]
-        return (np.array([r["t"] for r in rows]),
-                np.array([r["value"] for r in rows]))
 
     def to_json_obj(self):
         return {"name": self.name, "config": self.config,
@@ -106,16 +106,17 @@ def snapshot_run(config: SpdeConfig, u0: Field, T: float, n_paths: int,
 # energy moments
 # ---------------------------------------------------------------------------
 
-def energy_moments(config: SpdeConfig, u0: Field, T: float, n_paths: int,
-                   n_record: int = 26) -> ExperimentRecord:
-    """Monte-Carlo second and fourth moments of the L2 norm, with the
-    dissipation inequality checked at all recorded time pairs, the
-    smallest additive constant certifying the fourth-moment bound, and
-    the drift's dissipativity margins (`DriftSpec.check_dissipativity`)."""
+def energy_moments(config: SpdeConfig, u0: Field, T: float,
+                   n_paths: int) -> ExperimentRecord:
+    """Monte-Carlo second and fourth moments of the L2 norm at about
+    ENERGY_RECORD_TIMES times, with the dissipation inequality checked at
+    all recorded time pairs, the smallest additive constant certifying
+    the fourth-moment bound, and the drift's dissipativity margins
+    (`DriftSpec.check_dissipativity`)."""
     if n_paths < 100:
-        raise ValueError("need at least 100 paths")
+        raise ConfigError(f"need n_paths >= 100, got {n_paths}")
     cfg = replace(config, T=T, n_paths=n_paths)
-    times = _record_grid(T, cfg.dt, n_record)
+    times = _record_grid(T, cfg.dt, ENERGY_RECORD_TIMES)
     snaps = simulate(cfg, u0, times)
     rec = ExperimentRecord(name="energy", config=cfg.to_json_obj(),
                            times=times)
@@ -152,7 +153,7 @@ def energy_moments(config: SpdeConfig, u0: Field, T: float, n_paths: int,
     u0_l4 = l2_sq(u0.values) ** 2
     c4 = max(0.0, max(e4[t] - u0_l4 * math.exp(-K2 * t) for t in ts))
     # the growth condition, whose K1 and K2 the inequality above uses, and
-    # the one-sided Lipschitz condition, on the default range |x| <= R
+    # the one-sided Lipschitz condition, on |x| <= spde.ASSUMPTION_RANGE
     drift_ok, drift_margins = cfg.drift.check_dissipativity()
     rec.extra = {
         "dissipation_inequality_holds": ok,
@@ -171,16 +172,18 @@ def energy_moments(config: SpdeConfig, u0: Field, T: float, n_paths: int,
 # ---------------------------------------------------------------------------
 
 def synchronization_experiment(config: SpdeConfig, x: Field, y: Field,
-                               T: float, n_paths: int, n_record: int = 40,
-                               bootstrap: int = 200) -> ExperimentRecord:
+                               T: float, n_paths: int) -> ExperimentRecord:
+    """Mean capped L2 distance between shared-noise ensembles from x and y
+    at about SYNC_RECORD_TIMES times, each with a percentile bootstrap CI
+    of SYNC_BOOTSTRAP resamples, and a log-linear rate fit."""
     cfg = replace(config, T=T, n_paths=n_paths)
     rec = ExperimentRecord(name="sync", config=cfg.to_json_obj())
     if np.array_equal(x.values, y.values):
         rec.extra = {"verdict": "trivially-synchronized"}
         rec.add_stat(0.0, "sync_l2_capped", 0.0, 0.0, 0.0)
         return rec
-    record_steps = {int(round(t / cfg.dt)) for t in _record_grid(T, cfg.dt,
-                                                                 n_record)}
+    record_steps = {int(round(t / cfg.dt))
+                    for t in _record_grid(T, cfg.dt, SYNC_RECORD_TIMES)}
     Ux = np.broadcast_to(x.values, (n_paths, cfg.N)).copy()
     Uy = np.broadcast_to(y.values, (n_paths, cfg.N)).copy()
     rng = np.random.default_rng(cfg.seed + 10_000)
@@ -192,12 +195,9 @@ def synchronization_experiment(config: SpdeConfig, x: Field, y: Field,
     means = []
     for t, dists in zip(times, curve):
         m = float(dists.mean())
-        if bootstrap:
-            boots = dists[rng.integers(0, n_paths, (bootstrap, n_paths))] \
-                .mean(axis=1)
-            lo, hi = np.quantile(boots, [0.025, 0.975])
-        else:
-            lo = hi = float("nan")
+        boots = dists[rng.integers(0, n_paths, (SYNC_BOOTSTRAP, n_paths))] \
+            .mean(axis=1)
+        lo, hi = np.quantile(boots, [0.025, 0.975])
         means.append(m)
         rec.add_stat(t, "sync_l2_capped", m, lo, hi)
     fit = fit_exponential_rate(np.array(times), np.array(means),

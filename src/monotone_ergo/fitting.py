@@ -18,8 +18,8 @@ class RateFit:
     verdict: bool     # rate > 0 and fit quality threshold met
 
 
-def fit_exponential_rate(times, values, burn_in_frac: float = 0.25,
-                         r2_threshold: float = 0.99) -> RateFit:
+def fit_exponential_rate(times, values, burn_in_frac: float,
+                         r2_threshold: float) -> RateFit:
     """OLS fit of log(values) ~ log C - rate * t over t >= burn_in.
 
     Points with value <= LOG_FLOOR are dropped to avoid log underflow.

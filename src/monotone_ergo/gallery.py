@@ -14,14 +14,10 @@ from scipy.optimize import linprog
 from .chains import (FiniteKernel, check_lyapunov, check_order_preserving,
                      check_premetric_sandwich, moment_bound_M)
 from .posets import antichain_poset
-from .spde import l2_sq, phi
+from .spde import ConfigError, l2_sq, phi
 from .transport import CostMatrix, wasserstein_exact
 
 TOL = 1e-10
-
-
-class InvalidWeights(ValueError):
-    pass
 
 
 def _claim(statement, lhs, rhs, tol=TOL, op="eq"):
@@ -101,19 +97,23 @@ def run_example_2_4():
 # the expected distance does not
 # ---------------------------------------------------------------------------
 
-def run_example_3_2(p=None, n_max: int = 12):
-    """X lands in block [2^i, 2^{i+1}] with weight p_i (uniform inside);
-    Y_n shifts block n by +1.  Exact per-n table of the TV bound p_n 2^-n
-    versus the expected capped distance p_n."""
-    if p is None:
-        p = [2.0 ** -(i + 1) for i in range(n_max + 1)]
-    p = np.asarray(p, dtype=float)
-    if np.any(p <= 0) or not np.all(np.isfinite(p)):
-        raise InvalidWeights("weights must be positive and finite")
+# the largest n_max of example 3.2 whose TV bounds 2^-(2n+1) are floats
+# (2^-1074 is the smallest), so that each ratio is exactly 2^n
+_EXAMPLE_3_2_MAX_N = 536
+
+
+def run_example_3_2(n_max: int):
+    """X lands in block [2^i, 2^{i+1}] with weight p_i = 2^-(i+1), i <= n_max
+    (uniform inside); Y_n shifts block n by +1.  Exact per-n table of the
+    TV bound p_n 2^-n versus the expected capped distance p_n."""
+    if not 0 <= n_max <= _EXAMPLE_3_2_MAX_N:
+        raise ConfigError(f"need 0 <= n <= {_EXAMPLE_3_2_MAX_N}, "
+                          f"got {n_max}")
+    p = np.array([2.0 ** -(i + 1) for i in range(n_max + 1)])
     p = p / p.sum()  # truncation renormalization
     claims = []
     table = []
-    for n in range(min(n_max, len(p) - 1) + 1):
+    for n in range(n_max + 1):
         tv_bound = p[n] * 2.0 ** -n
         expected = p[n]   # the shift is exactly 1 on a block of mass p_n
         ratio = expected / tv_bound
@@ -137,7 +137,7 @@ def _staircase(k: int, n: int, grid: np.ndarray) -> np.ndarray:
 
 def run_example_3_5(n: int):
     if n < 2:
-        raise ValueError("need n >= 2")
+        raise ConfigError(f"need n >= 2, got {n}")
     grid = np.arange(4 * n + 1) / (4 * n)
     fs = [_staircase(k, n, grid) for k in range(1, n + 1)]
     claims = []
@@ -184,7 +184,7 @@ def run_example_3_5(n: int):
 
 def run_example_3_6(n: int):
     if n < 2:
-        raise ValueError("need n >= 2")
+        raise ConfigError(f"need n >= 2, got {n}")
     xs = np.arange(1, n + 1, dtype=float)
     ys = np.where(xs < n, xs + 1, 1.0)
     claims = []
@@ -206,9 +206,9 @@ def run_example_3_6(n: int):
 # signed-power inequality and the L_p premetric sandwich (property tests)
 # ---------------------------------------------------------------------------
 
-def run_example_2_6_2_7(samples: int = 10_000, seed: int = 0):
+def run_example_2_6_2_7(samples: int, seed: int):
     if samples < 1000:
-        raise ValueError("need at least 1000 samples")
+        raise ConfigError(f"need samples >= 1000, got {samples}")
     rng = np.random.default_rng(seed)
     claims = []
 
@@ -244,7 +244,7 @@ def run_example_2_6_2_7(samples: int = 10_000, seed: int = 0):
 
 ALL_CASES = {
     "example-2-4": lambda **kw: run_example_2_4(),
-    "example-3-2": lambda **kw: run_example_3_2(n_max=int(kw.get("n", 12))),
+    "example-3-2": lambda **kw: run_example_3_2(int(kw.get("n", 12))),
     "example-3-5": lambda **kw: run_example_3_5(int(kw.get("n", 4))),
     "example-3-6": lambda **kw: run_example_3_6(int(kw.get("n", 10))),
     "example-2-6-2-7": lambda **kw: run_example_2_6_2_7(

@@ -70,9 +70,6 @@ class FinitePoset:
         mask = self.leq[idx, :].any(axis=0)
         return frozenset(np.nonzero(mask)[0].tolist())
 
-    def to_json_obj(self):
-        return {"n": self.n, "leq": self.leq.astype(int).tolist()}
-
     @staticmethod
     def from_json_obj(obj) -> "FinitePoset":
         return validate_poset(np.asarray(obj["leq"], dtype=bool))

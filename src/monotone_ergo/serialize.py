@@ -35,13 +35,6 @@ def _convert(obj: Any) -> Any:
     return obj
 
 
-class _Float17Encoder(json.JSONEncoder):
-    """Encoder printing every float with 17 significant digits."""
-
-    def iterencode(self, o, _one_shot=False):
-        return _iterencode(_convert(o), self)
-
-
 def _fmt_float(x: float) -> str:
     if math.isnan(x):
         return "NaN"
@@ -50,14 +43,16 @@ def _fmt_float(x: float) -> str:
     return format(x, ".17g")
 
 
-def _iterencode(o: Any, enc: json.JSONEncoder):
+def _iterencode(o: Any, sort_keys: bool):
+    """JSON text of `o` (plain Python objects) in pieces, every float with
+    17 significant digits."""
     if isinstance(o, float):
         yield _fmt_float(o)
     elif isinstance(o, dict):
         yield "{"
         first = True
         items = o.items()
-        if enc.sort_keys:
+        if sort_keys:
             items = sorted(items)
         for k, v in items:
             if not first:
@@ -65,7 +60,7 @@ def _iterencode(o: Any, enc: json.JSONEncoder):
             first = False
             yield json.dumps(str(k))
             yield ": "
-            yield from _iterencode(v, enc)
+            yield from _iterencode(v, sort_keys)
         yield "}"
     elif isinstance(o, (list, tuple)):
         yield "["
@@ -74,23 +69,23 @@ def _iterencode(o: Any, enc: json.JSONEncoder):
             if not first:
                 yield ", "
             first = False
-            yield from _iterencode(v, enc)
+            yield from _iterencode(v, sort_keys)
         yield "]"
     else:
         yield json.dumps(o)
 
 
 def dumps(obj: Any, sort_keys: bool = False) -> str:
-    return "".join(_Float17Encoder(sort_keys=sort_keys).iterencode(obj))
+    return "".join(_iterencode(_convert(obj), sort_keys))
 
 
 @contextlib.contextmanager
-def atomic_open(path: str, mode: str = "w", **kwargs):
+def atomic_open(path: str, mode: str = "w"):
     """Write through a temporary file that replaces `path` only once the
     block completes; on error `path` keeps its old content."""
     tmp = path + ".tmp"
     try:
-        with open(tmp, mode, **kwargs) as fh:
+        with open(tmp, mode) as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:

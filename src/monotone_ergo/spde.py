@@ -157,14 +157,15 @@ class DriftSpec:
         reject_unknown(self.params, _DRIFT_PARAMS[self.name],
                        f"{self.name} drift params")
 
-    def check_dissipativity(self, R: float = ASSUMPTION_RANGE):
-        """One-sided growth and one-sided Lipschitz bounds on |x| <= R, in
-        closed form.
+    def check_dissipativity(self):
+        """One-sided growth and one-sided Lipschitz bounds on
+        |x| <= ASSUMPTION_RANGE, in closed form.
 
         Returns (ok, report); report carries the worst margins and Cf.
         """
         m1, m2, cf = _dissipativity_margins(self.name, self.params, self.K1,
-                                            self.K2, self.K3, float(R))
+                                            self.K2, self.K3,
+                                            ASSUMPTION_RANGE)
         ok = bool(m1 >= -1e-9 and m2 >= -1e-9)
         return ok, {"min_growth_margin": float(m1),
                     "min_lipschitz_margin": float(m2), "Cf": float(cf)}

@@ -274,6 +274,10 @@ _ABSORB = 1e3
 _KERNEL_FLOOR = 1e-280
 # iterations between two marginal checks
 _CHECK_EVERY = 10
+# the iteration cap over all stages, and the L1 marginal tolerance of the
+# last stage, which `converged` reports
+SINKHORN_MAX_ITER = 20000
+SINKHORN_TOL = 1e-9
 
 
 def _kernel(f, g, c, eps):
@@ -284,8 +288,7 @@ def _kernel(f, g, c, eps):
     return k
 
 
-def sinkhorn(mu, nu, cost: CostMatrix, epsilon: float,
-             max_iter: int = 20000, tol: float = 1e-9) -> TransportResult:
+def sinkhorn(mu, nu, cost: CostMatrix, epsilon: float) -> TransportResult:
     """Entropic optimal transport by stabilized scaling with epsilon
     annealing (Schmitzer 2019; Peyre-Cuturi 2019, ch. 4); reports the
     regularized and the plan cost.
@@ -300,9 +303,10 @@ def sinkhorn(mu, nu, cost: CostMatrix, epsilon: float,
     starts at epsilon 2^k, the first such value at or above the cost
     span, and halves each stage down to epsilon, each stage warm-started
     from the last one's potentials.  Every stage but the last stops when
-    the row marginal is within _STAGE_TOL (L1), the last within `tol`.
+    the row marginal is within _STAGE_TOL (L1), the last within
+    SINKHORN_TOL, all stages together within SINKHORN_MAX_ITER iterations.
     `iterations` counts every stage; `gap` is the L1 error of both
-    marginals of the returned plan and `converged` is gap < tol."""
+    marginals of the returned plan and `converged` is gap < SINKHORN_TOL."""
     if epsilon <= 0:
         raise TransportError("epsilon must be positive")
     a, b = _masses(mu, nu)
@@ -326,14 +330,14 @@ def sinkhorn(mu, nu, cost: CostMatrix, epsilon: float,
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for k in range(stages, -1, -1):
             eps = epsilon * 2.0 ** k
-            stop = tol if k == 0 else max(tol, _STAGE_TOL)
+            stop = SINKHORN_TOL if k == 0 else max(SINKHORN_TOL, _STAGE_TOL)
             kern = _kernel(f, g, cr, eps)
             while True:
                 kv = kern @ (bc * v)
                 if it % _CHECK_EVERY == 0 and \
                         ar @ np.abs(u * kv - 1.0) < stop:
                     break
-                if it >= max_iter:
+                if it >= SINKHORN_MAX_ITER:
                     break
                 it += 1
                 np.divide(1.0, kv, out=u)
@@ -360,7 +364,7 @@ def sinkhorn(mu, nu, cost: CostMatrix, epsilon: float,
     reg_value = plan_cost + epsilon * float(ent)
     return TransportResult(value=plan_cost, plan=plan, method="sinkhorn",
                            iterations=it, gap=err, epsilon=epsilon,
-                           reg_value=reg_value, converged=err < tol)
+                           reg_value=reg_value, converged=err < SINKHORN_TOL)
 
 
 # ---------------------------------------------------------------------------

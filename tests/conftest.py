@@ -49,6 +49,14 @@ def set_usable_cpus(monkeypatch, count):
     assert shards.usable_cpus() == count
 
 
+def series(record, stat: str):
+    """(times, values) of the rows of `record.statistics` named `stat`, in
+    the order they were added."""
+    rows = [r for r in record.statistics if r["stat"] == stat]
+    return (np.array([r["t"] for r in rows]),
+            np.array([r["value"] for r in rows]))
+
+
 def marginal_error(coupling, mu: Distribution, nu: Distribution) -> float:
     """Largest gap between a coupling's row and column sums and the
     masses of mu and nu."""

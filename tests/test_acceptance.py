@@ -4,7 +4,6 @@ Each criterion is one test (one pass/fail line under pytest -v); each also
 prints a summary line with the measured quantities.
 """
 
-import json
 import math
 import time
 
@@ -12,8 +11,8 @@ import numpy as np
 from scipy.optimize import linprog
 
 from conftest import (comparison_check, marginal_error, random_dist,
-                      random_poset)
-from monotone_ergo import fixture_path, gallery, transport
+                      random_poset, series)
+from monotone_ergo import cli, fixture_path, gallery, serialize, transport
 from monotone_ergo.chains import (FiniteKernel, OrderedSpaceSpec,
                                   return_time_exp_moments,
                                   theorem_main_verify)
@@ -27,7 +26,7 @@ from monotone_ergo.spde import DriftSpec, Field, SpdeConfig
 
 
 def _fixture_json(name):
-    return json.load(open(fixture_path(name)))
+    return serialize.load(fixture_path(name))
 
 
 def load_chain5():
@@ -142,8 +141,10 @@ def test_criterion_03_theorem_on_reference_chain():
     t0 = time.monotonic()
     poset, kernel, space = load_chain5()
     pairs = [(i, j) for i in range(5) for j in range(5) if i != j]
-    rep = theorem_main_verify(space, kernel, pairs, horizon=40,
-                              burn_in_frac=0.125, r2_threshold=0.99)
+    # the decay fit's window and R^2 gate, as chain-verify sets them
+    gate = {key: cli.CHAIN_KEYS[key] for key in ("burn_in_frac",
+                                                 "r2_threshold")}
+    rep = theorem_main_verify(space, kernel, pairs, horizon=40, **gate)
     assert rep.verdict
     for fit in rep.fits:
         assert fit.rate > 0
@@ -155,7 +156,8 @@ def test_criterion_03_theorem_on_reference_chain():
         _fixture_json("antichain2_kernel.json"))
     anti_space = OrderedSpaceSpec.from_json_obj(
         _fixture_json("antichain2_space.json"), anti_poset)
-    arep = theorem_main_verify(anti_space, anti_kernel, [(0, 1)], horizon=40)
+    arep = theorem_main_verify(anti_space, anti_kernel, [(0, 1)], horizon=40,
+                               **gate)
     assert not arep.verdict
     assert np.all(arep.series[0] >= 0.5)
     for s in (0, 1):
@@ -173,7 +175,7 @@ def test_criterion_04_gallery_exactness():
     staircase probabilities, premetric infeasibility certificate, and the
     first-moment formula."""
     t0 = time.monotonic()
-    r32 = gallery.run_example_3_2(n_max=12)
+    r32 = gallery.run_example_3_2(12)
     assert r32["all_hold"]
     for row in r32["table"]:
         assert abs(row["ratio"] - 2.0 ** row["n"]) < 1e-10
@@ -252,8 +254,8 @@ def test_criterion_07_synchronization():
     cobj, ccfg = _spde_config("spde_sync_zero_noise.json")
     crec = synchronization_experiment(
         ccfg, Field(np.full(ccfg.N, -2.0)), Field(np.full(ccfg.N, 2.0)),
-        T=float(cobj["T"]), n_paths=int(cobj["n_paths"]), bootstrap=0)
-    _, cvals = crec.series("sync_l2_capped")
+        T=float(cobj["T"]), n_paths=int(cobj["n_paths"]))
+    _, cvals = series(crec, "sync_l2_capped")
     assert cvals[-1] >= 0.9  # no decay without noise
     report(7, f"rate {fit['rate']:.3f}, R^2 {fit['r_squared']:.3f}; "
               f"zero-noise plateau {cvals[-1]:.3f} >= 0.9",
@@ -273,7 +275,7 @@ def test_criterion_08_ergodicity():
         extra_x_times=tuple(obj["extra_x_times"]))
     fit = rec.fits["w_rate"]
     assert fit["rate"] > 0
-    _, vals = rec.series("w_l2_capped")
+    _, vals = series(rec, "w_l2_capped")
     assert vals[-1] < vals[0]
     check = rec.extra["stationarity"][0]
     assert check["below_2se"]

@@ -2,7 +2,6 @@
 domination tails, the theorem-style decay report, the two
 domination-distance inequalities, and the coupling construction."""
 
-import json
 import math
 from dataclasses import replace
 
@@ -13,7 +12,7 @@ from scipy.optimize import linprog
 from conftest import random_poset
 from coupling_construction import (domination_time_tail, simulate,
                                    triple_order_exact)
-from monotone_ergo import fixture_path
+from monotone_ergo import chains, cli, fixture_path, serialize
 from monotone_ergo.chains import (ChainError, Divergent, EmptyTarget,
                                   FiniteKernel, OrderedSpaceSpec,
                                   absorbed_chain_second_eigenvalue,
@@ -35,12 +34,16 @@ def report_of(reports, condition):
 
 def load_chain5():
     poset = FinitePoset.from_json_obj(
-        json.load(open(fixture_path("chain5_poset.json"))))
+        serialize.load(fixture_path("chain5_poset.json")))
     kernel = FiniteKernel.from_json_obj(
-        json.load(open(fixture_path("chain5_kernel.json"))))
+        serialize.load(fixture_path("chain5_kernel.json")))
     space = OrderedSpaceSpec.from_json_obj(
-        json.load(open(fixture_path("chain5_space.json"))), poset)
+        serialize.load(fixture_path("chain5_space.json")), poset)
     return poset, kernel, space
+
+
+# the decay fit's window and R^2 gate, as chain-verify sets them
+FIT = {key: cli.CHAIN_KEYS[key] for key in ("burn_in_frac", "r2_threshold")}
 
 
 class TestKernel:
@@ -126,7 +129,7 @@ class TestConditions:
         expect = np.maximum(space.phi ** 2, stat)
         assert M == pytest.approx(expect, abs=1e-9)
 
-    def test_moment_bound_on_reducible_kernels(self):
+    def test_moment_bound_on_reducible_kernels(self, monkeypatch):
         # the identity never moves: M = phi^2, not raised to a stationary
         # value that state 1 never sees
         M, _ = moment_bound_M(FiniteKernel(np.eye(2)), [1.0, 0.0])
@@ -135,8 +138,10 @@ class TestConditions:
         # P_t phi^2(0) = 1 - 2^-t climbs to the stationary value 1 and
         # the sup over all t is 1 even where the scan stops short of it
         P = np.array([[0.5, 0.5], [0.0, 1.0]])
-        M, _ = moment_bound_M(FiniteKernel(P), [0.0, 1.0], t_max=3)
+        monkeypatch.setattr(chains, "M_SCAN_STEPS", 3)
+        M, truncated = moment_bound_M(FiniteKernel(P), [0.0, 1.0])
         assert M == pytest.approx([1.0, 1.0], abs=1e-12)
+        assert truncated
 
     def test_report_fails_bad_premetric(self):
         # d(0, 1) = 5 exceeds the phi gap 1 on the ordered pair (0, 1)
@@ -170,7 +175,7 @@ class TestConditions:
                              swap_eps=0.1)
 
 
-CHAIN5_SPACE = json.load(open(fixture_path("chain5_space.json")))
+CHAIN5_SPACE = serialize.load(fixture_path("chain5_space.json"))
 
 
 class TestSpecShapes:
@@ -319,8 +324,7 @@ class TestTheorem:
     def test_chain5_geometric_decay(self):
         poset, kernel, space = load_chain5()
         pairs = [(0, 4), (2, 3), (4, 1)]
-        rep = theorem_main_verify(space, kernel, pairs, horizon=40,
-                                  burn_in_frac=0.125)
+        rep = theorem_main_verify(space, kernel, pairs, horizon=40, **FIT)
         assert rep.verdict
         # the lazy-mixture chain has W = 0.55^t exactly
         for series in rep.series:
@@ -332,10 +336,10 @@ class TestTheorem:
     def test_antichain_counterexample_declines(self):
         poset = antichain_poset(2)
         kernel = FiniteKernel.from_json_obj(
-            json.load(open(fixture_path("antichain2_kernel.json"))))
+            serialize.load(fixture_path("antichain2_kernel.json")))
         space = OrderedSpaceSpec.from_json_obj(
-            json.load(open(fixture_path("antichain2_space.json"))), poset)
-        rep = theorem_main_verify(space, kernel, [(0, 1)], horizon=20)
+            serialize.load(fixture_path("antichain2_space.json")), poset)
+        rep = theorem_main_verify(space, kernel, [(0, 1)], horizon=20, **FIT)
         assert not rep.verdict
         assert np.all(rep.series[0] >= 0.5)
 
@@ -348,7 +352,7 @@ class TestTheorem:
             poset=poset, d=1.0 - np.eye(2), phi=np.zeros(2),
             rho=1.0 - np.eye(2), V=np.ones(2), gamma=math.log(2.0), K=1.0,
             swap_A=[0], swap_B=[0], swap_eps=0.05)
-        rep = theorem_main_verify(space, kernel, [(0, 1)], horizon=15)
+        rep = theorem_main_verify(space, kernel, [(0, 1)], horizon=15, **FIT)
         assert not rep.verdict
         assert np.all(rep.series[0] == 1.0)
 
@@ -357,7 +361,7 @@ class TestTheorem:
         _, _, space = load_chain5()
         with pytest.raises(ChainError, match="'kernel' has 4 states"):
             theorem_main_verify(space, FiniteKernel(np.eye(4)), [(0, 1)],
-                                horizon=5)
+                                horizon=5, **FIT)
 
     @pytest.mark.parametrize("horizon, burn_in_frac",
                              [(-1, 0.25), (2, 0.5), (3, 0.5), (40, 1.0)])
@@ -365,13 +369,13 @@ class TestTheorem:
         _, kernel, space = load_chain5()
         with pytest.raises(ChainError, match="'horizon'"):
             theorem_main_verify(space, kernel, [(0, 1)], horizon,
-                                burn_in_frac=burn_in_frac)
+                                **{**FIT, "burn_in_frac": burn_in_frac})
 
     @pytest.mark.parametrize("horizon, burn_in_frac", [(2, 0.0), (4, 0.5)])
     def test_three_fitted_times_run(self, horizon, burn_in_frac):
         _, kernel, space = load_chain5()
         rep = theorem_main_verify(space, kernel, [(0, 1)], horizon,
-                                  burn_in_frac=burn_in_frac)
+                                  **{**FIT, "burn_in_frac": burn_in_frac})
         assert rep.fits[0].n_points == 3
 
     @pytest.mark.parametrize("pairs", [[(0, 9)], [(0,)], [(0, 1, 2)],
@@ -379,7 +383,7 @@ class TestTheorem:
     def test_pairs_must_be_element_pairs(self, pairs):
         _, kernel, space = load_chain5()
         with pytest.raises(ChainError, match="'pairs'"):
-            theorem_main_verify(space, kernel, pairs, horizon=5)
+            theorem_main_verify(space, kernel, pairs, horizon=5, **FIT)
 
 
 def ordered_coupling_lp(mu, nu, cost, leq):

@@ -88,7 +88,7 @@ def test_shipped_configs_pass_the_reader():
                    glob.glob(os.path.join(fixtures, "spde_*.json")))
     assert names == sorted(FIXTURE_SUBCOMMANDS)
     for name, sub in FIXTURE_SUBCOMMANDS.items():
-        cli.read_spde(fixture_path(name), sub)
+        cli.read_spde(fixture_path(name), sub, None)
     for path in glob.glob(os.path.join(fixtures, "*_verify.json")):
         cli._read_config(path, cli.CHAIN_KEYS)
 
@@ -144,6 +144,34 @@ def test_unknown_key_exit_2(tmp_path, capsys, argv, key):
     assert f"'{key}'" in err
 
 
+def energy_config(tmp_path, n_paths: int) -> str:
+    """spde_energy.json with `n_paths` paths."""
+    path = str(tmp_path / "energy.json")
+    serialize.dump({**serialize.load(fixture_path("spde_energy.json")),
+                    "n_paths": n_paths}, path)
+    return path
+
+
+# a value out of its case's or experiment's range is an input error, not a
+# failed verdict
+@pytest.mark.parametrize("argv", [
+    lambda tmp: ["gallery", "example-3-5", "--n", "1"],
+    lambda tmp: ["gallery", "example-3-6", "--n", "1"],
+    lambda tmp: ["gallery", "example-2-6-2-7", "--samples", "10"],
+    lambda tmp: ["gallery", "example-3-2", "--n", "-1"],
+    lambda tmp: ["gallery", "example-3-2", "--n", "537"],
+    lambda tmp: ["spde", "energy", energy_config(tmp, 50)],
+], ids=["example-3-5-n", "example-3-6-n", "example-2-6-2-7-samples",
+        "example-3-2-negative-n", "example-3-2-n-past-float-range",
+        "energy-n-paths"])
+def test_out_of_range_value_exit_2(tmp_path, capsys, argv):
+    code, out, err = run(argv(tmp_path), capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("config error: ")
+    assert "Traceback" not in err
+
+
 class TestChainVerify:
     def test_reference_chain_passes(self, capsys):
         code, out, err = run(
@@ -162,7 +190,7 @@ class TestChainVerify:
         serialize.dump({
             "poset": {"n": 2, "leq": [[1, 1], [0, 1]]},
             "kernel": {"P": [[0.99, 0.0], [0.0, 1.0]]},
-            "space": json.load(open(fixture_path("antichain2_space.json"))),
+            "space": serialize.load(fixture_path("antichain2_space.json")),
         }, str(tmp_path / "cfg.json"))
         code, out, err = run(["chain-verify", str(tmp_path / "cfg.json")],
                              capsys)
@@ -417,7 +445,7 @@ class TestGallery:
         seeds = []
         sample = gallery.run_example_2_6_2_7
 
-        def spy(samples, seed=0):
+        def spy(samples, seed):
             seeds.append(seed)
             return sample(samples, seed)
 

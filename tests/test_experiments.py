@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
+from conftest import series
 from monotone_ergo import fixture_path, serialize, transport
-from monotone_ergo.experiments import (ExperimentRecord,
+from monotone_ergo.experiments import (SYNC_RECORD_TIMES, ExperimentRecord,
                                        _permutation_null,
                                        constants_obstruction_demo,
                                        energy_moments, ergodicity_experiment,
@@ -37,7 +38,7 @@ class TestRecord:
         rec.add_stat(0.0, "a", 1.0)
         rec.add_stat(1.0, "a", 2.0)
         rec.add_stat(0.5, "b", 9.0)
-        t, v = rec.series("a")
+        t, v = series(rec, "a")
         assert t.tolist() == [0.0, 1.0]
         assert v.tolist() == [1.0, 2.0]
 
@@ -61,19 +62,19 @@ class TestEnergy:
     def test_dissipation_inequality_and_c4(self):
         cfg = small_config()
         rec = energy_moments(cfg, Field(np.full(16, 3.0)), T=0.5,
-                             n_paths=100, n_record=8)
+                             n_paths=100)
         assert rec.extra["dissipation_inequality_holds"]
         assert rec.extra["smallest_C4"] >= 0.0
-        t, e2 = rec.series("energy_l2sq")
+        t, e2 = series(rec, "energy_l2sq")
         assert e2[0] == pytest.approx(9.0)
         assert e2[-1] < e2[0]  # strong decay from u0 = 3
 
     def test_times_start_at_zero_once(self):
         rec = energy_moments(small_config(), Field(np.full(16, 1.0)), T=0.05,
-                             n_paths=100, n_record=6)
+                             n_paths=100)
         assert rec.times[0] == 0.0
         assert all(a < b for a, b in zip(rec.times, rec.times[1:]))
-        t, _ = rec.series("energy_l2sq")
+        t, _ = series(rec, "energy_l2sq")
         assert t.tolist() == rec.times
 
     def test_needs_enough_paths(self):
@@ -88,7 +89,7 @@ class TestEnergy:
         with open(fixture_path("spde_energy.json")) as fh:
             cfg = SpdeConfig.from_json_obj(json.load(fh)["spde"])
         rec = energy_moments(cfg, Field(np.full(cfg.N, 3.0)), T=0.01,
-                             n_paths=100, n_record=3)
+                             n_paths=100)
         ok, margins = cfg.drift.check_dissipativity()
         assert rec.extra["drift_dissipativity"] == {"holds": ok, **margins}
         assert ok and margins["min_growth_margin"] == 0.4375
@@ -106,8 +107,8 @@ class TestSynchronization:
         cfg = small_config()
         rec = synchronization_experiment(cfg, Field(np.full(16, -0.5)),
                                          Field(np.full(16, 0.5)), T=0.5,
-                                         n_paths=50, n_record=6, bootstrap=30)
-        t, v = rec.series("sync_l2_capped")
+                                         n_paths=50)
+        t, v = series(rec, "sync_l2_capped")
         assert t[0] == 0.0 and v[0] == pytest.approx(1.0)
         assert "sync_rate" in rec.fits
         rows = [r for r in rec.statistics if r["stat"] == "sync_l2_capped"]
@@ -116,10 +117,8 @@ class TestSynchronization:
     def test_deterministic_given_seed(self):
         cfg = small_config()
         args = (cfg, Field(np.full(16, -1.0)), Field(np.full(16, 1.0)))
-        r1 = synchronization_experiment(*args, T=0.2, n_paths=20,
-                                        bootstrap=10)
-        r2 = synchronization_experiment(*args, T=0.2, n_paths=20,
-                                        bootstrap=10)
+        r1 = synchronization_experiment(*args, T=0.2, n_paths=20)
+        r2 = synchronization_experiment(*args, T=0.2, n_paths=20)
         assert serialize.dumps(r1.to_json_obj()) == \
             serialize.dumps(r2.to_json_obj())
 
@@ -128,14 +127,13 @@ class TestSynchronization:
         # give the same capped distances
         cfg = small_config(n_paths=20)
         x, y = Field(np.full(16, -0.3)), Field(np.full(16, 0.3))
-        rec = synchronization_experiment(cfg, x, y, T=0.2, n_paths=20,
-                                         n_record=5, bootstrap=0)
-        times, curve = rec.series("sync_l2_capped")
+        rec = synchronization_experiment(cfg, x, y, T=0.2, n_paths=20)
+        times, curve = series(rec, "sync_l2_capped")
         sx = simulate(cfg, x, times.tolist())
         sy = simulate(cfg, y, times.tolist())
         expected = [float(np.minimum(np.sqrt(l2_sq(sx[t] - sy[t])), 1.0)
                           .mean()) for t in times.tolist()]
-        assert len(expected) == 5 and max(expected) < 1.0
+        assert len(expected) == SYNC_RECORD_TIMES and max(expected) < 1.0
         assert curve.tolist() == expected
 
 
@@ -146,7 +144,7 @@ class TestErgodicity:
                                     Field(np.full(16, 1.0)),
                                     time_grid=[0.1, 0.2, 0.4],
                                     n_paths=32, extra_x_times=(0.8,))
-        t, v = rec.series("w_l2_capped")
+        t, v = series(rec, "w_l2_capped")
         assert len(t) == 3
         assert "w_rate" in rec.fits
         checks = rec.extra["stationarity"]
@@ -173,7 +171,7 @@ class TestErgodicity:
         w = transport.wasserstein_empirical(snaps[0.2], snaps[0.4],
                                             bootstrap=0).value
         assert rec.extra["stationarity"][0]["w"] == w
-        assert rec.series("w_stationarity_l2_capped")[1].tolist() == [w]
+        assert series(rec, "w_stationarity_l2_capped")[1].tolist() == [w]
 
     def test_permutation_null_equals_serial_loop(self):
         rng = np.random.default_rng(4)

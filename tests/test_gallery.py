@@ -56,28 +56,24 @@ class TestExample24:
 
 class TestExample32:
     def test_ratio_is_power_of_two(self):
-        rep = gallery.run_example_3_2(n_max=10)
+        rep = gallery.run_example_3_2(10)
         assert rep["all_hold"]
         row = rep["table"][10]
         assert row["ratio"] == pytest.approx(1024.0, abs=1e-10)
 
+    def test_largest_n_holds_exactly(self):
+        # the last TV bound is 2^-1073, the float next to the smallest
+        rep = gallery.run_example_3_2(gallery._EXAMPLE_3_2_MAX_N)
+        assert rep["all_hold"]
+        assert rep["table"][-1]["tv_bound"] == 2.0 ** -1073
+
     def test_dyadic_weights_n10(self):
         # p_n = 2^-(n+1): expected distance 2^-11, TV bound 2^-21
-        rep = gallery.run_example_3_2(n_max=12)
+        rep = gallery.run_example_3_2(12)
         row = rep["table"][10]
         total = sum(2.0 ** -(i + 1) for i in range(13))
         assert row["expected_distance"] == pytest.approx(2.0 ** -11 / total)
         assert row["tv_bound"] == pytest.approx(2.0 ** -21 / total)
-
-    def test_quadratic_weights(self):
-        import math
-        p = [6.0 / (math.pi ** 2 * (i + 1) ** 2) for i in range(6)]
-        rep = gallery.run_example_3_2(p=p, n_max=5)
-        assert rep["all_hold"]
-
-    def test_invalid_weights(self):
-        with pytest.raises(gallery.InvalidWeights):
-            gallery.run_example_3_2(p=[0.5, -0.1])
 
 
 class TestExample35:
@@ -117,21 +113,21 @@ class TestExample36:
 
 class TestExample2627:
     def test_property_runs(self):
-        rep = gallery.run_example_2_6_2_7(samples=10_000)
+        rep = gallery.run_example_2_6_2_7(10_000, 0)
         assert rep["all_hold"]
 
     def test_equality_case(self):
-        rep = claims(gallery.run_example_2_6_2_7(samples=1000))
+        rep = claims(gallery.run_example_2_6_2_7(1000, 0))
         c = rep["equality case a=-1, b=1, p=2"]
         assert c["lhs"] == pytest.approx(c["rhs"], abs=1e-12)
 
     def test_minimum_sample_count(self):
         with pytest.raises(ValueError):
-            gallery.run_example_2_6_2_7(samples=10)
+            gallery.run_example_2_6_2_7(10, 0)
 
     def test_deterministic(self):
-        assert gallery.run_example_2_6_2_7(2000) == \
-            gallery.run_example_2_6_2_7(2000)
+        assert gallery.run_example_2_6_2_7(2000, 0) == \
+            gallery.run_example_2_6_2_7(2000, 0)
 
     def test_margins_per_p_are_negative_and_seed_dependent(self):
         # the p = 2 and p = 3 claims carry strict, sample-dependent margins

@@ -5,8 +5,11 @@ module of the package but `shards` imports a way to start processes or
 threads, so the package has one way to use more than one core.  Every
 public top-level function or class of the package, and every public
 method of its classes, is read by package code, apart from a fixed list
-of names only the tests call.  Every field of a package dataclass is read
-as an attribute somewhere in the package, the tests or the benchmark."""
+of names only the tests call; a method counts as read when it is called,
+a property when it is read.  Every defaulted parameter of those functions
+and methods is passed by some package call, apart from a fixed list.
+Every field of a package dataclass is read as an attribute somewhere in
+the package, the tests or the benchmark."""
 
 import ast
 import pathlib
@@ -105,9 +108,10 @@ def unreferenced_public_names(sources: dict[str, str]) -> list[str]:
     package modules `sources` (module name -> text) that no package code
     reads: no name in its own module, no `from .module import name` and
     no `module.name` elsewhere; and `module.Class.name` of each public
-    method of a public top-level class whose name no package code reads as an
-    attribute (`anything.name`), since the owner of an attribute read is
-    not known before run time."""
+    method of a public top-level class whose name no package code calls
+    as an attribute (`anything.name(...)`), or, for a property, reads as
+    one (`anything.name`), since the owner of an attribute read is not
+    known before run time."""
     trees = {mod: ast.parse(text) for mod, text in sources.items()}
     refs = {mod: {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
             for mod, tree in trees.items()}
@@ -123,6 +127,9 @@ def unreferenced_public_names(sources: dict[str, str]) -> list[str]:
     attributes = {node.attr for tree in trees.values()
                   for node in ast.walk(tree)
                   if isinstance(node, ast.Attribute)}
+    called = {node.func.attr for tree in trees.values()
+              for node in ast.walk(tree) if isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Attribute)}
     names = [f"{mod}.{node.name}" for mod, tree in trees.items()
              for node in tree.body
              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
@@ -133,8 +140,14 @@ def unreferenced_public_names(sources: dict[str, str]) -> list[str]:
                and not cls.name.startswith("_")
                for fn in cls.body if isinstance(fn, ast.FunctionDef)
                and not fn.name.startswith("_")
-               and fn.name not in attributes]
+               and fn.name not in (attributes if _decorated(fn, "property")
+                                   else called)]
     return sorted(names + methods)
+
+
+def _decorated(fn: ast.FunctionDef, decorator: str) -> bool:
+    return any(isinstance(d, ast.Name) and d.id == decorator
+               for d in fn.decorator_list)
 
 
 def test_reference_scan_reports_only_unread_names():
@@ -143,23 +156,126 @@ def test_reference_scan_reports_only_unread_names():
              "class Local:\n    def run(self): pass\n"
              "    def idle(self): pass\n    def _own(self): pass\n"
              "    def __len__(self): return 0\n"
-             "class Lonely: pass\nx = Local()\nx.run()\n",
+             "    def series(self): return []\n"
+             "    @property\n    def size(self): return 0\n"
+             "class Lonely: pass\nx = Local()\nx.run()\nprint(x.size)\n"
+             "def _rows(report): return report.series\n",
         "b": "from .a import used\nfrom . import c\nc.via_attribute()\n",
         "c": "def via_attribute(): pass\ndef unread(): pass\n",
         "__init__": "def helper(): pass\n",
     }
     assert unreferenced_public_names(sources) == [
-        "__init__.helper", "a.Local.idle", "a.Lonely", "a.unread",
-        "c.unread"]
+        "__init__.helper", "a.Local.idle", "a.Local.series", "a.Lonely",
+        "a.unread", "c.unread"]
+    # a method read but not called, like a field of the same name, is
+    # still unused
     sources["d"] = ("from . import helper\nfrom .a import Lonely, unread\n"
-                    "def _read(obj): return obj.idle\n")
-    assert unreferenced_public_names(sources) == ["c.unread"]
+                    "def _read(obj): return obj.idle(), obj.series\n")
+    assert unreferenced_public_names(sources) == ["a.Local.series",
+                                                  "c.unread"]
 
 
 def test_public_names_have_a_caller_in_the_package():
     package = ROOT / "src" / "monotone_ergo"
     sources = {p.stem: p.read_text() for p in package.glob("*.py")}
     assert set(unreferenced_public_names(sources)) == TEST_ONLY_NAMES
+
+
+# defaulted parameters of public package functions that no package call
+# passes, each with the reason it keeps its default; a parameter leaves
+# this list when a package call passes it or its default goes, and no
+# parameter joins it
+TEST_ONLY_PARAMETERS = {
+    "cli.main.argv": "the console script calls main() bare; perfbench and "
+                     "the tests pass argv",
+    "experiments.ergodicity_experiment.extra_x_times":
+        "cli.cmd_spde passes it through SPDE_EXPERIMENTS, by a lookup the "
+        "scan does not follow",
+    "transport.wasserstein_empirical.bootstrap":
+        "the tests set the draw count, on which the same-law coverage "
+        "xfail depends",
+}
+
+
+def _passes(call: ast.Call, name: str, place) -> bool:
+    """Whether `call` passes the parameter `name`: by keyword, through
+    `**`, or, for a parameter at positional index `place` of the call
+    (None for a keyword-only one), by a positional argument there or
+    through `*`."""
+    return (any(kw.arg in (name, None) for kw in call.keywords)
+            or place is not None
+            and (len(call.args) > place
+                 or any(isinstance(a, ast.Starred) for a in call.args)))
+
+
+def unpassed_defaults(sources: dict[str, str]) -> list[str]:
+    """`module.function.parameter` (`module.Class.method.parameter` for a
+    method) of each defaulted parameter of a public top-level function,
+    or of a public method of a public top-level class, of the package
+    modules `sources` (module name -> text) that no call in them passes.
+    A call is matched by name (`name(...)` or `anything.name(...)`), since
+    the owner of an attribute is not known before run time; its
+    positional arguments start after `self` for a method that is not a
+    staticmethod."""
+    trees = {mod: ast.parse(text) for mod, text in sources.items()}
+    calls = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", getattr(func, "attr", None))
+                calls.setdefault(name, []).append(node)
+    defs = [(f"{mod}.{fn.name}", fn, 0) for mod, tree in trees.items()
+            for fn in tree.body if isinstance(fn, ast.FunctionDef)]
+    defs += [(f"{mod}.{cls.name}.{fn.name}", fn,
+              0 if _decorated(fn, "staticmethod") else 1)
+             for mod, tree in trees.items() for cls in tree.body
+             if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+             for fn in cls.body if isinstance(fn, ast.FunctionDef)]
+    found = []
+    for qualname, fn, skip in defs:
+        if fn.name.startswith("_"):
+            continue
+        args = fn.args
+        positional = args.posonlyargs + args.args
+        params = [(arg.arg, place - skip)
+                  for place, arg in enumerate(positional)
+                  ][len(positional) - len(args.defaults):]
+        params += [(arg.arg, None) for arg, default
+                   in zip(args.kwonlyargs, args.kw_defaults)
+                   if default is not None]
+        found += [f"{qualname}.{name}" for name, place in params
+                  if not any(_passes(call, name, place)
+                             for call in calls.get(fn.name, []))]
+    return sorted(found)
+
+
+def test_default_scan_reports_only_unpassed_parameters():
+    sources = {
+        "a": "def fit(t, burn_in=0.25, gate=0.99, spare=0): pass\n"
+             "def run(x, *, only=1): pass\n"
+             "def _private(x=1): pass\n"
+             "class Record:\n"
+             "    def add(self, t, low=0.0, high=1.0): pass\n"
+             "    @staticmethod\n"
+             "    def make(name, size=1): pass\n"
+             "    def _own(self, k=1): pass\n",
+        "b": "from . import a\na.fit(0, gate=0.5)\na.run(*[1, 2])\n"
+             "rec = a.Record()\nrec.add(0.0, 0.1)\na.Record.make('x', 2)\n",
+    }
+    assert unpassed_defaults(sources) == [
+        "a.Record.add.high", "a.fit.burn_in", "a.fit.spare", "a.run.only"]
+    sources["c"] = ("from .a import fit, run\nfit(0, *[1])\nrun(0, **{})\n"
+                    "def _more(rec): rec.add(0.0, **{})\n")
+    assert unpassed_defaults(sources) == []
+
+
+def test_defaulted_parameters_are_passed_in_the_package():
+    package = ROOT / "src" / "monotone_ergo"
+    sources = {p.stem: p.read_text() for p in package.glob("*.py")}
+    assert {name for name in unpassed_defaults(sources)
+            if name.rsplit(".", 1)[0] not in TEST_ONLY_NAMES} \
+        == set(TEST_ONLY_PARAMETERS)
 
 
 def unread_fields(dataclasses: dict[str, str],

@@ -63,11 +63,6 @@ class TestValidation:
             validate_poset(leq)
         assert (exc.value.i, exc.value.j, exc.value.k) == (0, 1, 2)
 
-    def test_json_round_trip(self):
-        p = chain_poset(3)
-        q = FinitePoset.from_json_obj(p.to_json_obj())
-        assert np.array_equal(p.leq, q.leq)
-
     def test_distribution_validation(self):
         with pytest.raises(ValueError):
             Distribution([0.5, 0.4])

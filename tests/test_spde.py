@@ -12,7 +12,8 @@ import pytest
 
 from conftest import comparison_check, set_usable_cpus
 from monotone_ergo import fixture_path, shards, spde
-from monotone_ergo.experiments import synchronization_experiment
+from monotone_ergo.experiments import (SYNC_RECORD_TIMES,
+                                       synchronization_experiment)
 from monotone_ergo.spde import (ConfigError, DriftSpec, Field, NoiseSpec,
                                 NonFinite, SpdeConfig, Stepper, l2_sq,
                                 noise_draws, phi, simulate)
@@ -107,18 +108,15 @@ class TestDrift:
                        "min_lipschitz_margin": 0.0,
                        "Cf": (2.0 / 3.0) * np.sqrt(1.0 / 3.0)}
         # vertex x^2 = 2 beyond R^2 = 1: the edge value 1 - 4 + 1
-        _, rep = DriftSpec("cubic", {"K": 3.0}, K1=1.0, K2=1.0,
-                           K3=1.0).check_dissipativity(R=1.0)
-        assert rep == {"min_growth_margin": -2.0,
-                       "min_lipschitz_margin": -2.0, "Cf": 2.0}
+        assert spde._dissipativity_margins("cubic", {"K": 3.0}, 1.0, 1.0, 1.0,
+                                           1.0) == (-2.0, -2.0, 2.0)
         _, rep = DriftSpec("linear", {"a": -2.0}, K1=1.0, K2=1.0,
                            K3=0.0).check_dissipativity()
         assert rep == {"min_growth_margin": 1.0,
                        "min_lipschitz_margin": 2.0, "Cf": 0.0}
-        _, rep = DriftSpec("zero", {}, K1=1.0, K2=1.0,
-                           K3=1.0).check_dissipativity(R=2.0)
-        assert rep == {"min_growth_margin": -3.0,
-                       "min_lipschitz_margin": 1.0, "Cf": 0.0}
+        # zero drift on R = 2: the edge value K1 - K2 R^2
+        assert spde._dissipativity_margins("zero", {}, 1.0, 1.0, 1.0,
+                                           2.0) == (-3.0, 1.0, 0.0)
 
     def test_negative_slope_bound(self):
         d = DriftSpec("cubic", {"K": 1.0}, K1=1.0, K2=0.5, K3=1.0)
@@ -426,8 +424,7 @@ class TestShards:
         runs = {}
         for cpus in (1, 2, 3):
             counts = shard_counts(cpus)
-            rec = synchronization_experiment(cfg, x, y, T=0.2, n_paths=9,
-                                             n_record=8, bootstrap=50)
+            rec = synchronization_experiment(cfg, x, y, T=0.2, n_paths=9)
             assert counts == [cpus]
             runs[cpus] = (rec.times, np.array(
                 [[r["t"], r["value"], r["ci_low"], r["ci_high"]]
@@ -435,7 +432,7 @@ class TestShards:
         for times, stats in runs.values():
             assert times == runs[1][0]
             assert np.array_equal(stats, runs[1][1])
-        assert len(runs[1][0]) == 8
+        assert len(runs[1][0]) == SYNC_RECORD_TIMES
 
     def test_comparison_check_value(self, shard_counts):
         # starts 1e-13 apart at one point: the violations are rounding

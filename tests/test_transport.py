@@ -226,10 +226,12 @@ class TestSinkhorn:
         assert np.abs(res.plan.sum(axis=1) - a).sum() < 1e-6
         assert res.reg_value is not None
 
-    def test_converged_flag(self, rng):
+    def test_converged_flag(self, rng, monkeypatch):
         a, b, c = random_instance(rng, 5, 7)
-        capped = sinkhorn(a, b, CostMatrix(c), epsilon=0.001, max_iter=10)
-        assert capped.converged is False
+        monkeypatch.setattr(transport, "SINKHORN_MAX_ITER", 10)
+        capped = sinkhorn(a, b, CostMatrix(c), epsilon=0.001)
+        monkeypatch.undo()
+        assert (capped.converged, capped.iterations) == (False, 10)
         assert capped.gap >= 1e-9
         done = sinkhorn(a, b, CostMatrix(c), epsilon=0.05)
         assert done.converged is True
