@@ -15,6 +15,7 @@ import argparse
 import os
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -163,8 +164,8 @@ def _fit(rec, name, key):
 
 
 # subcommand -> (experiment, {top-level key it reads: default}, stderr
-# summary of its record); a default of None is the solver block's own T or
-# n_paths
+# summary of its record); a top-level T or n_paths replaces the solver
+# block's, and a default of None keeps the solver block's
 SPDE_EXPERIMENTS = {
     "run": (experiments.snapshot_run,
             {"u0": {"kind": "const", "value": 0.0}, "T": None,
@@ -206,28 +207,53 @@ SPDE_EXPERIMENTS = {
                                 f"space exponent "
                                 f"{rec.extra['space_holder_exponent']:.4f}"),
 }
-# how each top-level key but the initial fields becomes an argument
-_SPDE_VALUES = {"T": float, "n_paths": int, "n_record": int,
-                "time_grid": list, "extra_x_times": tuple}
+
+
+def _times(value) -> list[float]:
+    """`value`, a list of finite numbers >= 0, as floats."""
+    if not (isinstance(value, (list, tuple)) and all(
+            type(t) in (int, float) and np.isfinite(t) and t >= 0
+            for t in value)):
+        raise ValueError(f"must be a list of finite numbers >= 0: {value!r}")
+    return [float(t) for t in value]
+
+
+def _grid(value) -> list[float]:
+    """`value`, a non-empty list of finite numbers >= 0, as floats."""
+    if not value:
+        raise ValueError("must hold at least one time")
+    return _times(value)
+
+
+def _count(value) -> int:
+    """`value` as an int of at least 1."""
+    if int(value) < 1:
+        raise ValueError(f"must be at least 1: {value!r}")
+    return int(value)
+
+
+# how each top-level key but the initial fields becomes a value
+_SPDE_VALUES = {"T": float, "n_paths": int, "n_record": _count,
+                "time_grid": _grid, "extra_x_times": _times}
 
 
 def read_spde(path: str, sub: str, seed):
     """(solver config, experiment keyword arguments) of `spde sub` from the
-    config file at `path`, the solver seed replaced by `seed` if given."""
+    config file at `path`: the solver block with its seed replaced by
+    `seed` and its T and n_paths by the top-level ones, where given."""
     cfg = _read_config(path, {"spde": ..., **SPDE_EXPERIMENTS[sub][1]})
     config = spde.SpdeConfig.from_json_obj(cfg.pop("spde"))
-    if seed is not None:
-        config = config.with_seed(seed)
-    solver = {"T": config.T, "n_paths": config.n_paths}
-    kwargs = {}
+    solver, kwargs = {} if seed is None else {"seed": seed}, {}
     for key, value in cfg.items():
-        value = solver.get(key) if value is None else value
+        if key in ("T", "n_paths") and value is None:
+            continue
         try:
-            kwargs[key] = _SPDE_VALUES[key](value) if key in _SPDE_VALUES \
+            value = _SPDE_VALUES[key](value) if key in _SPDE_VALUES \
                 else spde.Field.from_json_obj(value, config.N)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise spde.ConfigError(f"field {key!r}: {exc}")
-    return config, kwargs
+        (solver if key in ("T", "n_paths") else kwargs)[key] = value
+    return replace(config, **solver), kwargs
 
 
 def cmd_spde(args) -> int:

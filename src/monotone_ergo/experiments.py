@@ -22,8 +22,6 @@ from .spde import ConfigError, DriftSpec, Field, SpdeConfig, integrate, l2_sq
 from .spde import noise_draws, simulate  # noqa: F401
 
 RANGE_TOL = 1e-6
-# cost of the ergodicity experiment's coupling distance
-COST = "l2_capped"
 # re-splits of the pooled ensemble in the stationarity null
 NULL_RESAMPLES = 50
 # record times of the energy moments and of the synchronization curve, and
@@ -85,15 +83,14 @@ def _mean_ci(samples: np.ndarray):
 # snapshots of one ensemble
 # ---------------------------------------------------------------------------
 
-def snapshot_run(config: SpdeConfig, u0: Field, T: float, n_paths: int,
+def snapshot_run(config: SpdeConfig, u0: Field,
                  n_record: int) -> ExperimentRecord:
     """An ensemble from u0 with its snapshots at about n_record times in
     [0, T] and the mean squared L2 norm at each."""
-    cfg = replace(config, T=T, n_paths=n_paths)
-    times = _record_grid(T, cfg.dt, n_record)
-    snaps = simulate(cfg, u0, times)
-    rec = ExperimentRecord(name="run", config=cfg.to_json_obj(), times=times,
-                           snapshots=snaps)
+    times = _record_grid(config.T, config.dt, n_record)
+    snaps = simulate(config, u0, times)
+    rec = ExperimentRecord(name="run", config=config.to_json_obj(),
+                           times=times, snapshots=snaps)
     for t in times:
         nsq = l2_sq(snaps[t])
         m, _, lo, hi = _mean_ci(nsq) if len(nsq) > 1 else (
@@ -106,19 +103,17 @@ def snapshot_run(config: SpdeConfig, u0: Field, T: float, n_paths: int,
 # energy moments
 # ---------------------------------------------------------------------------
 
-def energy_moments(config: SpdeConfig, u0: Field, T: float,
-                   n_paths: int) -> ExperimentRecord:
+def energy_moments(config: SpdeConfig, u0: Field) -> ExperimentRecord:
     """Monte-Carlo second and fourth moments of the L2 norm at about
     ENERGY_RECORD_TIMES times, with the dissipation inequality checked at
     all recorded time pairs, the smallest additive constant certifying
     the fourth-moment bound, and the drift's dissipativity margins
     (`DriftSpec.check_dissipativity`)."""
-    if n_paths < 100:
-        raise ConfigError(f"need n_paths >= 100, got {n_paths}")
-    cfg = replace(config, T=T, n_paths=n_paths)
-    times = _record_grid(T, cfg.dt, ENERGY_RECORD_TIMES)
-    snaps = simulate(cfg, u0, times)
-    rec = ExperimentRecord(name="energy", config=cfg.to_json_obj(),
+    if config.n_paths < 100:
+        raise ConfigError(f"need n_paths >= 100, got {config.n_paths}")
+    times = _record_grid(config.T, config.dt, ENERGY_RECORD_TIMES)
+    snaps = simulate(config, u0, times)
+    rec = ExperimentRecord(name="energy", config=config.to_json_obj(),
                            times=times)
     e2, e4, se2, se4 = {}, {}, {}, {}
     for t in times:
@@ -130,8 +125,9 @@ def energy_moments(config: SpdeConfig, u0: Field, T: float,
         rec.add_stat(t, "energy_l2sq", m2, lo2, hi2)
         rec.add_stat(t, "energy_l4", m4, lo4, hi4)
 
-    sigma_sq = float(sum(l2_sq(row) for row in cfg.noise.tabulate(cfg.N)))
-    K1, K2 = cfg.drift.K1, cfg.drift.K2
+    sigma_sq = float(sum(l2_sq(row)
+                         for row in config.noise.tabulate(config.N)))
+    K1, K2 = config.drift.K1, config.drift.K2
     worst_margin = -np.inf
     worst_pair = None
     ok = True
@@ -154,7 +150,7 @@ def energy_moments(config: SpdeConfig, u0: Field, T: float,
     c4 = max(0.0, max(e4[t] - u0_l4 * math.exp(-K2 * t) for t in ts))
     # the growth condition, whose K1 and K2 the inequality above uses, and
     # the one-sided Lipschitz condition, on |x| <= spde.ASSUMPTION_RANGE
-    drift_ok, drift_margins = cfg.drift.check_dissipativity()
+    drift_ok, drift_margins = config.drift.check_dissipativity()
     rec.extra = {
         "dissipation_inequality_holds": ok,
         "worst_margin": float(worst_margin),
@@ -171,26 +167,26 @@ def energy_moments(config: SpdeConfig, u0: Field, T: float,
 # synchronization by noise (shared-noise pairs)
 # ---------------------------------------------------------------------------
 
-def synchronization_experiment(config: SpdeConfig, x: Field, y: Field,
-                               T: float, n_paths: int) -> ExperimentRecord:
+def synchronization_experiment(config: SpdeConfig, x: Field,
+                               y: Field) -> ExperimentRecord:
     """Mean capped L2 distance between shared-noise ensembles from x and y
     at about SYNC_RECORD_TIMES times, each with a percentile bootstrap CI
     of SYNC_BOOTSTRAP resamples, and a log-linear rate fit."""
-    cfg = replace(config, T=T, n_paths=n_paths)
-    rec = ExperimentRecord(name="sync", config=cfg.to_json_obj())
+    n_paths = config.n_paths
+    rec = ExperimentRecord(name="sync", config=config.to_json_obj())
     if np.array_equal(x.values, y.values):
         rec.extra = {"verdict": "trivially-synchronized"}
         rec.add_stat(0.0, "sync_l2_capped", 0.0, 0.0, 0.0)
         return rec
-    record_steps = {int(round(t / cfg.dt))
-                    for t in _record_grid(T, cfg.dt, SYNC_RECORD_TIMES)}
-    Ux = np.broadcast_to(x.values, (n_paths, cfg.N)).copy()
-    Uy = np.broadcast_to(y.values, (n_paths, cfg.N)).copy()
-    rng = np.random.default_rng(cfg.seed + 10_000)
-    distances = integrate(cfg, (Ux, Uy), cfg.n_steps,
+    record_steps = {int(round(t / config.dt)) for t in
+                    _record_grid(config.T, config.dt, SYNC_RECORD_TIMES)}
+    Ux = np.broadcast_to(x.values, (n_paths, config.N)).copy()
+    Uy = np.broadcast_to(y.values, (n_paths, config.N)).copy()
+    rng = np.random.default_rng(config.seed + 10_000)
+    distances = integrate(config, (Ux, Uy), config.n_steps,
                           lambda k, ensembles: _capped_distance(*ensembles)
                           if k in record_steps else None)
-    times = [0.0] + [k * cfg.dt for k in distances]
+    times = [0.0] + [k * config.dt for k in distances]
     curve = [_capped_distance(Ux, Uy), *distances.values()]
     means = []
     for t, dists in zip(times, curve):
@@ -218,7 +214,7 @@ def _capped_distance(Ux, Uy) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def ergodicity_experiment(config: SpdeConfig, x: Field, y: Field, time_grid,
-                          n_paths: int, extra_x_times=()) -> ExperimentRecord:
+                          extra_x_times) -> ExperimentRecord:
     """Empirical coupling distance (capped L2 cost) between the x- and
     y-ensembles (driven by independent noise) at each grid time, with a
     log-linear rate fit.
@@ -234,22 +230,25 @@ def ergodicity_experiment(config: SpdeConfig, x: Field, y: Field, time_grid,
     time and each extra time, against a permutation null at 2 SD).  Each
     check's `bootstrap_se` holds the permutation null's SD; the key keeps
     its old name because the benchmark reads it."""
+    n_paths = config.n_paths
+    # too many paths for the exact assignment: refused before the first step
+    if n_paths > transport.EXACT_SUPPORT_LIMIT:
+        raise transport.TooLarge(f"{n_paths} paths for the exact assignment")
     time_grid = [float(t) for t in time_grid]
-    cfg = replace(config, T=max(time_grid + list(extra_x_times)),
-                  n_paths=n_paths)
-    x_times = sorted(set(time_grid) | set(float(t) for t in extra_x_times))
-    snaps_x = simulate(cfg, x, x_times)
-    snaps_y = simulate(replace(cfg, T=max(time_grid)).with_seed(cfg.seed + 1),
-                       y, time_grid)
+    extra_x_times = [float(t) for t in extra_x_times]
+    # the x-ensemble's horizon, which the record states
+    cfg = replace(config, T=max(time_grid + extra_x_times))
+    snaps_x = simulate(cfg, x, sorted(set(time_grid + extra_x_times)))
+    snaps_y = simulate(replace(cfg, seed=cfg.seed + 1), y, time_grid)
     rec = ExperimentRecord(name="ergodicity", config=cfg.to_json_obj(),
                            times=time_grid)
     rng = np.random.default_rng(cfg.seed + 20_000)
     values = []
     for t in time_grid:
-        res = transport.wasserstein_empirical(snaps_x[t], snaps_y[t],
-                                              cost_fn=COST, rng=rng)
+        res = transport.wasserstein_empirical(
+            transport.pairwise_cost(snaps_x[t], snaps_y[t]), rng)
         values.append(res.value)
-        rec.add_stat(t, f"w_{COST}", res.value, res.ci_low, res.ci_high)
+        rec.add_stat(t, "w_l2_capped", res.value, res.ci_low, res.ci_high)
     # the empirical coupling distance between finite same-law ensembles has
     # a positive sampling floor, which contaminates late grid times; the
     # rate is therefore fitted over the whole grid (no burn-in), where the
@@ -267,17 +266,17 @@ def ergodicity_experiment(config: SpdeConfig, x: Field, y: Field, time_grid,
         for t_ex in extra_x_times:
             # one cost matrix over the pooled ensembles: its cross block is
             # the observed distance, its re-splits the permutation null
-            pool = np.concatenate([snaps_x[t_last], snaps_x[float(t_ex)]])
-            cmat = transport.pairwise_cost(pool, pool, COST)
-            w = transport._uniform_assignment_value(cmat[:n_paths, n_paths:])
+            pool = np.concatenate([snaps_x[t_last], snaps_x[t_ex]])
+            cmat = transport.pairwise_cost(pool, pool)
+            w = transport.assignment_value(cmat[:n_paths, n_paths:])
             # under stationarity the observed distance is a draw from the
             # null, which carries the same sampling floor
             null_mean, null_se = _permutation_null(cmat, rng)
-            checks.append({"t_ref": t_last, "t_other": float(t_ex),
+            checks.append({"t_ref": t_last, "t_other": t_ex,
                            "w": w, "null_mean": null_mean,
                            "bootstrap_se": null_se,
                            "below_2se": bool(w - null_mean < 2.0 * null_se)})
-            rec.add_stat(float(t_ex), f"w_stationarity_{COST}", w,
+            rec.add_stat(t_ex, "w_stationarity_l2_capped", w,
                          null_mean - 2 * null_se, null_mean + 2 * null_se)
         rec.extra["stationarity"] = checks
     return rec
@@ -289,7 +288,7 @@ def _permutation_null(cmat, rng):
     pool's (2n x 2n) cost matrix."""
     n = len(cmat) // 2
     perms = [rng.permutation(len(cmat)) for _ in range(NULL_RESAMPLES)]
-    vals = transport._resampled_assignment_values(
+    vals = transport.resampled_assignment_values(
         cmat, [(perm[:n], perm[n:]) for perm in perms])
     return float(vals.mean()), float(vals.std(ddof=1))
 
@@ -298,14 +297,14 @@ def _permutation_null(cmat, rng):
 # swap probabilities (signed half-space hits at time 1)
 # ---------------------------------------------------------------------------
 
-def swap_probability_estimate(config: SpdeConfig, x: Field, T: float,
-                              n_paths: int) -> ExperimentRecord:
-    cfg = replace(config, T=T, n_paths=n_paths)
-    snaps = simulate(cfg, x, [T])
-    U = snaps[T]
+def swap_probability_estimate(config: SpdeConfig,
+                              x: Field) -> ExperimentRecord:
+    T, n_paths = config.T, config.n_paths
+    U = simulate(config, x, [T])[T]
     below = np.all(U <= 0.0, axis=1)
     above = np.all(U >= 0.0, axis=1)
-    rec = ExperimentRecord(name="swap", config=cfg.to_json_obj(), times=[T])
+    rec = ExperimentRecord(name="swap", config=config.to_json_obj(),
+                           times=[T])
     out = {}
     for name, ev in (("p_below_zero", below), ("p_above_zero", above)):
         p = float(ev.mean())
@@ -323,15 +322,13 @@ def swap_probability_estimate(config: SpdeConfig, x: Field, T: float,
 # ---------------------------------------------------------------------------
 
 def constants_obstruction_demo(config: SpdeConfig, x_nonconst: Field,
-                               x_const: Field, T: float,
-                               n_paths: int) -> ExperimentRecord:
-    cfg = replace(config, T=T, n_paths=n_paths)
-    rec = ExperimentRecord(name="constants_demo", config=cfg.to_json_obj(),
-                           times=[T])
+                               x_const: Field) -> ExperimentRecord:
+    T = config.T
+    rec = ExperimentRecord(name="constants_demo",
+                           config=config.to_json_obj(), times=[T])
     out = {}
     for tag, u0 in (("const", x_const), ("nonconst", x_nonconst)):
-        snaps = simulate(cfg, u0, [T])
-        U = snaps[T]
+        U = simulate(config, u0, [T])[T]
         ranges = U.max(axis=1) - U.min(axis=1)
         frac = float((ranges < RANGE_TOL).mean())
         out[f"fraction_constant_{tag}"] = frac
@@ -352,11 +349,11 @@ def constants_obstruction_demo(config: SpdeConfig, x_nonconst: Field,
 # stochastic convolution modulus
 # ---------------------------------------------------------------------------
 
-def stochastic_convolution(config: SpdeConfig, T: float) -> ExperimentRecord:
+def stochastic_convolution(config: SpdeConfig) -> ExperimentRecord:
     """Single path of the linear (zero-drift) equation from w(0) = 0 with
     empirical Hoelder-quotient exponents in time and space (reported, not
     asserted: the constants are path-dependent)."""
-    cfg = replace(config, T=T, n_paths=1,
+    cfg = replace(config, n_paths=1,
                   drift=DriftSpec("zero", {}, K1=1.0, K2=1.0, K3=1.0))
     n = cfg.n_steps
     W = np.zeros((n + 1, cfg.N))

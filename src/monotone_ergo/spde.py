@@ -1,7 +1,7 @@
 """Monotone semi-implicit solver for a stochastic reaction-diffusion
 equation on the unit-volume 1-D torus with finitely many noise modes.
 
-    du = [Laplacian(u) + f(u, xi)] dt + sum_k sigma_k(xi) dW^k.
+    du = [Laplacian(u) + f(u)] dt + sum_k sigma_k(xi) dW^k.
 
 One step is drift-explicit / diffusion-implicit:
 
@@ -65,7 +65,7 @@ parent raises NonFinite for the smallest one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -96,21 +96,28 @@ class NonFinite(SpdeError):
 # drift and noise specifications
 # ---------------------------------------------------------------------------
 
-# the params each drift family reads
-_DRIFT_PARAMS = {"cubic": {"K"}, "linear": {"a"}, "zero": set()}
+# each drift family's params with their defaults
+_DRIFT_PARAMS = {"cubic": {"K": 1.0}, "linear": {"a": -1.0}, "zero": {}}
+
+
+def _drift_params(name, params) -> dict:
+    """The params of drift family `name` as floats, a missing one at its
+    default."""
+    return {key: float(params.get(key, default))
+            for key, default in _DRIFT_PARAMS[name].items()}
 
 
 def _drift_function(name, params):
-    """(f(x, xi), L(R)) of a drift family; L(R) = max(0, -min f' on [-R, R])
+    """(f(x), L(R)) of a drift family; L(R) = max(0, -min f' on [-R, R])
     in closed form."""
     if name == "cubic":
-        K = float(params.get("K", 1.0))
-        return (lambda x, xi: x * (K - x * x),
+        K = _drift_params(name, params)["K"]
+        return (lambda x: x * (K - x * x),
                 lambda R: max(0.0, 3.0 * R * R - K))
     if name == "linear":
-        a = float(params.get("a", -1.0))
-        return lambda x, xi: a * x, lambda R: max(0.0, -a)
-    return lambda x, xi: np.zeros_like(x), lambda R: 0.0
+        a = _drift_params(name, params)["a"]
+        return lambda x: a * x, lambda R: max(0.0, -a)
+    return np.zeros_like, lambda R: 0.0
 
 
 def _dissipativity_margins(name, params, K1, K2, K3, R):
@@ -118,7 +125,7 @@ def _dissipativity_margins(name, params, K1, K2, K3, R):
     |x| <= R: min of K1 - K2 x^2 - x f(x), min of K3 - f', and
     max(0, max of f on [0, R])."""
     if name == "cubic":
-        K = float(params.get("K", 1.0))
+        K = _drift_params(name, params)["K"]
         # K1 - b s + s^2 in s = x^2 on [0, R^2], vertex at s = b / 2
         b = K2 + K
         if b <= 0.0:
@@ -135,9 +142,9 @@ def _dissipativity_margins(name, params, K1, K2, K3, R):
         else:
             cf = R * (K - R * R)
         return growth, K3 - K, cf
-    # linear a x; zero is a = 0.  K1 - (K2 + a) x^2 is smallest at |x| = R
-    # when K2 + a > 0, else at x = 0.
-    a = float(params.get("a", -1.0)) if name == "linear" else 0.0
+    # linear a x; zero, which has no params, is a = 0.  K1 - (K2 + a) x^2
+    # is smallest at |x| = R when K2 + a > 0, else at x = 0.
+    a = _drift_params(name, params).get("a", 0.0)
     return K1 - max(0.0, K2 + a) * R * R, K3 - a, max(0.0, a * R)
 
 
@@ -287,8 +294,7 @@ def reject_unknown(obj, allowed, where):
 
 # the keys of the spde block that SpdeConfig gives a default, each with its
 # conversion; the defaults themselves live in the dataclass alone
-_OPTIONAL_SPDE_KEYS = {"seed": int, "n_paths": int, "clamp_R": float,
-                       "scheme": lambda scheme: scheme}
+_OPTIONAL_SPDE_KEYS = {"seed": int, "n_paths": int, "clamp_R": float}
 
 
 @dataclass(frozen=True)
@@ -301,11 +307,8 @@ class SpdeConfig:
     seed: int = 0
     n_paths: int = 1
     clamp_R: float = 20.0
-    scheme: str = "semi_implicit"
 
     def __post_init__(self):
-        if self.scheme != "semi_implicit":
-            raise ConfigError(f"unsupported scheme {self.scheme!r}")
         if self.N < 2 or self.dt <= 0 or self.T < 0 or self.n_paths < 1:
             raise ConfigError("invalid grid/time parameters")
         self.noise.tabulate(self.N)  # a bad profile fails here, not in a step
@@ -319,15 +322,12 @@ class SpdeConfig:
     def n_steps(self) -> int:
         return int(round(self.T / self.dt))
 
-    def with_seed(self, seed: int) -> "SpdeConfig":
-        return replace(self, seed=int(seed))
-
     def to_json_obj(self):
         return {"N": self.N, "dt": self.dt, "T": self.T,
                 "drift": self.drift.to_json_obj(),
                 "noise": self.noise.to_json_obj(),
                 "seed": self.seed, "n_paths": self.n_paths,
-                "clamp_R": self.clamp_R, "scheme": self.scheme}
+                "clamp_R": self.clamp_R}
 
     @staticmethod
     def from_json_obj(obj) -> "SpdeConfig":
@@ -396,7 +396,6 @@ class Stepper:
     def __init__(self, config: SpdeConfig):
         self.config = config
         N = config.N
-        self.grid = np.arange(N) / N
         self.sigma = config.noise.tabulate(N)          # (m, N)
         self.resolvent = _resolvent(N, config.dt)
         if np.any(self.resolvent < 0.0):
@@ -425,7 +424,7 @@ class Stepper:
         clamped = np.clip(u, -cfg.clamp_R, cfg.clamp_R)
         # u + dt f(clamp(u)) built in the drift's fresh array; IEEE + and *
         # commute, so the order of the operands does not change the result
-        rhs = self.f(clamped, self.grid)
+        rhs = self.f(clamped)
         rhs *= cfg.dt
         rhs += u
         if cfg.noise.m:
@@ -508,7 +507,7 @@ def simulate(config: SpdeConfig, u0, record_times):
     u0 may be a Field (broadcast over paths) or an (n_paths, N) array.  The
     noise path is config.seed's: a second initial condition rides the
     identical noise path under the same config, or an independent one
-    under `config.with_seed` of another seed.
+    under a config with another seed.
     """
     u0v = u0.values if isinstance(u0, Field) else np.asarray(u0, dtype=float)
     if u0v.ndim == 1:

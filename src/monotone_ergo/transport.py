@@ -3,14 +3,14 @@
 Exact optimal transport on finite supports via the transportation simplex
 (with dual potentials, so optimality is certifiable through reduced
 costs), total variation, entropic regularization (stabilized Sinkhorn
-scaling with epsilon annealing), and empirical Wasserstein estimation from
-equal-size sample ensembles by the exact uniform assignment, with
-m-out-of-n bootstrap confidence intervals (m = ceil(n^(2/3)) of n
-samples, consistent also where the two laws are equal).  A batch of
-resampled assignments runs in-process when it is small, as the
-bootstrap's m x m resamples are at the fixtures' sizes, and otherwise
-over one forked shard per usable CPU, as the permutation null's
-n x n re-splits do.
+scaling with epsilon annealing), and empirical Wasserstein estimation by
+the exact uniform assignment on the cost matrix of two equal-size sample
+ensembles, with m-out-of-n bootstrap confidence intervals
+(m = ceil(n^(2/3)) of n samples, consistent also where the two laws are
+equal).  A batch of resampled assignments runs in-process when it is
+small, as the bootstrap's m x m resamples are at the fixtures' sizes,
+and otherwise over one forked shard per usable CPU, as the permutation
+null's n x n re-splits do.
 
 The simplex keeps its basis as a spanning tree and returns the same bits
 as rebuilding the tree every pivot (`tests/reference_simplex.py`).  The
@@ -30,6 +30,7 @@ from scipy.optimize import linear_sum_assignment
 from .shards import run_sharded, usable_cpus
 
 EXACT_SUPPORT_LIMIT = 4096
+# resamples of each `wasserstein_empirical` CI
 BOOTSTRAP_RESAMPLES = 200
 # the CI `wasserstein_empirical` reports: the basic m-out-of-n interval
 BOOTSTRAP_METHOD = "m_out_of_n_basic"
@@ -371,43 +372,28 @@ def sinkhorn(mu, nu, cost: CostMatrix, epsilon: float) -> TransportResult:
 # empirical estimation from samples
 # ---------------------------------------------------------------------------
 
-def _as_matrix(samples):
-    arr = np.asarray(samples, dtype=float)
-    if arr.ndim == 1:
-        arr = arr[:, None]
-    return arr
-
-
 # byte budget for one row block of the (rows, n_y, N) difference temporary
 _BLOCK_BYTES = 8 * 2 ** 20
 
-# each named cost as a function of the mean squared difference
-_COSTS = {
-    "l2_capped": lambda diff_sq: np.minimum(np.sqrt(diff_sq), 1.0),
-    "abs": np.sqrt,
-}
 
-
-def pairwise_cost(xs, ys, cost_fn: str) -> np.ndarray:
-    """Cost matrix between two sample sets for a named cost.
+def pairwise_cost(xs, ys) -> np.ndarray:
+    """Capped L2 cost min(1, ||x - y||) between rows of two sample arrays.
 
     Field samples use the unit-volume quadrature (mean over grid points)
     inside the L2 norm. The squared distances are built a block of rows
     at a time, so memory stays near the size of the result; every entry
     is still the mean over the same contiguous grid values.
     """
-    if cost_fn not in _COSTS:
-        raise TransportError(f"unknown cost function {cost_fn!r}")
-    xs, ys = _as_matrix(xs), _as_matrix(ys)
     diff_sq = np.empty((len(xs), len(ys)))
     rows = max(1, _BLOCK_BYTES // max(1, ys.nbytes))
     for start in range(0, len(xs), rows):
         blk = slice(start, start + rows)
         diff_sq[blk] = ((xs[blk, None, :] - ys[None, :, :]) ** 2).mean(axis=2)
-    return _COSTS[cost_fn](diff_sq)
+    return np.minimum(np.sqrt(diff_sq), 1.0)
 
 
-def _uniform_assignment_value(cmat) -> float:
+def assignment_value(cmat) -> float:
+    """Mean cost of the optimal uniform assignment of a square cost matrix."""
     ri, cj = linear_sum_assignment(cmat)
     return float(cmat[ri, cj].mean())
 
@@ -423,7 +409,7 @@ def _uniform_assignment_value(cmat) -> float:
 _SHARD_MIN_CELLS = 1 << 19
 
 
-def _resampled_assignment_values(cmat, draws) -> np.ndarray:
+def resampled_assignment_values(cmat, draws) -> np.ndarray:
     """Uniform assignment value of `cmat[row_idx][:, col_idx]` for each
     `(row_idx, col_idx)` in `draws`, in order, the draws split over one
     shard per usable CPU (`shards.run_sharded`) as long as every shard
@@ -433,7 +419,7 @@ def _resampled_assignment_values(cmat, draws) -> np.ndarray:
     shards = max(1, min(usable_cpus(), len(draws),
                         cells // _SHARD_MIN_CELLS))
     return np.concatenate(run_sharded(len(draws), shards, lambda lo, hi: [
-        _uniform_assignment_value(cmat.take(row_idx, 0).take(col_idx, 1))
+        assignment_value(cmat.take(row_idx, 0).take(col_idx, 1))
         for row_idx, col_idx in draws[lo:hi]]))
 
 
@@ -449,16 +435,15 @@ def bootstrap_size(n: int) -> int:
     return m
 
 
-def wasserstein_empirical(samples_x, samples_y, cost_fn: str = "l2_capped",
-                          bootstrap: int = BOOTSTRAP_RESAMPLES,
-                          rng=None) -> TransportResult:
-    """Empirical coupling distance between two equal-size sample ensembles:
-    the value W_n of the optimal uniform assignment, with an m-out-of-n
-    bootstrap CI.
+def wasserstein_empirical(cmat, rng) -> TransportResult:
+    """Empirical coupling distance between two equal-size sample ensembles
+    from their square cost matrix `cmat` (x samples by rows, y samples by
+    columns): the value W_n of the optimal uniform assignment, with an
+    m-out-of-n bootstrap CI.
 
-    Each of the `bootstrap` resamples draws two length-n index vectors
-    from `rng` and keeps the first m = `bootstrap_size(n)` of each, an
-    m-out-of-n draw with replacement from each ensemble, whose m x m
+    Each of the BOOTSTRAP_RESAMPLES resamples draws two length-n index
+    vectors from `rng` and keeps the first m = `bootstrap_size(n)` of each,
+    an m-out-of-n draw with replacement from each ensemble, whose m x m
     assignment value is W*_m.  With q the 2.5 and 97.5 % quantiles of
     W*_m - W_n, the CI is the basic interval
     [W_n - sqrt(m/n) q_97.5, W_n - sqrt(m/n) q_2.5], its lower end
@@ -472,26 +457,17 @@ def wasserstein_empirical(samples_x, samples_y, cost_fn: str = "l2_capped",
     m-out-of-n bootstrap with m -> inf and m/n -> 0 is consistent (Bickel,
     Goetze & van Zwet 1997).  Near the sampling floor the bias of W*_m can
     put the whole interval below W_n."""
-    xs, ys = _as_matrix(samples_x), _as_matrix(samples_y)
-    if len(xs) != len(ys):
-        raise UnequalSampleCounts(f"{len(xs)} vs {len(ys)}")
-    n = len(xs)
+    n = len(cmat)
+    if cmat.shape != (n, n):
+        raise UnequalSampleCounts(f"cost matrix of shape {cmat.shape}")
     if n > EXACT_SUPPORT_LIMIT:
         raise TooLarge(f"{n} samples for the exact assignment")
-    cmat = pairwise_cost(xs, ys, cost_fn)
-    value = _uniform_assignment_value(cmat)
-
-    ci_low = ci_high = None
-    if bootstrap and bootstrap > 0:
-        rng = np.random.default_rng(0) if rng is None else rng
-        m = bootstrap_size(n)
-        draws = [(rng.integers(0, n, size=n)[:m],
-                  rng.integers(0, n, size=n)[:m]) for _ in range(bootstrap)]
-        vals = _resampled_assignment_values(cmat, draws)
-        q_lo, q_hi = math.sqrt(m / n) * np.quantile(vals - value,
-                                                    [0.025, 0.975])
-        ci_low = max(0.0, float(value - q_hi))
-        ci_high = float(value - q_lo)
-
+    value = assignment_value(cmat)
+    m = bootstrap_size(n)
+    draws = [(rng.integers(0, n, size=n)[:m], rng.integers(0, n, size=n)[:m])
+             for _ in range(BOOTSTRAP_RESAMPLES)]
+    vals = resampled_assignment_values(cmat, draws)
+    q_lo, q_hi = math.sqrt(m / n) * np.quantile(vals - value, [0.025, 0.975])
     return TransportResult(value=value, method="exact", n=n,
-                           ci_low=ci_low, ci_high=ci_high)
+                           ci_low=max(0.0, float(value - q_hi)),
+                           ci_high=float(value - q_lo))

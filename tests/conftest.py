@@ -57,6 +57,12 @@ def series(record, stat: str):
             np.array([r["value"] for r in rows]))
 
 
+def abs_cost(xs, ys) -> np.ndarray:
+    """The |x - y| cost matrix between two 1-D sample arrays, as the square
+    root of the squared differences."""
+    return np.sqrt((xs[:, None] - ys[None, :]) ** 2)
+
+
 def marginal_error(coupling, mu: Distribution, nu: Distribution) -> float:
     """Largest gap between a coupling's row and column sums and the
     masses of mu and nu."""

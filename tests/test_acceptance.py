@@ -6,12 +6,13 @@ prints a summary line with the measured quantities.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 from scipy.optimize import linprog
 
-from conftest import (comparison_check, marginal_error, random_dist,
-                      random_poset, series)
+from conftest import (abs_cost, comparison_check, marginal_error,
+                      random_dist, random_poset, series)
 from monotone_ergo import cli, fixture_path, gallery, serialize, transport
 from monotone_ergo.chains import (FiniteKernel, OrderedSpaceSpec,
                                   return_time_exp_moments,
@@ -37,9 +38,10 @@ def load_chain5():
     return poset, kernel, space
 
 
-def _spde_config(name):
-    obj = _fixture_json(name)
-    return obj, SpdeConfig.from_json_obj(obj["spde"])
+def _spde_config(name, sub):
+    """(solver config, experiment keyword arguments) with which
+    `spde sub` runs the fixture `name`."""
+    return cli.read_spde(fixture_path(name), sub, None)
 
 
 def report(k, line, elapsed, cap):
@@ -204,7 +206,7 @@ def test_criterion_05_spde_monotonicity():
         base = rng.normal(0.0, 1.0, cfg.N)
         x = Field(base)
         y = Field(base + np.abs(rng.normal(0.0, 1.0, cfg.N)))
-        cfg_k = cfg.with_seed(cfg.seed + k)
+        cfg_k = replace(cfg, seed=cfg.seed + k)
         worst = max(worst, comparison_check(cfg_k, x, y, T=2.0, n_paths=20))
     assert worst <= 1e-12
     report(5, f"max order violation {worst:.2e} over 100 pairs",
@@ -222,9 +224,8 @@ def test_criterion_06_energy_estimates():
     that inequality assumes, and a finite fourth-moment constant C4 < 1e3
     is certified."""
     t0 = time.monotonic()
-    obj, config = _spde_config("spde_energy.json")
-    rec = energy_moments(config, Field(np.full(config.N, 3.0)),
-                         T=float(obj["T"]), n_paths=int(obj["n_paths"]))
+    config, _ = _spde_config("spde_energy.json", "energy")
+    rec = energy_moments(config, Field(np.full(config.N, 3.0)))
     assert rec.extra["dissipation_inequality_holds"]
     assert rec.extra["drift_dissipativity"]["holds"]
     c4 = rec.extra["smallest_C4"]
@@ -238,23 +239,20 @@ def test_criterion_07_synchronization():
     distance curve decreases after burn-in within CI and fits a positive
     rate with R^2 >= 0.95; the zero-noise control stays on a plateau."""
     t0 = time.monotonic()
-    obj, config = _spde_config("spde_sync.json")
+    config, _ = _spde_config("spde_sync.json", "sync")
     rec = synchronization_experiment(
-        config, Field(np.full(config.N, -2.0)), Field(np.full(config.N, 2.0)),
-        T=float(obj["T"]), n_paths=int(obj["n_paths"]))
+        config, Field(np.full(config.N, -2.0)), Field(np.full(config.N, 2.0)))
     fit = rec.fits["sync_rate"]
     assert fit["rate"] > 0
     assert fit["r_squared"] >= 0.95
     rows = [r for r in rec.statistics if r["stat"] == "sync_l2_capped"]
-    T = float(obj["T"])
-    late = [r for r in rows if r["t"] >= T / 4]
+    late = [r for r in rows if r["t"] >= config.T / 4]
     for a, b in zip(late, late[1:]):
         assert b["value"] <= a["ci_high"] + 1e-12  # decreasing within CI
 
-    cobj, ccfg = _spde_config("spde_sync_zero_noise.json")
+    ccfg, _ = _spde_config("spde_sync_zero_noise.json", "sync")
     crec = synchronization_experiment(
-        ccfg, Field(np.full(ccfg.N, -2.0)), Field(np.full(ccfg.N, 2.0)),
-        T=float(cobj["T"]), n_paths=int(cobj["n_paths"]))
+        ccfg, Field(np.full(ccfg.N, -2.0)), Field(np.full(ccfg.N, 2.0)))
     _, cvals = series(crec, "sync_l2_capped")
     assert cvals[-1] >= 0.9  # no decay without noise
     report(7, f"rate {fit['rate']:.3f}, R^2 {fit['r_squared']:.3f}; "
@@ -268,11 +266,10 @@ def test_criterion_08_ergodicity():
     stationarity self-check at t=32 vs t=64 sits inside the permutation
     null at 2 SD."""
     t0 = time.monotonic()
-    obj, config = _spde_config("spde_ergodicity.json")
+    config, kwargs = _spde_config("spde_ergodicity.json", "ergodicity")
     rec = ergodicity_experiment(
         config, Field(np.full(config.N, -2.0)), Field(np.full(config.N, 2.0)),
-        time_grid=obj["time_grid"], n_paths=int(obj["n_paths"]),
-        extra_x_times=tuple(obj["extra_x_times"]))
+        time_grid=kwargs["time_grid"], extra_x_times=kwargs["extra_x_times"])
     fit = rec.fits["w_rate"]
     assert fit["rate"] > 0
     _, vals = series(rec, "w_l2_capped")
@@ -288,20 +285,16 @@ def test_criterion_09_swap_condition():
     """With zero drift from x = 0 both half-space probabilities exceed
     0.15 and agree within 3 SE; the m=0 control is exactly zero."""
     t0 = time.monotonic()
-    obj, config = _spde_config("spde_swap.json")
-    rec = swap_probability_estimate(config, Field(np.zeros(config.N)),
-                                    T=float(obj["T"]),
-                                    n_paths=int(obj["n_paths"]))
+    config, _ = _spde_config("spde_swap.json", "swap")
+    rec = swap_probability_estimate(config, Field(np.zeros(config.N)))
     pb, pa = rec.extra["p_below_zero"], rec.extra["p_above_zero"]
     se = math.hypot(rec.extra["p_below_zero_se"],
                     rec.extra["p_above_zero_se"])
     assert pb > 0.15 and pa > 0.15
     assert abs(pb - pa) <= 3 * se
 
-    cobj, ccfg = _spde_config("spde_swap_control.json")
-    crec = swap_probability_estimate(ccfg, Field(np.ones(ccfg.N)),
-                                     T=float(cobj["T"]),
-                                     n_paths=int(cobj["n_paths"]))
+    ccfg, _ = _spde_config("spde_swap_control.json", "swap")
+    crec = swap_probability_estimate(ccfg, Field(np.ones(ccfg.N)))
     assert crec.extra["p_below_zero"] == 0.0
     report(9, f"p_below {pb:.4f}, p_above {pa:.4f}, |diff| <= 3 SE; "
               f"control exactly 0", time.monotonic() - t0, 120)
@@ -312,13 +305,12 @@ def test_criterion_10_tv_obstruction():
     the single-mode start keeps a spatial range above 1e-6, so the
     constancy indicator separates the two laws in total variation."""
     t0 = time.monotonic()
-    obj, config = _spde_config("spde_constants.json")
+    config, _ = _spde_config("spde_constants.json", "constants-demo")
     N = config.N
     rec = constants_obstruction_demo(
         config,
         x_nonconst=Field(np.cos(2 * np.pi * np.arange(N) / N)),
-        x_const=Field(np.zeros(N)), T=float(obj["T"]),
-        n_paths=int(obj["n_paths"]))
+        x_const=Field(np.zeros(N)))
     assert rec.extra["fraction_constant_const"] == 1.0
     assert rec.extra["max_range_const"] == 0.0  # machine-exact constancy
     assert rec.extra["fraction_constant_nonconst"] == 0.0
@@ -366,8 +358,7 @@ def test_criterion_11_transport_solvers():
 
     xs = rng.normal(0.0, 1.0, size=512)
     ys = rng.normal(1.0, 1.0, size=512)
-    emp = transport.wasserstein_empirical(xs, ys, cost_fn="abs",
-                                          bootstrap=0).value
+    emp = transport.wasserstein_empirical(abs_cost(xs, ys), rng).value
     assert abs(emp - 1.0) < 0.1
     report(11, f"LP gap {worst_gap:.1e} < 1e-8, Sinkhorn rel "
                f"{worst_rel:.3f} (all converged, at most "

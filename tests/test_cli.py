@@ -28,12 +28,12 @@ def read_snapshots(outdir: str) -> dict:
             for k, t in enumerate(header["times"])}
 
 
-def run_config(tmp_path) -> str:
+def run_config(tmp_path, n_record=3) -> str:
     """A short `spde run` config in tmp_path: 20 steps of 4 paths."""
     cfg = serialize.load(fixture_path("spde_constants.json"))["spde"]
     cfg.update(dt=0.001, T=0.02, n_paths=4)
     path = str(tmp_path / "run.json")
-    serialize.dump({"spde": cfg, "T": 0.02, "n_record": 3}, path)
+    serialize.dump({"spde": cfg, "T": 0.02, "n_record": n_record}, path)
     return path
 
 
@@ -152,6 +152,37 @@ def energy_config(tmp_path, n_paths: int) -> str:
     return path
 
 
+def ergodicity_config(tmp_path, **top) -> str:
+    """spde_ergodicity.json on an 8-point grid, with the top-level keys
+    `top` replaced."""
+    cfg = serialize.load(fixture_path("spde_ergodicity.json"))
+    cfg["spde"]["N"] = 8
+    path = str(tmp_path / "ergodicity.json")
+    serialize.dump({**cfg, **top}, path)
+    return path
+
+
+def ergodicity_argv(key, value):
+    """argv of `spde ergodicity` on an ergodicity_config with the key
+    `key` set to `value`."""
+    return lambda tmp: ["spde", "ergodicity",
+                        ergodicity_config(tmp, **{key: value})]
+
+
+# top-level spde values out of range: (argv, the key the error names)
+BAD_SPDE_VALUES = {
+    "time-grid-string": (ergodicity_argv("time_grid", "ab"), "time_grid"),
+    "time-grid-empty": (ergodicity_argv("time_grid", []), "time_grid"),
+    "time-grid-negative": (ergodicity_argv("time_grid", [-0.01, 0.01]),
+                           "time_grid"),
+    "extra-x-times-string": (ergodicity_argv("extra_x_times", "x"),
+                             "extra_x_times"),
+    "n-paths-infinite": (ergodicity_argv("n_paths", float("inf")), "n_paths"),
+    "run-n-record-0": (lambda tmp: ["spde", "run", run_config(tmp, 0)],
+                       "n_record"),
+}
+
+
 # a value out of its case's or experiment's range is an input error, not a
 # failed verdict
 @pytest.mark.parametrize("argv", [
@@ -161,15 +192,23 @@ def energy_config(tmp_path, n_paths: int) -> str:
     lambda tmp: ["gallery", "example-3-2", "--n", "-1"],
     lambda tmp: ["gallery", "example-3-2", "--n", "537"],
     lambda tmp: ["spde", "energy", energy_config(tmp, 50)],
+    *(argv for argv, _ in BAD_SPDE_VALUES.values()),
 ], ids=["example-3-5-n", "example-3-6-n", "example-2-6-2-7-samples",
         "example-3-2-negative-n", "example-3-2-n-past-float-range",
-        "energy-n-paths"])
+        "energy-n-paths", *BAD_SPDE_VALUES])
 def test_out_of_range_value_exit_2(tmp_path, capsys, argv):
     code, out, err = run(argv(tmp_path), capsys)
     assert code == 2
     assert out == ""
     assert err.startswith("config error: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, key", list(BAD_SPDE_VALUES.values()),
+                         ids=list(BAD_SPDE_VALUES))
+def test_bad_spde_value_names_its_field(tmp_path, capsys, argv, key):
+    _, _, err = run(argv(tmp_path), capsys)
+    assert err.startswith(f"config error: field '{key}': ")
 
 
 class TestChainVerify:
@@ -377,8 +416,7 @@ class TestSpde:
         monkeypatch.setattr(experiments, "snapshot_run", spy)
         code, _, _ = run(["spde", "run", run_config(tmp_path)], capsys)
         assert code == 0
-        assert [sorted(kw) for kw in calls] == [["T", "n_paths", "n_record",
-                                                 "u0"]]
+        assert [sorted(kw) for kw in calls] == [["n_record", "u0"]]
 
     def test_threads_option_removed_exit_4(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -61,8 +61,7 @@ class TestRecord:
 class TestEnergy:
     def test_dissipation_inequality_and_c4(self):
         cfg = small_config()
-        rec = energy_moments(cfg, Field(np.full(16, 3.0)), T=0.5,
-                             n_paths=100)
+        rec = energy_moments(cfg, Field(np.full(16, 3.0)))
         assert rec.extra["dissipation_inequality_holds"]
         assert rec.extra["smallest_C4"] >= 0.0
         t, e2 = series(rec, "energy_l2sq")
@@ -70,8 +69,7 @@ class TestEnergy:
         assert e2[-1] < e2[0]  # strong decay from u0 = 3
 
     def test_times_start_at_zero_once(self):
-        rec = energy_moments(small_config(), Field(np.full(16, 1.0)), T=0.05,
-                             n_paths=100)
+        rec = energy_moments(small_config(T=0.05), Field(np.full(16, 1.0)))
         assert rec.times[0] == 0.0
         assert all(a < b for a, b in zip(rec.times, rec.times[1:]))
         t, _ = series(rec, "energy_l2sq")
@@ -79,8 +77,8 @@ class TestEnergy:
 
     def test_needs_enough_paths(self):
         with pytest.raises(ValueError):
-            energy_moments(small_config(), Field(np.zeros(16)), T=0.1,
-                           n_paths=10)
+            energy_moments(small_config(T=0.1, n_paths=10),
+                           Field(np.zeros(16)))
 
     def test_drift_dissipativity_of_the_fixture(self):
         # the record carries the drift's margins at the default range; the
@@ -88,8 +86,8 @@ class TestEnergy:
         # growth margin 1 - (K2 + K)^2 / 4
         with open(fixture_path("spde_energy.json")) as fh:
             cfg = SpdeConfig.from_json_obj(json.load(fh)["spde"])
-        rec = energy_moments(cfg, Field(np.full(cfg.N, 3.0)), T=0.01,
-                             n_paths=100)
+        rec = energy_moments(replace(cfg, T=0.01, n_paths=100),
+                             Field(np.full(cfg.N, 3.0)))
         ok, margins = cfg.drift.check_dissipativity()
         assert rec.extra["drift_dissipativity"] == {"holds": ok, **margins}
         assert ok and margins["min_growth_margin"] == 0.4375
@@ -97,17 +95,15 @@ class TestEnergy:
 
 class TestSynchronization:
     def test_identical_starts_trivial(self):
-        cfg = small_config()
+        cfg = small_config(T=0.1, n_paths=4)
         rec = synchronization_experiment(cfg, Field(np.zeros(16)),
-                                         Field(np.zeros(16)), T=0.1,
-                                         n_paths=4)
+                                         Field(np.zeros(16)))
         assert rec.extra["verdict"] == "trivially-synchronized"
 
     def test_curve_recorded_with_cis(self):
-        cfg = small_config()
+        cfg = small_config(n_paths=50)
         rec = synchronization_experiment(cfg, Field(np.full(16, -0.5)),
-                                         Field(np.full(16, 0.5)), T=0.5,
-                                         n_paths=50)
+                                         Field(np.full(16, 0.5)))
         t, v = series(rec, "sync_l2_capped")
         assert t[0] == 0.0 and v[0] == pytest.approx(1.0)
         assert "sync_rate" in rec.fits
@@ -115,19 +111,19 @@ class TestSynchronization:
         assert all(r["ci_low"] <= r["value"] <= r["ci_high"] for r in rows)
 
     def test_deterministic_given_seed(self):
-        cfg = small_config()
+        cfg = small_config(T=0.2, n_paths=20)
         args = (cfg, Field(np.full(16, -1.0)), Field(np.full(16, 1.0)))
-        r1 = synchronization_experiment(*args, T=0.2, n_paths=20)
-        r2 = synchronization_experiment(*args, T=0.2, n_paths=20)
+        r1 = synchronization_experiment(*args)
+        r2 = synchronization_experiment(*args)
         assert serialize.dumps(r1.to_json_obj()) == \
             serialize.dumps(r2.to_json_obj())
 
     def test_curve_matches_shared_seed_simulations(self):
         # x and y ride one noise path: two separate runs with the same seed
         # give the same capped distances
-        cfg = small_config(n_paths=20)
+        cfg = small_config(T=0.2, n_paths=20)
         x, y = Field(np.full(16, -0.3)), Field(np.full(16, 0.3))
-        rec = synchronization_experiment(cfg, x, y, T=0.2, n_paths=20)
+        rec = synchronization_experiment(cfg, x, y)
         times, curve = series(rec, "sync_l2_capped")
         sx = simulate(cfg, x, times.tolist())
         sy = simulate(cfg, y, times.tolist())
@@ -143,7 +139,7 @@ class TestErgodicity:
         rec = ergodicity_experiment(cfg, Field(np.full(16, -1.0)),
                                     Field(np.full(16, 1.0)),
                                     time_grid=[0.1, 0.2, 0.4],
-                                    n_paths=32, extra_x_times=(0.8,))
+                                    extra_x_times=(0.8,))
         t, v = series(rec, "w_l2_capped")
         assert len(t) == 3
         assert "w_rate" in rec.fits
@@ -163,13 +159,13 @@ class TestErgodicity:
 
         monkeypatch.setattr(transport, "pairwise_cost", counted)
         rec = ergodicity_experiment(cfg, x, Field(np.full(16, 1.0)),
-                                    time_grid=[0.1, 0.2], n_paths=32,
+                                    time_grid=[0.1, 0.2],
                                     extra_x_times=(0.4,))
         monkeypatch.undo()
         assert len(calls) == 2 + 1
         snaps = simulate(replace(cfg, T=0.4), x, [0.2, 0.4])
-        w = transport.wasserstein_empirical(snaps[0.2], snaps[0.4],
-                                            bootstrap=0).value
+        w = transport.assignment_value(
+            transport.pairwise_cost(snaps[0.2], snaps[0.4]))
         assert rec.extra["stationarity"][0]["w"] == w
         assert series(rec, "w_stationarity_l2_capped")[1].tolist() == [w]
 
@@ -179,7 +175,7 @@ class TestErgodicity:
         b = rng.normal(0.1, 0.3, size=(80, 16))
         ref_rng, rng = np.random.default_rng(9), np.random.default_rng(9)
         cmat = transport.pairwise_cost(np.concatenate([a, b]),
-                                       np.concatenate([a, b]), "l2_capped")
+                                       np.concatenate([a, b]))
         vals = []
         for _ in range(50):
             perm = ref_rng.permutation(160)
@@ -194,9 +190,8 @@ class TestErgodicity:
 class TestSwap:
     def test_zero_start_symmetric(self):
         cfg = small_config(drift=DriftSpec("zero", {}, K1=0.3, K2=1e-4,
-                                           K3=1.0))
-        rec = swap_probability_estimate(cfg, Field(np.zeros(16)), T=0.1,
-                                        n_paths=2000)
+                                           K3=1.0), T=0.1, n_paths=2000)
+        rec = swap_probability_estimate(cfg, Field(np.zeros(16)))
         p1 = rec.extra["p_below_zero"]
         p2 = rec.extra["p_above_zero"]
         assert p1 + p2 == pytest.approx(1.0, abs=1e-12)
@@ -205,9 +200,8 @@ class TestSwap:
     def test_no_noise_control_exact_zero(self):
         cfg = small_config(noise=NoiseSpec(0, ()),
                            drift=DriftSpec("zero", {}, K1=0.3, K2=1e-4,
-                                           K3=1.0))
-        rec = swap_probability_estimate(cfg, Field(np.ones(16)), T=0.1,
-                                        n_paths=50)
+                                           K3=1.0), T=0.1, n_paths=50)
+        rec = swap_probability_estimate(cfg, Field(np.ones(16)))
         assert rec.extra["p_below_zero"] == 0.0
         assert rec.extra["p_above_zero"] == 1.0
 
@@ -216,10 +210,10 @@ class TestConstantsObstruction:
     def test_indicator_separation(self):
         cfg = small_config(drift=DriftSpec("linear", {"a": -0.1}, K1=1.0,
                                            K2=0.1, K3=1.0),
-                           dt=0.25, n_paths=50)
+                           dt=0.25, T=1.0, n_paths=50)
         rec = constants_obstruction_demo(
             cfg, x_nonconst=Field(np.cos(2 * np.pi * np.arange(16) / 16)),
-            x_const=Field(np.zeros(16)), T=1.0, n_paths=50)
+            x_const=Field(np.zeros(16)))
         assert rec.extra["fraction_constant_const"] == 1.0
         assert rec.extra["max_range_const"] == 0.0
         assert rec.extra["fraction_constant_nonconst"] == 0.0
@@ -229,7 +223,7 @@ class TestConstantsObstruction:
 class TestConvolution:
     def test_reporting_contract(self):
         cfg = small_config(T=0.064)
-        rec = stochastic_convolution(cfg, T=0.064)
+        rec = stochastic_convolution(cfg)
         assert np.isfinite(rec.extra["time_holder_exponent"])
         assert rec.extra["max_abs_value"] > 0
 
@@ -237,5 +231,5 @@ class TestConvolution:
         # sigma == 1 drives only the constant mode, so the zero-drift
         # path has zero spatial range at machine precision
         cfg = small_config(T=0.05)
-        rec = stochastic_convolution(cfg, T=0.05)
+        rec = stochastic_convolution(cfg)
         assert rec.extra["max_spatial_range"] <= 1e-12

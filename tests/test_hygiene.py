@@ -9,7 +9,8 @@ of names only the tests call; a method counts as read when it is called,
 a property when it is read.  Every defaulted parameter of those functions
 and methods is passed by some package call, apart from a fixed list.
 Every field of a package dataclass is read as an attribute somewhere in
-the package, the tests or the benchmark."""
+the package, the tests or the benchmark.  No package module reads a
+private name of another."""
 
 import ast
 import pathlib
@@ -188,12 +189,6 @@ def test_public_names_have_a_caller_in_the_package():
 TEST_ONLY_PARAMETERS = {
     "cli.main.argv": "the console script calls main() bare; perfbench and "
                      "the tests pass argv",
-    "experiments.ergodicity_experiment.extra_x_times":
-        "cli.cmd_spde passes it through SPDE_EXPERIMENTS, by a lookup the "
-        "scan does not follow",
-    "transport.wasserstein_empirical.bootstrap":
-        "the tests set the draw count, on which the same-law coverage "
-        "xfail depends",
 }
 
 
@@ -318,3 +313,45 @@ def test_dataclass_fields_are_read():
     package = ROOT / "src" / "monotone_ergo"
     assert unread_fields({p.stem: p.read_text() for p in package.glob("*.py")},
                          [p.read_text() for p in READERS]) == []
+
+
+def private_reads(sources: dict[str, str]) -> list[str]:
+    """`reader: module._name` or `reader: from .module import _name` for
+    each read of a private name of a package module by another of the
+    modules `sources` (module name -> text), as an attribute of the
+    module's name or by a relative import; dunder names are not
+    private."""
+    def private(name):
+        return name.startswith("_") and not name.endswith("__")
+
+    found = []
+    for reader, text in sources.items():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Attribute) \
+                    and isinstance(node.value, ast.Name) \
+                    and node.value.id in sources \
+                    and node.value.id != reader and private(node.attr):
+                found.append(f"{reader}: {node.value.id}.{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.level == 1:
+                found += [f"{reader}: from .{node.module} import {alias.name}"
+                          for alias in node.names if private(alias.name)]
+    return sorted(found)
+
+
+def test_private_scan_reports_only_reads_of_a_sibling():
+    sources = {
+        "a": "def _helper(): pass\ndef run(): return _helper()\n",
+        "b": "from . import a\nfrom .a import _helper, run\n"
+             "import numpy as np\n"
+             "print(a._helper, a.run, np._NoValue, __name__, a.__doc__)\n",
+        "c": "from . import __version__\nimport a\n"
+             "def own(c): return c._cache\n",
+    }
+    assert private_reads(sources) == ["b: a._helper",
+                                      "b: from .a import _helper"]
+
+
+def test_no_module_reads_a_private_name_of_another():
+    package = ROOT / "src" / "monotone_ergo"
+    assert private_reads({p.stem: p.read_text()
+                          for p in package.glob("*.py")}) == []

@@ -331,8 +331,8 @@ class TestStructure:
     @pytest.mark.parametrize("run", [
         lambda cfg, x, y: simulate(cfg, x, [5.0]),
         lambda cfg, x, y: comparison_check(cfg, x, y, T=5.0, n_paths=2),
-        lambda cfg, x, y: synchronization_experiment(cfg, x, y, T=5.0,
-                                                     n_paths=2),
+        lambda cfg, x, y: synchronization_experiment(
+            replace(cfg, n_paths=2), x, y),
     ], ids=["simulate", "comparison_check", "synchronization_experiment"])
     def test_nonfinite_detection(self, run):
         # an explosive linear drift overflows in the first step's drift,
@@ -418,13 +418,13 @@ class TestShards:
                 assert np.array_equal(snap, runs[1][t])
 
     def test_synchronization_curve_and_cis(self, shard_counts):
-        cfg = two_mode_config()
+        cfg = two_mode_config(T=0.2, n_paths=9)
         x = Field(np.full(cfg.N, -1.0))
         y = Field(np.full(cfg.N, 1.0))
         runs = {}
         for cpus in (1, 2, 3):
             counts = shard_counts(cpus)
-            rec = synchronization_experiment(cfg, x, y, T=0.2, n_paths=9)
+            rec = synchronization_experiment(cfg, x, y)
             assert counts == [cpus]
             runs[cpus] = (rec.times, np.array(
                 [[r["t"], r["value"], r["ci_low"], r["ci_high"]]

@@ -13,10 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment, linprog
 
-from conftest import set_usable_cpus
-from monotone_ergo import shards, transport
+from conftest import abs_cost, set_usable_cpus
+from monotone_ergo import experiments, shards, transport
 from reference_simplex import reference_exact
 from reference_sinkhorn import reference_sinkhorn
+from monotone_ergo.spde import DriftSpec, Field, NoiseSpec, SpdeConfig
 from monotone_ergo.transport import (CostMatrix, UnequalSampleCounts,
                                      pairwise_cost, sinkhorn,
                                      total_variation, wasserstein_empirical,
@@ -321,7 +322,7 @@ class TestReferenceSinkhorn:
         rng = np.random.default_rng(12345)
         xs = rng.normal(0.0, 1.0, size=(128, 3))
         ys = rng.normal(0.3, 1.0, size=(128, 3))
-        cost = CostMatrix(pairwise_cost(xs, ys, "l2_capped"))
+        cost = CostMatrix(pairwise_cost(xs, ys))
         a = np.full(128, 1.0 / 128)
         exact = wasserstein_exact(a, a, cost).value
         new = sinkhorn(a, a, cost, 0.001)
@@ -333,25 +334,27 @@ class TestReferenceSinkhorn:
 class TestEmpirical:
     def test_identical_samples_zero(self, rng):
         xs = rng.normal(size=(64, 4))
-        res = wasserstein_empirical(xs, xs, bootstrap=0)
+        res = wasserstein_empirical(pairwise_cost(xs, xs), rng)
         assert res.value == pytest.approx(0.0, abs=1e-12)
 
     def test_gaussian_shift_w1(self, rng):
         # 1-D W1 between N(0,1) and N(1,1) is exactly 1
         xs = rng.normal(0.0, 1.0, size=512)
         ys = rng.normal(1.0, 1.0, size=512)
-        res = wasserstein_empirical(xs, ys, cost_fn="abs", bootstrap=0)
+        res = wasserstein_empirical(abs_cost(xs, ys), rng)
         assert abs(res.value - 1.0) < 0.1
 
     def test_unequal_counts(self, rng):
         with pytest.raises(UnequalSampleCounts):
-            wasserstein_empirical(rng.normal(size=5), rng.normal(size=6))
+            wasserstein_empirical(
+                abs_cost(rng.normal(size=5), rng.normal(size=6)), rng)
 
-    def test_bootstrap_ci_brackets_value_scale(self, rng):
+    def test_bootstrap_ci_brackets_value_scale(self, rng, monkeypatch):
+        monkeypatch.setattr(transport, "BOOTSTRAP_RESAMPLES", 50)
         xs = rng.normal(0.0, 1.0, size=(64, 2))
         ys = rng.normal(0.5, 1.0, size=(64, 2))
-        res = wasserstein_empirical(xs, ys, bootstrap=50,
-                                    rng=np.random.default_rng(0))
+        res = wasserstein_empirical(pairwise_cost(xs, ys),
+                                    np.random.default_rng(0))
         assert res.ci_low is not None and res.ci_low <= res.ci_high
 
     def test_exact_assignment_above_old_sample_default(self, rng):
@@ -359,23 +362,37 @@ class TestEmpirical:
         # EXACT_SUPPORT_LIMIT, not only up to 1024 samples
         xs = rng.normal(0.0, 1.0, size=1025)
         ys = rng.normal(0.5, 1.0, size=1025)
-        res = wasserstein_empirical(xs, ys, cost_fn="abs", bootstrap=0)
+        cmat = abs_cost(xs, ys)
+        res = wasserstein_empirical(cmat, rng)
         assert res.method == "exact"
-        assert res.value == transport._uniform_assignment_value(
-            pairwise_cost(xs, ys, "abs"))
+        assert res.value == transport.assignment_value(cmat)
 
     def test_too_large_rejected_before_arithmetic(self, monkeypatch):
-        def no_cost(*args):
-            raise AssertionError("cost matrix built for too many samples")
-        monkeypatch.setattr(transport, "pairwise_cost", no_cost)
-        xs = np.zeros(transport.EXACT_SUPPORT_LIMIT + 1)
+        # an ergodicity run with more paths than the exact assignment takes
+        # is refused before its first step, and the estimator refuses such
+        # a cost matrix before its first assignment
+        def never(*args, **kwargs):
+            raise AssertionError("work done for too many samples")
+
+        for owner, name in ((experiments, "simulate"),
+                            (transport, "pairwise_cost"),
+                            (transport, "linear_sum_assignment")):
+            monkeypatch.setattr(owner, name, never)
+        n = transport.EXACT_SUPPORT_LIMIT + 1
+        cfg = SpdeConfig(N=2, dt=0.01, T=0.01,
+                         drift=DriftSpec("zero", {}, K1=1.0, K2=1.0, K3=1.0),
+                         noise=NoiseSpec(0, ()), n_paths=n)
         with pytest.raises(transport.TooLarge):
-            wasserstein_empirical(xs, xs, bootstrap=0)
+            experiments.ergodicity_experiment(
+                cfg, Field(np.zeros(2)), Field(np.ones(2)), [0.01], [])
+        with pytest.raises(transport.TooLarge):
+            wasserstein_empirical(np.broadcast_to(0.0, (n, n)),
+                                  np.random.default_rng(0))
 
     def test_capped_cost_bounded(self, rng):
         xs = rng.normal(0.0, 10.0, size=(32, 2))
         ys = rng.normal(50.0, 10.0, size=(32, 2))
-        res = wasserstein_empirical(xs, ys, cost_fn="l2_capped", bootstrap=0)
+        res = wasserstein_empirical(pairwise_cost(xs, ys), rng)
         assert res.value <= 1.0 + 1e-12
 
 
@@ -389,7 +406,7 @@ def bootstrap_coverage(w, reps):
     for _ in range(reps):
         xs = rng.normal(0.0, 1.0, size=216)
         ys = rng.normal(w, 1.0, size=216)
-        res = wasserstein_empirical(xs, ys, cost_fn="abs", rng=rng)
+        res = wasserstein_empirical(abs_cost(xs, ys), rng)
         hits += res.ci_low <= w <= res.ci_high
     return hits / reps
 
@@ -416,26 +433,19 @@ class TestBootstrapCoverage:
         assert bootstrap_coverage(0.0, self.REPS) > 0.5
 
 
-COST_NAMES = ("l2_capped", "abs")
-
-
-def broadcast_cost(xs, ys, cost_fn):
-    """The cost matrix from one (n_x, n_y, N) broadcast temporary."""
-    xs, ys = transport._as_matrix(xs), transport._as_matrix(ys)
+def broadcast_cost(xs, ys):
+    """The capped L2 cost matrix from one (n_x, n_y, N) broadcast
+    temporary."""
     diff_sq = ((xs[:, None, :] - ys[None, :, :]) ** 2).mean(axis=2)
-    return {"l2_capped": np.minimum(np.sqrt(diff_sq), 1.0),
-            "abs": np.sqrt(diff_sq)}[cost_fn]
+    return np.minimum(np.sqrt(diff_sq), 1.0)
 
 
 class TestCosts:
-    def test_pairwise_cost_names(self, rng):
+    def test_pairwise_cost_shape_and_range(self, rng):
         xs, ys = rng.normal(size=(4, 3)), rng.normal(size=(5, 3))
-        for name in COST_NAMES:
-            c = pairwise_cost(xs, ys, name)
-            assert c.shape == (4, 5)
-            assert np.all(c >= 0)
-        with pytest.raises(transport.TransportError):
-            pairwise_cost(xs, ys, "bogus")
+        c = pairwise_cost(xs, ys)
+        assert c.shape == (4, 5)
+        assert np.all(c >= 0) and np.all(c <= 1)
 
     def test_cost_matrix_validation(self):
         with pytest.raises(transport.TransportError):
@@ -448,23 +458,13 @@ class TestCosts:
         block_rows = transport._BLOCK_BYTES // ys.nbytes
         xs = rng.normal(size=(block_rows + extra_rows, 16))
         xs[::7] = ys[0]  # some zero distances
-        for name in COST_NAMES:
-            assert np.array_equal(pairwise_cost(xs, ys, name),
-                                  broadcast_cost(xs, ys, name))
+        assert np.array_equal(pairwise_cost(xs, ys), broadcast_cost(xs, ys))
 
     def test_blocked_equals_broadcast_1d(self, rng):
-        xs = rng.normal(size=300)
-        ys = np.concatenate([xs[:5], rng.normal(size=200)])
-        for name in COST_NAMES:
-            assert np.array_equal(pairwise_cost(xs, ys, name),
-                                  broadcast_cost(xs, ys, name))
-
-    def test_unknown_cost_rejected_before_arithmetic(self, monkeypatch):
-        def no_matrix(samples):
-            raise AssertionError("samples converted for an unknown cost")
-        monkeypatch.setattr(transport, "_as_matrix", no_matrix)
-        with pytest.raises(transport.TransportError, match="bogus"):
-            pairwise_cost(np.zeros((2, 2)), np.zeros((2, 2)), "bogus")
+        # samples of one grid point each
+        xs = rng.normal(size=(300, 1))
+        ys = np.concatenate([xs[:5], rng.normal(size=(200, 1))])
+        assert np.array_equal(pairwise_cost(xs, ys), broadcast_cost(xs, ys))
 
     def test_memory_bounded(self, rng):
         # the pooled 1024-row, 64-point ensemble of the permutation null;
@@ -472,7 +472,7 @@ class TestCosts:
         pool = rng.normal(size=(1024, 64))
         tracemalloc.start()
         try:
-            pairwise_cost(pool, pool, "l2_capped")
+            pairwise_cost(pool, pool)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -500,11 +500,11 @@ class TestResampledAssignments:
         n = 150
         # spread 0.5 keeps most costs below the cap of 1
         cmat = pairwise_cost(rng.normal(0.0, 0.5, size=(n, 8)),
-                             rng.normal(0.1, 0.5, size=(n, 8)), "l2_capped")
+                             rng.normal(0.1, 0.5, size=(n, 8)))
         draws = [(rng.integers(0, n, size=n), rng.integers(0, n, size=n))
                  for _ in range(n_draws)]
         assert np.array_equal(
-            transport._resampled_assignment_values(cmat, draws),
+            transport.resampled_assignment_values(cmat, draws),
             serial_assignment_values(cmat, draws))
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -517,11 +517,11 @@ class TestResampledAssignments:
         monkeypatch.setattr(transport, "_SHARD_MIN_CELLS", 1)
         n = 150
         pool = rng.normal(0.0, 0.5, size=(2 * n, 8))
-        cmat = pairwise_cost(pool, pool, "l2_capped")
+        cmat = pairwise_cost(pool, pool)
         perms = [rng.permutation(2 * n) for _ in range(n_draws)]
         draws = [(perm[:n], perm[n:]) for perm in perms]
         assert np.array_equal(
-            transport._resampled_assignment_values(cmat, draws),
+            transport.resampled_assignment_values(cmat, draws),
             serial_assignment_values(cmat, draws))
 
     def test_cpu_count_without_affinity(self, monkeypatch):
@@ -536,13 +536,14 @@ class TestResampledAssignments:
         # solved one after another, and the basic interval from them; the
         # same-law case clips the lower end at 0, the shifted one does not
         set_usable_cpus(monkeypatch, workers)
+        monkeypatch.setattr(transport, "BOOTSTRAP_RESAMPLES", 50)
         n, m = 96, 21  # the least m with m^3 >= n^2
         xs = rng.normal(0.0, 0.5, size=(n, 1))
         ci_lows = []
         for shift in (0.0, 1.0):
             ys = rng.normal(shift, 0.5, size=(n, 1))
             ref_rng = np.random.default_rng(3)
-            cmat = pairwise_cost(xs, ys, "abs")
+            cmat = abs_cost(xs[:, 0], ys[:, 0])
             draws = []
             for _ in range(50):
                 row_idx = ref_rng.integers(0, n, size=n)
@@ -553,8 +554,7 @@ class TestResampledAssignments:
                 cmat, [(np.arange(n), np.arange(n))])[0]
             q_lo, q_hi = np.quantile(vals - value, [0.025, 0.975])
             res_rng = np.random.default_rng(3)
-            res = wasserstein_empirical(xs, ys, cost_fn="abs", bootstrap=50,
-                                        rng=res_rng)
+            res = wasserstein_empirical(cmat, res_rng)
             assert res.value == value
             assert res.ci_low == pytest.approx(
                 max(0.0, value - math.sqrt(m / n) * q_hi),
@@ -584,7 +584,8 @@ class TestResampledAssignments:
         monkeypatch.setattr(shards, "_run_forked", no_fork)
         xs = rng.normal(0.0, 0.5, size=(512, 8))
         ys = rng.normal(0.1, 0.5, size=(512, 8))
-        res = wasserstein_empirical(xs, ys, rng=np.random.default_rng(0))
+        res = wasserstein_empirical(pairwise_cost(xs, ys),
+                                    np.random.default_rng(0))
         assert res.ci_low <= res.ci_high
 
     def test_full_size_null_batch_forks_and_equals_serial(self, rng,
@@ -594,7 +595,7 @@ class TestResampledAssignments:
         set_usable_cpus(monkeypatch, 2)
         n = 512
         pool = rng.normal(0.0, 0.5, size=(2 * n, 8))
-        cmat = pairwise_cost(pool, pool, "l2_capped")
+        cmat = pairwise_cost(pool, pool)
         perms = [rng.permutation(2 * n) for _ in range(50)]
         draws = [(perm[:n], perm[n:]) for perm in perms]
         forked, run_forked = [], shards._run_forked
@@ -605,7 +606,7 @@ class TestResampledAssignments:
 
         monkeypatch.setattr(shards, "_run_forked", counted)
         assert np.array_equal(
-            transport._resampled_assignment_values(cmat, draws),
+            transport.resampled_assignment_values(cmat, draws),
             serial_assignment_values(cmat, draws))
         assert forked == [2]
 
@@ -615,12 +616,12 @@ class TestResampledAssignments:
         set_usable_cpus(monkeypatch, 2)
         n = 512
         cmat = pairwise_cost(rng.normal(size=(n, 64)),
-                             rng.normal(size=(n, 64)), "l2_capped")
+                             rng.normal(size=(n, 64)))
         draws = [(rng.integers(0, n, size=n), rng.integers(0, n, size=n))
                  for _ in range(200)]
         tracemalloc.start()
         try:
-            transport._resampled_assignment_values(cmat, draws)
+            transport.resampled_assignment_values(cmat, draws)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
