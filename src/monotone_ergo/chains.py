@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from . import transport
 from .fitting import fit_exponential_rate
 from .posets import (Distribution, FinitePoset, stochastically_dominates,
                      violating_upset)
+from .serialize import ConfigError, array, number, read_keys
 # perfbench/spans.py traces strassen_coupling under this module's name
 from .posets import strassen_coupling  # noqa: F401
 
@@ -53,10 +54,7 @@ class FiniteKernel:
     P: np.ndarray
 
     def __post_init__(self):
-        try:
-            P = np.asarray(self.P, dtype=float)
-        except (TypeError, ValueError):
-            raise ChainError("kernel 'P' is not a numeric array")
+        P = np.asarray(self.P, dtype=float)
         if P.ndim != 2 or P.shape[0] != P.shape[1]:
             raise ChainError("kernel must be square")
         # written as "not (holds)", so that a NaN entry fails each check
@@ -83,14 +81,17 @@ class FiniteKernel:
 
     @staticmethod
     def from_json_obj(obj) -> "FiniteKernel":
-        return FiniteKernel(obj["P"])
+        return FiniteKernel(**read_keys(obj, _KERNEL_READERS, "kernel",
+                                        _KERNEL_READERS))
+
+
+# the kernel object's keys, all required, with their readers
+_KERNEL_READERS = {"P": array(2, float)}
 
 
 # what each array of the space is, for input error messages
 _SPACE_ARRAYS = {"d": "premetric", "phi": "premetric potential",
                  "rho": "metric", "V": "Lyapunov function"}
-_SPACE_KEYS = ("d", "phi", "rho", "V", "gamma", "K", "swap_A", "swap_B",
-               "swap_eps")
 
 
 @dataclass(frozen=True)
@@ -99,9 +100,9 @@ class OrderedSpaceSpec:
 
     Construction checks the input only: d and rho are n x n and phi and V
     have length n, every entry is finite, V is nonnegative, the swap sets
-    hold elements of the poset and the constants lie in their ranges.
-    Whether the data satisfy the framework's conditions is for
-    `check_all_conditions`.
+    hold elements of the poset and the constants lie in their ranges; a
+    failed check is a ConfigError.  Whether the data satisfy the
+    framework's conditions is for `check_all_conditions`.
     """
     poset: FinitePoset
     d: np.ndarray
@@ -120,38 +121,26 @@ class OrderedSpaceSpec:
         n = self.poset.n
         for name, shape in (("d", (n, n)), ("phi", (n,)), ("rho", (n, n)),
                             ("V", (n,))):
-            field_name = f"space field {name!r} ({_SPACE_ARRAYS[name]})"
-            try:
-                arr = np.asarray(getattr(self, name), dtype=float)
-            except (TypeError, ValueError):
-                raise ChainError(f"{field_name} is not a numeric array")
+            field_name = f"field {name!r} ({_SPACE_ARRAYS[name]})"
+            arr = np.asarray(getattr(self, name), dtype=float)
             if arr.shape != shape:
-                raise ChainError(f"{field_name} has shape {arr.shape}, not "
-                                 f"{shape} for a {n}-element poset")
+                raise ConfigError(f"{field_name} has shape {arr.shape}, not "
+                                  f"{shape} for a {n}-element poset")
             bad = np.argwhere(~np.isfinite(arr))
             if len(bad):
-                raise ChainError(f"{field_name}: entry "
-                                 f"{tuple(bad[0].tolist())} is not finite")
+                raise ConfigError(f"{field_name}: entry "
+                                  f"{tuple(bad[0].tolist())} is not finite")
             if name == "V" and np.any(arr < 0):
-                raise ChainError(f"{field_name} takes the negative value "
-                                 f"{arr.min()!r}")
+                raise ConfigError(f"{field_name} takes the negative value "
+                                  f"{arr.min()!r}")
             object.__setattr__(self, name, arr)
         for name in ("swap_A", "swap_B"):
-            try:
-                elements = frozenset(map(operator.index, getattr(self, name)))
-            except TypeError:
-                raise ChainError(f"space field {name!r} must be a list of "
-                                 f"element indices")
+            elements = frozenset(map(operator.index, getattr(self, name)))
             outside = sorted(a for a in elements if not 0 <= a < n)
             if outside:
-                raise ChainError(f"space field {name!r}: {outside[0]} is not "
-                                 f"an element of the {n}-element poset")
+                raise ConfigError(f"field {name!r}: {outside[0]} is not an "
+                                  f"element of the {n}-element poset")
             object.__setattr__(self, name, elements)
-        for name in ("gamma", "K", "swap_eps", "delta", "kappa"):
-            try:
-                object.__setattr__(self, name, float(getattr(self, name)))
-            except (TypeError, ValueError):
-                raise ChainError(f"space field {name!r} must be a number")
         in_range = {"gamma": 0 < self.gamma < math.inf,
                     "K": 0 < self.K < math.inf,
                     "swap_eps": math.isfinite(self.swap_eps),
@@ -159,8 +148,8 @@ class OrderedSpaceSpec:
                     "kappa": 0 < self.kappa < math.inf}
         for name, ok in in_range.items():
             if not ok:
-                raise ChainError(f"space field {name!r} out of range: "
-                                 f"{getattr(self, name)!r}")
+                raise ConfigError(f"field {name!r} out of range: "
+                                  f"{getattr(self, name)!r}")
 
     @property
     def lambda_(self) -> float:
@@ -168,15 +157,17 @@ class OrderedSpaceSpec:
 
     @staticmethod
     def from_json_obj(obj, poset: FinitePoset) -> "OrderedSpaceSpec":
-        missing = [key for key in _SPACE_KEYS if key not in obj]
-        if missing:
-            raise ChainError(f"space: missing field(s) {missing}")
-        unknown = sorted(set(obj) - {*_SPACE_KEYS, "delta", "kappa"})
-        if unknown:
-            raise ChainError(f"space: unknown field(s) {unknown}")
-        return OrderedSpaceSpec(
-            poset=poset, **{key: obj[key] for key in _SPACE_KEYS},
-            **{key: obj[key] for key in ("delta", "kappa") if key in obj})
+        return OrderedSpaceSpec(poset=poset, **read_keys(
+            obj, _SPACE_READERS, "space",
+            _SPACE_READERS.keys() - {"delta", "kappa"}))
+
+
+# the space keys; the defaults of delta and kappa live in OrderedSpaceSpec
+_SPACE_READERS = {"d": array(2, float), "phi": array(1, float),
+                  "rho": array(2, float), "V": array(1, float),
+                  "gamma": number, "K": number, "swap_A": array(1, int),
+                  "swap_B": array(1, int), "swap_eps": number,
+                  "delta": number, "kappa": number}
 
 
 @dataclass
@@ -185,10 +176,6 @@ class ConditionReport:
     holds: bool
     witness: object = None
     attained: object = None
-
-    def to_json_obj(self):
-        return {"condition": self.condition, "holds": self.holds,
-                "witness": self.witness, "attained": self.attained}
 
 
 @dataclass
@@ -432,7 +419,7 @@ class TheoremReport:
 
     def to_json_obj(self):
         return {
-            "conditions": [c.to_json_obj() for c in self.conditions],
+            "conditions": [asdict(c) for c in self.conditions],
             "pairs": self.pairs, "times": self.times, "series": self.series,
             "fits": [{"C": f.C, "rate": f.rate, "r_squared": f.r_squared,
                       "verdict": f.verdict} for f in self.fits],

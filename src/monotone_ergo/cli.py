@@ -41,25 +41,12 @@ def _load_object(path: str, what: str) -> dict:
     try:
         obj = serialize.load(path)
     except FileNotFoundError:
-        raise spde.ConfigError(f"{what}: file not found: {path}")
+        raise serialize.ConfigError(f"{what}: file not found: {path}")
     except ValueError as exc:
-        raise spde.ConfigError(f"{what}: not valid JSON: {exc}")
+        raise serialize.ConfigError(f"{what}: not valid JSON: {exc}")
     if not isinstance(obj, dict):
-        raise spde.ConfigError(f"{what}: must be a JSON object")
+        raise serialize.ConfigError(f"{what}: must be a JSON object")
     return obj
-
-
-def _read_config(path: str, keys: dict) -> dict:
-    """The JSON object at `path` with every key of `keys` (key -> default,
-    ... if it must be given) filled in; a missing or an unknown key is a
-    ConfigError."""
-    cfg = _load_object(path, "config")
-    spde.reject_unknown(cfg, keys, "config")
-    missing = [key for key, default in keys.items()
-               if default is ... and key not in cfg]
-    if missing:
-        raise spde.ConfigError(f"missing field(s) {missing}")
-    return {**keys, **cfg}
 
 
 def _write(args, subcommand: str, name: str, payload, t0: float, seed=None,
@@ -92,52 +79,55 @@ def _write(args, subcommand: str, name: str, payload, t0: float, seed=None,
     }, os.path.join(args.out, "manifest.json"))
 
 
-def _resolve(obj, config_dir: str, field_name: str):
-    """A config field may hold an inline object or a path to a JSON file."""
-    if isinstance(obj, str):
-        path = obj if os.path.isabs(obj) else os.path.join(config_dir, obj)
-        return _load_object(path, f"field {field_name!r}"), path
-    if isinstance(obj, dict):
-        return obj, None
-    raise spde.ConfigError(f"field {field_name!r} must be an object or a path")
-
-
 # ---------------------------------------------------------------------------
 # chain-verify
 # ---------------------------------------------------------------------------
 
-# pairs defaults to every pair i < j of the poset
+# the config keys with their defaults, ... where the key must be given;
+# read_chain puts every pair i < j of the poset for pairs None
 CHAIN_KEYS = {"poset": ..., "kernel": ..., "space": ...,
               "pairs": None, "horizon": 40, "burn_in_frac": 0.125,
               "r2_threshold": 0.99}
 
 
+_object_or_path = serialize.checked(
+    lambda value: value, lambda value: isinstance(value, (dict, str)),
+    "an object or a path")
+
+# the config keys with their readers; an input object may be inline or
+# the path of its JSON file
+CHAIN_READERS = {"poset": _object_or_path, "kernel": _object_or_path,
+                 "space": _object_or_path, "pairs": serialize.array(2, int),
+                 "horizon": serialize.integer,
+                 "burn_in_frac": serialize.number,
+                 "r2_threshold": serialize.number}
+
+
+def read_chain(path: str):
+    """(space, kernel, the other config keys, input files by label) of the
+    chain-verify config at `path`; pairs default to every pair i < j."""
+    cfg = {**CHAIN_KEYS, **serialize.read_keys(
+        _load_object(path, "config"), CHAIN_READERS, "config",
+        {key for key, default in CHAIN_KEYS.items() if default is ...})}
+    inputs = {"config.json": path}
+    for key in ("poset", "kernel", "space"):
+        if isinstance(cfg[key], str):
+            inputs[key] = os.path.join(os.path.dirname(path), cfg[key])
+            cfg[key] = _load_object(inputs[key], f"field {key!r}")
+    poset = FinitePoset.from_json_obj(cfg.pop("poset"))
+    if cfg["pairs"] is None:
+        cfg["pairs"] = [(i, j) for i in range(poset.n)
+                        for j in range(i + 1, poset.n)]
+    return (OrderedSpaceSpec.from_json_obj(cfg.pop("space"), poset),
+            FiniteKernel.from_json_obj(cfg.pop("kernel")), cfg, inputs)
+
+
 def cmd_chain_verify(args) -> int:
     t0 = time.monotonic()
-    cfg = _read_config(args.config, CHAIN_KEYS)
-    cdir = os.path.dirname(os.path.abspath(args.config))
-    inputs = {"config.json": args.config}
-    for key in ("poset", "kernel", "space"):
-        cfg[key], path = _resolve(cfg[key], cdir, key)
-        if path:
-            inputs[key] = path
-    # a malformed input is a config error (exit 2), raised by the input
-    # types and theorem_main_verify; a failed condition is a verdict (exit 1)
-    try:
-        poset = FinitePoset.from_json_obj(cfg["poset"])
-        kernel = FiniteKernel.from_json_obj(cfg["kernel"])
-        space = OrderedSpaceSpec.from_json_obj(cfg["space"], poset)
-        horizon = int(cfg["horizon"])
-        burn_in_frac = float(cfg["burn_in_frac"])
-        r2_threshold = float(cfg["r2_threshold"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise spde.ConfigError(str(exc))
-
-    pairs = cfg["pairs"] if cfg["pairs"] is not None \
-        else [(i, j) for i in range(poset.n) for j in range(poset.n) if i < j]
-    report = theorem_main_verify(space, kernel, pairs, horizon,
-                                 burn_in_frac=burn_in_frac,
-                                 r2_threshold=r2_threshold)
+    # a malformed input is a config error (exit 2), raised by the readers and
+    # theorem_main_verify; a failed condition is a verdict (exit 1)
+    space, kernel, cfg, inputs = read_chain(args.config)
+    report = theorem_main_verify(space, kernel, **cfg)
 
     _say(f"{'condition':32s} verdict")
     for c in report.conditions:
@@ -209,51 +199,37 @@ SPDE_EXPERIMENTS = {
 }
 
 
-def _times(value) -> list[float]:
-    """`value`, a list of finite numbers >= 0, as floats."""
-    if not (isinstance(value, (list, tuple)) and all(
-            type(t) in (int, float) and np.isfinite(t) and t >= 0
-            for t in value)):
-        raise ValueError(f"must be a list of finite numbers >= 0: {value!r}")
-    return [float(t) for t in value]
+_times = serialize.checked(
+    serialize.array(1, float), lambda t: np.all((t >= 0) & (t < np.inf)),
+    "an array of finite numbers >= 0")
 
-
-def _grid(value) -> list[float]:
-    """`value`, a non-empty list of finite numbers >= 0, as floats."""
-    if not value:
-        raise ValueError("must hold at least one time")
-    return _times(value)
-
-
-def _count(value) -> int:
-    """`value` as an int of at least 1."""
-    if int(value) < 1:
-        raise ValueError(f"must be at least 1: {value!r}")
-    return int(value)
-
-
-# how each top-level key but the initial fields becomes a value
-_SPDE_VALUES = {"T": float, "n_paths": int, "n_record": _count,
-                "time_grid": _grid, "extra_x_times": _times}
+# the top-level keys but the solver block and the fields (spde.read_field)
+_SPDE_READERS = {"T": serialize.number, "n_paths": serialize.integer,
+                 "n_record": serialize.checked(
+                     serialize.integer, lambda n: n >= 1, "at least 1"),
+                 "time_grid": serialize.checked(
+                     _times, len, "a non-empty array"),
+                 "extra_x_times": _times}
 
 
 def read_spde(path: str, sub: str, seed):
     """(solver config, experiment keyword arguments) of `spde sub` from the
-    config file at `path`: the solver block with its seed replaced by
-    `seed` and its T and n_paths by the top-level ones, where given."""
-    cfg = _read_config(path, {"spde": ..., **SPDE_EXPERIMENTS[sub][1]})
-    config = spde.SpdeConfig.from_json_obj(cfg.pop("spde"))
-    solver, kwargs = {} if seed is None else {"seed": seed}, {}
-    for key, value in cfg.items():
-        if key in ("T", "n_paths") and value is None:
-            continue
-        try:
-            value = _SPDE_VALUES[key](value) if key in _SPDE_VALUES \
-                else spde.Field.from_json_obj(value, config.N)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise spde.ConfigError(f"field {key!r}: {exc}")
-        (solver if key in ("T", "n_paths") else kwargs)[key] = value
-    return replace(config, **solver), kwargs
+    config file at `path`: the solver block with its seed replaced by `seed`
+    and its T and n_paths by the top-level ones, where given."""
+    keys = SPDE_EXPERIMENTS[sub][1]
+    cfg = {**keys, **serialize.read_keys(
+        _load_object(path, "config"),
+        {"spde": spde.SpdeConfig.from_json_obj,
+         **{key: _SPDE_READERS.get(key, spde.read_field) for key in keys}},
+        "config", {"spde", *(key for key in keys if keys[key] is ...)})}
+    config = cfg.pop("spde")
+    solver = {"T": cfg.pop("T", None), "n_paths": cfg.pop("n_paths", None),
+              "seed": seed}
+    return replace(config, **{key: value for key, value in solver.items()
+                              if value is not None}), {
+        key: value if key in _SPDE_READERS
+        else spde.Field(spde.profile(value, config.N))
+        for key, value in cfg.items()}
 
 
 def cmd_spde(args) -> int:
@@ -280,17 +256,25 @@ def cmd_spde(args) -> int:
 
 def cmd_gallery(args) -> int:
     t0 = time.monotonic()
+    if args.case not in ("all", *gallery.ALL_CASES):
+        _say(f"unknown gallery case {args.case!r}; known: "
+             f"{', '.join(gallery.ALL_CASES)}")
+        return EXIT_USAGE
     names = list(gallery.ALL_CASES) if args.case == "all" else [args.case]
-    for name in names:
-        if name not in gallery.ALL_CASES:
-            _say(f"unknown gallery case {name!r}; known: "
-                 f"{', '.join(gallery.ALL_CASES)}")
+    # the options each selected case takes, with their defaults
+    takes = {name: gallery.ALL_CASES[name][1] for name in names}
+    given = {key: getattr(args, key) for key in ("n", "samples", "seed")
+             if getattr(args, key) is not None}
+    for key in given:
+        if not any(key in options for options in takes.values()):
+            _say(f"usage error: {args.case} takes no --{key}")
             return EXIT_USAGE
-    kwargs = {key: value for key, value in (("n", args.n),
-                                            ("samples", args.samples),
-                                            ("seed", args.seed))
-              if value is not None}
-    reports = [gallery.run_case(name, **kwargs) for name in names]
+    reports = [gallery.run_case(name, **{key: value for key, value
+                                         in given.items() if key in options})
+               for name, options in takes.items()]
+    # the seed of the sampled case, if one ran
+    seed = next((given.get("seed", options["seed"])
+                 for options in takes.values() if "seed" in options), None)
     all_hold = all(r["all_hold"] for r in reports)
     for r in reports:
         for c in r["claims"]:
@@ -299,7 +283,7 @@ def cmd_gallery(args) -> int:
                  f"(lhs {c['lhs']:.6g}, rhs {c['rhs']:.6g})")
     obj = reports[0] if len(reports) == 1 else {"cases": reports,
                                                "all_hold": all_hold}
-    _write(args, "gallery", "gallery", obj, t0, seed=args.seed)
+    _write(args, "gallery", "gallery", obj, t0, seed=seed)
     return EXIT_PASS if all_hold else EXIT_VERDICT
 
 
@@ -307,34 +291,28 @@ def cmd_gallery(args) -> int:
 # transport
 # ---------------------------------------------------------------------------
 
-def _array_field(path: str, key: str, what: str, ndim: int) -> np.ndarray:
-    """The `ndim`-dimensional float array under `key` of the JSON object in
-    the file at `path`; anything else there is a ConfigError."""
-    obj = _load_object(path, f"{what} file")
-    if key not in obj:
-        raise spde.ConfigError(f"{what} file: missing key {key!r}: {path}")
-    try:
-        arr = np.asarray(obj[key], dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise spde.ConfigError(f"{what} file: {key!r} is not numeric: {exc}")
-    if arr.ndim != ndim:
-        raise spde.ConfigError(
-            f"{what} file: {key!r} must be a {ndim}-d array: {path}")
-    return arr
+# each kind of input file with its keys, all required
+TRANSPORT_FILES = {"distribution file": {"p": serialize.array(1, float)},
+                   "cost file": {"C": serialize.array(2, float)}}
+
+
+def _read_file(path: str, what: str) -> dict:
+    keys = TRANSPORT_FILES[what]
+    return serialize.read_keys(_load_object(path, what), keys, what, keys)
 
 
 def cmd_transport(args) -> int:
     t0 = time.monotonic()
     inputs = {"mu": args.mu, "nu": args.nu}
-    mu, nu = (_array_field(path, "p", "distribution", 1)
+    mu, nu = (_read_file(path, "distribution file")["p"]
               for path in (args.mu, args.nu))
     if args.cost == "discrete":
         c = 1.0 - np.eye(len(mu))
     else:
-        c = _array_field(args.cost, "C", "cost", 2)
+        c = _read_file(args.cost, "cost file")["C"]
         inputs["cost"] = args.cost
     if len(mu) != len(nu) or c.shape != (len(mu), len(nu)):
-        raise spde.ConfigError(
+        raise serialize.ConfigError(
             f"shape mismatch: mu {len(mu)}, nu {len(nu)}, cost {c.shape}")
     cost = transport.CostMatrix(c)
     if args.method == "tv":
@@ -396,8 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--samples", type=int, default=None)
     _add_common(p)
-    # the sampled case's seed when none is given, recorded in the manifest
-    p.set_defaults(func=cmd_gallery, seed=0)
+    p.set_defaults(func=cmd_gallery)
 
     p = subs.add_parser("transport", help="coupling distance between two "
                                           "distribution files")
@@ -424,7 +401,7 @@ def main(argv=None) -> int:
     except (spde.NonFinite, transport.SinkhornDiverged) as exc:
         _say(f"numeric failure: {exc}")
         return EXIT_NUMERIC
-    except (spde.ConfigError, ChainError, PosetError,
+    except (serialize.ConfigError, ChainError, PosetError,
             transport.TransportError) as exc:
         _say(f"config error: {exc}")
         return EXIT_CONFIG

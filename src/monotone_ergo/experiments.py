@@ -11,7 +11,7 @@ records.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -55,9 +55,7 @@ class ExperimentRecord:
                                 "ci_high": float(ci_high)})
 
     def add_fit(self, name, fit: RateFit):
-        self.fits[name] = {"C": fit.C, "rate": fit.rate,
-                           "r_squared": fit.r_squared,
-                           "n_points": fit.n_points, "verdict": fit.verdict}
+        self.fits[name] = asdict(fit)
 
     def to_json_obj(self):
         return {"name": self.name, "config": self.config,
@@ -89,7 +87,7 @@ def snapshot_run(config: SpdeConfig, u0: Field,
     [0, T] and the mean squared L2 norm at each."""
     times = _record_grid(config.T, config.dt, n_record)
     snaps = simulate(config, u0, times)
-    rec = ExperimentRecord(name="run", config=config.to_json_obj(),
+    rec = ExperimentRecord(name="run", config=asdict(config),
                            times=times, snapshots=snaps)
     for t in times:
         nsq = l2_sq(snaps[t])
@@ -113,7 +111,7 @@ def energy_moments(config: SpdeConfig, u0: Field) -> ExperimentRecord:
         raise ConfigError(f"need n_paths >= 100, got {config.n_paths}")
     times = _record_grid(config.T, config.dt, ENERGY_RECORD_TIMES)
     snaps = simulate(config, u0, times)
-    rec = ExperimentRecord(name="energy", config=config.to_json_obj(),
+    rec = ExperimentRecord(name="energy", config=asdict(config),
                            times=times)
     e2, e4, se2, se4 = {}, {}, {}, {}
     for t in times:
@@ -173,7 +171,7 @@ def synchronization_experiment(config: SpdeConfig, x: Field,
     at about SYNC_RECORD_TIMES times, each with a percentile bootstrap CI
     of SYNC_BOOTSTRAP resamples, and a log-linear rate fit."""
     n_paths = config.n_paths
-    rec = ExperimentRecord(name="sync", config=config.to_json_obj())
+    rec = ExperimentRecord(name="sync", config=asdict(config))
     if np.array_equal(x.values, y.values):
         rec.extra = {"verdict": "trivially-synchronized"}
         rec.add_stat(0.0, "sync_l2_capped", 0.0, 0.0, 0.0)
@@ -240,7 +238,7 @@ def ergodicity_experiment(config: SpdeConfig, x: Field, y: Field, time_grid,
     cfg = replace(config, T=max(time_grid + extra_x_times))
     snaps_x = simulate(cfg, x, sorted(set(time_grid + extra_x_times)))
     snaps_y = simulate(replace(cfg, seed=cfg.seed + 1), y, time_grid)
-    rec = ExperimentRecord(name="ergodicity", config=cfg.to_json_obj(),
+    rec = ExperimentRecord(name="ergodicity", config=asdict(cfg),
                            times=time_grid)
     rng = np.random.default_rng(cfg.seed + 20_000)
     values = []
@@ -303,7 +301,7 @@ def swap_probability_estimate(config: SpdeConfig,
     U = simulate(config, x, [T])[T]
     below = np.all(U <= 0.0, axis=1)
     above = np.all(U >= 0.0, axis=1)
-    rec = ExperimentRecord(name="swap", config=config.to_json_obj(),
+    rec = ExperimentRecord(name="swap", config=asdict(config),
                            times=[T])
     out = {}
     for name, ev in (("p_below_zero", below), ("p_above_zero", above)):
@@ -325,7 +323,7 @@ def constants_obstruction_demo(config: SpdeConfig, x_nonconst: Field,
                                x_const: Field) -> ExperimentRecord:
     T = config.T
     rec = ExperimentRecord(name="constants_demo",
-                           config=config.to_json_obj(), times=[T])
+                           config=asdict(config), times=[T])
     out = {}
     for tag, u0 in (("const", x_const), ("nonconst", x_nonconst)):
         U = simulate(config, u0, [T])[T]
@@ -361,7 +359,7 @@ def stochastic_convolution(config: SpdeConfig) -> ExperimentRecord:
                      lambda k, ensembles: ensembles[0][0])
     for k, row in rows.items():
         W[k] = row
-    rec = ExperimentRecord(name="convolution", config=cfg.to_json_obj())
+    rec = ExperimentRecord(name="convolution", config=asdict(cfg))
 
     def _dyadic_exponent(quotient_at, max_lag):
         lags, sups = [], []

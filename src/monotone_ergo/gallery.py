@@ -242,15 +242,19 @@ def run_example_2_6_2_7(samples: int, seed: int):
     return _report("example-2-6-2-7", claims)
 
 
+# each case's runner (looking its function up at call time, for stand-ins)
+# and the options it takes, with their defaults
 ALL_CASES = {
-    "example-2-4": lambda **kw: run_example_2_4(),
-    "example-3-2": lambda **kw: run_example_3_2(int(kw.get("n", 12))),
-    "example-3-5": lambda **kw: run_example_3_5(int(kw.get("n", 4))),
-    "example-3-6": lambda **kw: run_example_3_6(int(kw.get("n", 10))),
-    "example-2-6-2-7": lambda **kw: run_example_2_6_2_7(
-        int(kw.get("samples", 10_000)), int(kw.get("seed", 0))),
+    "example-2-4": (lambda: run_example_2_4(), {}),
+    "example-3-2": (lambda n: run_example_3_2(n), {"n": 12}),
+    "example-3-5": (lambda n: run_example_3_5(n), {"n": 4}),
+    "example-3-6": (lambda n: run_example_3_6(n), {"n": 10}),
+    "example-2-6-2-7": (lambda samples, seed: run_example_2_6_2_7(
+        samples, seed), {"samples": 10_000, "seed": 0}),
 }
 
 
-def run_case(name: str, **kwargs):
-    return ALL_CASES[name](**kwargs)
+def run_case(name: str, **options):
+    """Case `name`, each option it takes but is not given at its default."""
+    run, defaults = ALL_CASES[name]
+    return run(**{**defaults, **options})

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .maxflow import max_flow_bipartite
+from .serialize import ConfigError, array, checked, integer, read_keys
 
 UPSET_ENUM_LIMIT = 24
 DOMINATION_TOL = 1e-12
@@ -72,7 +73,15 @@ class FinitePoset:
 
     @staticmethod
     def from_json_obj(obj) -> "FinitePoset":
-        return validate_poset(np.asarray(obj["leq"], dtype=bool))
+        poset = read_keys(obj, _POSET_READERS, "poset", {"n", "leq"})
+        if len(poset["leq"]) != poset["n"]:
+            raise ConfigError(f"field 'n': {poset['n']}, not the size of 'leq'")
+        return validate_poset(poset["leq"])
+
+
+# the poset keys; leq is the relation of validate_poset, 1 where i <= j
+_POSET_READERS = {"n": integer, "leq": checked(
+    array(2, int), lambda leq: np.isin(leq, (0, 1)).all(), "0s and 1s")}
 
 
 @dataclass(frozen=True)

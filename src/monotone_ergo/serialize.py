@@ -1,6 +1,6 @@
-"""JSON serialization helpers: 17-significant-digit floats, content hashes,
-and the contents of the binary snapshot and statistics files the CLI
-archives."""
+"""JSON input and output: `read_keys`, the one reader of every input
+object, and its value readers; 17-significant-digit floats, content hashes,
+and the snapshot and statistics files the CLI archives."""
 
 from __future__ import annotations
 
@@ -14,6 +14,68 @@ import os
 from typing import Any
 
 import numpy as np
+
+
+class ConfigError(ValueError):
+    """An input that its reader rejects (exit 2)."""
+
+
+def read_keys(obj, readers: dict, where: str, required) -> dict:
+    """{key: readers[key](value)} of the JSON object `obj`, the `where`; a
+    non-object, an unknown or a missing `required` key, or a value that its
+    reader rejects is a ConfigError that begins "field '<key>': "."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"the {where} must be a JSON object, not {obj!r}")
+    for keys, problem in ((set(obj) - set(readers), "not a key of"),
+                          (set(required) - set(obj), "missing from")):
+        if keys:
+            raise ConfigError(f"field {min(keys)!r}: {problem} the {where}")
+    out = {}
+    for key, value in obj.items():
+        try:
+            out[key] = readers[key](value)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"field {key!r}: {exc}") from None
+    return out
+
+
+def integer(value) -> int:
+    """A JSON integer; a boolean, a float or a string is rejected."""
+    if type(value) is not int:
+        raise TypeError(f"must be an integer, not {value!r}")
+    return value
+
+
+def number(value) -> float:
+    """A finite JSON number; a boolean or a string is rejected."""
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise TypeError(f"must be a finite number, not {value!r}")
+    return float(value)
+
+
+def array(ndim: int, kind: type):
+    """The reader of an `ndim`-d JSON array of numbers (kind float, NaN
+    and the infinities included) or of integers (kind int), as a numpy
+    array; strings, booleans and ragged rows are rejected, `[]` is empty."""
+    entries = {float: (int, float), int: (int,)}[kind]
+    def read(value) -> np.ndarray:
+        arr = np.array(value, dtype=object)
+        if arr.ndim != ndim and arr.shape != (0,) \
+                or not all(type(x) in entries for x in arr.flat):
+            raise TypeError(f"must be a {ndim}-d array of "
+                            f"{'numbers' if kind is float else 'integers'}")
+        return arr.astype(kind)
+    return read
+
+
+def checked(read, ok, what: str):
+    """`read`, with a value that fails `ok` rejected: it must be `what`."""
+    def read_checked(value):
+        value = read(value)
+        if not ok(value):
+            raise ValueError(f"must be {what}, not {_convert(value)!r}")
+        return value
+    return read_checked
 
 
 def _convert(obj: Any) -> Any:

@@ -69,20 +69,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .serialize import ConfigError, array, integer, number, read_keys
 from .shards import run_sharded, usable_cpus
 
 ASSUMPTION_RANGE = 50.0
 
 
-class SpdeError(ValueError):
-    pass
-
-
-class ConfigError(SpdeError):
-    pass
-
-
-class NonFinite(SpdeError):
+class NonFinite(ValueError):
     def __init__(self, step_index):
         self.step_index = step_index
         super().__init__(f"non-finite field values at step {step_index} "
@@ -101,10 +94,8 @@ _DRIFT_PARAMS = {"cubic": {"K": 1.0}, "linear": {"a": -1.0}, "zero": {}}
 
 
 def _drift_params(name, params) -> dict:
-    """The params of drift family `name` as floats, a missing one at its
-    default."""
-    return {key: float(params.get(key, default))
-            for key, default in _DRIFT_PARAMS[name].items()}
+    """The params of drift family `name`, a missing one at its default."""
+    return {**_DRIFT_PARAMS[name], **params}
 
 
 def _drift_function(name, params):
@@ -160,9 +151,10 @@ class DriftSpec:
         if self.K1 <= 0 or self.K2 <= 0:
             raise ConfigError("need K1, K2 > 0")
         if self.name not in _DRIFT_PARAMS:
-            raise ConfigError(f"unknown drift {self.name!r}")
-        reject_unknown(self.params, _DRIFT_PARAMS[self.name],
-                       f"{self.name} drift params")
+            raise ConfigError(f"field 'name': unknown drift {self.name!r}")
+        object.__setattr__(self, "params", read_keys(
+            self.params, dict.fromkeys(_DRIFT_PARAMS[self.name], number),
+            f"'params' of the {self.name} drift", ()))
 
     def check_dissipativity(self):
         """One-sided growth and one-sided Lipschitz bounds on
@@ -181,62 +173,78 @@ class DriftSpec:
         """L_R = max(0, -min f' on [-R, R]), exact."""
         return _drift_function(self.name, self.params)[1](float(R))
 
-    def to_json_obj(self):
-        return {"name": self.name, "params": dict(self.params),
-                "K1": self.K1, "K2": self.K2, "K3": self.K3}
-
     @staticmethod
-    def from_json_obj(obj):
-        reject_unknown(obj, {"name", "params", "K1", "K2", "K3"}, "drift")
-        return DriftSpec(name=obj["name"], params=dict(obj.get("params", {})),
-                         K1=float(obj["K1"]), K2=float(obj["K2"]),
-                         K3=float(obj["K3"]))
+    def from_json_obj(obj) -> "DriftSpec":
+        return DriftSpec(**read_keys(obj, _DRIFT_READERS, "drift",
+                                     _DRIFT_READERS))
 
 
-# the keys of each closed-form profile kind
-_PROFILE_KEYS = {"const": {"kind", "amp", "value"},
-                 "cos": {"kind", "amp", "freq"}, "sin": {"kind", "amp", "freq"}}
+# the drift keys, all required; __post_init__ reads the params by family
+_DRIFT_READERS = {"name": str, "params": lambda params: params,
+                  "K1": number, "K2": number, "K3": number}
+
+
+# each closed-form profile kind's keys with their readers
+_PROFILE_READERS = {"const": {"kind": str, "amp": number, "value": number},
+                    "cos": {"kind": str, "amp": number, "freq": number},
+                    "sin": {"kind": str, "amp": number, "freq": number}}
+
+
+def read_profile(obj) -> dict:
+    """A closed-form profile object (`profile`), read by its kind's table."""
+    kind = obj.get("kind") if isinstance(obj, dict) else None
+    if kind not in ("const", "cos", "sin"):
+        raise ConfigError(f"field 'kind': must be 'const', 'cos' or 'sin' "
+                          f"in a profile object, not {obj!r}")
+    return read_keys(obj, _PROFILE_READERS[kind], f"{kind} profile", {"kind"})
+
+
+_VALUES_READERS = {"values": array(1, float)}
+
+
+def read_field(obj) -> dict:
+    """An initial field object: {"values": [numbers]} or a profile."""
+    if isinstance(obj, dict) and "values" in obj:
+        return read_keys(obj, _VALUES_READERS, "field", {"values"})
+    return read_profile(obj)
 
 
 def profile(spec, N: int) -> np.ndarray:
-    """A closed-form profile (a noise coefficient or a field) at the grid
-    points j / N: const `value` (else `amp`), or amp cos / amp sin of
+    """A profile or field read by `read_field` at the grid points j / N:
+    its N values, const `value` (else `amp`), or amp cos / amp sin of
     2 pi freq x; amp and freq default to 1."""
-    kind = spec.get("kind") if isinstance(spec, dict) else None
-    if kind not in _PROFILE_KEYS:
-        raise ConfigError(f"not a const, cos or sin profile: {spec!r}")
-    reject_unknown(spec, _PROFILE_KEYS[kind], f"{kind} profile")
+    if "values" in spec:
+        if len(spec["values"]) != N:
+            raise ConfigError(f"field 'values': {len(spec['values'])} "
+                              f"values, but the grid has {N} points")
+        return spec["values"]
     grid = np.arange(N) / N
-    amp = float(spec.get("amp", 1.0))
-    if kind == "const":
-        return np.full(N, float(spec.get("value", amp)))
-    wave = np.cos if kind == "cos" else np.sin
-    return amp * wave(2 * np.pi * float(spec.get("freq", 1)) * grid)
+    amp = spec.get("amp", 1.0)
+    if spec["kind"] == "const":
+        return np.full(N, spec.get("value", amp), dtype=float)
+    wave = np.cos if spec["kind"] == "cos" else np.sin
+    return amp * wave(2 * np.pi * spec.get("freq", 1) * grid)
 
 
 @dataclass(frozen=True)
 class NoiseSpec:
     m: int
-    sigma: tuple          # tuple of profile dicts (closed-form expressions)
+    sigma: tuple = ()     # closed-form profile dicts, one per mode
 
     def __post_init__(self):
         if self.m != len(self.sigma):
             raise ConfigError("m must match the number of noise profiles")
-        if not all(isinstance(s, dict) for s in self.sigma):
-            raise ConfigError(f"noise profiles must be objects: "
-                              f"{list(self.sigma)!r}")
-        object.__setattr__(self, "sigma", tuple(dict(s) for s in self.sigma))
 
     def tabulate(self, N: int) -> np.ndarray:
         return np.array([profile(s, N) for s in self.sigma]).reshape(self.m, N)
 
-    def to_json_obj(self):
-        return {"m": self.m, "sigma": [dict(s) for s in self.sigma]}
-
     @staticmethod
-    def from_json_obj(obj):
-        reject_unknown(obj, {"m", "sigma"}, "noise")
-        return NoiseSpec(m=int(obj["m"]), sigma=tuple(obj.get("sigma", [])))
+    def from_json_obj(obj) -> "NoiseSpec":
+        return NoiseSpec(**read_keys(obj, _NOISE_READERS, "noise", {"m"}))
+
+
+_NOISE_READERS = {"m": integer,
+                  "sigma": lambda sigma: tuple(map(read_profile, sigma))}
 
 
 # ---------------------------------------------------------------------------
@@ -250,24 +258,9 @@ class Field:
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
         if not np.all(np.isfinite(v)):
-            raise SpdeError("non-finite field values")
+            raise ConfigError("non-finite field values")
         object.__setattr__(self, "values", v)
         self.values.setflags(write=False)
-
-    @property
-    def N(self):
-        return len(self.values)
-
-    @staticmethod
-    def from_json_obj(obj, N: int) -> "Field":
-        """Explicit {"values": [N numbers]} or a closed-form `profile`."""
-        if not (isinstance(obj, dict) and "values" in obj):
-            return Field(profile(obj, N))
-        reject_unknown(obj, {"values"}, "field")
-        if len(obj["values"]) != N:
-            raise ConfigError(f"field has {len(obj['values'])} values, "
-                              f"grid has {N}")
-        return Field(obj["values"])
 
 
 def l2_sq(values: np.ndarray) -> np.ndarray:
@@ -285,16 +278,11 @@ def phi(values) -> np.ndarray | float:
 # configuration
 # ---------------------------------------------------------------------------
 
-def reject_unknown(obj, allowed, where):
-    """Raise ConfigError naming every key of `obj` not in `allowed`."""
-    unknown = set(obj) - set(allowed)
-    if unknown:
-        raise ConfigError(f"unknown {where} key(s): {sorted(unknown)}")
-
-
-# the keys of the spde block that SpdeConfig gives a default, each with its
-# conversion; the defaults themselves live in the dataclass alone
-_OPTIONAL_SPDE_KEYS = {"seed": int, "n_paths": int, "clamp_R": float}
+# the solver block's keys; the defaults of the optional ones live in SpdeConfig
+_SOLVER_READERS = {"N": integer, "dt": number, "T": number,
+                   "drift": DriftSpec.from_json_obj,
+                   "noise": NoiseSpec.from_json_obj, "seed": integer,
+                   "n_paths": integer, "clamp_R": number}
 
 
 @dataclass(frozen=True)
@@ -311,7 +299,6 @@ class SpdeConfig:
     def __post_init__(self):
         if self.N < 2 or self.dt <= 0 or self.T < 0 or self.n_paths < 1:
             raise ConfigError("invalid grid/time parameters")
-        self.noise.tabulate(self.N)  # a bad profile fails here, not in a step
         L_R = self.drift.negative_slope_bound(self.clamp_R)
         if self.dt * L_R > 1.0 + 1e-12:
             raise ConfigError(
@@ -322,34 +309,10 @@ class SpdeConfig:
     def n_steps(self) -> int:
         return int(round(self.T / self.dt))
 
-    def to_json_obj(self):
-        return {"N": self.N, "dt": self.dt, "T": self.T,
-                "drift": self.drift.to_json_obj(),
-                "noise": self.noise.to_json_obj(),
-                "seed": self.seed, "n_paths": self.n_paths,
-                "clamp_R": self.clamp_R}
-
     @staticmethod
     def from_json_obj(obj) -> "SpdeConfig":
-        """The solver block `obj`; a missing key or a value of the wrong
-        type, in it or in its drift or noise, is a ConfigError."""
-        if not isinstance(obj, dict):
-            raise ConfigError("the spde block must be an object")
-        reject_unknown(obj, {"N", "dt", "T", "drift", "noise",
-                             *_OPTIONAL_SPDE_KEYS}, "spde")
-        try:
-            return SpdeConfig(
-                N=int(obj["N"]), dt=float(obj["dt"]), T=float(obj["T"]),
-                drift=DriftSpec.from_json_obj(obj["drift"]),
-                noise=NoiseSpec.from_json_obj(obj["noise"]),
-                **{key: cast(obj[key])
-                   for key, cast in _OPTIONAL_SPDE_KEYS.items() if key in obj})
-        except KeyError as exc:
-            raise ConfigError(f"missing spde key {exc}") from None
-        except ConfigError:
-            raise
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad spde value: {exc}") from None
+        return SpdeConfig(**read_keys(obj, _SOLVER_READERS, "spde block",
+                                      {"N", "dt", "T", "drift", "noise"}))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Command-line contract: exit codes, outputs, manifests, determinism."""
 
+import copy
 import csv
 import glob
 import json
@@ -8,8 +9,8 @@ import os
 import numpy as np
 import pytest
 
-from monotone_ergo import (cli, experiments, fixture_path, gallery,
-                          serialize, spde)
+from monotone_ergo import (chains, cli, experiments, fixture_path, gallery,
+                          posets, serialize, spde)
 
 
 def run(argv, capsys):
@@ -47,7 +48,7 @@ OUT_CASES = {
     "spde-run": (lambda tmp: ["spde", "run", run_config(tmp)], "record.json",
                  ["config.json"], 0),
     "gallery": (lambda tmp: ["gallery", "example-3-2", "--n", "4"],
-                "gallery.json", [], 0),
+                "gallery.json", [], None),
     "transport": (lambda tmp: ["transport", fixture_path("transport_mu.json"),
                                fixture_path("transport_nu.json"), "--cost",
                                fixture_path("transport_cost.json")],
@@ -90,7 +91,7 @@ def test_shipped_configs_pass_the_reader():
     for name, sub in FIXTURE_SUBCOMMANDS.items():
         cli.read_spde(fixture_path(name), sub, None)
     for path in glob.glob(os.path.join(fixtures, "*_verify.json")):
-        cli._read_config(path, cli.CHAIN_KEYS)
+        cli.read_chain(path)
 
 
 def chain_config(tmp_path, **top) -> str:
@@ -209,6 +210,195 @@ def test_out_of_range_value_exit_2(tmp_path, capsys, argv):
 def test_bad_spde_value_names_its_field(tmp_path, capsys, argv, key):
     _, _, err = run(argv(tmp_path), capsys)
     assert err.startswith(f"config error: field '{key}': ")
+
+
+# ---------------------------------------------------------------------------
+# every key of every reader table, given a value of the wrong type
+# ---------------------------------------------------------------------------
+
+def chain5_inline() -> dict:
+    """chain5_verify.json with its poset, kernel and space inline."""
+    cfg = serialize.load(fixture_path("chain5_verify.json"))
+    for key in ("poset", "kernel", "space"):
+        cfg[key] = serialize.load(fixture_path(cfg[key]))
+    return cfg
+
+
+def spde_base(sub: str) -> dict:
+    """The config `spde sub` reads in these tests: its shipped fixture,
+    or for `run` the constants-demo solver block with T and n_record."""
+    if sub == "run":
+        return {"spde": serialize.load(fixture_path(
+            "spde_constants.json"))["spde"], "T": 5, "n_record": 3}
+    name = next(name for name, used in FIXTURE_SUBCOMMANDS.items()
+                if used == sub)
+    return serialize.load(fixture_path(name))
+
+
+def set_at(obj, path, value):
+    """A copy of the JSON object `obj` with the entry at `path` (keys and
+    indices) set to `value`."""
+    obj = copy.deepcopy(obj)
+    target = obj
+    for step in path[:-1]:
+        target = target[step]
+    target[path[-1]] = value
+    return obj
+
+
+def config_argv(argv, cfg):
+    """argv of `argv` on `cfg`, written to the test's directory."""
+    def make(tmp):
+        path = str(tmp / "cfg.json")
+        serialize.dump(cfg, path)
+        return [*argv, path]
+    return make
+
+
+def transport_argv(mu, nu, cost):
+    """argv of `transport` on the distribution files `mu` and `nu` and the
+    cost file `cost`, written to the test's directory."""
+    def make(tmp):
+        paths = []
+        for name, obj in (("mu", mu), ("nu", nu), ("cost", cost)):
+            paths.append(str(tmp / f"{name}.json"))
+            serialize.dump(obj, paths[-1])
+        return ["transport", paths[0], paths[1], "--cost", paths[2]]
+    return make
+
+
+def wrong_values(reader) -> list:
+    """JSON values of the wrong type for `reader`: a string and true for a
+    number; a string, 1.5 and true for anything else (an integer, an array
+    or an object)."""
+    return ["1", True] if reader is serialize.number else ["1", 1.5, True]
+
+
+CONSTANTS = serialize.load(fixture_path("spde_constants.json"))
+MU, NU, COST = (serialize.load(fixture_path(f"transport_{name}.json"))
+                for name in ("mu", "nu", "cost"))
+
+
+def constants_argv(path, value):
+    """argv of `spde constants-demo` on its fixture with `value` at
+    `path`."""
+    return config_argv(["spde", "constants-demo"],
+                       set_at(CONSTANTS, path, value))
+
+
+def chain_argv(path, value):
+    """argv of `chain-verify` on chain5 with `value` at `path`."""
+    return config_argv(["chain-verify"], set_at(chain5_inline(), path, value))
+
+
+# (id, argv maker of a config whose `key` holds `value`, the reader table
+# of the object that holds the key)
+READER_TABLES = [
+    ("solver", lambda k, v: constants_argv(("spde", k), v),
+     spde._SOLVER_READERS),
+    ("drift", lambda k, v: constants_argv(("spde", "drift", k), v),
+     spde._DRIFT_READERS),
+    ("noise", lambda k, v: constants_argv(("spde", "noise", k), v),
+     spde._NOISE_READERS),
+    ("values", lambda k, v: constants_argv(("x_const",), {k: v}),
+     spde._VALUES_READERS),
+    *((f"params-{family}", lambda k, v, family=family: constants_argv(
+        ("spde", "drift"), {**CONSTANTS["spde"]["drift"], "name": family,
+                            "params": {k: v}}),
+       dict.fromkeys(params, serialize.number))
+      for family, params in spde._DRIFT_PARAMS.items()),
+    *((f"{kind}-profile", lambda k, v, kind=kind: constants_argv(
+        ("spde", "noise", "sigma", 0), {"kind": kind, k: v}), readers)
+      for kind, readers in spde._PROFILE_READERS.items()),
+    *((f"spde-{sub}", lambda k, v, sub=sub: config_argv(
+        ["spde", sub], set_at(spde_base(sub), (k,), v)),
+       {key: cli._SPDE_READERS.get(key, spde.read_field) for key in keys})
+      for sub, (_, keys, _) in cli.SPDE_EXPERIMENTS.items()),
+    ("chain-verify", lambda k, v: chain_argv((k,), v), cli.CHAIN_READERS),
+    ("poset", lambda k, v: chain_argv(("poset", k), v),
+     posets._POSET_READERS),
+    ("kernel", lambda k, v: chain_argv(("kernel", k), v),
+     chains._KERNEL_READERS),
+    ("space", lambda k, v: chain_argv(("space", k), v),
+     chains._SPACE_READERS),
+    ("distribution", lambda k, v: transport_argv({k: v}, NU, COST),
+     cli.TRANSPORT_FILES["distribution file"]),
+    ("cost", lambda k, v: transport_argv(MU, NU, {k: v}),
+     cli.TRANSPORT_FILES["cost file"]),
+]
+
+WRONG_TYPE_CASES = [
+    pytest.param(make(key, value), key, id=f"{name}-{key}-{value!r}")
+    for name, make, readers in READER_TABLES
+    for key, reader in readers.items()
+    for value in wrong_values(reader)]
+
+
+def assert_config_error(code, out, err, key):
+    assert code == 2
+    assert out == ""
+    assert err.startswith("config error: ")
+    assert f"'{key}'" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, key", WRONG_TYPE_CASES)
+def test_wrong_type_exit_2(tmp_path, capsys, argv, key):
+    assert_config_error(*run(argv(tmp_path), capsys), key)
+
+
+CHAIN5_LEQ = serialize.load(fixture_path("chain5_poset.json"))["leq"]
+
+# values that were once coerced or misreported, each with the key its
+# error must name
+REPRODUCED = {
+    "solver-N-16.9": (("spde", "N"), 16.9, "N"),
+    "solver-seed-1.7": (("spde", "seed"), 1.7, "seed"),
+    "solver-dt-string": (("spde", "dt"), "0.001", "dt"),
+    "noise-m-true": (("spde", "noise", "m"), True, "m"),
+    "clamp-R-true": (("spde", "clamp_R"), True, "clamp_R"),
+    "drift-K1-string": (("spde", "drift", "K1"), "1", "K1"),
+    "params-a-string": (("spde", "drift", "params"), {"a": "-0.1"}, "a"),
+    "profile-amp-string": (("x_nonconst", "amp"), "2", "amp"),
+    "profile-freq-string": (("x_nonconst", "freq"), "1", "freq"),
+    "n-paths-20.9": (("n_paths",), 20.9, "n_paths"),
+    "T-string": (("T",), "0.01", "T"),
+}
+REPRODUCED_CHAIN = {
+    "horizon-string": (("horizon",), "40", "horizon"),
+    "horizon-40.9": (("horizon",), 40.9, "horizon"),
+    "r2-threshold-string": (("r2_threshold",), "0.5", "r2_threshold"),
+    "poset-unknown-key": (("poset",), {"n": 7, "leq": CHAIN5_LEQ,
+                                       "bogus": 1}, "bogus"),
+    "poset-n-mismatch": (("poset",), {"n": 7, "leq": CHAIN5_LEQ}, "n"),
+    "kernel-unknown-key": (("kernel", "extra"), 1, "extra"),
+    "kernel-without-P": (("kernel",), {}, "P"),
+    "space-gamma-string": (("space", "gamma"), "0.5", "gamma"),
+    "space-swap-A-true": (("space", "swap_A"), [True], "swap_A"),
+}
+
+
+@pytest.mark.parametrize("argv, key", [
+    *(pytest.param(constants_argv(path, value), key, id=name)
+      for name, (path, value, key) in REPRODUCED.items()),
+    pytest.param(config_argv(["spde", "run"], {**spde_base("run"),
+                                               "n_record": "3"}),
+                 "n_record", id="run-n-record-string"),
+    pytest.param(config_argv(["spde", "run"], {
+        **spde_base("run"), "u0": {"kind": "const", "value": "0.5"}}),
+                 "value", id="run-u0-value-string"),
+    *(pytest.param(chain_argv(path, value), key, id=name)
+      for name, (path, value, key) in REPRODUCED_CHAIN.items()),
+    pytest.param(transport_argv({"p": ["0.5", "0.5", 0, 0], "label": "x"},
+                                {"p": [True, False, False, False]}, COST),
+                 "label", id="transport-mu-label"),
+    pytest.param(transport_argv({"p": [1, 0, 0]}, {"p": [True, False, False]},
+                                COST), "p", id="transport-nu-booleans"),
+])
+def test_reproduced_input_exit_2(tmp_path, capsys, argv, key):
+    code, out, err = run(argv(tmp_path), capsys)
+    assert_config_error(code, out, err, key)
+    assert f"field '{key}': " in err
 
 
 class TestChainVerify:
@@ -367,9 +557,11 @@ class TestSpde:
         assert "bogus" in err
 
     @pytest.mark.parametrize("edit, message", [
-        (lambda block: block.pop("N"), "missing spde key 'N'"),
+        (lambda block: block.pop("N"),
+         "field 'N': missing from the spde block"),
         (lambda block: block["noise"].update(sigma=["const"]),
-         "noise profiles must be objects"),
+         "field 'sigma': field 'kind': must be 'const', 'cos' or 'sin' in "
+         "a profile object"),
     ], ids=["missing-N", "sigma-not-objects"])
     def test_bad_solver_block_exit_2(self, tmp_path, capsys, edit, message):
         cfg = serialize.load(fixture_path("spde_sync.json"))
@@ -496,6 +688,51 @@ class TestGallery:
         assert outs[0] == outs[1]
         assert outs[3] != outs[4]
 
+    # an option that no selected case takes is a usage error, not ignored
+    @pytest.mark.parametrize("argv", [
+        ["example-2-4", "--n", "5"], ["example-2-4", "--samples", "5"],
+        ["example-3-2", "--samples", "5000"], ["example-3-6", "--seed", "9"],
+    ], ids=lambda argv: "-".join(argv))
+    def test_option_not_taken_exit_4(self, tmp_path, capsys, argv):
+        out_dir = str(tmp_path / "out")
+        code, out, err = run(["gallery", *argv, "--out", out_dir], capsys)
+        assert code == 4
+        assert out == ""
+        assert f"usage error: {argv[0]} takes no {argv[1]}" in err
+        assert not os.path.exists(out_dir)
+
+    def test_all_passes_each_option_to_the_cases_that_take_it(
+            self, capsys, monkeypatch):
+        calls = []
+        original = gallery.run_case
+
+        def spy(name, **options):
+            calls.append((name, options))
+            return original(name, **options)
+
+        monkeypatch.setattr(gallery, "run_case", spy)
+        code, _, _ = run(["gallery", "all", "--n", "3"], capsys)
+        assert code == 0
+        assert calls == [(name, {"n": 3} if "n" in options else {})
+                         for name, (_, options) in gallery.ALL_CASES.items()]
+        assert [name for name, options in calls if options] == [
+            "example-3-2", "example-3-5", "example-3-6"]
+
+    # the manifest records the seed the sampled case ran with, and no seed
+    # when no case samples
+    @pytest.mark.parametrize("argv, seed", [
+        (["example-2-6-2-7", "--samples", "1000"], 0),
+        (["example-2-6-2-7", "--samples", "1000", "--seed", "3"], 3),
+        (["all", "--seed", "5"], 5), (["example-3-6"], None)],
+        ids=["sampled-default", "sampled-given", "all-given", "unsampled"])
+    def test_manifest_seed_is_the_sampled_cases(self, tmp_path, capsys,
+                                                argv, seed):
+        out_dir = str(tmp_path / "out")
+        code, _, _ = run(["gallery", *argv, "--out", out_dir], capsys)
+        assert code == 0
+        manifest = serialize.load(os.path.join(out_dir, "manifest.json"))
+        assert manifest["seed"] == seed
+
     def test_unknown_case_exit_4(self, capsys):
         code, _, err = run(["gallery", "bogus-name"], capsys)
         assert code == 4
@@ -600,12 +837,15 @@ class TestTransport:
 
     @pytest.mark.parametrize("which, text, message", [
         ("mu", "[0.5, 0.5]", "distribution file: must be a JSON object"),
-        ("nu", '{"q": [0.5, 0.5]}', "distribution file: missing key 'p'"),
-        ("mu", '{"p": 0.5}', "'p' must be a 1-d array"),
-        ("nu", '{"p": ["a", "b"]}', "'p' is not numeric"),
+        ("nu", '{"q": [0.5, 0.5]}', "field 'q': not a key of the "
+                                    "distribution file"),
+        ("nu", '{}', "field 'p': missing from the distribution file"),
+        ("mu", '{"p": 0.5}', "field 'p': must be a 1-d array"),
+        ("nu", '{"p": ["a", "b"]}', "field 'p': must be a 1-d array of "
+                                    "numbers"),
         ("cost", "[[0, 1], [1, 0]]", "cost file: must be a JSON object"),
         ("cost", "{not json", "cost file: not valid JSON"),
-    ], ids=["list", "no-p", "scalar-p", "text-p", "cost-list",
+    ], ids=["list", "other-key", "no-p", "scalar-p", "text-p", "cost-list",
             "cost-not-json"])
     def test_bad_input_file_exit_2(self, tmp_path, capsys, which, text,
                                    message):

@@ -10,7 +10,9 @@ a property when it is read.  Every defaulted parameter of those functions
 and methods is passed by some package call, apart from a fixed list.
 Every field of a package dataclass is read as an attribute somewhere in
 the package, the tests or the benchmark.  No package module reads a
-private name of another."""
+private name of another.  Every JSON input is read by
+`serialize.read_keys`: each `from_json_obj` calls it, and no other
+module defines a ConfigError or checks a JSON object for unknown keys."""
 
 import ast
 import pathlib
@@ -355,3 +357,64 @@ def test_no_module_reads_a_private_name_of_another():
     package = ROOT / "src" / "monotone_ergo"
     assert private_reads({p.stem: p.read_text()
                           for p in package.glob("*.py")}) == []
+
+
+def hand_rolled_readers(sources: dict[str, str]) -> list[str]:
+    """In the package modules `sources` (module name -> text): each
+    `from_json_obj` that does not call `read_keys`, and, in every module
+    but `serialize`, each class named ConfigError and each check for
+    unknown keys of its own: a set difference `set(...) - ...`, or a
+    raise whose text speaks of an unknown key."""
+    found = []
+    for mod, text in sources.items():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.FunctionDef) \
+                    and node.name == "from_json_obj" \
+                    and not any(isinstance(call, ast.Call)
+                                and getattr(call.func, "id", getattr(
+                                    call.func, "attr", None)) == "read_keys"
+                                for call in ast.walk(node)):
+                found.append(f"{mod}: from_json_obj without read_keys")
+            if mod == "serialize":
+                continue
+            if isinstance(node, ast.ClassDef) and node.name == "ConfigError":
+                found.append(f"{mod}: class ConfigError")
+            elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub) \
+                    and isinstance(node.left, ast.Call) \
+                    and getattr(node.left.func, "id", None) == "set":
+                found.append(f"{mod}: line {node.lineno}: set difference")
+            elif isinstance(node, ast.Raise) and "unknown" in ast.unparse(
+                    node).lower() and "key" in ast.unparse(node).lower():
+                found.append(f"{mod}: line {node.lineno}: unknown-key raise")
+    return sorted(found)
+
+
+def test_reader_scan_reports_each_hand_rolled_check():
+    sources = {
+        "serialize": "class ConfigError(ValueError): pass\n"
+                     "def read_keys(obj, readers):\n"
+                     "    return set(obj) - set(readers)\n",
+        "a": "class Spec:\n"
+             "    def from_json_obj(obj):\n"
+             "        return Spec(**read_keys(obj, {}))\n"
+             "class Raw:\n"
+             "    def from_json_obj(obj):\n"
+             "        return Raw(obj['x'])\n",
+        "b": "class ConfigError(ValueError): pass\n"
+             "def check(obj, allowed):\n"
+             "    extra = set(obj) - allowed\n"
+             "    if extra:\n"
+             "        raise ValueError(f'unknown key(s) {extra}')\n"
+             "    return {1, 2} - {2}\n",
+        "c": "def f(name):\n"
+             "    raise ValueError(f'unknown drift {name}')\n",
+    }
+    assert hand_rolled_readers(sources) == [
+        "a: from_json_obj without read_keys", "b: class ConfigError",
+        "b: line 3: set difference", "b: line 5: unknown-key raise"]
+
+
+def test_every_input_goes_through_read_keys():
+    package = ROOT / "src" / "monotone_ergo"
+    assert hand_rolled_readers({p.stem: p.read_text()
+                                for p in package.glob("*.py")}) == []

@@ -5,7 +5,7 @@ import json
 import os
 import pathlib
 import pickle
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -36,14 +36,14 @@ class TestConfig:
             make_config(dt=0.01)  # dt * L_R = 0.01 * 674 > 1
 
     def test_unknown_keys_rejected(self):
-        obj = make_config().to_json_obj()
+        obj = asdict(make_config())
         obj["bogus"] = 1
         with pytest.raises(ConfigError, match="bogus"):
             SpdeConfig.from_json_obj(obj)
 
     def test_json_round_trip(self):
         cfg = make_config()
-        cfg2 = SpdeConfig.from_json_obj(cfg.to_json_obj())
+        cfg2 = SpdeConfig.from_json_obj(asdict(cfg))
         assert cfg2 == cfg
 
     def test_unknown_drift(self):
@@ -62,7 +62,7 @@ class TestConfig:
             DriftSpec(name, params, K1=1.0, K2=1.0, K3=1.0)
 
     def test_noise_profile_checked_at_load(self):
-        obj = make_config().to_json_obj()
+        obj = asdict(make_config())
         obj["noise"]["sigma"][0]["ampl"] = 7
         with pytest.raises(ConfigError, match="'ampl'"):
             SpdeConfig.from_json_obj(obj)
@@ -76,15 +76,15 @@ class TestConfig:
         assert np.array_equal(
             spde.profile({"kind": "sin", "amp": 0.5, "freq": 3}, 8),
             0.5 * np.sin(2 * np.pi * 3.0 * grid))
-        field = Field.from_json_obj({"kind": "cos"}, 8)
+        field = Field(spde.profile(spde.read_field({"kind": "cos"}), 8))
         assert np.array_equal(field.values, np.cos(2 * np.pi * 1.0 * grid))
-        assert Field.from_json_obj({"values": [1, 2]}, 2).values.tolist() \
-            == [1.0, 2.0]
+        assert Field(spde.profile(spde.read_field({"values": [1, 2]}),
+                                  2)).values.tolist() == [1.0, 2.0]
         for bad in ({"values": [1, 2]}, {"values": [1] * 3, "kind": "const"},
                     {"kind": "cos", "frequency": 3},
                     {"kind": "const", "freq": 3}, {"kind": "square"}, 1.0):
             with pytest.raises(ConfigError):
-                Field.from_json_obj(bad, 3)
+                Field(spde.profile(spde.read_field(bad), 3))
 
 
 class TestDrift:
