@@ -83,51 +83,37 @@ def _write(args, subcommand: str, name: str, payload, t0: float, seed=None,
 # chain-verify
 # ---------------------------------------------------------------------------
 
-# the config keys with their defaults, ... where the key must be given;
-# read_chain puts every pair i < j of the poset for pairs None
-CHAIN_KEYS = {"poset": ..., "kernel": ..., "space": ...,
-              "pairs": None, "horizon": 40, "burn_in_frac": 0.125,
-              "r2_threshold": 0.99}
-
-
 _object_or_path = serialize.checked(
     lambda value: value, lambda value: isinstance(value, (dict, str)),
     "an object or a path")
 
-# the config keys with their readers; an input object may be inline or
-# the path of its JSON file
+# the config keys, all required, with their readers; an input object may
+# be inline or the path of its JSON file
 CHAIN_READERS = {"poset": _object_or_path, "kernel": _object_or_path,
-                 "space": _object_or_path, "pairs": serialize.array(2, int),
-                 "horizon": serialize.integer,
-                 "burn_in_frac": serialize.number,
-                 "r2_threshold": serialize.number}
+                 "space": _object_or_path}
 
 
 def read_chain(path: str):
-    """(space, kernel, the other config keys, input files by label) of the
-    chain-verify config at `path`; pairs default to every pair i < j."""
-    cfg = {**CHAIN_KEYS, **serialize.read_keys(
-        _load_object(path, "config"), CHAIN_READERS, "config",
-        {key for key, default in CHAIN_KEYS.items() if default is ...})}
+    """(space, kernel, input files by label) of the chain-verify config at
+    `path`."""
+    cfg = serialize.read_keys(_load_object(path, "config"), CHAIN_READERS,
+                              "config", CHAIN_READERS)
     inputs = {"config.json": path}
-    for key in ("poset", "kernel", "space"):
+    for key in CHAIN_READERS:
         if isinstance(cfg[key], str):
             inputs[key] = os.path.join(os.path.dirname(path), cfg[key])
             cfg[key] = _load_object(inputs[key], f"field {key!r}")
-    poset = FinitePoset.from_json_obj(cfg.pop("poset"))
-    if cfg["pairs"] is None:
-        cfg["pairs"] = [(i, j) for i in range(poset.n)
-                        for j in range(i + 1, poset.n)]
-    return (OrderedSpaceSpec.from_json_obj(cfg.pop("space"), poset),
-            FiniteKernel.from_json_obj(cfg.pop("kernel")), cfg, inputs)
+    poset = FinitePoset.from_json_obj(cfg["poset"])
+    return (OrderedSpaceSpec.from_json_obj(cfg["space"], poset),
+            FiniteKernel.from_json_obj(cfg["kernel"]), inputs)
 
 
 def cmd_chain_verify(args) -> int:
     t0 = time.monotonic()
     # a malformed input is a config error (exit 2), raised by the readers and
     # theorem_main_verify; a failed condition is a verdict (exit 1)
-    space, kernel, cfg, inputs = read_chain(args.config)
-    report = theorem_main_verify(space, kernel, **cfg)
+    space, kernel, inputs = read_chain(args.config)
+    report = theorem_main_verify(space, kernel)
 
     _say(f"{'condition':32s} verdict")
     for c in report.conditions:
@@ -137,7 +123,7 @@ def cmd_chain_verify(args) -> int:
             _say("swap condition unsatisfiable")
     for (x, y), fit in zip(report.pairs, report.fits):
         _say(f"pair ({x}, {y}): rate {fit.rate:.6g}, R^2 {fit.r_squared:.4f},"
-             f" {'pass' if fit.verdict or x == y else 'FAIL'}")
+             f" {'pass' if fit.verdict else 'FAIL'}")
     _say(f"overall verdict: {'pass' if report.verdict else 'FAIL'}")
 
     _write(args, "chain-verify", "report", report.to_json_obj(), t0,
@@ -153,45 +139,42 @@ def _fit(rec, name, key):
     return rec.fits.get(name, {}).get(key, float("nan"))
 
 
-# subcommand -> (experiment, {top-level key it reads: default}, stderr
-# summary of its record); a top-level T or n_paths replaces the solver
-# block's, and a default of None keeps the solver block's
+# subcommand -> (experiment, {top-level key it reads: default, ... where
+# the key must be given}, stderr summary of its record)
 SPDE_EXPERIMENTS = {
     "run": (experiments.snapshot_run,
-            {"u0": {"kind": "const", "value": 0.0}, "T": None,
-             "n_paths": None, "n_record": 11},
+            {"u0": {"kind": "const", "amp": 0.0}, "n_record": 11},
             lambda rec: f"run: {len(rec.times)} snapshots, final mean L2^2 "
                         f"{rec.statistics[-1]['value']:.6g}"),
     "sync": (experiments.synchronization_experiment,
-             {"x": ..., "y": ..., "T": None, "n_paths": None},
+             {"x": ..., "y": ...},
              lambda rec: f"sync: rate {_fit(rec, 'sync_rate', 'rate'):.6g}, "
                          f"R^2 {_fit(rec, 'sync_rate', 'r_squared'):.4f}, "
                          f"verdict {rec.extra.get('verdict')}"),
     "ergodicity": (experiments.ergodicity_experiment,
                    {"x": ..., "y": ..., "time_grid": ...,
-                    "n_paths": None, "extra_x_times": ()},
+                    "extra_x_times": ()},
                    lambda rec: f"ergodicity: rate "
                                f"{_fit(rec, 'w_rate', 'rate'):.6g}, "
                                f"verdict {rec.extra.get('verdict')}"),
     "swap": (experiments.swap_probability_estimate,
-             {"x": ..., "T": 1.0, "n_paths": None},
+             {"x": ...},
              lambda rec: f"swap: p_below {rec.extra['p_below_zero']:.4f} "
                          f"(se {rec.extra['p_below_zero_se']:.4f}), "
                          f"p_above {rec.extra['p_above_zero']:.4f}"),
     "energy": (experiments.energy_moments,
-               {"u0": ..., "T": None, "n_paths": None},
+               {"u0": ...},
                lambda rec: f"energy: dissipation inequality "
                            f"{rec.extra['dissipation_inequality_holds']}, "
                            f"C4 {rec.extra['smallest_C4']:.6g}"),
     "constants-demo": (
         experiments.constants_obstruction_demo,
-        {"x_nonconst": ..., "x_const": ..., "T": None,
-         "n_paths": None},
+        {"x_nonconst": ..., "x_const": ...},
         lambda rec: f"constants-demo: const fraction "
                     f"{rec.extra['fraction_constant_const']:.4f}, nonconst "
                     f"{rec.extra['fraction_constant_nonconst']:.4f}, "
                     f"indicator TV {rec.extra['indicator_tv']:.4f}"),
-    "convolution": (experiments.stochastic_convolution, {"T": None},
+    "convolution": (experiments.stochastic_convolution, {},
                     lambda rec: f"convolution: time exponent "
                                 f"{rec.extra['time_holder_exponent']:.4f}, "
                                 f"space exponent "
@@ -202,6 +185,10 @@ SPDE_EXPERIMENTS = {
 _times = serialize.checked(
     serialize.array(1, float), lambda t: np.all((t >= 0) & (t < np.inf)),
     "an array of finite numbers >= 0")
+
+# top-level keys that every spde subcommand reads: each repeats the solver
+# block's value and must equal it
+_SOLVER_COPIES = ("T", "n_paths")
 
 # the top-level keys but the solver block and the fields (spde.read_field)
 _SPDE_READERS = {"T": serialize.number, "n_paths": serialize.integer,
@@ -214,19 +201,24 @@ _SPDE_READERS = {"T": serialize.number, "n_paths": serialize.integer,
 
 def read_spde(path: str, sub: str, seed):
     """(solver config, experiment keyword arguments) of `spde sub` from the
-    config file at `path`: the solver block with its seed replaced by `seed`
-    and its T and n_paths by the top-level ones, where given."""
+    config file at `path`: the solver block, with its seed replaced by
+    `seed` where given.  A top-level T or n_paths that differs from the
+    solver block's is a ConfigError."""
     keys = SPDE_EXPERIMENTS[sub][1]
     cfg = {**keys, **serialize.read_keys(
         _load_object(path, "config"),
         {"spde": spde.SpdeConfig.from_json_obj,
-         **{key: _SPDE_READERS.get(key, spde.read_field) for key in keys}},
+         **{key: _SPDE_READERS.get(key, spde.read_field)
+            for key in (*_SOLVER_COPIES, *keys)}},
         "config", {"spde", *(key for key in keys if keys[key] is ...)})}
     config = cfg.pop("spde")
-    solver = {"T": cfg.pop("T", None), "n_paths": cfg.pop("n_paths", None),
-              "seed": seed}
-    return replace(config, **{key: value for key, value in solver.items()
-                              if value is not None}), {
+    for key in _SOLVER_COPIES:
+        value, solver = cfg.pop(key, None), getattr(config, key)
+        if value is not None and value != solver:
+            raise serialize.ConfigError(
+                f"field {key!r}: must equal the spde block's {key}, "
+                f"{solver!r}, not {value!r}")
+    return config if seed is None else replace(config, seed=seed), {
         key: value if key in _SPDE_READERS
         else spde.Field(spde.profile(value, config.N))
         for key, value in cfg.items()}

@@ -17,7 +17,8 @@ import numpy as np
 
 from . import serialize, transport
 from .fitting import RateFit, fit_exponential_rate
-from .spde import ConfigError, DriftSpec, Field, SpdeConfig, integrate, l2_sq
+from .spde import (SEED_MAX, ConfigError, Field, SpdeConfig, integrate,
+                   l2_sq)
 # perfbench/spans.py traces noise_draws and simulate under these names
 from .spde import noise_draws, simulate  # noqa: F401
 
@@ -227,20 +228,29 @@ def ergodicity_experiment(config: SpdeConfig, x: Field, y: Field, time_grid,
     self-check (distance between x-ensemble snapshots at the last grid
     time and each extra time, against a permutation null at 2 SD).  Each
     check's `bootstrap_se` holds the permutation null's SD; the key keeps
-    its old name because the benchmark reads it."""
+    its old name because the benchmark reads it.
+
+    The x-ensemble's horizon, the last grid or extra time, must be the
+    config's T, and the y-ensemble's seed, seed + 1, must be a seed (else
+    a ConfigError)."""
     n_paths = config.n_paths
     # too many paths for the exact assignment: refused before the first step
     if n_paths > transport.EXACT_SUPPORT_LIMIT:
         raise transport.TooLarge(f"{n_paths} paths for the exact assignment")
     time_grid = [float(t) for t in time_grid]
     extra_x_times = [float(t) for t in extra_x_times]
-    # the x-ensemble's horizon, which the record states
-    cfg = replace(config, T=max(time_grid + extra_x_times))
-    snaps_x = simulate(cfg, x, sorted(set(time_grid + extra_x_times)))
-    snaps_y = simulate(replace(cfg, seed=cfg.seed + 1), y, time_grid)
-    rec = ExperimentRecord(name="ergodicity", config=asdict(cfg),
+    horizon = max(time_grid + extra_x_times)
+    if config.T != horizon:
+        raise ConfigError(f"field 'T': must be the last grid or extra time, "
+                          f"{horizon!r}, not {config.T!r}")
+    if config.seed == SEED_MAX:
+        raise ConfigError(f"field 'seed': the y-ensemble runs on seed + 1, "
+                          f"so seed must be below {SEED_MAX}")
+    snaps_x = simulate(config, x, sorted(set(time_grid + extra_x_times)))
+    snaps_y = simulate(replace(config, seed=config.seed + 1), y, time_grid)
+    rec = ExperimentRecord(name="ergodicity", config=asdict(config),
                            times=time_grid)
-    rng = np.random.default_rng(cfg.seed + 20_000)
+    rng = np.random.default_rng(config.seed + 20_000)
     values = []
     for t in time_grid:
         res = transport.wasserstein_empirical(
@@ -350,16 +360,21 @@ def constants_obstruction_demo(config: SpdeConfig, x_nonconst: Field,
 def stochastic_convolution(config: SpdeConfig) -> ExperimentRecord:
     """Single path of the linear (zero-drift) equation from w(0) = 0 with
     empirical Hoelder-quotient exponents in time and space (reported, not
-    asserted: the constants are path-dependent)."""
-    cfg = replace(config, n_paths=1,
-                  drift=DriftSpec("zero", {}, K1=1.0, K2=1.0, K3=1.0))
-    n = cfg.n_steps
-    W = np.zeros((n + 1, cfg.N))
-    rows = integrate(cfg, (np.zeros((1, cfg.N)),), n,
+    asserted: the constants are path-dependent).  A config with another
+    drift or more than one path is a ConfigError."""
+    if config.drift.name != "zero":
+        raise ConfigError(f"field 'drift': must be the zero drift, not "
+                          f"{config.drift.name!r}")
+    if config.n_paths != 1:
+        raise ConfigError(f"field 'n_paths': must be 1, not "
+                          f"{config.n_paths!r}")
+    n = config.n_steps
+    W = np.zeros((n + 1, config.N))
+    rows = integrate(config, (np.zeros((1, config.N)),), n,
                      lambda k, ensembles: ensembles[0][0])
     for k, row in rows.items():
         W[k] = row
-    rec = ExperimentRecord(name="convolution", config=asdict(cfg))
+    rec = ExperimentRecord(name="convolution", config=asdict(config))
 
     def _dyadic_exponent(quotient_at, max_lag):
         lags, sups = [], []
@@ -380,18 +395,18 @@ def stochastic_convolution(config: SpdeConfig) -> ExperimentRecord:
         lambda L: float(np.abs(W[L:] - W[:-L]).max()), max(1, n // 4))
     s_exp, s_lags, s_sups = _dyadic_exponent(
         lambda S: float(np.abs(np.roll(W, -S, axis=1) - W).max()),
-        cfg.N // 4)
+        config.N // 4)
 
     rec.extra = {
         "time_holder_exponent": t_exp,
-        "time_lags_dt": [L * cfg.dt for L in t_lags],
+        "time_lags_dt": [L * config.dt for L in t_lags],
         "time_sup_increments": t_sups,
         "space_holder_exponent": s_exp,
-        "space_lags": [S / cfg.N for S in s_lags],
+        "space_lags": [S / config.N for S in s_lags],
         "space_sup_increments": s_sups,
         "max_abs_value": float(np.abs(W).max()),
         "max_spatial_range": float((W.max(axis=1) - W.min(axis=1)).max()),
     }
     for L, q in zip(t_lags, t_sups):
-        rec.add_stat(L * cfg.dt, "time_sup_increment", q)
+        rec.add_stat(L * config.dt, "time_sup_increment", q)
     return rec

@@ -7,6 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 
 LOG_FLOOR = 1e-12
+# points a passing fit keeps: a line through two points fits with R^2 = 1
+MIN_FIT_POINTS = 3
 
 
 @dataclass
@@ -15,7 +17,7 @@ class RateFit:
     rate: float       # decay rate (positive means decay)
     r_squared: float
     n_points: int
-    verdict: bool     # rate > 0 and fit quality threshold met
+    verdict: bool     # MIN_FIT_POINTS kept, rate > 0 and R^2 gate met
 
 
 def fit_exponential_rate(times, values, burn_in_frac: float,
@@ -23,6 +25,8 @@ def fit_exponential_rate(times, values, burn_in_frac: float,
     """OLS fit of log(values) ~ log C - rate * t over t >= burn_in.
 
     Points with value <= LOG_FLOOR are dropped to avoid log underflow.
+    A fit that keeps fewer than MIN_FIT_POINTS points reports its C, rate
+    and R^2 but does not pass.
     """
     t = np.asarray(times, dtype=float)
     w = np.asarray(values, dtype=float)
@@ -41,6 +45,7 @@ def fit_exponential_rate(times, values, burn_in_frac: float,
     ss_tot = float(((y - y.mean()) ** 2).sum())
     r2 = 1.0 if ss_tot == 0 and ss_res < 1e-20 else (
         0.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot)
-    verdict = bool(rate > 0 and r2 >= r2_threshold)
+    verdict = bool(len(t_used) >= MIN_FIT_POINTS and rate > 0
+                   and r2 >= r2_threshold)
     return RateFit(C=float(np.exp(logC)), rate=float(rate), r_squared=float(r2),
                    n_points=len(t_used), verdict=verdict)

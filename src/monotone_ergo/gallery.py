@@ -209,6 +209,8 @@ def run_example_3_6(n: int):
 def run_example_2_6_2_7(samples: int, seed: int):
     if samples < 1000:
         raise ConfigError(f"need samples >= 1000, got {samples}")
+    if seed < 0:
+        raise ConfigError(f"'seed' must be >= 0, not {seed}")
     rng = np.random.default_rng(seed)
     claims = []
 

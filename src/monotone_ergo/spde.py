@@ -89,24 +89,19 @@ class NonFinite(ValueError):
 # drift and noise specifications
 # ---------------------------------------------------------------------------
 
-# each drift family's params with their defaults
-_DRIFT_PARAMS = {"cubic": {"K": 1.0}, "linear": {"a": -1.0}, "zero": {}}
-
-
-def _drift_params(name, params) -> dict:
-    """The params of drift family `name`, a missing one at its default."""
-    return {**_DRIFT_PARAMS[name], **params}
+# each drift family's params, all required
+_DRIFT_PARAMS = {"cubic": ("K",), "linear": ("a",), "zero": ()}
 
 
 def _drift_function(name, params):
     """(f(x), L(R)) of a drift family; L(R) = max(0, -min f' on [-R, R])
     in closed form."""
     if name == "cubic":
-        K = _drift_params(name, params)["K"]
+        K = params["K"]
         return (lambda x: x * (K - x * x),
                 lambda R: max(0.0, 3.0 * R * R - K))
     if name == "linear":
-        a = _drift_params(name, params)["a"]
+        a = params["a"]
         return lambda x: a * x, lambda R: max(0.0, -a)
     return np.zeros_like, lambda R: 0.0
 
@@ -116,7 +111,7 @@ def _dissipativity_margins(name, params, K1, K2, K3, R):
     |x| <= R: min of K1 - K2 x^2 - x f(x), min of K3 - f', and
     max(0, max of f on [0, R])."""
     if name == "cubic":
-        K = _drift_params(name, params)["K"]
+        K = params["K"]
         # K1 - b s + s^2 in s = x^2 on [0, R^2], vertex at s = b / 2
         b = K2 + K
         if b <= 0.0:
@@ -135,7 +130,7 @@ def _dissipativity_margins(name, params, K1, K2, K3, R):
         return growth, K3 - K, cf
     # linear a x; zero, which has no params, is a = 0.  K1 - (K2 + a) x^2
     # is smallest at |x| = R when K2 + a > 0, else at x = 0.
-    a = _drift_params(name, params).get("a", 0.0)
+    a = params.get("a", 0.0)
     return K1 - max(0.0, K2 + a) * R * R, K3 - a, max(0.0, a * R)
 
 
@@ -154,7 +149,7 @@ class DriftSpec:
             raise ConfigError(f"field 'name': unknown drift {self.name!r}")
         object.__setattr__(self, "params", read_keys(
             self.params, dict.fromkeys(_DRIFT_PARAMS[self.name], number),
-            f"'params' of the {self.name} drift", ()))
+            f"'params' of the {self.name} drift", _DRIFT_PARAMS[self.name]))
 
     def check_dissipativity(self):
         """One-sided growth and one-sided Lipschitz bounds on
@@ -184,8 +179,8 @@ _DRIFT_READERS = {"name": str, "params": lambda params: params,
                   "K1": number, "K2": number, "K3": number}
 
 
-# each closed-form profile kind's keys with their readers
-_PROFILE_READERS = {"const": {"kind": str, "amp": number, "value": number},
+# each closed-form profile kind's keys, all required, with their readers
+_PROFILE_READERS = {"const": {"kind": str, "amp": number},
                     "cos": {"kind": str, "amp": number, "freq": number},
                     "sin": {"kind": str, "amp": number, "freq": number}}
 
@@ -196,7 +191,8 @@ def read_profile(obj) -> dict:
     if kind not in ("const", "cos", "sin"):
         raise ConfigError(f"field 'kind': must be 'const', 'cos' or 'sin' "
                           f"in a profile object, not {obj!r}")
-    return read_keys(obj, _PROFILE_READERS[kind], f"{kind} profile", {"kind"})
+    readers = _PROFILE_READERS[kind]
+    return read_keys(obj, readers, f"{kind} profile", readers)
 
 
 _VALUES_READERS = {"values": array(1, float)}
@@ -211,19 +207,17 @@ def read_field(obj) -> dict:
 
 def profile(spec, N: int) -> np.ndarray:
     """A profile or field read by `read_field` at the grid points j / N:
-    its N values, const `value` (else `amp`), or amp cos / amp sin of
-    2 pi freq x; amp and freq default to 1."""
+    its N values, const amp, or amp cos / amp sin of 2 pi freq x."""
     if "values" in spec:
         if len(spec["values"]) != N:
             raise ConfigError(f"field 'values': {len(spec['values'])} "
                               f"values, but the grid has {N} points")
         return spec["values"]
-    grid = np.arange(N) / N
-    amp = spec.get("amp", 1.0)
     if spec["kind"] == "const":
-        return np.full(N, spec.get("value", amp), dtype=float)
+        return np.full(N, spec["amp"], dtype=float)
+    grid = np.arange(N) / N
     wave = np.cos if spec["kind"] == "cos" else np.sin
-    return amp * wave(2 * np.pi * spec.get("freq", 1) * grid)
+    return spec["amp"] * wave(2 * np.pi * spec["freq"] * grid)
 
 
 @dataclass(frozen=True)
@@ -278,6 +272,9 @@ def phi(values) -> np.ndarray | float:
 # configuration
 # ---------------------------------------------------------------------------
 
+# the largest seed: the noise generator's key is an unsigned 64-bit integer
+SEED_MAX = 2 ** 64 - 1
+
 # the solver block's keys; the defaults of the optional ones live in SpdeConfig
 _SOLVER_READERS = {"N": integer, "dt": number, "T": number,
                    "drift": DriftSpec.from_json_obj,
@@ -299,6 +296,9 @@ class SpdeConfig:
     def __post_init__(self):
         if self.N < 2 or self.dt <= 0 or self.T < 0 or self.n_paths < 1:
             raise ConfigError("invalid grid/time parameters")
+        if not 0 <= self.seed <= SEED_MAX:
+            raise ConfigError(f"field 'seed': must be in [0, {SEED_MAX}], "
+                              f"not {self.seed!r}")
         L_R = self.drift.negative_slope_bound(self.clamp_R)
         if self.dt * L_R > 1.0 + 1e-12:
             raise ConfigError(

@@ -137,16 +137,15 @@ def test_criterion_02_return_time_exactness():
 
 def test_criterion_03_theorem_on_reference_chain():
     """Exact coupling-distance decay on the 5-chain fits log-linear with
-    R^2 >= 0.99 and positive rate on every start pair; the 2-state
+    R^2 >= 0.99 and positive rate on every start pair x < y (the cost is
+    symmetric, so the pair y, x has the same series); the 2-state
     antichain counterexample stays at distance >= 0.5 with two invariant
     measures."""
     t0 = time.monotonic()
     poset, kernel, space = load_chain5()
-    pairs = [(i, j) for i in range(5) for j in range(5) if i != j]
-    # the decay fit's window and R^2 gate, as chain-verify sets them
-    gate = {key: cli.CHAIN_KEYS[key] for key in ("burn_in_frac",
-                                                 "r2_threshold")}
-    rep = theorem_main_verify(space, kernel, pairs, horizon=40, **gate)
+    rep = theorem_main_verify(space, kernel)
+    assert np.array_equal(space.d, space.d.T)
+    assert len(rep.fits) == 10
     assert rep.verdict
     for fit in rep.fits:
         assert fit.rate > 0
@@ -158,8 +157,7 @@ def test_criterion_03_theorem_on_reference_chain():
         _fixture_json("antichain2_kernel.json"))
     anti_space = OrderedSpaceSpec.from_json_obj(
         _fixture_json("antichain2_space.json"), anti_poset)
-    arep = theorem_main_verify(anti_space, anti_kernel, [(0, 1)], horizon=40,
-                               **gate)
+    arep = theorem_main_verify(anti_space, anti_kernel)
     assert not arep.verdict
     assert np.all(arep.series[0] >= 0.5)
     for s in (0, 1):
@@ -224,8 +222,8 @@ def test_criterion_06_energy_estimates():
     that inequality assumes, and a finite fourth-moment constant C4 < 1e3
     is certified."""
     t0 = time.monotonic()
-    config, _ = _spde_config("spde_energy.json", "energy")
-    rec = energy_moments(config, Field(np.full(config.N, 3.0)))
+    config, kwargs = _spde_config("spde_energy.json", "energy")
+    rec = energy_moments(config, kwargs["u0"])
     assert rec.extra["dissipation_inequality_holds"]
     assert rec.extra["drift_dissipativity"]["holds"]
     c4 = rec.extra["smallest_C4"]
@@ -239,9 +237,8 @@ def test_criterion_07_synchronization():
     distance curve decreases after burn-in within CI and fits a positive
     rate with R^2 >= 0.95; the zero-noise control stays on a plateau."""
     t0 = time.monotonic()
-    config, _ = _spde_config("spde_sync.json", "sync")
-    rec = synchronization_experiment(
-        config, Field(np.full(config.N, -2.0)), Field(np.full(config.N, 2.0)))
+    config, kwargs = _spde_config("spde_sync.json", "sync")
+    rec = synchronization_experiment(config, kwargs["x"], kwargs["y"])
     fit = rec.fits["sync_rate"]
     assert fit["rate"] > 0
     assert fit["r_squared"] >= 0.95
@@ -250,9 +247,8 @@ def test_criterion_07_synchronization():
     for a, b in zip(late, late[1:]):
         assert b["value"] <= a["ci_high"] + 1e-12  # decreasing within CI
 
-    ccfg, _ = _spde_config("spde_sync_zero_noise.json", "sync")
-    crec = synchronization_experiment(
-        ccfg, Field(np.full(ccfg.N, -2.0)), Field(np.full(ccfg.N, 2.0)))
+    ccfg, ckwargs = _spde_config("spde_sync_zero_noise.json", "sync")
+    crec = synchronization_experiment(ccfg, ckwargs["x"], ckwargs["y"])
     _, cvals = series(crec, "sync_l2_capped")
     assert cvals[-1] >= 0.9  # no decay without noise
     report(7, f"rate {fit['rate']:.3f}, R^2 {fit['r_squared']:.3f}; "
@@ -268,8 +264,8 @@ def test_criterion_08_ergodicity():
     t0 = time.monotonic()
     config, kwargs = _spde_config("spde_ergodicity.json", "ergodicity")
     rec = ergodicity_experiment(
-        config, Field(np.full(config.N, -2.0)), Field(np.full(config.N, 2.0)),
-        time_grid=kwargs["time_grid"], extra_x_times=kwargs["extra_x_times"])
+        config, kwargs["x"], kwargs["y"], time_grid=kwargs["time_grid"],
+        extra_x_times=kwargs["extra_x_times"])
     fit = rec.fits["w_rate"]
     assert fit["rate"] > 0
     _, vals = series(rec, "w_l2_capped")
@@ -285,16 +281,16 @@ def test_criterion_09_swap_condition():
     """With zero drift from x = 0 both half-space probabilities exceed
     0.15 and agree within 3 SE; the m=0 control is exactly zero."""
     t0 = time.monotonic()
-    config, _ = _spde_config("spde_swap.json", "swap")
-    rec = swap_probability_estimate(config, Field(np.zeros(config.N)))
+    config, kwargs = _spde_config("spde_swap.json", "swap")
+    rec = swap_probability_estimate(config, kwargs["x"])
     pb, pa = rec.extra["p_below_zero"], rec.extra["p_above_zero"]
     se = math.hypot(rec.extra["p_below_zero_se"],
                     rec.extra["p_above_zero_se"])
     assert pb > 0.15 and pa > 0.15
     assert abs(pb - pa) <= 3 * se
 
-    ccfg, _ = _spde_config("spde_swap_control.json", "swap")
-    crec = swap_probability_estimate(ccfg, Field(np.ones(ccfg.N)))
+    ccfg, ckwargs = _spde_config("spde_swap_control.json", "swap")
+    crec = swap_probability_estimate(ccfg, ckwargs["x"])
     assert crec.extra["p_below_zero"] == 0.0
     report(9, f"p_below {pb:.4f}, p_above {pa:.4f}, |diff| <= 3 SE; "
               f"control exactly 0", time.monotonic() - t0, 120)

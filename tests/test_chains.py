@@ -12,7 +12,7 @@ from scipy.optimize import linprog
 from conftest import random_poset
 from coupling_construction import (domination_time_tail, simulate,
                                    triple_order_exact)
-from monotone_ergo import chains, cli, fixture_path, serialize
+from monotone_ergo import chains, fixture_path, serialize
 from monotone_ergo.chains import (ChainError, Divergent, EmptyTarget,
                                   FiniteKernel, OrderedSpaceSpec,
                                   absorbed_chain_second_eigenvalue,
@@ -21,6 +21,7 @@ from monotone_ergo.chains import (ChainError, Divergent, EmptyTarget,
                                   check_swap_condition, moment_bound_M,
                                   return_time_exp_moments,
                                   theorem_main_verify)
+from monotone_ergo.fitting import LOG_FLOOR, fit_exponential_rate
 from monotone_ergo.posets import (Coupling, Distribution, FinitePoset,
                                   antichain_poset, chain_poset,
                                   strassen_coupling)
@@ -41,10 +42,6 @@ def load_chain5():
     space = OrderedSpaceSpec.from_json_obj(
         serialize.load(fixture_path("chain5_space.json")), poset)
     return poset, kernel, space
-
-
-# the decay fit's window and R^2 gate, as chain-verify sets them
-FIT = {key: cli.CHAIN_KEYS[key] for key in ("burn_in_frac", "r2_threshold")}
 
 
 class TestKernel:
@@ -326,8 +323,9 @@ class TestDominationTails:
 class TestTheorem:
     def test_chain5_geometric_decay(self):
         poset, kernel, space = load_chain5()
-        pairs = [(0, 4), (2, 3), (4, 1)]
-        rep = theorem_main_verify(space, kernel, pairs, horizon=40, **FIT)
+        rep = theorem_main_verify(space, kernel)
+        assert rep.pairs == [(x, y) for x in range(5) for y in range(x + 1, 5)]
+        assert rep.times.tolist() == list(range(41))
         assert rep.verdict
         # the lazy-mixture chain has W = 0.55^t exactly
         for series in rep.series:
@@ -342,7 +340,7 @@ class TestTheorem:
             serialize.load(fixture_path("antichain2_kernel.json")))
         space = OrderedSpaceSpec.from_json_obj(
             serialize.load(fixture_path("antichain2_space.json")), poset)
-        rep = theorem_main_verify(space, kernel, [(0, 1)], horizon=20, **FIT)
+        rep = theorem_main_verify(space, kernel)
         assert not rep.verdict
         assert np.all(rep.series[0] >= 0.5)
 
@@ -355,7 +353,7 @@ class TestTheorem:
             poset=poset, d=1.0 - np.eye(2), phi=np.zeros(2),
             rho=1.0 - np.eye(2), V=np.ones(2), gamma=math.log(2.0), K=1.0,
             swap_A=[0], swap_B=[0], swap_eps=0.05)
-        rep = theorem_main_verify(space, kernel, [(0, 1)], horizon=15, **FIT)
+        rep = theorem_main_verify(space, kernel)
         assert not rep.verdict
         assert np.all(rep.series[0] == 1.0)
 
@@ -363,30 +361,45 @@ class TestTheorem:
     def test_kernel_size_must_match_poset(self):
         _, _, space = load_chain5()
         with pytest.raises(ChainError, match="'kernel' has 4 states"):
-            theorem_main_verify(space, FiniteKernel(np.eye(4)), [(0, 1)],
-                                horizon=5, **FIT)
+            theorem_main_verify(space, FiniteKernel(np.eye(4)))
 
+    # a fit window of fewer than 3 times fails every pair, however well
+    # its points lie on a line
     @pytest.mark.parametrize("horizon, burn_in_frac",
-                             [(-1, 0.25), (2, 0.5), (3, 0.5), (40, 1.0)])
-    def test_fit_window_needs_three_times(self, horizon, burn_in_frac):
+                             [(2, 0.5), (3, 0.5), (40, 1.0)])
+    def test_fit_window_needs_three_times(self, monkeypatch, horizon,
+                                          burn_in_frac):
         _, kernel, space = load_chain5()
-        with pytest.raises(ChainError, match="'horizon'"):
-            theorem_main_verify(space, kernel, [(0, 1)], horizon,
-                                **{**FIT, "burn_in_frac": burn_in_frac})
+        monkeypatch.setattr(chains, "DECAY_HORIZON", horizon)
+        monkeypatch.setattr(chains, "DECAY_BURN_IN", burn_in_frac)
+        rep = theorem_main_verify(space, kernel)
+        assert all(c.holds for c in rep.conditions)
+        assert [fit.verdict for fit in rep.fits] == [False] * 10
+        assert not rep.verdict
 
     @pytest.mark.parametrize("horizon, burn_in_frac", [(2, 0.0), (4, 0.5)])
-    def test_three_fitted_times_run(self, horizon, burn_in_frac):
+    def test_three_fitted_times_run(self, monkeypatch, horizon,
+                                    burn_in_frac):
         _, kernel, space = load_chain5()
-        rep = theorem_main_verify(space, kernel, [(0, 1)], horizon,
-                                  **{**FIT, "burn_in_frac": burn_in_frac})
-        assert rep.fits[0].n_points == 3
+        monkeypatch.setattr(chains, "DECAY_HORIZON", horizon)
+        monkeypatch.setattr(chains, "DECAY_BURN_IN", burn_in_frac)
+        rep = theorem_main_verify(space, kernel)
+        assert [fit.n_points for fit in rep.fits] == [3] * 10
+        assert rep.verdict
 
-    @pytest.mark.parametrize("pairs", [[(0, 9)], [(0,)], [(0, 1, 2)],
-                                       [(-1, 0)], [(0.5, 1)], 3, [7]])
-    def test_pairs_must_be_element_pairs(self, pairs):
-        _, kernel, space = load_chain5()
-        with pytest.raises(ChainError, match="'pairs'"):
-            theorem_main_verify(space, kernel, pairs, horizon=5, **FIT)
+
+class TestRateFit:
+    def test_two_points_left_by_the_zero_drop_fail(self):
+        # the window t >= 1 keeps four points, and the values at or below
+        # LOG_FLOOR drop two of them: the line through the other two fits
+        # with R^2 = 1, but two points cannot test a decay
+        t = np.arange(5.0)
+        values = np.array([1.0, 0.5, 0.25, 0.0, LOG_FLOOR])
+        fit = fit_exponential_rate(t, values, 0.25, 0.99)
+        assert fit.n_points == 2
+        assert fit.rate == pytest.approx(math.log(2.0))
+        assert fit.r_squared == 1.0
+        assert not fit.verdict
 
 
 def ordered_coupling_lp(mu, nu, cost, leq):

@@ -147,9 +147,10 @@ def test_unknown_key_exit_2(tmp_path, capsys, argv, key):
 
 def energy_config(tmp_path, n_paths: int) -> str:
     """spde_energy.json with `n_paths` paths."""
+    cfg = serialize.load(fixture_path("spde_energy.json"))
+    cfg["spde"]["n_paths"] = cfg["n_paths"] = n_paths
     path = str(tmp_path / "energy.json")
-    serialize.dump({**serialize.load(fixture_path("spde_energy.json")),
-                    "n_paths": n_paths}, path)
+    serialize.dump(cfg, path)
     return path
 
 
@@ -307,12 +308,15 @@ READER_TABLES = [
                             "params": {k: v}}),
        dict.fromkeys(params, serialize.number))
       for family, params in spde._DRIFT_PARAMS.items()),
-    *((f"{kind}-profile", lambda k, v, kind=kind: constants_argv(
-        ("spde", "noise", "sigma", 0), {"kind": kind, k: v}), readers)
+    *((f"{kind}-profile", lambda k, v, kind=kind, readers=readers:
+       constants_argv(("spde", "noise", "sigma", 0),
+                      {**dict.fromkeys(readers, 1), "kind": kind, k: v}),
+       readers)
       for kind, readers in spde._PROFILE_READERS.items()),
     *((f"spde-{sub}", lambda k, v, sub=sub: config_argv(
         ["spde", sub], set_at(spde_base(sub), (k,), v)),
-       {key: cli._SPDE_READERS.get(key, spde.read_field) for key in keys})
+       {key: cli._SPDE_READERS.get(key, spde.read_field)
+        for key in (*cli._SOLVER_COPIES, *keys)})
       for sub, (_, keys, _) in cli.SPDE_EXPERIMENTS.items()),
     ("chain-verify", lambda k, v: chain_argv((k,), v), cli.CHAIN_READERS),
     ("poset", lambda k, v: chain_argv(("poset", k), v),
@@ -327,9 +331,20 @@ READER_TABLES = [
      cli.TRANSPORT_FILES["cost file"]),
 ]
 
+# keys that are no longer read, each with the reader it once had: a value
+# of any type still exits 2 naming the key
+RETIRED_KEYS = [
+    ("chain-verify", lambda k, v: chain_argv((k,), v),
+     {"pairs": None, "horizon": None, "burn_in_frac": serialize.number,
+      "r2_threshold": serialize.number}),
+    ("const-profile", lambda k, v: constants_argv(
+        ("spde", "noise", "sigma", 0), {"kind": "const", "amp": 1, k: v}),
+     {"value": serialize.number}),
+]
+
 WRONG_TYPE_CASES = [
     pytest.param(make(key, value), key, id=f"{name}-{key}-{value!r}")
-    for name, make, readers in READER_TABLES
+    for name, make, readers in (*READER_TABLES, *RETIRED_KEYS)
     for key, reader in readers.items()
     for value in wrong_values(reader)]
 
@@ -364,6 +379,8 @@ REPRODUCED = {
     "n-paths-20.9": (("n_paths",), 20.9, "n_paths"),
     "T-string": (("T",), "0.01", "T"),
 }
+# horizon and r2_threshold are no longer keys of the config, so these
+# configs still exit 2 and name them
 REPRODUCED_CHAIN = {
     "horizon-string": (("horizon",), "40", "horizon"),
     "horizon-40.9": (("horizon",), 40.9, "horizon"),
@@ -385,8 +402,8 @@ REPRODUCED_CHAIN = {
                                                "n_record": "3"}),
                  "n_record", id="run-n-record-string"),
     pytest.param(config_argv(["spde", "run"], {
-        **spde_base("run"), "u0": {"kind": "const", "value": "0.5"}}),
-                 "value", id="run-u0-value-string"),
+        **spde_base("run"), "u0": {"kind": "const", "amp": "0.5"}}),
+                 "amp", id="run-u0-value-string"),
     *(pytest.param(chain_argv(path, value), key, id=name)
       for name, (path, value, key) in REPRODUCED_CHAIN.items()),
     pytest.param(transport_argv({"p": ["0.5", "0.5", 0, 0], "label": "x"},
@@ -399,6 +416,50 @@ def test_reproduced_input_exit_2(tmp_path, capsys, argv, key):
     code, out, err = run(argv(tmp_path), capsys)
     assert_config_error(code, out, err, key)
     assert f"field '{key}': " in err
+
+
+SYNC, ERGODICITY, CONVOLUTION = (
+    serialize.load(fixture_path(f"spde_{name}.json"))
+    for name in ("sync", "ergodicity", "convolution"))
+CUBIC = {"name": "cubic", "params": {"K": 1}, "K1": 1, "K2": 0.5, "K3": 1}
+
+# inputs that once ran with a value other than the one they give, or
+# crashed, each with the key its error must name
+PROBES = {
+    "sync-top-level-T": (config_argv(["spde", "sync"], set_at(
+        set_at(SYNC, ("spde", "T"), 0.05), ("T",), 0.02)), "T"),
+    "constants-demo-top-level-n-paths": (
+        constants_argv(("n_paths",), 20), "n_paths"),
+    "ergodicity-T-past-last-time": (config_argv(["spde", "ergodicity"], {
+        **set_at(ERGODICITY, ("spde", "T"), 5), "time_grid": [0.01, 0.02],
+        "extra_x_times": [0.03]}), "T"),
+    "convolution-cubic-drift": (config_argv(["spde", "convolution"], set_at(
+        set_at(CONVOLUTION, ("spde", "drift"), CUBIC), ("spde", "n_paths"),
+        7)), "drift"),
+    "convolution-7-paths": (config_argv(["spde", "convolution"], set_at(
+        CONVOLUTION, ("spde", "n_paths"), 7)), "n_paths"),
+    "const-profile-value": (constants_argv(
+        ("x_const",), {"kind": "const", "amp": 5, "value": -1}), "value"),
+    "cos-profile-without-freq": (constants_argv(
+        ("x_nonconst",), {"kind": "cos", "amp": 1}), "freq"),
+    "noise-profile-without-amp": (constants_argv(
+        ("spde", "noise", "sigma", 0), {"kind": "const"}), "amp"),
+    "drift-params-without-a": (constants_argv(
+        ("spde", "drift", "params"), {}), "a"),
+    "solver-seed-negative": (constants_argv(("spde", "seed"), -1), "seed"),
+    "seed-option-negative": (config_argv(
+        ["spde", "constants-demo", "--seed", "-3"], CONSTANTS), "seed"),
+    "ergodicity-seed-past-range": (config_argv(["spde", "ergodicity"], set_at(
+        ERGODICITY, ("spde", "seed"), 2 ** 64 - 1)), "seed"),
+    "gallery-seed-negative": (lambda tmp: [
+        "gallery", "example-2-6-2-7", "--seed", "-1"], "seed"),
+}
+
+
+@pytest.mark.parametrize("argv, key", list(PROBES.values()),
+                         ids=list(PROBES))
+def test_probe_exit_2(tmp_path, capsys, argv, key):
+    assert_config_error(*run(argv(tmp_path), capsys), key)
 
 
 class TestChainVerify:
@@ -431,8 +492,8 @@ class TestChainVerify:
         serialize.dump({"P": [[float("nan"), 0.5], [0.5, 0.5]]}, path)
         code, out, err = run(["chain-verify", chain_config(
             tmp_path, poset=fixture_path("antichain2_poset.json"),
-            kernel=path, space=fixture_path("antichain2_space.json"),
-            pairs=[[0, 1]])], capsys)
+            kernel=path, space=fixture_path("antichain2_space.json"))],
+            capsys)
         assert code == 2
         assert "NaN kernel entry" in err
 
@@ -441,7 +502,8 @@ class TestChainVerify:
         assert code == 2
 
     # each input is malformed in the field named, so the run stops before
-    # any condition is checked
+    # any condition is checked; pairs and horizon are no longer keys of the
+    # config
     @pytest.mark.parametrize("change, field", [
         ({"space": {"phi": [0, 1, 2, 3]}}, "phi"),
         ({"space": {"d": (1 - np.eye(4)).tolist()}}, "d"),
@@ -464,8 +526,9 @@ class TestChainVerify:
         assert f"'{field}'" in err
         assert "Traceback" not in err
 
-    # a fit window of fewer than 3 times could not fail the R^2 gate
-    # (horizon 2) or could not fit at all (horizons 0 and 1)
+    # the horizon is chains.DECAY_HORIZON, so a config that asks for a fit
+    # window too short to fit (horizons 0 and 1) or to fail the R^2 gate
+    # (horizon 2) names the key and stops
     @pytest.mark.parametrize("horizon", [0, 1, 2])
     def test_horizon_too_short_to_fit_exit_2(self, tmp_path, capsys,
                                              horizon):
@@ -477,9 +540,12 @@ class TestChainVerify:
         assert "'horizon'" in err
         assert "Traceback" not in err
 
-    def test_shortest_fittable_horizon_runs(self, tmp_path, capsys):
+    # at the burn-in of 1/8 a horizon of 3 leaves the 3 times a passing fit
+    # needs in the window t >= 3/8
+    def test_shortest_fittable_horizon_runs(self, capsys, monkeypatch):
+        monkeypatch.setattr(chains, "DECAY_HORIZON", 3)
         code, out, _ = run(
-            ["chain-verify", chain_variant(tmp_path, horizon=3)], capsys)
+            ["chain-verify", fixture_path("chain5_verify.json")], capsys)
         assert code == 0
         assert json.loads(out)["times"] == [0, 1, 2, 3]
 
@@ -619,7 +685,7 @@ class TestSpde:
     def test_run_writes_snapshots(self, tmp_path, capsys):
         cfg = serialize.load(fixture_path("spde_constants.json"))
         serialize.dump({"spde": cfg["spde"],
-                        "u0": {"kind": "const", "value": 1.0},
+                        "u0": {"kind": "const", "amp": 1.0},
                         "T": 5.0, "n_record": 3},
                        str(tmp_path / "run.json"))
         out_dir = str(tmp_path / "out")
@@ -642,6 +708,16 @@ class TestSpde:
             set(os.listdir(out_dir)) - {"manifest.json"})
         for fn, digest in manifest["output_hashes"].items():
             assert serialize.file_hash(os.path.join(out_dir, fn)) == digest
+
+    def test_swap_runs_to_the_solver_T(self, tmp_path, capsys):
+        cfg = serialize.load(fixture_path("spde_swap.json"))
+        cfg["spde"].update(T=0.5, n_paths=20)
+        del cfg["T"], cfg["n_paths"]
+        serialize.dump(cfg, str(tmp_path / "swap.json"))
+        code, out, _ = run(["spde", "swap", str(tmp_path / "swap.json")],
+                           capsys)
+        assert code == 0
+        assert json.loads(out)["times"] == [0.5]
 
     def test_run_times_start_at_zero_once(self, tmp_path, capsys):
         cfg = serialize.load(fixture_path("spde_constants.json"))

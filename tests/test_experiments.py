@@ -18,8 +18,8 @@ from monotone_ergo.experiments import (SYNC_RECORD_TIMES, ExperimentRecord,
                                        stochastic_convolution,
                                        swap_probability_estimate,
                                        synchronization_experiment)
-from monotone_ergo.spde import (DriftSpec, Field, NoiseSpec, SpdeConfig, l2_sq,
-                                simulate)
+from monotone_ergo.spde import (SEED_MAX, ConfigError, DriftSpec, Field,
+                                NoiseSpec, SpdeConfig, l2_sq, simulate)
 
 
 def small_config(**over):
@@ -135,7 +135,7 @@ class TestSynchronization:
 
 class TestErgodicity:
     def test_small_run_contract(self):
-        cfg = small_config(n_paths=32)
+        cfg = small_config(T=0.8, n_paths=32)
         rec = ergodicity_experiment(cfg, Field(np.full(16, -1.0)),
                                     Field(np.full(16, 1.0)),
                                     time_grid=[0.1, 0.2, 0.4],
@@ -147,8 +147,17 @@ class TestErgodicity:
         assert checks[0]["t_other"] == 0.8
         assert "below_2se" in checks[0]
 
+    def test_y_ensemble_seed_must_be_a_seed(self):
+        # the y-ensemble runs on seed + 1: the largest seed it allows runs
+        args = (Field(np.full(16, -1.0)), Field(np.full(16, 1.0)), [0.01],
+                ())
+        cfg = small_config(T=0.01, n_paths=4, seed=SEED_MAX - 1)
+        assert len(ergodicity_experiment(cfg, *args).times) == 1
+        with pytest.raises(ConfigError, match="field 'seed'"):
+            ergodicity_experiment(replace(cfg, seed=SEED_MAX), *args)
+
     def test_stationarity_uses_one_pooled_cost_matrix(self, monkeypatch):
-        cfg = small_config(n_paths=32)
+        cfg = small_config(T=0.4, n_paths=32)
         x = Field(np.full(16, -1.0))
         calls = []
         pairwise_cost = transport.pairwise_cost
@@ -163,7 +172,7 @@ class TestErgodicity:
                                     extra_x_times=(0.4,))
         monkeypatch.undo()
         assert len(calls) == 2 + 1
-        snaps = simulate(replace(cfg, T=0.4), x, [0.2, 0.4])
+        snaps = simulate(cfg, x, [0.2, 0.4])
         w = transport.assignment_value(
             transport.pairwise_cost(snaps[0.2], snaps[0.4]))
         assert rec.extra["stationarity"][0]["w"] == w
@@ -220,16 +229,21 @@ class TestConstantsObstruction:
         assert rec.extra["indicator_tv"] == 1.0
 
 
+def convolution_config(T):
+    """small_config with the zero drift and one path, as the stochastic
+    convolution needs."""
+    return small_config(T=T, n_paths=1, drift=DriftSpec(
+        "zero", {}, K1=1.0, K2=1.0, K3=1.0))
+
+
 class TestConvolution:
     def test_reporting_contract(self):
-        cfg = small_config(T=0.064)
-        rec = stochastic_convolution(cfg)
+        rec = stochastic_convolution(convolution_config(0.064))
         assert np.isfinite(rec.extra["time_holder_exponent"])
         assert rec.extra["max_abs_value"] > 0
 
     def test_constant_sigma_stays_spatially_constant(self):
         # sigma == 1 drives only the constant mode, so the zero-drift
         # path has zero spatial range at machine precision
-        cfg = small_config(T=0.05)
-        rec = stochastic_convolution(cfg)
+        rec = stochastic_convolution(convolution_config(0.05))
         assert rec.extra["max_spatial_range"] <= 1e-12

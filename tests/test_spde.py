@@ -61,6 +61,18 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"'{key}'"):
             DriftSpec(name, params, K1=1.0, K2=1.0, K3=1.0)
 
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64, 2 ** 70])
+    def test_seed_out_of_range(self, seed):
+        with pytest.raises(ConfigError, match="field 'seed'"):
+            make_config(seed=seed)
+        with pytest.raises(ConfigError, match="field 'seed'"):
+            replace(make_config(), seed=seed)
+
+    def test_largest_seed_steps(self):
+        cfg = make_config(seed=spde.SEED_MAX, T=0.002)
+        assert simulate(cfg, Field(np.zeros(32)), [0.002])[0.002].shape \
+            == (4, 32)
+
     def test_noise_profile_checked_at_load(self):
         obj = asdict(make_config())
         obj["noise"]["sigma"][0]["ampl"] = 7
@@ -69,20 +81,25 @@ class TestConfig:
 
     def test_profiles(self):
         grid = np.arange(8) / 8
-        assert np.array_equal(spde.profile({"kind": "const", "value": 2},
-                                           8), np.full(8, 2.0))
         assert np.array_equal(spde.profile({"kind": "const", "amp": 3}, 8),
                               np.full(8, 3.0))
         assert np.array_equal(
             spde.profile({"kind": "sin", "amp": 0.5, "freq": 3}, 8),
             0.5 * np.sin(2 * np.pi * 3.0 * grid))
-        field = Field(spde.profile(spde.read_field({"kind": "cos"}), 8))
+        field = Field(spde.profile(spde.read_field(
+            {"kind": "cos", "amp": 1, "freq": 1}), 8))
         assert np.array_equal(field.values, np.cos(2 * np.pi * 1.0 * grid))
         assert Field(spde.profile(spde.read_field({"values": [1, 2]}),
                                   2)).values.tolist() == [1.0, 2.0]
+        # every profile key is required, and a const profile reads amp
+        # alone
         for bad in ({"values": [1, 2]}, {"values": [1] * 3, "kind": "const"},
                     {"kind": "cos", "frequency": 3},
-                    {"kind": "const", "freq": 3}, {"kind": "square"}, 1.0):
+                    {"kind": "const", "freq": 3}, {"kind": "square"}, 1.0,
+                    {"kind": "const"}, {"kind": "const", "value": 2},
+                    {"kind": "const", "amp": 5, "value": -1},
+                    {"kind": "cos"}, {"kind": "sin", "amp": 1},
+                    {"kind": "cos", "freq": 2}):
             with pytest.raises(ConfigError):
                 Field(spde.profile(spde.read_field(bad), 3))
 
@@ -185,8 +202,9 @@ def reference_mismatch(rng, drift):
     """Max |Stepper.step - reference_step| over 50 random rows, some of
     them beyond the clamp, in units of max |reference_step|."""
     cfg = make_config(N=64, drift=DRIFTS[drift], n_paths=50,
-                      noise=NoiseSpec(2, ({"kind": "cos", "amp": 0.5},
-                                          {"kind": "sin", "freq": 3})))
+                      noise=NoiseSpec(2, (
+                          {"kind": "cos", "amp": 0.5, "freq": 1},
+                          {"kind": "sin", "amp": 1, "freq": 3})))
     u = rng.normal(0.0, 2.0, (50, cfg.N))
     u[0, :4] = [-40.0, -16.0, 16.0, 40.0]  # beyond the clamp
     draws = noise_draws(5, 1, 50, 2)
@@ -394,7 +412,8 @@ def shard_counts(monkeypatch):
 def two_mode_config(**over):
     # two modes: the draws enter through a matrix product, not a scaling
     return make_config(noise=NoiseSpec(2, ({"kind": "const", "amp": 1.0},
-                                           {"kind": "cos", "amp": 0.5})),
+                                           {"kind": "cos", "amp": 0.5,
+                                            "freq": 1})),
                        **over)
 
 
