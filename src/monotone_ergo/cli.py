@@ -15,7 +15,6 @@ import argparse
 import os
 import sys
 import time
-from dataclasses import replace
 
 import numpy as np
 
@@ -199,11 +198,11 @@ _SPDE_READERS = {"T": serialize.number, "n_paths": serialize.integer,
                  "extra_x_times": _times}
 
 
-def read_spde(path: str, sub: str, seed):
+def read_spde(path: str, sub: str):
     """(solver config, experiment keyword arguments) of `spde sub` from the
-    config file at `path`: the solver block, with its seed replaced by
-    `seed` where given.  A top-level T or n_paths that differs from the
-    solver block's is a ConfigError."""
+    config file at `path`.  A top-level T or n_paths that differs from the
+    solver block's is a ConfigError, and so is a field that does not fit
+    the grid, naming its key."""
     keys = SPDE_EXPERIMENTS[sub][1]
     cfg = {**keys, **serialize.read_keys(
         _load_object(path, "config"),
@@ -218,17 +217,19 @@ def read_spde(path: str, sub: str, seed):
             raise serialize.ConfigError(
                 f"field {key!r}: must equal the spde block's {key}, "
                 f"{solver!r}, not {value!r}")
-    return config if seed is None else replace(config, seed=seed), {
-        key: value if key in _SPDE_READERS
-        else spde.Field(spde.profile(value, config.N))
-        for key, value in cfg.items()}
+    for key in [key for key in cfg if key not in _SPDE_READERS]:
+        try:
+            cfg[key] = spde.Field(spde.profile(cfg[key], config.N))
+        except serialize.ConfigError as exc:
+            raise serialize.ConfigError(f"field {key!r}: {exc}") from None
+    return config, cfg
 
 
 def cmd_spde(args) -> int:
     t0 = time.monotonic()
     sub = args.spde_command
     experiment, _, summary = SPDE_EXPERIMENTS[sub]
-    config, kwargs = read_spde(args.config, sub, args.seed)
+    config, kwargs = read_spde(args.config, sub)
     # looked up by name, so that a wrapper installed on the module (a
     # profiler's span) sees the call
     rec = getattr(experiments, experiment.__name__)(config, **kwargs)
@@ -328,11 +329,6 @@ def cmd_transport(args) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _add_common(p):
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", default=None)
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -358,14 +354,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("spde", help="torus reaction-diffusion experiments")
     p.add_argument("spde_command", choices=list(SPDE_EXPERIMENTS))
     p.add_argument("config")
-    _add_common(p)
+    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_spde)
 
     p = subs.add_parser("gallery", help="run counterexample gallery cases")
     p.add_argument("case", help="case name or 'all'")
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--samples", type=int, default=None)
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_gallery)
 
     p = subs.add_parser("transport", help="coupling distance between two "

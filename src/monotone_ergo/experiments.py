@@ -65,11 +65,10 @@ class ExperimentRecord:
                 "extra": self.extra}
 
 
-def _record_grid(T: float, dt: float, n_record: int) -> list[float]:
-    """About n_record times in [0, T], starting at 0.0, snapped to
-    multiples of dt."""
-    ks = sorted({int(round(f * T / dt)) for f in np.linspace(0, 1, n_record)})
-    return [k * dt for k in ks]
+def _record_grid(config: SpdeConfig, n_record: int) -> list[int]:
+    """About n_record evenly spread steps from 0 to config.n_steps."""
+    return sorted({int(round(f * config.n_steps))
+                   for f in np.linspace(0, 1, n_record)})
 
 
 def _mean_ci(samples: np.ndarray):
@@ -86,7 +85,7 @@ def snapshot_run(config: SpdeConfig, u0: Field,
                  n_record: int) -> ExperimentRecord:
     """An ensemble from u0 with its snapshots at about n_record times in
     [0, T] and the mean squared L2 norm at each."""
-    times = _record_grid(config.T, config.dt, n_record)
+    times = [k * config.dt for k in _record_grid(config, n_record)]
     snaps = simulate(config, u0, times)
     rec = ExperimentRecord(name="run", config=asdict(config),
                            times=times, snapshots=snaps)
@@ -109,8 +108,9 @@ def energy_moments(config: SpdeConfig, u0: Field) -> ExperimentRecord:
     the fourth-moment bound, and the drift's dissipativity margins
     (`DriftSpec.check_dissipativity`)."""
     if config.n_paths < 100:
-        raise ConfigError(f"need n_paths >= 100, got {config.n_paths}")
-    times = _record_grid(config.T, config.dt, ENERGY_RECORD_TIMES)
+        raise ConfigError(f"field 'n_paths': must be at least 100 for the "
+                          f"energy moments, not {config.n_paths!r}")
+    times = [k * config.dt for k in _record_grid(config, ENERGY_RECORD_TIMES)]
     snaps = simulate(config, u0, times)
     rec = ExperimentRecord(name="energy", config=asdict(config),
                            times=times)
@@ -177,14 +177,12 @@ def synchronization_experiment(config: SpdeConfig, x: Field,
         rec.extra = {"verdict": "trivially-synchronized"}
         rec.add_stat(0.0, "sync_l2_capped", 0.0, 0.0, 0.0)
         return rec
-    record_steps = {int(round(t / config.dt)) for t in
-                    _record_grid(config.T, config.dt, SYNC_RECORD_TIMES)}
     Ux = np.broadcast_to(x.values, (n_paths, config.N)).copy()
     Uy = np.broadcast_to(y.values, (n_paths, config.N)).copy()
     rng = np.random.default_rng(config.seed + 10_000)
-    distances = integrate(config, (Ux, Uy), config.n_steps,
-                          lambda k, ensembles: _capped_distance(*ensembles)
-                          if k in record_steps else None)
+    distances = integrate(config, (Ux, Uy),
+                          _record_grid(config, SYNC_RECORD_TIMES),
+                          lambda ensembles: _capped_distance(*ensembles))
     times = [0.0] + [k * config.dt for k in distances]
     curve = [_capped_distance(Ux, Uy), *distances.values()]
     means = []
@@ -230,19 +228,22 @@ def ergodicity_experiment(config: SpdeConfig, x: Field, y: Field, time_grid,
     check's `bootstrap_se` holds the permutation null's SD; the key keeps
     its old name because the benchmark reads it.
 
-    The x-ensemble's horizon, the last grid or extra time, must be the
-    config's T, and the y-ensemble's seed, seed + 1, must be a seed (else
-    a ConfigError)."""
+    Every grid and extra time must be a step of dt, the x-ensemble's
+    horizon, the last of them, must be the config's T, and the
+    y-ensemble's seed, seed + 1, must be a seed (else a ConfigError)."""
     n_paths = config.n_paths
     # too many paths for the exact assignment: refused before the first step
     if n_paths > transport.EXACT_SUPPORT_LIMIT:
         raise transport.TooLarge(f"{n_paths} paths for the exact assignment")
     time_grid = [float(t) for t in time_grid]
     extra_x_times = [float(t) for t in extra_x_times]
-    horizon = max(time_grid + extra_x_times)
-    if config.T != horizon:
+    horizon = max(config.step_of(t, key) for key, times in
+                  (("time_grid", time_grid), ("extra_x_times", extra_x_times))
+                  for t in times)
+    if config.n_steps != horizon:
         raise ConfigError(f"field 'T': must be the last grid or extra time, "
-                          f"{horizon!r}, not {config.T!r}")
+                          f"{max(time_grid + extra_x_times)!r}, not "
+                          f"{config.T!r}")
     if config.seed == SEED_MAX:
         raise ConfigError(f"field 'seed': the y-ensemble runs on seed + 1, "
                           f"so seed must be below {SEED_MAX}")
@@ -369,11 +370,9 @@ def stochastic_convolution(config: SpdeConfig) -> ExperimentRecord:
         raise ConfigError(f"field 'n_paths': must be 1, not "
                           f"{config.n_paths!r}")
     n = config.n_steps
-    W = np.zeros((n + 1, config.N))
-    rows = integrate(config, (np.zeros((1, config.N)),), n,
-                     lambda k, ensembles: ensembles[0][0])
-    for k, row in rows.items():
-        W[k] = row
+    rows = integrate(config, (np.zeros((1, config.N)),), range(1, n + 1),
+                     lambda ensembles: ensembles[0][0])
+    W = np.vstack([np.zeros(config.N), *rows.values()])
     rec = ExperimentRecord(name="convolution", config=asdict(config))
 
     def _dyadic_exponent(quotient_at, max_lag):

@@ -1,9 +1,9 @@
 """Executable counterexamples and sharpness demonstrations.
 
-Each case builds a small exact construction, evaluates a list of
-machine-checkable claims (no Monte Carlo; equalities to 1e-10), and
-returns a JSON-ready report {name, claims: [{statement, lhs, rhs,
-holds}]}.
+Each case builds a small construction, exact except for the seeded
+samples of example-2-6-2-7, evaluates a list of machine-checkable claims
+(equalities to 1e-10), and returns a JSON-ready report {name, claims:
+[{statement, lhs, rhs, holds}]}.
 """
 
 from __future__ import annotations

@@ -39,9 +39,11 @@ paths and modes are indexed by array position inside one block, which
 makes runs bit-reproducible and lets two initial conditions share the
 identical noise path.
 
-`integrate` is the one time-stepping loop: it advances a tuple of
-ensembles on one shared noise path, checks finiteness after every step
-and hands each step to an observer.  `simulate` and the experiments are
+`SpdeConfig.step_of` turns a time into its step, or a time off the dt
+grid into a ConfigError naming its key.  `integrate` is the one
+time-stepping loop: it advances a tuple of ensembles on one shared noise
+path, checks finiteness after every step and hands the ensembles to an
+observer at each step it is given.  `simulate` and the experiments are
 observers on top of it.
 
 Stepping is row-independent bit for bit, so `integrate` splits the path
@@ -54,8 +56,8 @@ Every shard draws the full noise block of each step (the generator makes
 it as one stream) and forms the noise increment of its own rows only,
 as a fixed-order sum over the modes, so the noise stream and every
 output are those of one unsharded loop.  An observer is therefore a
-per-shard reduction: it maps a shard's rows at step k to a partial
-result array, and the parent concatenates the partials of step k in
+per-shard reduction: it maps a shard's rows at a step to a partial
+result array, and the parent concatenates the partials of each step in
 path order (snapshots and per-path distances row by row; a maximum as
 one value per shard, whose maximum the caller takes).  A shard that
 meets a non-finite value stops and returns that step's index; the
@@ -69,10 +71,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .serialize import ConfigError, array, integer, number, read_keys
+from .serialize import (ConfigError, array, checked, integer, number,
+                        read_keys)
 from .shards import run_sharded, usable_cpus
 
 ASSUMPTION_RANGE = 50.0
+_positive = checked(number, lambda value: value > 0, "positive")
 
 
 class NonFinite(ValueError):
@@ -143,8 +147,6 @@ class DriftSpec:
     K3: float
 
     def __post_init__(self):
-        if self.K1 <= 0 or self.K2 <= 0:
-            raise ConfigError("need K1, K2 > 0")
         if self.name not in _DRIFT_PARAMS:
             raise ConfigError(f"field 'name': unknown drift {self.name!r}")
         object.__setattr__(self, "params", read_keys(
@@ -176,7 +178,7 @@ class DriftSpec:
 
 # the drift keys, all required; __post_init__ reads the params by family
 _DRIFT_READERS = {"name": str, "params": lambda params: params,
-                  "K1": number, "K2": number, "K3": number}
+                  "K1": _positive, "K2": _positive, "K3": number}
 
 
 # each closed-form profile kind's keys, all required, with their readers
@@ -210,8 +212,8 @@ def profile(spec, N: int) -> np.ndarray:
     its N values, const amp, or amp cos / amp sin of 2 pi freq x."""
     if "values" in spec:
         if len(spec["values"]) != N:
-            raise ConfigError(f"field 'values': {len(spec['values'])} "
-                              f"values, but the grid has {N} points")
+            raise ConfigError(f"{len(spec['values'])} values, but the "
+                              f"grid has {N} points")
         return spec["values"]
     if spec["kind"] == "const":
         return np.full(N, spec["amp"], dtype=float)
@@ -227,7 +229,8 @@ class NoiseSpec:
 
     def __post_init__(self):
         if self.m != len(self.sigma):
-            raise ConfigError("m must match the number of noise profiles")
+            raise ConfigError(f"field 'm': must equal len(sigma), "
+                              f"{len(self.sigma)}, not {self.m!r}")
 
     def tabulate(self, N: int) -> np.ndarray:
         return np.array([profile(s, N) for s in self.sigma]).reshape(self.m, N)
@@ -276,10 +279,13 @@ def phi(values) -> np.ndarray | float:
 SEED_MAX = 2 ** 64 - 1
 
 # the solver block's keys; the defaults of the optional ones live in SpdeConfig
-_SOLVER_READERS = {"N": integer, "dt": number, "T": number,
+_SOLVER_READERS = {"N": checked(integer, lambda N: N >= 2, "at least 2"),
+                   "dt": _positive, "T": number,
                    "drift": DriftSpec.from_json_obj,
                    "noise": NoiseSpec.from_json_obj, "seed": integer,
-                   "n_paths": integer, "clamp_R": number}
+                   "n_paths": checked(integer, lambda n: n >= 1,
+                                      "at least 1"),
+                   "clamp_R": number}
 
 
 @dataclass(frozen=True)
@@ -294,8 +300,7 @@ class SpdeConfig:
     clamp_R: float = 20.0
 
     def __post_init__(self):
-        if self.N < 2 or self.dt <= 0 or self.T < 0 or self.n_paths < 1:
-            raise ConfigError("invalid grid/time parameters")
+        self.step_of(self.T, "T")
         if not 0 <= self.seed <= SEED_MAX:
             raise ConfigError(f"field 'seed': must be in [0, {SEED_MAX}], "
                               f"not {self.seed!r}")
@@ -305,9 +310,18 @@ class SpdeConfig:
                 f"monotonicity restriction violated: dt * L_R = "
                 f"{self.dt * L_R:.6g} > 1 (L_R = {L_R:.6g})")
 
+    def step_of(self, t: float, key: str) -> int:
+        """The step k with k dt = t (to 1e-9 relative): a negative time or
+        one off the dt grid is a ConfigError naming `key`."""
+        k = int(round(t / self.dt))
+        if k < 0 or abs(k * self.dt - t) > 1e-9 * max(1.0, abs(t)):
+            raise ConfigError(f"field {key!r}: must be a nonnegative "
+                              f"multiple of dt = {self.dt!r}, not {t!r}")
+        return k
+
     @property
     def n_steps(self) -> int:
-        return int(round(self.T / self.dt))
+        return self.step_of(self.T, "T")
 
     @staticmethod
     def from_json_obj(obj) -> "SpdeConfig":
@@ -419,23 +433,24 @@ class Stepper:
 _SHARD_MIN_WORK = 1 << 22
 
 
-def integrate(config: SpdeConfig, ensembles: tuple, n_steps: int,
+def integrate(config: SpdeConfig, ensembles: tuple, steps,
               observe) -> dict:
     """Advance every ensemble in `ensembles` (arrays (n_paths, N)) through
-    steps 1..n_steps, all on the one noise path keyed by `config.seed`.
+    steps 1..max(steps), all on the one noise path keyed by `config.seed`.
 
     The paths are split into row shards (module docstring).  After each
-    step k, observe(k, ensembles) sees a shard's stepped rows and returns
-    a partial result, an array with one row per path or per shard, or None
-    to record nothing.  Returns {k: the partials of step k concatenated in
-    path order}.  Raises NonFinite(k) for the first step k after which any
-    ensemble has a non-finite value.
+    step k of `steps` (k >= 1), observe(ensembles) sees a shard's stepped
+    rows and returns a partial result, an array with one row per path or
+    per shard.  Returns {k: the partials of step k concatenated in path
+    order}, in step order.  Raises NonFinite(k) for the first step k after
+    which any ensemble has a non-finite value.
     """
+    steps = set(steps)
     n_paths, N = ensembles[0].shape
-    work = n_paths * N * len(ensembles) * n_steps
+    work = n_paths * N * len(ensembles) * max(steps, default=0)
     shards = max(1, min(usable_cpus(), n_paths, work // _SHARD_MIN_WORK))
     results = run_sharded(n_paths, shards, lambda lo, hi: _integrate_rows(
-        config, ensembles, lo, hi, n_steps, observe))
+        config, ensembles, lo, hi, steps, observe))
     failed = [k for k, _ in results if k is not None]
     if failed:
         raise NonFinite(min(failed))
@@ -443,14 +458,14 @@ def integrate(config: SpdeConfig, ensembles: tuple, n_steps: int,
             for k in results[0][1]}
 
 
-def _integrate_rows(config, ensembles, lo, hi, n_steps, observe):
+def _integrate_rows(config, ensembles, lo, hi, steps, observe):
     """Rows lo:hi of `integrate`: (first non-finite step or None,
     {k: observe's partial})."""
     stepper = Stepper(config)
     n_paths = ensembles[0].shape[0]
     ensembles = tuple(U[lo:hi] for U in ensembles)
     partials = {}
-    for k in range(1, n_steps + 1):
+    for k in range(1, max(steps, default=0) + 1):
         # the whole block is drawn, as the generator makes it in one
         # stream, but only rows lo:hi of its increment are formed
         noise = stepper.increment(
@@ -458,14 +473,13 @@ def _integrate_rows(config, ensembles, lo, hi, n_steps, observe):
         ensembles = tuple(stepper.step(U, noise) for U in ensembles)
         if not all(np.all(np.isfinite(U)) for U in ensembles):
             return k, partials
-        partial = observe(k, ensembles)
-        if partial is not None:
-            partials[k] = partial
+        if k in steps:
+            partials[k] = observe(ensembles)
     return None, partials
 
 
 def simulate(config: SpdeConfig, u0, record_times):
-    """Run an ensemble and return {time: array (n_paths, N)} snapshots.
+    """Run an ensemble; return {t: array (n_paths, N)} for each record time t.
 
     u0 may be a Field (broadcast over paths) or an (n_paths, N) array.  The
     noise path is config.seed's: a second initial condition rides the
@@ -477,17 +491,11 @@ def simulate(config: SpdeConfig, u0, record_times):
         U = np.broadcast_to(u0v, (config.n_paths, config.N)).copy()
     else:
         U = u0v.copy()
-    steps_for = {}
-    for t in record_times:
-        k = int(round(t / config.dt))
-        if abs(k * config.dt - t) > 1e-9 * max(1.0, abs(t)):
-            raise ConfigError(f"record time {t} is not a multiple of dt")
-        steps_for.setdefault(k, float(t))
-    out = {steps_for[0]: U} if 0 in steps_for else {}
+    steps = {float(t): config.step_of(t, "record_times")
+             for t in record_times}
     # every step returns fresh arrays, so a snapshot needs no copy
-    snaps = integrate(config, (U,), max(steps_for, default=0),
-                      lambda k, ensembles:
-                      ensembles[0] if k in steps_for else None)
-    out.update((steps_for[k], snap) for k, snap in snaps.items())
-    return out
+    snaps = integrate(config, (U,), steps.values(),
+                      lambda ensembles: ensembles[0])
+    snaps[0] = U
+    return {t: snaps[k] for t, k in steps.items()}
 

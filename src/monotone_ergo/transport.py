@@ -78,7 +78,6 @@ class TransportResult:
     epsilon: float | None = None
     dual_u: np.ndarray | None = None
     dual_v: np.ndarray | None = None
-    n: int | None = None
     ci_low: float | None = None
     ci_high: float | None = None
     reg_value: float | None = None
@@ -87,15 +86,10 @@ class TransportResult:
     def to_json_obj(self):
         obj = {"value": self.value, "method": self.method,
                "converged": self.converged}
-        if self.n is not None:
-            obj["n"] = self.n
         if self.epsilon is not None:
             obj["epsilon"] = self.epsilon
         if self.gap:
             obj["gap"] = self.gap
-        if self.ci_low is not None:
-            obj["ci_low"] = self.ci_low
-            obj["ci_high"] = self.ci_high
         return obj
 
 
@@ -468,6 +462,6 @@ def wasserstein_empirical(cmat, rng) -> TransportResult:
              for _ in range(BOOTSTRAP_RESAMPLES)]
     vals = resampled_assignment_values(cmat, draws)
     q_lo, q_hi = math.sqrt(m / n) * np.quantile(vals - value, [0.025, 0.975])
-    return TransportResult(value=value, method="exact", n=n,
+    return TransportResult(value=value, method="exact",
                            ci_low=max(0.0, float(value - q_hi)),
                            ci_high=float(value - q_lo))

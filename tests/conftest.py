@@ -78,6 +78,6 @@ def comparison_check(config, x, y, T: float, n_paths: int) -> float:
     worst = integrate(
         cfg, (np.broadcast_to(x.values, (n_paths, cfg.N)).copy(),
               np.broadcast_to(y.values, (n_paths, cfg.N)).copy()),
-        cfg.n_steps,
-        lambda k, ensembles: np.array([(ensembles[0] - ensembles[1]).max()]))
+        range(1, cfg.n_steps + 1),
+        lambda ensembles: np.array([(ensembles[0] - ensembles[1]).max()]))
     return max([0.0, *(float(v.max()) for v in worst.values())])

@@ -41,7 +41,7 @@ def load_chain5():
 def _spde_config(name, sub):
     """(solver config, experiment keyword arguments) with which
     `spde sub` runs the fixture `name`."""
-    return cli.read_spde(fixture_path(name), sub, None)
+    return cli.read_spde(fixture_path(name), sub)
 
 
 def report(k, line, elapsed, cap):

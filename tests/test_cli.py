@@ -89,7 +89,7 @@ def test_shipped_configs_pass_the_reader():
                    glob.glob(os.path.join(fixtures, "spde_*.json")))
     assert names == sorted(FIXTURE_SUBCOMMANDS)
     for name, sub in FIXTURE_SUBCOMMANDS.items():
-        cli.read_spde(fixture_path(name), sub, None)
+        cli.read_spde(fixture_path(name), sub)
     for path in glob.glob(os.path.join(fixtures, "*_verify.json")):
         cli.read_chain(path)
 
@@ -272,7 +272,8 @@ def wrong_values(reader) -> list:
     """JSON values of the wrong type for `reader`: a string and true for a
     number; a string, 1.5 and true for anything else (an integer, an array
     or an object)."""
-    return ["1", True] if reader is serialize.number else ["1", 1.5, True]
+    return (["1", True] if reader in (serialize.number, spde._positive)
+            else ["1", 1.5, True])
 
 
 CONSTANTS = serialize.load(fixture_path("spde_constants.json"))
@@ -423,8 +424,19 @@ SYNC, ERGODICITY, CONVOLUTION = (
     for name in ("sync", "ergodicity", "convolution"))
 CUBIC = {"name": "cubic", "params": {"K": 1}, "K1": 1, "K2": 0.5, "K3": 1}
 
-# inputs that once ran with a value other than the one they give, or
-# crashed, each with the key its error must name
+
+def solver_argv(sub, **solver):
+    """argv of `spde sub` on its spde_base config with the solver keys
+    `solver` set, at the top level too where the config repeats them."""
+    cfg = spde_base(sub)
+    cfg["spde"].update(solver)
+    cfg.update((key, value) for key, value in solver.items() if key in cfg)
+    return config_argv(["spde", sub], cfg)
+
+
+# inputs that once ran with a value other than the one they give (a T or
+# a time off the dt grid ran as the nearest step), crashed, or exited 2
+# naming no key or the wrong one, each with the key its error must name
 PROBES = {
     "sync-top-level-T": (config_argv(["spde", "sync"], set_at(
         set_at(SYNC, ("spde", "T"), 0.05), ("T",), 0.02)), "T"),
@@ -447,12 +459,34 @@ PROBES = {
     "drift-params-without-a": (constants_argv(
         ("spde", "drift", "params"), {}), "a"),
     "solver-seed-negative": (constants_argv(("spde", "seed"), -1), "seed"),
-    "seed-option-negative": (config_argv(
-        ["spde", "constants-demo", "--seed", "-3"], CONSTANTS), "seed"),
+    "solver-seed-past-range": (constants_argv(("spde", "seed"), 2 ** 64),
+                               "seed"),
     "ergodicity-seed-past-range": (config_argv(["spde", "ergodicity"], set_at(
         ERGODICITY, ("spde", "seed"), 2 ** 64 - 1)), "seed"),
     "gallery-seed-negative": (lambda tmp: [
         "gallery", "example-2-6-2-7", "--seed", "-1"], "seed"),
+    "N-1": (solver_argv("sync", N=1), "N"),
+    "dt-0": (solver_argv("sync", dt=0), "dt"),
+    "n-paths-0": (solver_argv("sync", n_paths=0), "n_paths"),
+    "T-negative": (solver_argv("sync", T=-1), "T"),
+    "drift-K1-0": (config_argv(["spde", "sync"], set_at(
+        SYNC, ("spde", "drift", "K1"), 0)), "K1"),
+    "noise-m-2-one-profile": (config_argv(["spde", "sync"], set_at(
+        SYNC, ("spde", "noise", "m"), 2)), "m"),
+    "energy-50-paths": (solver_argv("energy", n_paths=50), "n_paths"),
+    "x-nan-values": (config_argv(["spde", "sync"], set_at(
+        SYNC, ("x",), {"values": [float("nan")] * 64})), "x"),
+    "x-3-values": (config_argv(["spde", "sync"], set_at(
+        SYNC, ("x",), {"values": [0, 1, 2]})), "x"),
+    **{f"{sub}-T-off-grid": (solver_argv(
+        sub, T=20.2 * spde_base(sub)["spde"]["dt"]), "T")
+       for sub in cli.SPDE_EXPERIMENTS},
+    "time-grid-off-grid": (config_argv(["spde", "ergodicity"], {
+        **set_at(ERGODICITY, ("spde", "T"), 0.02),
+        "time_grid": [0.0105, 0.02], "extra_x_times": []}), "time_grid"),
+    "extra-x-times-off-grid": (config_argv(["spde", "ergodicity"], {
+        **set_at(ERGODICITY, ("spde", "T"), 0.02),
+        "time_grid": [0.01], "extra_x_times": [0.0205]}), "extra_x_times"),
 }
 
 
@@ -651,11 +685,11 @@ class TestSpde:
 
     def test_seed_determinism(self, tmp_path, capsys):
         outs = []
+        config = config_argv(["spde", "constants-demo"],
+                             set_at(CONSTANTS, ("spde", "seed"), 7))
         for tag in ("a", "b"):
             out_dir = str(tmp_path / tag)
-            code, _, _ = run(
-                ["spde", "constants-demo", fixture_path("spde_constants.json"),
-                 "--seed", "7", "--out", out_dir], capsys)
+            code, _, _ = run([*config(tmp_path), "--out", out_dir], capsys)
             assert code == 0
             with open(os.path.join(out_dir, "record.json"), "rb") as fh:
                 outs.append(fh.read())
@@ -675,6 +709,13 @@ class TestSpde:
         code, _, _ = run(["spde", "run", run_config(tmp_path)], capsys)
         assert code == 0
         assert [sorted(kw) for kw in calls] == [["n_record", "u0"]]
+
+    def test_seed_option_removed_exit_4(self, capsys):
+        # the solver block is the one home of the seed
+        with pytest.raises(SystemExit) as exc:
+            run(["spde", "constants-demo", fixture_path("spde_constants.json"),
+                 "--seed", "7"], capsys)
+        assert exc.value.code == 4
 
     def test_threads_option_removed_exit_4(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -15,8 +15,8 @@ from monotone_ergo import fixture_path, shards, spde
 from monotone_ergo.experiments import (SYNC_RECORD_TIMES,
                                        synchronization_experiment)
 from monotone_ergo.spde import (ConfigError, DriftSpec, Field, NoiseSpec,
-                                NonFinite, SpdeConfig, Stepper, l2_sq,
-                                noise_draws, phi, simulate)
+                                NonFinite, SpdeConfig, Stepper, integrate,
+                                l2_sq, noise_draws, phi, simulate)
 from monotone_ergo.spde import _resolvent as spde_resolvent
 
 
@@ -289,7 +289,7 @@ class TestStep:
 
     def test_two_mode_shard_increment_within_an_ulp_of_the_product(self):
         # sqrt(2^-10) = 2^-5 scales exactly, so the gap is the sums' own
-        st = Stepper(two_mode_config(dt=2.0 ** -10))
+        st = Stepper(two_mode_config(dt=2.0 ** -10, T=2.0 ** -3))
         for k in range(1, 200):
             draws = noise_draws(0, k, 300, 2)
             block = st.sqrt_dt * (draws @ st.sigma)
@@ -382,9 +382,19 @@ class TestReproducibility:
         for t in s1:
             assert np.array_equal(s1[t], s2[t])
 
+    def test_record_times_on_one_step_are_each_returned(self):
+        # two times within the grid tolerance of one step share its snapshot
+        cfg = make_config()
+        times = [0.05 + 1e-13, 0.0, 0.05]
+        snaps = simulate(cfg, Field(np.linspace(-1, 1, cfg.N)), times)
+        assert list(snaps) == times
+        assert snaps[0.05] is snaps[0.05 + 1e-13]
+
     def test_record_time_validation(self):
         cfg = make_config()
-        with pytest.raises(ConfigError, match="multiple of dt"):
+        with pytest.raises(ConfigError, match="field 'record_times': must "
+                                              "be a nonnegative multiple of "
+                                              "dt = 0.001, not 0.00033"):
             simulate(cfg, Field(np.zeros(cfg.N)), [0.00033])
 
 
@@ -435,6 +445,31 @@ class TestShards:
             assert list(snaps) == [0.0, 0.05, 0.1]
             for t, snap in snaps.items():
                 assert np.array_equal(snap, runs[1][t])
+
+    def test_integrate_observes_exactly_the_given_steps(self, rng,
+                                                        shard_counts):
+        cfg = two_mode_config(n_paths=7)
+        u0 = rng.normal(0.0, 1.0, (7, cfg.N))
+        runs = {}
+        for cpus in (1, 2, 3):
+            counts = shard_counts(cpus)
+            calls = []
+
+            def observe(ensembles):
+                # a forked shard counts its calls in its own process, so
+                # every row of a partial carries its shard's count
+                calls.append(None)
+                return np.column_stack([ensembles[0],
+                                        np.full(len(ensembles[0]),
+                                                len(calls))])
+
+            runs[cpus] = integrate(cfg, (u0,), [0, 40, 3, 17, 3], observe)
+            assert counts == [cpus]
+        for out in runs.values():
+            assert list(out) == [3, 17, 40]
+            for call, k in enumerate(out, 1):
+                assert np.array_equal(out[k][:, -1], np.full(7, call))
+                assert np.array_equal(out[k], runs[1][k])
 
     def test_synchronization_curve_and_cis(self, shard_counts):
         cfg = two_mode_config(T=0.2, n_paths=9)
