@@ -25,11 +25,9 @@ from .spde import noise_draws, simulate  # noqa: F401
 RANGE_TOL = 1e-6
 # re-splits of the pooled ensemble in the stationarity null
 NULL_RESAMPLES = 50
-# record times of the energy moments and of the synchronization curve, and
-# the bootstrap resamples of each synchronization CI
+# record times of the energy moments and of the synchronization curve
 ENERGY_RECORD_TIMES = 26
 SYNC_RECORD_TIMES = 40
-SYNC_BOOTSTRAP = 200
 
 
 @dataclass
@@ -72,8 +70,10 @@ def _record_grid(config: SpdeConfig, n_record: int) -> list[int]:
 
 
 def _mean_ci(samples: np.ndarray):
+    """Mean, SE and 95 % CLT interval of i.i.d. samples (SE 0 for one)."""
+    n = len(samples)
     m = float(samples.mean())
-    se = float(samples.std(ddof=1) / math.sqrt(len(samples)))
+    se = float(samples.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
     return m, se, m - 1.96 * se, m + 1.96 * se
 
 
@@ -91,8 +91,7 @@ def snapshot_run(config: SpdeConfig, u0: Field,
                            times=times, snapshots=snaps)
     for t in times:
         nsq = l2_sq(snaps[t])
-        m, _, lo, hi = _mean_ci(nsq) if len(nsq) > 1 else (
-            float(nsq[0]), 0.0, float(nsq[0]), float(nsq[0]))
+        m, _, lo, hi = _mean_ci(nsq)
         rec.add_stat(t, "energy_l2sq", m, lo, hi)
     return rec
 
@@ -169,8 +168,9 @@ def energy_moments(config: SpdeConfig, u0: Field) -> ExperimentRecord:
 def synchronization_experiment(config: SpdeConfig, x: Field,
                                y: Field) -> ExperimentRecord:
     """Mean capped L2 distance between shared-noise ensembles from x and y
-    at about SYNC_RECORD_TIMES times, each with a percentile bootstrap CI
-    of SYNC_BOOTSTRAP resamples, and a log-linear rate fit."""
+    at about SYNC_RECORD_TIMES times, each with the CLT interval of the
+    per-path distances (i.i.d. across paths), and a log-linear rate
+    fit."""
     n_paths = config.n_paths
     rec = ExperimentRecord(name="sync", config=asdict(config))
     if np.array_equal(x.values, y.values):
@@ -179,7 +179,6 @@ def synchronization_experiment(config: SpdeConfig, x: Field,
         return rec
     Ux = np.broadcast_to(x.values, (n_paths, config.N)).copy()
     Uy = np.broadcast_to(y.values, (n_paths, config.N)).copy()
-    rng = np.random.default_rng(config.seed + 10_000)
     distances = integrate(config, (Ux, Uy),
                           _record_grid(config, SYNC_RECORD_TIMES),
                           lambda ensembles: _capped_distance(*ensembles))
@@ -187,10 +186,7 @@ def synchronization_experiment(config: SpdeConfig, x: Field,
     curve = [_capped_distance(Ux, Uy), *distances.values()]
     means = []
     for t, dists in zip(times, curve):
-        m = float(dists.mean())
-        boots = dists[rng.integers(0, n_paths, (SYNC_BOOTSTRAP, n_paths))] \
-            .mean(axis=1)
-        lo, hi = np.quantile(boots, [0.025, 0.975])
+        m, _, lo, hi = _mean_ci(dists)
         means.append(m)
         rec.add_stat(t, "sync_l2_capped", m, lo, hi)
     fit = fit_exponential_rate(np.array(times), np.array(means),
@@ -216,11 +212,9 @@ def ergodicity_experiment(config: SpdeConfig, x: Field, y: Field, time_grid,
     y-ensembles (driven by independent noise) at each grid time, with a
     log-linear rate fit.
 
-    Each W row's CI is `transport.wasserstein_empirical`'s basic
-    m-out-of-n bootstrap interval, which `extra["w_ci"]` names with its m
-    and resample count.  Near the same-law sampling floor it may lie
-    below W_n: on the shipped fixture at t = 8, W_n is 0.0485 and the CI
-    [0, 0.035].
+    Each W row's CI is `transport.wasserstein_empirical`'s closed form
+    W_n +- sqrt(ln 40 / n) in [0, 1]: it covers E W_n, which lies above W
+    by the sampling floor, with probability at least 95 %.
 
     `extra_x_times` lets the x-ensemble run further for the stationarity
     self-check (distance between x-ensemble snapshots at the last grid
@@ -251,11 +245,10 @@ def ergodicity_experiment(config: SpdeConfig, x: Field, y: Field, time_grid,
     snaps_y = simulate(replace(config, seed=config.seed + 1), y, time_grid)
     rec = ExperimentRecord(name="ergodicity", config=asdict(config),
                            times=time_grid)
-    rng = np.random.default_rng(config.seed + 20_000)
     values = []
     for t in time_grid:
         res = transport.wasserstein_empirical(
-            transport.pairwise_cost(snaps_x[t], snaps_y[t]), rng)
+            transport.pairwise_cost(snaps_x[t], snaps_y[t]))
         values.append(res.value)
         rec.add_stat(t, "w_l2_capped", res.value, res.ci_low, res.ci_high)
     # the empirical coupling distance between finite same-law ensembles has
@@ -265,12 +258,10 @@ def ergodicity_experiment(config: SpdeConfig, x: Field, y: Field, time_grid,
     fit = fit_exponential_rate(np.array(time_grid), np.array(values),
                                burn_in_frac=0.0, r2_threshold=0.0)
     rec.add_fit("w_rate", fit)
-    rec.extra = {"verdict": bool(fit.rate > 0),
-                 "w_ci": {"method": transport.BOOTSTRAP_METHOD,
-                          "m": transport.bootstrap_size(n_paths),
-                          "resamples": transport.BOOTSTRAP_RESAMPLES}}
+    rec.extra = {"verdict": bool(fit.rate > 0)}
     if extra_x_times:
         t_last = max(time_grid)
+        rng = np.random.default_rng(config.seed + 20_000)
         checks = []
         for t_ex in extra_x_times:
             # one cost matrix over the pooled ensembles: its cross block is

@@ -5,12 +5,10 @@ Exact optimal transport on finite supports via the transportation simplex
 costs), total variation, entropic regularization (stabilized Sinkhorn
 scaling with epsilon annealing), and empirical Wasserstein estimation by
 the exact uniform assignment on the cost matrix of two equal-size sample
-ensembles, with m-out-of-n bootstrap confidence intervals
-(m = ceil(n^(2/3)) of n samples, consistent also where the two laws are
-equal).  A batch of resampled assignments runs in-process when it is
-small, as the bootstrap's m x m resamples are at the fixtures' sizes,
-and otherwise over one forked shard per usable CPU, as the permutation
-null's n x n re-splits do.
+ensembles, with a closed-form bounded-differences confidence interval
+for its mean.  A batch of resampled assignments, such as the
+permutation null's n x n re-splits, runs over one forked shard per
+usable CPU when it is large, and in-process when it is small.
 
 The simplex keeps its basis as a spanning tree and returns the same bits
 as rebuilding the tree every pivot (`tests/reference_simplex.py`).  The
@@ -30,10 +28,6 @@ from scipy.optimize import linear_sum_assignment
 from .shards import run_sharded, usable_cpus
 
 EXACT_SUPPORT_LIMIT = 4096
-# resamples of each `wasserstein_empirical` CI
-BOOTSTRAP_RESAMPLES = 200
-# the CI `wasserstein_empirical` reports: the basic m-out-of-n interval
-BOOTSTRAP_METHOD = "m_out_of_n_basic"
 
 
 class TransportError(ValueError):
@@ -394,12 +388,13 @@ def assignment_value(cmat) -> float:
 
 # resampled cost-matrix cells (rows x columns, summed over a batch) one
 # forked shard must carry; below it the forks (about 10 ms for two) and
-# the hand-back cost more than the assignments they spread.  200 draws of
-# m x m from the `ergodicity` workload's 512-path cost matrices at
-# t = 0.5, 1, 2 on a 2-core Xeon, 160 MiB parent (medians of 15), one
-# shard against two: m = 64 (410k cells a shard) 16, 28, 37 / 21, 30,
-# 33 ms; m = 80 (640k) 21, 45, 65 / 21, 38, 50 ms; m = 96 (922k) 31, 65,
-# 95 / 33, 50, 61 ms
+# the hand-back cost more than the assignments they spread, so the
+# permutation null, the only caller, forks its 50 re-splits of n + n
+# paths on two CPUs from n = 145.  200 m x m draws from the `ergodicity`
+# workload's 512-path cost matrices at t = 0.5, 1, 2 on a 2-core Xeon
+# (ms, medians of 15), one shard / two: m = 64 (410k cells a shard) 16,
+# 28, 37 / 21, 30, 33; m = 80 (640k) 21, 45, 65 / 21, 38, 50; m = 96
+# (922k) 31, 65, 95 / 33, 50, 61
 _SHARD_MIN_CELLS = 1 << 19
 
 
@@ -417,51 +412,31 @@ def resampled_assignment_values(cmat, draws) -> np.ndarray:
         for row_idx, col_idx in draws[lo:hi]]))
 
 
-def bootstrap_size(n: int) -> int:
-    """The resample size m = ceil(n^(2/3)) of the m-out-of-n bootstrap,
-    the least m with m^3 >= n^2 (64 at n = 512): m -> inf and m/n -> 0,
-    the conditions under which resampling m of n observations is
-    consistent (Bickel, Goetze & van Zwet 1997, Statistica Sinica 7)."""
-    # a start at or below the answer, whatever the float power's rounding
-    m = max(1, round(n ** (2 / 3)) - 1)
-    while m ** 3 < n * n:
-        m += 1
-    return m
-
-
-def wasserstein_empirical(cmat, rng) -> TransportResult:
+def wasserstein_empirical(cmat) -> TransportResult:
     """Empirical coupling distance between two equal-size sample ensembles
     from their square cost matrix `cmat` (x samples by rows, y samples by
-    columns): the value W_n of the optimal uniform assignment, with an
-    m-out-of-n bootstrap CI.
+    columns, every entry in [0, 1]): the value W_n of the optimal uniform
+    assignment, with the interval [max(0, W_n - h), min(1, W_n + h)],
+    h = sqrt(ln 40 / n).
 
-    Each of the BOOTSTRAP_RESAMPLES resamples draws two length-n index
-    vectors from `rng` and keeps the first m = `bootstrap_size(n)` of each,
-    an m-out-of-n draw with replacement from each ensemble, whose m x m
-    assignment value is W*_m.  With q the 2.5 and 97.5 % quantiles of
-    W*_m - W_n, the CI is the basic interval
-    [W_n - sqrt(m/n) q_97.5, W_n - sqrt(m/n) q_2.5], its lower end
-    clipped at 0.  The scaling assumes the sqrt(n) rate: sqrt(n) (W_n - W)
-    has a limit law.  That holds on finite spaces (Sommerfeld & Munk 2018,
-    JRSS-B 80) and for 1-D laws with a finite integral of
-    sqrt(F (1 - F)) (del Barrio, Gine & Matran 1999, Ann. Probab. 27),
-    such as the laws of the constant fields of the constant-start SPDE
-    fixtures.  Where the two laws are equal that limit is not normal and
-    the n-out-of-n bootstrap is inconsistent (Sommerfeld & Munk); the
-    m-out-of-n bootstrap with m -> inf and m/n -> 0 is consistent (Bickel,
-    Goetze & van Zwet 1997).  Near the sampling floor the bias of W*_m can
-    put the whole interval below W_n."""
+    With the cost capped at 1, moving one of the 2n independent samples
+    moves W_n by at most 1/n, so McDiarmid's bounded-differences
+    inequality (1989) gives P(|W_n - E W_n| >= s) <= 2 exp(-n s^2): the
+    interval covers E W_n with probability at least 95 % at every n and
+    for every pair of laws.  W is jointly convex and the empirical laws
+    average to the true ones, so W <= E W_n: the upper end is also a
+    97.5 % upper bound on W, while E W_n, which the lower end bounds,
+    exceeds W by the sampling floor.  The interval holds for every law,
+    so it is wider than one fitted to the data: h = 0.085 at n = 512."""
     n = len(cmat)
     if cmat.shape != (n, n):
         raise UnequalSampleCounts(f"cost matrix of shape {cmat.shape}")
     if n > EXACT_SUPPORT_LIMIT:
         raise TooLarge(f"{n} samples for the exact assignment")
+    if not (cmat.min() >= 0.0 and cmat.max() <= 1.0):
+        raise TransportError("costs must lie in [0, 1]")
     value = assignment_value(cmat)
-    m = bootstrap_size(n)
-    draws = [(rng.integers(0, n, size=n)[:m], rng.integers(0, n, size=n)[:m])
-             for _ in range(BOOTSTRAP_RESAMPLES)]
-    vals = resampled_assignment_values(cmat, draws)
-    q_lo, q_hi = math.sqrt(m / n) * np.quantile(vals - value, [0.025, 0.975])
+    h = math.sqrt(math.log(40) / n)
     return TransportResult(value=value, method="exact",
-                           ci_low=max(0.0, float(value - q_hi)),
-                           ci_high=float(value - q_lo))
+                           ci_low=max(0.0, value - h),
+                           ci_high=min(1.0, value + h))

@@ -260,7 +260,7 @@ def test_criterion_08_ergodicity():
     """Empirical coupling distance between independent ensembles decays
     across the doubling time grid with positive fitted rate; the
     stationarity self-check at t=32 vs t=64 sits inside the permutation
-    null at 2 SD."""
+    null at 2 SD; every W lies in its interval, inside [0, 1]."""
     t0 = time.monotonic()
     config, kwargs = _spde_config("spde_ergodicity.json", "ergodicity")
     rec = ergodicity_experiment(
@@ -270,6 +270,9 @@ def test_criterion_08_ergodicity():
     assert fit["rate"] > 0
     _, vals = series(rec, "w_l2_capped")
     assert vals[-1] < vals[0]
+    for r in rec.statistics:
+        if r["stat"] == "w_l2_capped":
+            assert 0.0 <= r["ci_low"] <= r["value"] <= r["ci_high"] <= 1.0
     check = rec.extra["stationarity"][0]
     assert check["below_2se"]
     report(8, f"rate {fit['rate']:.4f} > 0; stationarity excess "
@@ -354,7 +357,7 @@ def test_criterion_11_transport_solvers():
 
     xs = rng.normal(0.0, 1.0, size=512)
     ys = rng.normal(1.0, 1.0, size=512)
-    emp = transport.wasserstein_empirical(abs_cost(xs, ys), rng).value
+    emp = transport.assignment_value(abs_cost(xs, ys))
     assert abs(emp - 1.0) < 0.1
     report(11, f"LP gap {worst_gap:.1e} < 1e-8, Sinkhorn rel "
                f"{worst_rel:.3f} (all converged, at most "

@@ -334,36 +334,46 @@ class TestReferenceSinkhorn:
 class TestEmpirical:
     def test_identical_samples_zero(self, rng):
         xs = rng.normal(size=(64, 4))
-        res = wasserstein_empirical(pairwise_cost(xs, xs), rng)
+        res = wasserstein_empirical(pairwise_cost(xs, xs))
         assert res.value == pytest.approx(0.0, abs=1e-12)
 
     def test_gaussian_shift_w1(self, rng):
         # 1-D W1 between N(0,1) and N(1,1) is exactly 1
         xs = rng.normal(0.0, 1.0, size=512)
         ys = rng.normal(1.0, 1.0, size=512)
-        res = wasserstein_empirical(abs_cost(xs, ys), rng)
-        assert abs(res.value - 1.0) < 0.1
+        value = transport.assignment_value(abs_cost(xs, ys))
+        assert abs(value - 1.0) < 0.1
 
     def test_unequal_counts(self, rng):
         with pytest.raises(UnequalSampleCounts):
             wasserstein_empirical(
-                abs_cost(rng.normal(size=5), rng.normal(size=6)), rng)
+                abs_cost(rng.normal(size=5), rng.normal(size=6)))
 
-    def test_bootstrap_ci_brackets_value_scale(self, rng, monkeypatch):
-        monkeypatch.setattr(transport, "BOOTSTRAP_RESAMPLES", 50)
-        xs = rng.normal(0.0, 1.0, size=(64, 2))
-        ys = rng.normal(0.5, 1.0, size=(64, 2))
-        res = wasserstein_empirical(pairwise_cost(xs, ys),
-                                    np.random.default_rng(0))
-        assert res.ci_low is not None and res.ci_low <= res.ci_high
+    @pytest.mark.parametrize("entry", [1.5, -0.5, math.nan])
+    def test_cost_outside_unit_interval_rejected(self, entry):
+        # the interval's bounded-differences argument needs costs in [0, 1]
+        with pytest.raises(transport.TransportError):
+            wasserstein_empirical(np.array([[0.0, entry], [0.5, 0.0]]))
+
+    def test_half_width(self):
+        # h = sqrt(ln 40 / n), 0.085 at the fixtures' 512 paths, and the
+        # interval clipped to [0, 1]
+        h = math.sqrt(math.log(40) / 512)
+        res = wasserstein_empirical(np.full((512, 512), 0.5))
+        assert res.value == 0.5
+        assert res.ci_low == 0.5 - h and res.ci_high == 0.5 + h
+        assert round(h, 3) == 0.085
+        for fill, ci in ((0.0, (0.0, h)), (1.0, (1.0 - h, 1.0))):
+            res = wasserstein_empirical(np.full((512, 512), fill))
+            assert (res.ci_low, res.ci_high) == ci
 
     def test_exact_assignment_above_old_sample_default(self, rng):
         # the exact assignment holds at every size up to
         # EXACT_SUPPORT_LIMIT, not only up to 1024 samples
-        xs = rng.normal(0.0, 1.0, size=1025)
-        ys = rng.normal(0.5, 1.0, size=1025)
-        cmat = abs_cost(xs, ys)
-        res = wasserstein_empirical(cmat, rng)
+        xs = rng.normal(0.0, 1.0, size=(1025, 1))
+        ys = rng.normal(0.5, 1.0, size=(1025, 1))
+        cmat = pairwise_cost(xs, ys)
+        res = wasserstein_empirical(cmat)
         assert res.method == "exact"
         assert res.value == transport.assignment_value(cmat)
 
@@ -386,51 +396,47 @@ class TestEmpirical:
             experiments.ergodicity_experiment(
                 cfg, Field(np.zeros(2)), Field(np.ones(2)), [0.01], [])
         with pytest.raises(transport.TooLarge):
-            wasserstein_empirical(np.broadcast_to(0.0, (n, n)),
-                                  np.random.default_rng(0))
+            wasserstein_empirical(np.broadcast_to(0.0, (n, n)))
 
     def test_capped_cost_bounded(self, rng):
         xs = rng.normal(0.0, 10.0, size=(32, 2))
         ys = rng.normal(50.0, 10.0, size=(32, 2))
-        res = wasserstein_empirical(pairwise_cost(xs, ys), rng)
+        res = wasserstein_empirical(pairwise_cost(xs, ys))
         assert res.value <= 1.0 + 1e-12
 
 
 @functools.cache
-def bootstrap_coverage(w, reps):
-    """Share of `reps` draws of two 216-sample ensembles, N(0, 1) and
-    N(w, 1), whose bootstrap CI (m = 36) covers the 1-D W1 distance w
-    between the two laws."""
+def interval_draws(shift, reps):
+    """`wasserstein_empirical` on `reps` draws of two 64-sample ensembles,
+    N(0, 1) and N(shift, 1), under the 1-D capped cost min(1, |x - y|)."""
     rng = np.random.default_rng(2024)
-    hits = 0
-    for _ in range(reps):
-        xs = rng.normal(0.0, 1.0, size=216)
-        ys = rng.normal(w, 1.0, size=216)
-        res = wasserstein_empirical(abs_cost(xs, ys), rng)
-        hits += res.ci_low <= w <= res.ci_high
-    return hits / reps
+    return [wasserstein_empirical(pairwise_cost(
+        rng.normal(0.0, 1.0, size=(64, 1)),
+        rng.normal(shift, 1.0, size=(64, 1)))) for _ in range(reps)]
 
 
-class TestBootstrapCoverage:
-    REPS = 100
+def coverage(results, target):
+    return np.mean([r.ci_low <= target <= r.ci_high for r in results])
+
+
+class TestIntervalCoverage:
+    REPS = 400
     # the nominal 0.95 less three binomial standard errors of a coverage
     # estimated from REPS draws
     BOUND = 0.95 - 3 * math.sqrt(0.95 * 0.05 / REPS)
 
-    @pytest.mark.parametrize("w", [
-        1.0,
-        pytest.param(0.0, marks=pytest.mark.xfail(strict=True, reason=(
-            "at n = 216 the interval covers W = 0 in about 89 % of draws: "
-            "centring the resamples at W_n > 0 shifts their law by "
-            "sqrt(m/n) sqrt(n) W_n, which vanishes only as n^(-1/6)"))),
-    ], ids=["gaussian-shift", "same-law"])
-    def test_interval_covers_known_w(self, w):
-        assert bootstrap_coverage(w, self.REPS) >= self.BOUND
+    @pytest.mark.parametrize("shift", [0.0, 0.5],
+                             ids=["same-law", "shifted"])
+    def test_covers_mean_of_estimate(self, shift):
+        # the replicate mean of W_n stands in for E W_n
+        results = interval_draws(shift, self.REPS)
+        mean = np.mean([r.value for r in results])
+        assert coverage(results, mean) >= self.BOUND
 
-    def test_same_law_covered_more_often_than_not(self):
-        # the n-out-of-n percentile interval, which is inconsistent when
-        # the laws are equal, covered W = 0 in none of 30 such draws
-        assert bootstrap_coverage(0.0, self.REPS) > 0.5
+    def test_same_law_covers_zero(self):
+        # W = 0 lies below the sampling floor E W_n, so only an interval
+        # as wide as the floor covers it
+        assert coverage(interval_draws(0.0, self.REPS), 0.0) >= self.BOUND
 
 
 def broadcast_cost(xs, ys):
@@ -528,65 +534,6 @@ class TestResampledAssignments:
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         assert shards.usable_cpus() == 3
-
-    @pytest.mark.parametrize("workers", [1, 3])
-    def test_bootstrap_ci_and_generator_state_equal_serial(
-            self, rng, monkeypatch, workers):
-        # oracle: the same draws, the first m of each n-index vector,
-        # solved one after another, and the basic interval from them; the
-        # same-law case clips the lower end at 0, the shifted one does not
-        set_usable_cpus(monkeypatch, workers)
-        monkeypatch.setattr(transport, "BOOTSTRAP_RESAMPLES", 50)
-        n, m = 96, 21  # the least m with m^3 >= n^2
-        xs = rng.normal(0.0, 0.5, size=(n, 1))
-        ci_lows = []
-        for shift in (0.0, 1.0):
-            ys = rng.normal(shift, 0.5, size=(n, 1))
-            ref_rng = np.random.default_rng(3)
-            cmat = abs_cost(xs[:, 0], ys[:, 0])
-            draws = []
-            for _ in range(50):
-                row_idx = ref_rng.integers(0, n, size=n)
-                col_idx = ref_rng.integers(0, n, size=n)
-                draws.append((row_idx[:m], col_idx[:m]))
-            vals = serial_assignment_values(cmat, draws)
-            value = serial_assignment_values(
-                cmat, [(np.arange(n), np.arange(n))])[0]
-            q_lo, q_hi = np.quantile(vals - value, [0.025, 0.975])
-            res_rng = np.random.default_rng(3)
-            res = wasserstein_empirical(cmat, res_rng)
-            assert res.value == value
-            assert res.ci_low == pytest.approx(
-                max(0.0, value - math.sqrt(m / n) * q_hi),
-                rel=1e-12, abs=1e-15)
-            assert res.ci_high == pytest.approx(
-                value - math.sqrt(m / n) * q_lo, rel=1e-12, abs=1e-15)
-            assert res_rng.bit_generator.state == ref_rng.bit_generator.state
-            ci_lows.append(res.ci_low)
-        assert ci_lows[0] == 0.0 < ci_lows[1]
-
-    def test_bootstrap_size_rule(self):
-        for n in range(1, transport.EXACT_SUPPORT_LIMIT + 1):
-            m = transport.bootstrap_size(n)
-            assert m ** 3 >= n * n > (m - 1) ** 3
-        assert transport.bootstrap_size(512) == 64
-
-    @pytest.mark.parametrize("workers", [2, 3])
-    def test_bootstrap_batches_run_in_process(self, rng, monkeypatch,
-                                              workers):
-        # the ergodicity workload's 200 resamples of its 512-path
-        # ensembles: m = 64, too little work to repay a fork
-        set_usable_cpus(monkeypatch, workers)
-
-        def no_fork(jobs):
-            raise AssertionError("a bootstrap batch forked")
-
-        monkeypatch.setattr(shards, "_run_forked", no_fork)
-        xs = rng.normal(0.0, 0.5, size=(512, 8))
-        ys = rng.normal(0.1, 0.5, size=(512, 8))
-        res = wasserstein_empirical(pairwise_cost(xs, ys),
-                                    np.random.default_rng(0))
-        assert res.ci_low <= res.ci_high
 
     def test_full_size_null_batch_forks_and_equals_serial(self, rng,
                                                           monkeypatch):
