@@ -169,8 +169,8 @@ def synchronization_experiment(config: SpdeConfig, x: Field,
                                y: Field) -> ExperimentRecord:
     """Mean capped L2 distance between shared-noise ensembles from x and y
     at about SYNC_RECORD_TIMES times, each with the CLT interval of the
-    per-path distances (i.i.d. across paths), and a log-linear rate
-    fit."""
+    per-path distances (i.i.d. across paths) clipped to [0, 1], their
+    range, and a log-linear rate fit."""
     n_paths = config.n_paths
     rec = ExperimentRecord(name="sync", config=asdict(config))
     if np.array_equal(x.values, y.values):
@@ -188,7 +188,7 @@ def synchronization_experiment(config: SpdeConfig, x: Field,
     for t, dists in zip(times, curve):
         m, _, lo, hi = _mean_ci(dists)
         means.append(m)
-        rec.add_stat(t, "sync_l2_capped", m, lo, hi)
+        rec.add_stat(t, "sync_l2_capped", m, max(lo, 0.0), min(hi, 1.0))
     fit = fit_exponential_rate(np.array(times), np.array(means),
                                burn_in_frac=0.25, r2_threshold=0.95)
     rec.add_fit("sync_rate", fit)
@@ -218,7 +218,8 @@ def ergodicity_experiment(config: SpdeConfig, x: Field, y: Field, time_grid,
 
     `extra_x_times` lets the x-ensemble run further for the stationarity
     self-check (distance between x-ensemble snapshots at the last grid
-    time and each extra time, against a permutation null at 2 SD).  Each
+    time and each extra time, against a permutation null at 2 SD), so each
+    extra time must come after the last grid time (else a ConfigError).  Each
     check's `bootstrap_se` holds the permutation null's SD; the key keeps
     its old name because the benchmark reads it.
 
@@ -231,10 +232,13 @@ def ergodicity_experiment(config: SpdeConfig, x: Field, y: Field, time_grid,
         raise transport.TooLarge(f"{n_paths} paths for the exact assignment")
     time_grid = [float(t) for t in time_grid]
     extra_x_times = [float(t) for t in extra_x_times]
-    horizon = max(config.step_of(t, key) for key, times in
-                  (("time_grid", time_grid), ("extra_x_times", extra_x_times))
-                  for t in times)
-    if config.n_steps != horizon:
+    grid_steps = [config.step_of(t, "time_grid") for t in time_grid]
+    extra_steps = [config.step_of(t, "extra_x_times") for t in extra_x_times]
+    if extra_steps and min(extra_steps) <= max(grid_steps):
+        raise ConfigError(f"field 'extra_x_times': every time must come "
+                          f"after the last grid time, {max(time_grid)!r}, "
+                          f"not {min(extra_x_times)!r}")
+    if config.n_steps != max(grid_steps + extra_steps):
         raise ConfigError(f"field 'T': must be the last grid or extra time, "
                           f"{max(time_grid + extra_x_times)!r}, not "
                           f"{config.T!r}")
@@ -353,7 +357,7 @@ def stochastic_convolution(config: SpdeConfig) -> ExperimentRecord:
     """Single path of the linear (zero-drift) equation from w(0) = 0 with
     empirical Hoelder-quotient exponents in time and space (reported, not
     asserted: the constants are path-dependent).  A config with another
-    drift or more than one path is a ConfigError."""
+    drift, more than one path or no step is a ConfigError."""
     if config.drift.name != "zero":
         raise ConfigError(f"field 'drift': must be the zero drift, not "
                           f"{config.drift.name!r}")
@@ -361,6 +365,9 @@ def stochastic_convolution(config: SpdeConfig) -> ExperimentRecord:
         raise ConfigError(f"field 'n_paths': must be 1, not "
                           f"{config.n_paths!r}")
     n = config.n_steps
+    if n < 1:
+        raise ConfigError(f"field 'T': must be at least one step, "
+                          f"dt = {config.dt!r}, not {config.T!r}")
     rows = integrate(config, (np.zeros((1, config.N)),), range(1, n + 1),
                      lambda ensembles: ensembles[0][0])
     W = np.vstack([np.zeros(config.N), *rows.values()])

@@ -1,6 +1,8 @@
 """JSON input and output: `read_keys`, the one reader of every input
-object, and its value readers; 17-significant-digit floats, content hashes,
-and the snapshot and statistics files the CLI archives."""
+object, and its value readers; `dumps`, the one writer, which writes each
+float as its shortest round-trip text (NaN and the infinities as `NaN` and
+`Infinity`) and numpy values as plain ones; content hashes, and the
+snapshot and statistics files the CLI archives."""
 
 from __future__ import annotations
 
@@ -73,72 +75,24 @@ def checked(read, ok, what: str):
     def read_checked(value):
         value = read(value)
         if not ok(value):
-            raise ValueError(f"must be {what}, not {_convert(value)!r}")
+            raise ValueError(f"must be {what}, not "
+                             f"{np.asarray(value).tolist()!r}")
         return value
     return read_checked
 
 
-def _convert(obj: Any) -> Any:
-    """Recursively turn numpy scalars/arrays into plain Python objects."""
-    if isinstance(obj, np.ndarray):
-        return [_convert(x) for x in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    if isinstance(obj, dict):
-        return {str(k): _convert(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_convert(x) for x in obj]
-    if isinstance(obj, (frozenset, set)):
-        return sorted(_convert(x) for x in obj)
-    return obj
-
-
-def _fmt_float(x: float) -> str:
-    if math.isnan(x):
-        return "NaN"
-    if math.isinf(x):
-        return "Infinity" if x > 0 else "-Infinity"
-    return format(x, ".17g")
-
-
-def _iterencode(o: Any, sort_keys: bool):
-    """JSON text of `o` (plain Python objects) in pieces, every float with
-    17 significant digits."""
-    if isinstance(o, float):
-        yield _fmt_float(o)
-    elif isinstance(o, dict):
-        yield "{"
-        first = True
-        items = o.items()
-        if sort_keys:
-            items = sorted(items)
-        for k, v in items:
-            if not first:
-                yield ", "
-            first = False
-            yield json.dumps(str(k))
-            yield ": "
-            yield from _iterencode(v, sort_keys)
-        yield "}"
-    elif isinstance(o, (list, tuple)):
-        yield "["
-        first = True
-        for v in o:
-            if not first:
-                yield ", "
-            first = False
-            yield from _iterencode(v, sort_keys)
-        yield "]"
-    else:
-        yield json.dumps(o)
+def _plain(obj: Any) -> Any:
+    """The JSON form of what `json` cannot write itself: a numpy array or
+    scalar as its `tolist()`, a set as its sorted list."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    if isinstance(obj, (set, frozenset)):
+        return sorted(obj)
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def dumps(obj: Any, sort_keys: bool = False) -> str:
-    return "".join(_iterencode(_convert(obj), sort_keys))
+    return json.dumps(obj, sort_keys=sort_keys, default=_plain)
 
 
 @contextlib.contextmanager
@@ -203,10 +157,7 @@ def statistics_csv(rows: list[dict]) -> str:
     writer = csv.writer(buf)
     writer.writerow(["t", "stat", "value", "ci_low", "ci_high"])
     for r in rows:
-        writer.writerow([
-            _fmt_float(float(r["t"])), r["stat"],
-            _fmt_float(float(r["value"])),
-            _fmt_float(float(r.get("ci_low", float("nan")))),
-            _fmt_float(float(r.get("ci_high", float("nan")))),
-        ])
+        writer.writerow([float(r["t"]), r["stat"], float(r["value"]),
+                         float(r.get("ci_low", float("nan"))),
+                         float(r.get("ci_high", float("nan")))])
     return buf.getvalue()

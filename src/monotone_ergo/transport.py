@@ -295,9 +295,11 @@ def sinkhorn(mu, nu, cost: CostMatrix, epsilon: float) -> TransportResult:
     the row marginal is within _STAGE_TOL (L1), the last within
     SINKHORN_TOL, all stages together within SINKHORN_MAX_ITER iterations.
     `iterations` counts every stage; `gap` is the L1 error of both
-    marginals of the returned plan and `converged` is gap < SINKHORN_TOL."""
-    if epsilon <= 0:
-        raise TransportError("epsilon must be positive")
+    marginals of the returned plan and `converged` is gap < SINKHORN_TOL.
+    An epsilon outside (0, inf), NaN included, is a TransportError."""
+    if not 0 < epsilon < math.inf:
+        raise TransportError(f"'epsilon' must be positive and finite, "
+                             f"not {epsilon!r}")
     a, b = _masses(mu, nu)
     c = cost.c
     if c.shape != (len(a), len(b)):

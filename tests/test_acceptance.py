@@ -15,7 +15,6 @@ from conftest import (abs_cost, comparison_check, marginal_error,
                       random_dist, random_poset, series)
 from monotone_ergo import cli, fixture_path, gallery, serialize, transport
 from monotone_ergo.chains import (FiniteKernel, OrderedSpaceSpec,
-                                  return_time_exp_moments,
                                   theorem_main_verify)
 from monotone_ergo.experiments import (constants_obstruction_demo,
                                        energy_moments, ergodicity_experiment,
@@ -24,6 +23,7 @@ from monotone_ergo.experiments import (constants_obstruction_demo,
 from monotone_ergo.posets import (Coupling, FinitePoset, strassen_coupling,
                                   stochastically_dominates)
 from monotone_ergo.spde import DriftSpec, Field, SpdeConfig
+from return_times import return_time_exp_moments
 
 
 def _fixture_json(name):
@@ -235,7 +235,8 @@ def test_criterion_06_energy_estimates():
 def test_criterion_07_synchronization():
     """Shared-noise solutions from x = -2 and y = +2 synchronize: the
     distance curve decreases after burn-in within CI and fits a positive
-    rate with R^2 >= 0.95; the zero-noise control stays on a plateau."""
+    rate with R^2 >= 0.95; every distance lies in its interval, inside
+    [0, 1]; the zero-noise control stays on a plateau."""
     t0 = time.monotonic()
     config, kwargs = _spde_config("spde_sync.json", "sync")
     rec = synchronization_experiment(config, kwargs["x"], kwargs["y"])
@@ -243,6 +244,8 @@ def test_criterion_07_synchronization():
     assert fit["rate"] > 0
     assert fit["r_squared"] >= 0.95
     rows = [r for r in rec.statistics if r["stat"] == "sync_l2_capped"]
+    for r in rows:
+        assert 0.0 <= r["ci_low"] <= r["value"] <= r["ci_high"] <= 1.0
     late = [r for r in rows if r["t"] >= config.T / 4]
     for a, b in zip(late, late[1:]):
         assert b["value"] <= a["ci_high"] + 1e-12  # decreasing within CI

@@ -13,13 +13,10 @@ from conftest import random_poset
 from coupling_construction import (domination_time_tail, simulate,
                                    triple_order_exact)
 from monotone_ergo import chains, fixture_path, serialize
-from monotone_ergo.chains import (ChainError, Divergent, EmptyTarget,
-                                  FiniteKernel, OrderedSpaceSpec,
-                                  absorbed_chain_second_eigenvalue,
+from monotone_ergo.chains import (ChainError, FiniteKernel, OrderedSpaceSpec,
                                   check_all_conditions, check_lyapunov,
                                   check_order_preserving,
                                   check_swap_condition, moment_bound_M,
-                                  return_time_exp_moments,
                                   theorem_main_verify)
 from monotone_ergo.fitting import LOG_FLOOR, fit_exponential_rate
 from monotone_ergo.posets import (Coupling, Distribution, FinitePoset,
@@ -28,6 +25,9 @@ from monotone_ergo.posets import (Coupling, Distribution, FinitePoset,
 from monotone_ergo.serialize import ConfigError
 from monotone_ergo.transport import (CostMatrix, total_variation,
                                      wasserstein_exact)
+from return_times import (Divergent, EmptyTarget,
+                          absorbed_chain_second_eigenvalue,
+                          return_time_exp_moments)
 
 
 def report_of(reports, condition):

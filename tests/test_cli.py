@@ -435,8 +435,9 @@ def solver_argv(sub, **solver):
 
 
 # inputs that once ran with a value other than the one they give (a T or
-# a time off the dt grid ran as the nearest step), crashed, or exited 2
-# naming no key or the wrong one, each with the key its error must name
+# a time off the dt grid ran as the nearest step), ran a check that cannot
+# fail, crashed, exited 3, or exited 2 naming no key or the wrong one, each
+# with the key its error must name
 PROBES = {
     "sync-top-level-T": (config_argv(["spde", "sync"], set_at(
         set_at(SYNC, ("spde", "T"), 0.05), ("T",), 0.02)), "T"),
@@ -487,6 +488,16 @@ PROBES = {
     "extra-x-times-off-grid": (config_argv(["spde", "ergodicity"], {
         **set_at(ERGODICITY, ("spde", "T"), 0.02),
         "time_grid": [0.01], "extra_x_times": [0.0205]}), "extra_x_times"),
+    "convolution-T-0": (solver_argv("convolution", T=0), "T"),
+    # the stationarity check would compare the last grid time with itself
+    "extra-x-time-at-last-grid-time": (config_argv(["spde", "ergodicity"], {
+        **set_at(ERGODICITY, ("spde", "T"), 0.02),
+        "time_grid": [0.01, 0.02], "extra_x_times": [0.02]}),
+        "extra_x_times"),
+    **{f"transport-epsilon-{value}": (lambda tmp, value=value: [
+        "transport", fixture_path("transport_mu.json"),
+        fixture_path("transport_nu.json"), "--method", "sinkhorn",
+        "--epsilon", value], "epsilon") for value in ("nan", "inf")},
 }
 
 

@@ -2,7 +2,8 @@
 name it never uses.  An import line marked `# noqa: F401` is kept on
 purpose (a name looked up by another module) and is not reported.  No
 module of the package but `shards` imports a way to start processes or
-threads, so the package has one way to use more than one core.  Every
+threads, so the package has one way to use more than one core, and none
+but `serialize` imports `json`, so it has one reader and one writer.  Every
 public top-level function or class of the package, and every public
 method of its classes, is read by package code, apart from a fixed list
 of names only the tests call; a method counts as read when it is called,
@@ -64,9 +65,9 @@ def test_no_unused_imports(path):
 CONCURRENCY_MODULES = {"multiprocessing", "threading", "concurrent"}
 
 
-def concurrency_imports(source: str) -> list[str]:
-    """Modules of `source`'s import statements that start processes or
-    threads, by their top-level package name."""
+def imports_of(source: str, packages: set[str]) -> list[str]:
+    """Modules of `source`'s import statements whose top-level package is
+    one of `packages`."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
@@ -75,8 +76,7 @@ def concurrency_imports(source: str) -> list[str]:
             names = [node.module]
         else:
             continue
-        found += [name for name in names
-                  if name.split(".")[0] in CONCURRENCY_MODULES]
+        found += [name for name in names if name.split(".")[0] in packages]
     return found
 
 
@@ -84,8 +84,11 @@ def test_concurrency_scan_reports_each_form():
     source = ("import os, threading\nimport multiprocessing.pool\n"
               "from concurrent.futures import ThreadPoolExecutor\n"
               "from .shards import run_sharded\n")
-    assert concurrency_imports(source) == [
+    assert imports_of(source, CONCURRENCY_MODULES) == [
         "threading", "multiprocessing.pool", "concurrent.futures"]
+    assert imports_of("import json\nimport jsonschema\n"
+                      "from json.decoder import JSONDecodeError\n",
+                      {"json"}) == ["json", "json.decoder"]
 
 
 @pytest.mark.parametrize(
@@ -93,17 +96,21 @@ def test_concurrency_scan_reports_each_form():
              and p.name != "shards.py"],
     ids=lambda p: p.name)
 def test_only_the_shard_module_starts_workers(path):
-    assert concurrency_imports(path.read_text()) == []
+    assert imports_of(path.read_text(), CONCURRENCY_MODULES) == []
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in SOURCES if p.parent.name == "monotone_ergo"
+             and p.name != "serialize.py"],
+    ids=lambda p: p.name)
+def test_only_the_serialize_module_imports_json(path):
+    assert imports_of(path.read_text(), {"json"}) == []
 
 
 # public top-level names and class methods of the package that only the
 # tests call; a name leaves this list when it gains a caller in the
 # package or moves into tests/, and no name joins it
-TEST_ONLY_NAMES = {
-    "chains.return_time_exp_moments",
-    "chains.absorbed_chain_second_eigenvalue",
-    "posets.chain_poset", "__init__.fixture_path",
-}
+TEST_ONLY_NAMES = {"posets.chain_poset", "__init__.fixture_path"}
 
 
 def unreferenced_public_names(sources: dict[str, str]) -> list[str]:

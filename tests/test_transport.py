@@ -239,8 +239,12 @@ class TestSinkhorn:
         assert done.gap < 1e-9
 
     def test_bad_epsilon(self):
-        with pytest.raises(transport.TransportError):
-            sinkhorn([1.0], [1.0], CostMatrix(np.zeros((1, 1))), epsilon=0.0)
+        # NaN fails every comparison, so only a check that epsilon lies in
+        # (0, inf) rejects it
+        for epsilon in (0.0, math.nan, math.inf):
+            with pytest.raises(transport.TransportError, match="'epsilon'"):
+                sinkhorn([1.0], [1.0], CostMatrix(np.zeros((1, 1))),
+                         epsilon=epsilon)
 
     def test_cost_shape_mismatch(self):
         with pytest.raises(transport.TransportError, match="shape"):
