@@ -373,6 +373,7 @@ REPRODUCED = {
     "solver-dt-string": (("spde", "dt"), "0.001", "dt"),
     "noise-m-true": (("spde", "noise", "m"), True, "m"),
     "clamp-R-true": (("spde", "clamp_R"), True, "clamp_R"),
+    "clamp-R-negative": (("spde", "clamp_R"), -15, "clamp_R"),
     "drift-K1-string": (("spde", "drift", "K1"), "1", "K1"),
     "params-a-string": (("spde", "drift", "params"), {"a": "-0.1"}, "a"),
     "profile-amp-string": (("x_nonconst", "amp"), "2", "amp"),
@@ -649,14 +650,18 @@ class TestChainVerify:
 
 
 class TestSpde:
-    def test_dt_guard_exit_2(self, tmp_path, capsys):
+    def test_cubic_at_coarse_dt_exits_0(self, tmp_path, capsys):
+        # dt = 0.01 with the cubic drift and clamp_R = 15, where an
+        # explicit drift step would break order (dt (3 R^2 - K) = 6.74 > 1),
+        # runs: the splitting step preserves order at every dt
         cfg = serialize.load(fixture_path("spde_sync.json"))
-        cfg["spde"]["dt"] = 0.01  # dt * L_R > 1 for the cubic clamp
-        serialize.dump(cfg, str(tmp_path / "bad.json"))
-        code, _, err = run(["spde", "sync", str(tmp_path / "bad.json")],
-                           capsys)
-        assert code == 2
-        assert "monotonicity restriction violated" in err
+        cfg["spde"].update(dt=0.01, T=1, n_paths=8)
+        cfg.update(T=1, n_paths=8)
+        serialize.dump(cfg, str(tmp_path / "coarse.json"))
+        code, out, err = run(["spde", "sync", str(tmp_path / "coarse.json")],
+                             capsys)
+        assert code == 0, err
+        assert json.loads(out)["config"]["dt"] == 0.01
 
     def test_unknown_config_key_exit_2(self, tmp_path, capsys):
         cfg = serialize.load(fixture_path("spde_constants.json"))

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import comparison_check, set_usable_cpus
+from refinement import coarse_noise, field_gap
 from monotone_ergo import fixture_path, shards, spde
 from monotone_ergo.experiments import (SYNC_RECORD_TIMES,
                                        synchronization_experiment)
@@ -31,9 +32,14 @@ def make_config(**over):
 
 
 class TestConfig:
-    def test_monotonicity_guard(self):
-        with pytest.raises(ConfigError, match="monotonicity restriction"):
-            make_config(dt=0.01)  # dt * L_R = 0.01 * 674 > 1
+    def test_coarse_dt_accepted(self):
+        # the splitting step preserves order at every dt, so the cubic
+        # drift runs at dt = 0.01, where 0.01 (3 R^2 - K) = 6.74 > 1 broke
+        # the order of an explicit drift step; a start beyond R steps
+        # from R
+        cfg = make_config(dt=0.01, T=0.05)
+        snap = simulate(cfg, Field(np.full(cfg.N, 40.0)), [0.05])[0.05]
+        assert np.all(np.isfinite(snap)) and snap.max() < 15.0
 
     def test_unknown_keys_rejected(self):
         obj = asdict(make_config())
@@ -135,15 +141,6 @@ class TestDrift:
         assert spde._dissipativity_margins("zero", {}, 1.0, 1.0, 1.0,
                                            2.0) == (-3.0, 1.0, 0.0)
 
-    def test_negative_slope_bound(self):
-        d = DriftSpec("cubic", {"K": 1.0}, K1=1.0, K2=0.5, K3=1.0)
-        # f' = 1 - 3x^2, most negative at the clamp edge
-        assert d.negative_slope_bound(15.0) == 3 * 15 ** 2 - 1
-        lin = DriftSpec("linear", {"a": -2.0}, K1=1.0, K2=1.0, K3=1.0)
-        assert lin.negative_slope_bound(15.0) == 2.0
-        z = DriftSpec("zero", {}, K1=1.0, K2=1.0, K3=1.0)
-        assert z.negative_slope_bound(15.0) == 0.0
-
 
 class TestMonotonicity:
     def test_shared_noise_preserves_order(self, rng):
@@ -179,28 +176,41 @@ DRIFTS = {
 }
 
 
-def reference_step(cfg, u, draws):
-    """Stepper.step written out directly, with K x - x**3 and numpy.fft."""
-    N, d = cfg.N, cfg.drift
+def reference_flow(cfg, u):
+    """phi_dt(clip(u, -R, R)) in its algebraic closed form: the flow of
+    x' = K x - x^3 is x e^{Kt} / sqrt(1 + x^2 (e^{2Kt} - 1) / K)."""
+    d, t = cfg.drift, cfg.dt
     c = np.clip(u, -cfg.clamp_R, cfg.clamp_R)
-    f = {"cubic": lambda: d.params.get("K", 1.0) * c - c ** 3,
-         "linear": lambda: d.params.get("a", -1.0) * c,
-         "zero": lambda: np.zeros_like(c)}[d.name]()
-    rhs = u + cfg.dt * f + np.sqrt(cfg.dt) * (draws @ cfg.noise.tabulate(N))
+    if d.name == "cubic":
+        K = d.params["K"]
+        return c * np.exp(K * t) / np.sqrt(1.0 + c * c * np.expm1(2 * K * t)
+                                           / K)
+    if d.name == "linear":
+        return c * np.exp(d.params["a"] * t)
+    return u
+
+
+def reference_step(cfg, u, draws):
+    """Stepper.step written out directly, with the algebraic flow and
+    numpy.fft."""
+    N = cfg.N
+    rhs = (reference_flow(cfg, u)
+           + np.sqrt(cfg.dt) * (draws @ cfg.noise.tabulate(N)))
     lam = -2.0 * N * N * (1.0 - np.cos(2.0 * np.pi * np.arange(N // 2 + 1)
                                        / N))
     return np.fft.irfft(np.fft.rfft(rhs, axis=-1) / (1.0 - cfg.dt * lam),
                         n=N, axis=-1)
 
 
-# the resolvent product and the FFT sum in different orders, and
-# x (K - x x) and K x - x**3 round differently in the last bit
+# the resolvent product and the FFT sum in different orders, and the two
+# forms of the cubic flow round differently in the last bit
 REFERENCE_TOL = 1e-13
 
 
 def reference_mismatch(rng, drift):
     """Max |Stepper.step - reference_step| over 50 random rows, some of
-    them beyond the clamp, in units of max |reference_step|."""
+    them beyond the clamp, which step from +-R, in units of
+    max |reference_step|."""
     cfg = make_config(N=64, drift=DRIFTS[drift], n_paths=50,
                       noise=NoiseSpec(2, (
                           {"kind": "cos", "amp": 0.5, "freq": 1},
@@ -242,6 +252,15 @@ class TestStep:
     def test_reference_rejects_a_wrong_resolvent(self, rng, monkeypatch,
                                                  mutant):
         monkeypatch.setattr(spde, "_resolvent", mutant)
+        assert reference_mismatch(rng, "cubic") > REFERENCE_TOL
+
+    def test_reference_rejects_the_euler_drift(self, rng, monkeypatch):
+        # u + dt f(clip(u)), the explicit drift step, in place of the flow
+        def euler(name, params, dt, R):
+            K = params["K"]
+            return lambda u: u + dt * np.clip(u, -R, R) * (
+                K - np.clip(u, -R, R) ** 2)
+        monkeypatch.setattr(spde, "_drift_flow", euler)
         assert reference_mismatch(rng, "cubic") > REFERENCE_TOL
 
     @pytest.mark.parametrize("N", [64, 256])
@@ -308,12 +327,14 @@ class TestStep:
 
     @pytest.mark.parametrize("drift", sorted(DRIFTS))
     def test_no_order_violation(self, rng, drift):
-        cfg = make_config(drift=DRIFTS[drift])
-        for _ in range(3):
-            x = rng.normal(0.0, 2.0, cfg.N)
-            y = x + np.abs(rng.normal(0.0, 1.0, cfg.N))
-            assert comparison_check(cfg, Field(x), Field(y), T=0.05,
-                                    n_paths=10) == 0.0
+        # 50 steps at each dt: the step preserves order at every dt
+        for dt in (1e-3, 1e-2, 1e-1, 1.0):
+            cfg = make_config(drift=DRIFTS[drift], dt=dt, T=50 * dt)
+            for _ in range(3):
+                x = rng.normal(0.0, 2.0, cfg.N)
+                y = x + np.abs(rng.normal(0.0, 1.0, cfg.N))
+                assert comparison_check(cfg, Field(x), Field(y), T=cfg.T,
+                                        n_paths=10) == 0.0, dt
 
 
 class TestStructure:
@@ -427,6 +448,35 @@ def two_mode_config(**over):
                        **over)
 
 
+def product_rounding(cfg, x, y):
+    """Per step of shared-noise paths stepped from x <= y with `Stepper`:
+    (violation, rounding, inherited).  The violation is max(u_x - u_y)+
+    after the step; rounding is max |e_x| + |e_y|, the errors of the two
+    products b + (r - b) G against the same float64 r in np.longdouble;
+    inherited is max(r_x - r_y)+, the order inversion the product's input
+    rows carry from earlier steps.  G is positive with unit row sums, so
+    the exact products are inverted by at most the inherited part, and
+    the violation is at most rounding + inherited."""
+    assert np.finfo(np.longdouble).eps < np.finfo(float).eps
+    st = Stepper(cfg)
+    G = st.resolvent.astype(np.longdouble)
+    u = [np.broadcast_to(v, (cfg.n_paths, cfg.N)).copy() for v in (x, y)]
+    steps = []
+    for k in range(1, cfg.n_steps + 1):
+        noise = st.increment(noise_draws(cfg.seed, k, cfg.n_paths,
+                                         cfg.noise.m))
+        rhs = [st.flow(v) + noise for v in u]
+        rounding = 0.0
+        for i, r in enumerate(rhs):
+            u[i] = st.step(u[i], noise)
+            r = r.astype(np.longdouble)
+            rounding = rounding + np.abs(u[i] - (r[:, :1]
+                                                 + (r - r[:, :1]) @ G))
+        steps.append((max(0.0, (u[0] - u[1]).max()), rounding.max(),
+                      max(0.0, (rhs[0] - rhs[1]).max())))
+    return steps
+
+
 class TestShards:
     """Sharded integration equals one in-process shard bit for bit."""
 
@@ -501,12 +551,16 @@ class TestShards:
             values[cpus] = comparison_check(cfg, Field(x), Field(y), T=0.05,
                                             n_paths=7)
             assert counts == [cpus]
-        assert 0.0 < values[1] < 1e-15
+        steps = product_rounding(replace(cfg, T=0.05, n_paths=7), x, y)
+        assert steps[0][2] == 0.0
+        for violation, rounding, inherited in steps:
+            assert violation <= rounding + inherited
+        assert values[1] == max(violation for violation, _, _ in steps)
+        assert 0.0 < values[1]
         assert values[2] == values[1] and values[3] == values[1]
-
     def test_nonfinite_in_a_later_shard_reports_the_first_step(
             self, shard_counts):
-        # constant rows grow tenfold a step (no clamp in reach, no noise);
+        # constant rows grow e^9-fold a step (no clamp in reach, no noise);
         # row 6 overflows first, row 2 later, the other rows never
         cfg = make_config(noise=NoiseSpec(0, ()), n_paths=7, dt=1.0, T=10.0,
                           clamp_R=1e308,
@@ -557,6 +611,34 @@ class TestShards:
     def test_worker_that_dies_is_reported(self):
         with pytest.raises(RuntimeError, match="exited with code 5"):
             shards.run_sharded(2, 2, lambda lo, hi: os._exit(5) if lo else lo)
+
+
+class TestRefinement:
+    """tests/refinement.py runs two time steps on one Brownian path."""
+
+    def test_coarse_draws_sum_the_fine_draws(self):
+        fine = spde.noise_draws
+        with coarse_noise(10):
+            coarse = spde.noise_draws(7, 2, 5, 2)
+        assert spde.noise_draws is fine
+        total = noise_draws(7, 11, 5, 2)
+        for j in range(12, 21):
+            total += noise_draws(7, j, 5, 2)
+        assert np.array_equal(coarse, total / np.sqrt(10))
+
+    def test_zero_drift_is_brownian_at_every_dt(self):
+        # from a constant start every path is u0 + W_t at any dt, so the
+        # gap is the rounding of 200 summed increments
+        cfg = make_config(N=8, dt=0.01, T=0.2, drift=DRIFTS["zero"])
+        assert field_gap(cfg, 10, Field(np.full(8, 2.0))) <= 1e-13
+
+    def test_cubic_gap_is_far_below_an_independent_path(self):
+        cfg = make_config(N=8, dt=0.01, T=0.2)
+        u0 = Field(np.full(8, 2.0))
+        independent = np.abs(
+            simulate(cfg, u0, [0.2])[0.2]
+            - simulate(replace(cfg, dt=0.001, seed=1), u0, [0.2])[0.2]).max()
+        assert 0.0 < field_gap(cfg, 10, u0) < independent / 10
 
 
 def test_nonfinite_pickle_round_trip():
