@@ -10,6 +10,7 @@ records.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass, field, replace
 
@@ -221,7 +222,9 @@ def ergodicity_experiment(config: SpdeConfig, x: Field, y: Field, time_grid,
     time and each extra time, against a permutation null at 2 SD), so each
     extra time must come after the last grid time (else a ConfigError).  Each
     check's `bootstrap_se` holds the permutation null's SD; the key keeps
-    its old name because the benchmark reads it.
+    its old name because the benchmark reads it.  Every assignment of the
+    run is one `transport.assignment_batch`, so the record's bits do not
+    depend on how many CPUs solve it.
 
     Every grid and extra time must be a step of dt, the x-ensemble's
     horizon, the last of them, must be the config's T, and the
@@ -247,12 +250,25 @@ def ergodicity_experiment(config: SpdeConfig, x: Field, y: Field, time_grid,
                           f"so seed must be below {SEED_MAX}")
     snaps_x = simulate(config, x, sorted(set(time_grid + extra_x_times)))
     snaps_y = simulate(replace(config, seed=config.seed + 1), y, time_grid)
+    # every assignment of the run in one batch: the grid W's, then for each
+    # extra time the observed distance and its permutation null, both from
+    # one cost matrix over the pooled ensembles (its cross block and its
+    # re-splits)
+    jobs = [functools.partial(transport.empirical_w, snaps_x[t], snaps_y[t])
+            for t in time_grid]
+    t_last = max(time_grid)
+    rng = np.random.default_rng(config.seed + 20_000)
+    for t_ex in extra_x_times:
+        pool = np.concatenate([snaps_x[t_last], snaps_x[t_ex]])
+        cmat = transport.pairwise_cost(pool, pool)
+        jobs.append(functools.partial(transport.assignment_value,
+                                      cmat[:n_paths, n_paths:]))
+        jobs += _permutation_null(cmat, rng)
+    results = transport.assignment_batch(jobs, len(jobs) * n_paths ** 2)
     rec = ExperimentRecord(name="ergodicity", config=asdict(config),
                            times=time_grid)
     values = []
-    for t in time_grid:
-        res = transport.wasserstein_empirical(
-            transport.pairwise_cost(snaps_x[t], snaps_y[t]))
+    for t, res in zip(time_grid, results):
         values.append(res.value)
         rec.add_stat(t, "w_l2_capped", res.value, res.ci_low, res.ci_high)
     # the empirical coupling distance between finite same-law ensembles has
@@ -264,18 +280,14 @@ def ergodicity_experiment(config: SpdeConfig, x: Field, y: Field, time_grid,
     rec.add_fit("w_rate", fit)
     rec.extra = {"verdict": bool(fit.rate > 0)}
     if extra_x_times:
-        t_last = max(time_grid)
-        rng = np.random.default_rng(config.seed + 20_000)
         checks = []
-        for t_ex in extra_x_times:
-            # one cost matrix over the pooled ensembles: its cross block is
-            # the observed distance, its re-splits the permutation null
-            pool = np.concatenate([snaps_x[t_last], snaps_x[t_ex]])
-            cmat = transport.pairwise_cost(pool, pool)
-            w = transport.assignment_value(cmat[:n_paths, n_paths:])
+        per_time = 1 + NULL_RESAMPLES
+        for i, t_ex in enumerate(extra_x_times):
+            lo = len(time_grid) + i * per_time
+            w, null = results[lo], np.array(results[lo + 1:lo + per_time])
             # under stationarity the observed distance is a draw from the
             # null, which carries the same sampling floor
-            null_mean, null_se = _permutation_null(cmat, rng)
+            null_mean, null_se = float(null.mean()), float(null.std(ddof=1))
             checks.append({"t_ref": t_last, "t_other": t_ex,
                            "w": w, "null_mean": null_mean,
                            "bootstrap_se": null_se,
@@ -286,15 +298,15 @@ def ergodicity_experiment(config: SpdeConfig, x: Field, y: Field, time_grid,
     return rec
 
 
-def _permutation_null(cmat, rng):
-    """Mean and SD of the empirical coupling distance between random
-    re-splits of a pooled ensemble (the exchangeability null), given the
-    pool's (2n x 2n) cost matrix."""
+def _permutation_null(cmat, rng) -> list:
+    """The jobs of the exchangeability null of a pooled ensemble, given the
+    pool's (2n x 2n) cost matrix: NULL_RESAMPLES random re-splits, drawn
+    here from `rng` in order, each solved by a job as the empirical
+    coupling distance between its two halves."""
     n = len(cmat) // 2
     perms = [rng.permutation(len(cmat)) for _ in range(NULL_RESAMPLES)]
-    vals = transport.resampled_assignment_values(
-        cmat, [(perm[:n], perm[n:]) for perm in perms])
-    return float(vals.mean()), float(vals.std(ddof=1))
+    return [functools.partial(transport.resplit_value, cmat, perm[:n],
+                              perm[n:]) for perm in perms]
 
 
 # ---------------------------------------------------------------------------

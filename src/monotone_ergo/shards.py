@@ -1,8 +1,9 @@
 """Contiguous work shards, each in its own forked worker process.
 
 This is the package's one way to use more than one core: the SPDE
-integration loop and the transport resamples both split their work items
-into contiguous blocks and hand each block to `run_sharded`.  A worker is
+integration loop splits its paths into contiguous blocks, and the
+transport's assignment batch deals its jobs to one shard per CPU, and
+both hand each shard to `run_sharded`.  A worker is
 `fork`ed, so it reads the caller's arrays without copying them and only
 its result travels back through a pipe; the caller starts no threads.
 """

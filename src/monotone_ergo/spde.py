@@ -26,16 +26,19 @@ DCDS-B 24, 2019).  `clamp_R` (R) bounds the field the flow acts on: a
 value beyond +-R steps from +-R.  Each drift family's dissipativity
 margins are closed forms too.
 
-A step applies the flow into a fresh buffer, adds the noise there and
-applies the dense positive resolvent in fixed row blocks: it forms
+A step runs `_CHUNK_ROWS` (256) rows at a time.  On each chunk it
+applies the flow into a buffer the stepper owns, adds the noise there
+and applies the dense positive resolvent in fixed row blocks: it forms
 b + (r - b) G with b the first entry of each row (G's rows sum to one,
 so this is r G, and a constant row stays exactly constant), as one
-product per block of `_BLOCK_ROWS` rows, the last block zero-padded to
-that size in a buffer the stepper owns.  Every product then has one
-shape, so a row's result does not depend on which block it rides in,
-and the product stays below the size at which OpenBLAS starts threads.
-Each step returns a fresh array, because observers may keep the stepped
-ensembles.
+product per block of `_BLOCK_ROWS` (128) rows, the last block
+zero-padded to that size in a second owned buffer.  Every product then
+has one shape, so a row's result does not depend on which chunk or
+block it rides in, and the product stays below the size at which
+OpenBLAS starts threads.  The only ensemble-sized array a step
+allocates is its fresh output, because observers may keep the stepped
+ensembles; fresh temporaries of that size page-faulted every step above
+about 400 rows.
 
 Noise draws come from a counter-based generator keyed by (seed, step):
 paths and modes are indexed by array position inside one block, which
@@ -101,24 +104,28 @@ _DRIFT_PARAMS = {"cubic": ("K",), "linear": ("a",), "zero": ()}
 
 
 def _drift_flow(name, params, dt, R):
-    """u -> phi_dt(clip(u, -R, R)) as a fresh array (module docstring);
-    numpy's exp makes an explosive drift's factor inf, not an error."""
+    """(u, out) -> phi_dt(clip(u, -R, R)) written into out and returned
+    (module docstring); numpy's exp makes an explosive drift's factor
+    inf, not an error."""
     if name == "zero":
-        return lambda u: u + 0.0
+        return lambda u, out: np.add(u, 0.0, out=out)
     if name == "linear":
         grow = np.exp(params["a"] * dt)
-        return lambda u: np.clip(u, -R, R) * grow
+        return lambda u, out: np.multiply(np.clip(u, -R, R, out=out), grow,
+                                          out=out)
     K = params["K"]
     grow = np.exp(K * dt)
     c = np.expm1(2.0 * K * dt) / K if K else 2.0 * dt
 
-    def cubic(u):
-        x = np.clip(u, -R, R)
+    def cubic(u, out):
+        # out holds clip(u) only until it is squared; clip(u) has the
+        # sign of u, +-0 included, so the sign is taken from u
+        x = np.clip(u, -R, R, out=out)
         with np.errstate(divide="ignore"):
-            v = np.reciprocal(np.square(x))
+            v = np.reciprocal(np.square(x, out=out), out=out)
         v += c
         np.divide(grow, np.sqrt(v, out=v), out=v)
-        return np.copysign(v, x, out=v)
+        return np.copysign(v, u, out=v)
     return cubic
 
 
@@ -344,8 +351,10 @@ def noise_draws(seed: int, step_index: int, n_paths: int, m: int) -> np.ndarray:
     return gen.standard_normal((n_paths, m))
 
 
-# rows of every resolvent product (module docstring)
+# rows of every resolvent product, and of every chunk a step runs at once
+# (module docstring)
 _BLOCK_ROWS = 128
+_CHUNK_ROWS = 2 * _BLOCK_ROWS
 
 
 def _resolvent(N: int, dt: float) -> np.ndarray:
@@ -382,6 +391,7 @@ class Stepper:
             raise ConfigError("the implicit resolvent has a negative entry, "
                               "so the step would not preserve order")
         self._padded = np.zeros((_BLOCK_ROWS, N))
+        self._rhs = np.empty((_CHUNK_ROWS, N))
         self.sqrt_dt = math.sqrt(config.dt)
         self.flow = _drift_flow(config.drift.name, config.drift.params,
                                 config.dt, config.clamp_R)
@@ -400,36 +410,50 @@ class Stepper:
 
     def step(self, u: np.ndarray, noise: np.ndarray) -> np.ndarray:
         """One splitting step of an ensemble u (paths on leading axes);
-        `noise` is `increment` of the draws of u's rows."""
-        cfg = self.config
-        rhs = self.flow(u)
-        if cfg.noise.m:
-            rhs += noise
-        # b + (rhs - b) G in fixed row blocks (module docstring)
-        rows = rhs.reshape(-1, cfg.N)
-        base = rows[:, :1].copy()
-        rows -= base
+        `noise` is `increment` of the draws of u's rows.  The step runs
+        `_CHUNK_ROWS` rows at a time through the stepper's own buffer into
+        one fresh output (module docstring)."""
+        rows = u.reshape(-1, self.config.N)
         out = np.empty_like(rows)
-        full = len(rows) - len(rows) % _BLOCK_ROWS
+        for lo in range(0, len(rows), _CHUNK_ROWS):
+            hi = min(lo + _CHUNK_ROWS, len(rows))
+            rhs = self.flow(rows[lo:hi], self._rhs[:hi - lo])
+            if self.config.noise.m:
+                rhs += noise[lo:hi]
+            self._resolve(rhs, out[lo:hi])
+        return out.reshape(u.shape)
+
+    def _resolve(self, rhs, out):
+        """b + (rhs - b) G into out, in fixed row blocks (module
+        docstring); rhs is overwritten."""
+        base = rhs[:, :1].copy()
+        rhs -= base
+        full = len(rhs) - len(rhs) % _BLOCK_ROWS
         for lo in range(0, full, _BLOCK_ROWS):
             hi = lo + _BLOCK_ROWS
-            np.matmul(rows[lo:hi], self.resolvent, out=out[lo:hi])
-        if full < len(rows):
-            tail = len(rows) - full
-            self._padded[:tail] = rows[full:]
+            np.matmul(rhs[lo:hi], self.resolvent, out=out[lo:hi])
+        if full < len(rhs):
+            tail = len(rhs) - full
+            self._padded[:tail] = rhs[full:]
             self._padded[tail:] = 0.0
             out[full:] = (self._padded @ self.resolvent)[:tail]
         out += base
-        return out.reshape(rhs.shape)
 
 
 # cell-steps (paths x grid points x ensembles x steps) one forked shard
 # must carry; below it the fork and the hand-back cost more than the
-# stepping they spread.  `simulate` of N = 64 fields for 1024 steps on a
-# 2-core Xeon (medians of 5 to 9 runs, BLAS pinned to one thread), one
-# shard against two: 128 paths (2^22 cell-steps a shard) 164 / 159 ms,
-# 192 paths 251 / 176 ms, 256 paths 233 / 179 ms
-_SHARD_MIN_WORK = 1 << 22
+# stepping they spread.  `simulate` of cubic N = 64 fields for 250 steps
+# on a 2-core Xeon (ms, medians of 9 in two rounds, BLAS pinned to one
+# thread), one shard / two: 128 paths (2^20 cell-steps a shard) 34, 34 /
+# 63, 46; 256 paths (2^21) 62, 65 / 67, 52; 384 paths (3.1M) 89, 86 /
+# 75, 72; 512 paths (2^22) 110, 115 / 79, 106; 512 paths for 200 steps
+# (3.3M) 87, 118 / 77, 82.  Every shard pays each step's fixed cost in
+# full, so few paths over many steps gain nothing: a pair of 20-path
+# ensembles observed at each of 2000 steps (2.6M a shard, as in
+# acceptance criterion 5) took 327, 340 / 382, 539.  This floor puts
+# both 512-path ensembles of the `ergodicity` workload on two shards and
+# keeps that pair on one.
+_SHARD_MIN_WORK = 3 << 20
 
 
 def integrate(config: SpdeConfig, ensembles: tuple, steps,

@@ -6,9 +6,11 @@ costs), total variation, entropic regularization (stabilized Sinkhorn
 scaling with epsilon annealing), and empirical Wasserstein estimation by
 the exact uniform assignment on the cost matrix of two equal-size sample
 ensembles, with a closed-form bounded-differences confidence interval
-for its mean.  A batch of resampled assignments, such as the
-permutation null's n x n re-splits, runs over one forked shard per
-usable CPU when it is large, and in-process when it is small.
+for its mean.  The cost matrix is built a block of rows at a time in one
+reused buffer, and a pooled ensemble's (`ys is xs`) by its upper
+triangle.  A batch of assignment jobs, such as every W, cost matrix and
+permutation-null re-split of an ergodicity run, runs over one forked
+shard per usable CPU when it is large, and in-process when it is small.
 
 The simplex keeps its basis as a spanning tree and returns the same bits
 as rebuilding the tree every pivot (`tests/reference_simplex.py`).  The
@@ -362,24 +364,43 @@ def sinkhorn(mu, nu, cost: CostMatrix, epsilon: float) -> TransportResult:
 # empirical estimation from samples
 # ---------------------------------------------------------------------------
 
-# byte budget for one row block of the (rows, n_y, N) difference temporary
-_BLOCK_BYTES = 8 * 2 ** 20
+# byte budget of the one (rows, n_y, N) difference buffer, half of a
+# core's 2 MiB L2 cache on a 2-core Xeon, where the 1024 x 1024 pooled
+# cost of 64-point fields took (ms, medians of 15 in two rounds) 67, 59
+# at 256 KiB, 68, 56 at 1 MiB, 73, 60 at 2 MiB and 90, 86 at 8 MiB, and a
+# 512 x 512 cross cost 29.6, 26.2 / 29.5, 24.3 / 36.1, 28.7 / 37.8, 33.8
+_BLOCK_BYTES = 2 ** 20
 
 
 def pairwise_cost(xs, ys) -> np.ndarray:
     """Capped L2 cost min(1, ||x - y||) between rows of two sample arrays.
 
     Field samples use the unit-volume quadrature (mean over grid points)
-    inside the L2 norm. The squared distances are built a block of rows
-    at a time, so memory stays near the size of the result; every entry
-    is still the mean over the same contiguous grid values.
+    inside the L2 norm.  The squared differences of a block of rows at a
+    time go into one reused buffer of `_BLOCK_BYTES`, and their sums
+    straight into the result, which is then divided by N, rooted and
+    capped in place: every entry is the mean over the same contiguous
+    grid values, bit for bit.  With `ys is xs` only the upper triangle is
+    computed and mirrored, since (a - b)^2 and (b - a)^2 are equal.
     """
-    diff_sq = np.empty((len(xs), len(ys)))
+    n_y, N = ys.shape
+    same = ys is xs
+    out = np.empty((len(xs), n_y))
     rows = max(1, _BLOCK_BYTES // max(1, ys.nbytes))
-    for start in range(0, len(xs), rows):
-        blk = slice(start, start + rows)
-        diff_sq[blk] = ((xs[blk, None, :] - ys[None, :, :]) ** 2).mean(axis=2)
-    return np.minimum(np.sqrt(diff_sq), 1.0)
+    buf = np.empty(min(rows, len(xs)) * n_y * N)
+    for lo in range(0, len(xs), rows):
+        hi = min(lo + rows, len(xs))
+        first = lo if same else 0
+        shape = (hi - lo, n_y - first, N)
+        diff = buf[:math.prod(shape)].reshape(shape)
+        np.subtract(xs[lo:hi, None, :], ys[None, first:, :], out=diff)
+        np.square(diff, out=diff)
+        np.add.reduce(diff, axis=2, out=out[lo:hi, first:])
+        if same:
+            out[lo:hi, :lo] = out[:lo, lo:hi].T
+    np.divide(out, N, out=out)
+    np.sqrt(out, out=out)
+    return np.minimum(out, 1.0, out=out)
 
 
 def assignment_value(cmat) -> float:
@@ -388,30 +409,46 @@ def assignment_value(cmat) -> float:
     return float(cmat[ri, cj].mean())
 
 
-# resampled cost-matrix cells (rows x columns, summed over a batch) one
-# forked shard must carry; below it the forks (about 10 ms for two) and
-# the hand-back cost more than the assignments they spread, so the
-# permutation null, the only caller, forks its 50 re-splits of n + n
-# paths on two CPUs from n = 145.  200 m x m draws from the `ergodicity`
-# workload's 512-path cost matrices at t = 0.5, 1, 2 on a 2-core Xeon
-# (ms, medians of 15), one shard / two: m = 64 (410k cells a shard) 16,
-# 28, 37 / 21, 30, 33; m = 80 (640k) 21, 45, 65 / 21, 38, 50; m = 96
-# (922k) 31, 65, 95 / 33, 50, 61
+def resplit_value(cmat, row_idx, col_idx) -> float:
+    """`assignment_value` of the resampled matrix
+    `cmat[row_idx][:, col_idx]`."""
+    return assignment_value(cmat.take(row_idx, 0).take(col_idx, 1))
+
+
+# cost-matrix cells (rows x columns, summed over a batch's assignments)
+# one forked shard must carry; below it the forks (about 10 ms for two)
+# and the hand-back cost more than the assignments they spread, so an
+# ergodicity run's batch of 3 grid W's, its stationarity w and 50 null
+# re-splits of n x n forks on two CPUs from n = 140.  200 m x m draws
+# from the `ergodicity` workload's 512-path cost matrices at t = 0.5, 1,
+# 2 on a 2-core Xeon (ms, medians of 15), one shard / two: m = 64 (410k
+# cells a shard) 16, 28, 37 / 21, 30, 33; m = 80 (640k) 21, 45, 65 / 21,
+# 38, 50; m = 96 (922k) 31, 65, 95 / 33, 50, 61
 _SHARD_MIN_CELLS = 1 << 19
 
 
-def resampled_assignment_values(cmat, draws) -> np.ndarray:
-    """Uniform assignment value of `cmat[row_idx][:, col_idx]` for each
-    `(row_idx, col_idx)` in `draws`, in order, the draws split over one
-    shard per usable CPU (`shards.run_sharded`) as long as every shard
-    gets `_SHARD_MIN_CELLS` resampled cells; a smaller batch runs
-    in-process."""
-    cells = sum(len(row_idx) * len(col_idx) for row_idx, col_idx in draws)
-    shards = max(1, min(usable_cpus(), len(draws),
-                        cells // _SHARD_MIN_CELLS))
-    return np.concatenate(run_sharded(len(draws), shards, lambda lo, hi: [
-        assignment_value(cmat.take(row_idx, 0).take(col_idx, 1))
-        for row_idx, col_idx in draws[lo:hi]]))
+def assignment_batch(jobs, cells) -> list:
+    """[job() for job in jobs], in order, for argument-free `jobs` whose
+    assignments solve `cells` cost-matrix cells in all.
+
+    The jobs are dealt in turn to one shard per usable CPU (job i to
+    shard i mod the shard count), each shard a forked worker
+    (`shards.run_sharded`), as long as every shard gets
+    `_SHARD_MIN_CELLS` cells; a smaller batch runs in-process.  Dealing
+    spreads jobs of one kind that are listed together, such as the
+    costlier grid W's, evenly over the shards."""
+    count = max(1, min(usable_cpus(), len(jobs), cells // _SHARD_MIN_CELLS))
+    dealt = run_sharded(count, count, lambda shard, _: [
+        job() for job in jobs[shard::count]])
+    results = [None] * len(jobs)
+    for shard, part in enumerate(dealt):
+        results[shard::count] = part
+    return results
+
+
+def empirical_w(xs, ys) -> TransportResult:
+    """`wasserstein_empirical` of the `pairwise_cost` of two ensembles."""
+    return wasserstein_empirical(pairwise_cost(xs, ys))
 
 
 def wasserstein_empirical(cmat) -> TransportResult:

@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from conftest import series
-from monotone_ergo import fixture_path, serialize, transport
-from monotone_ergo.experiments import (SYNC_RECORD_TIMES, ExperimentRecord,
+from conftest import series, set_usable_cpus
+from monotone_ergo import fixture_path, serialize, shards, transport
+from monotone_ergo.experiments import (NULL_RESAMPLES, SYNC_RECORD_TIMES,
+                                       ExperimentRecord,
                                        _permutation_null,
                                        constants_obstruction_demo,
                                        energy_moments, ergodicity_experiment,
@@ -191,9 +192,52 @@ class TestErgodicity:
             sub = cmat.take(perm[:80], 0).take(perm[80:], 1)
             ri, cj = linear_sum_assignment(sub)
             vals.append(float(sub[ri, cj].mean()))
-        assert _permutation_null(cmat, rng) == (
-            float(np.mean(vals)), float(np.std(vals, ddof=1)))
+        # the re-splits are drawn when the jobs are made, not when they run
+        jobs = _permutation_null(cmat, rng)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert [job() for job in jobs] == vals
+
+    def test_null_moments_equal_serial_loop(self):
+        cfg = small_config(T=0.4, n_paths=32)
+        x = Field(np.full(16, -1.0))
+        rec = ergodicity_experiment(cfg, x, Field(np.full(16, 1.0)),
+                                    time_grid=[0.1, 0.2],
+                                    extra_x_times=(0.3, 0.4))
+        snaps = simulate(cfg, x, [0.2, 0.3, 0.4])
+        rng = np.random.default_rng(cfg.seed + 20_000)
+        for check, t_ex in zip(rec.extra["stationarity"], [0.3, 0.4]):
+            pool = np.concatenate([snaps[0.2], snaps[t_ex]])
+            cmat = transport.pairwise_cost(pool, pool)
+            vals = []
+            for _ in range(NULL_RESAMPLES):
+                perm = rng.permutation(64)
+                vals.append(transport.assignment_value(
+                    cmat[perm[:32]][:, perm[32:]]))
+            assert check["t_other"] == t_ex
+            assert check["null_mean"] == float(np.mean(vals))
+            assert check["bootstrap_se"] == float(np.std(vals, ddof=1))
+
+    def test_record_independent_of_the_shards(self, monkeypatch):
+        cfg = small_config(T=0.4, n_paths=32)
+        args = (cfg, Field(np.full(16, -1.0)), Field(np.full(16, 1.0)),
+                [0.1, 0.2], (0.3, 0.4))
+        forked, run_forked = [], shards._run_forked
+
+        def counted(jobs):
+            forked.append(len(jobs))
+            return run_forked(jobs)
+
+        monkeypatch.setattr(shards, "_run_forked", counted)
+        # 2 + 2 * 51 assignments of 32 x 32 cells stay under the cell floor
+        in_process = serialize.dumps(
+            ergodicity_experiment(*args).to_json_obj(), False)
+        assert forked == []
+        monkeypatch.setattr(transport, "_SHARD_MIN_CELLS", 1)
+        for cpus in (2, 3):
+            set_usable_cpus(monkeypatch, cpus)
+            assert serialize.dumps(ergodicity_experiment(*args).to_json_obj(),
+                                   False) == in_process
+            assert forked.pop() == cpus and forked == []
 
 
 class TestSwap:

@@ -258,8 +258,8 @@ class TestStep:
         # u + dt f(clip(u)), the explicit drift step, in place of the flow
         def euler(name, params, dt, R):
             K = params["K"]
-            return lambda u: u + dt * np.clip(u, -R, R) * (
-                K - np.clip(u, -R, R) ** 2)
+            return lambda u, out: np.add(u, dt * np.clip(u, -R, R) * (
+                K - np.clip(u, -R, R) ** 2), out=out)
         monkeypatch.setattr(spde, "_drift_flow", euler)
         assert reference_mismatch(rng, "cubic") > REFERENCE_TOL
 
@@ -296,6 +296,18 @@ class TestStep:
             for b in [a + w for w in [*range(1, 20), 127, 128, 129]]:
                 part = st.step(u[a:b], st.increment(draws[a:b]))
                 assert np.array_equal(part, full[a:b]), (a, b)
+
+    def test_chunked_rows_step_as_block_parts(self, rng):
+        # 1000 rows run in four chunks, the last of 232 rows with a padded
+        # 104-row block; each 128-row part, stepped alone, gives its bits
+        cfg = two_mode_config(n_paths=1000)
+        u = rng.normal(0.0, 2.0, (1000, cfg.N))
+        draws = noise_draws(cfg.seed, 1, 1000, 2)
+        st = Stepper(cfg)
+        full = st.step(u, st.increment(draws))
+        for a in range(0, 1000, 128):
+            part = st.step(u[a:a + 128], st.increment(draws[a:a + 128]))
+            assert np.array_equal(part, full[a:a + 128]), a
 
     def test_one_mode_shard_increment_is_the_block_product(self):
         st = Stepper(make_config(n_paths=300))
@@ -465,7 +477,7 @@ def product_rounding(cfg, x, y):
     for k in range(1, cfg.n_steps + 1):
         noise = st.increment(noise_draws(cfg.seed, k, cfg.n_paths,
                                          cfg.noise.m))
-        rhs = [st.flow(v) + noise for v in u]
+        rhs = [st.flow(v, np.empty_like(v)) + noise for v in u]
         rounding = 0.0
         for i, r in enumerate(rhs):
             u[i] = st.step(u[i], noise)
@@ -588,6 +600,24 @@ class TestShards:
         cfg = make_config(n_paths=8)
         simulate(cfg, Field(np.zeros(cfg.N)), [0.1])
         assert called == []
+
+    @pytest.mark.parametrize("steps", [200, 250])
+    def test_ergodicity_ensembles_step_on_two_shards(self, monkeypatch,
+                                                     steps):
+        # the 512-path, N = 64 ensembles of the `ergodicity` workload: the
+        # y-ensemble runs 200 steps, the x-ensemble 250
+        set_usable_cpus(monkeypatch, 2)
+        forked = []
+
+        def counted(jobs):
+            # the shards are counted, not run: each reports no step
+            forked.append(len(jobs))
+            return [(None, {}) for _ in jobs]
+
+        monkeypatch.setattr(shards, "_run_forked", counted)
+        integrate(make_config(N=64, n_paths=512), (np.zeros((512, 64)),),
+                  [steps], lambda ensembles: ensembles[0])
+        assert forked == [2]
 
     @pytest.mark.parametrize("shard_count", [1, 2, 3])
     def test_contiguous_blocks_in_order(self, shard_count):

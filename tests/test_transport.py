@@ -470,6 +470,24 @@ class TestCosts:
         xs[::7] = ys[0]  # some zero distances
         assert np.array_equal(pairwise_cost(xs, ys), broadcast_cost(xs, ys))
 
+    @pytest.mark.parametrize("blocks", [1, 3])
+    @pytest.mark.parametrize("extra_rows", [-1, 0, 1])
+    def test_pooled_equals_broadcast_and_is_symmetric(self, rng, monkeypatch,
+                                                      blocks, extra_rows):
+        # a pooled ensemble (`ys is xs`) computes its upper triangle a block
+        # of 40 rows at a time and mirrors it
+        pool = rng.normal(size=(40 * blocks + extra_rows, 16))
+        pool[::7] = pool[3]  # some zero distances
+        monkeypatch.setattr(transport, "_BLOCK_BYTES", 40 * pool.nbytes)
+        c = pairwise_cost(pool, pool)
+        assert np.array_equal(c, broadcast_cost(pool, pool))
+        assert np.array_equal(c, c.T)
+
+    def test_pooled_1d_equals_broadcast(self, rng):
+        pool = rng.normal(size=(300, 1))
+        assert np.array_equal(pairwise_cost(pool, pool),
+                              broadcast_cost(pool, pool))
+
     def test_blocked_equals_broadcast_1d(self, rng):
         # samples of one grid point each
         xs = rng.normal(size=(300, 1))
@@ -499,6 +517,19 @@ def serial_assignment_values(cmat, draws):
     return vals
 
 
+def resplit_jobs(cmat, draws):
+    """One `transport.resplit_value` job per (row_idx, col_idx) draw."""
+    return [functools.partial(transport.resplit_value, cmat, row_idx, col_idx)
+            for row_idx, col_idx in draws]
+
+
+def batch_values(cmat, draws):
+    """The resample loop as one `transport.assignment_batch`."""
+    cells = sum(len(row_idx) * len(col_idx) for row_idx, col_idx in draws)
+    return np.array(transport.assignment_batch(resplit_jobs(cmat, draws),
+                                               cells))
+
+
 class TestResampledAssignments:
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("n_draws", [1, 3, 200])
@@ -514,7 +545,7 @@ class TestResampledAssignments:
         draws = [(rng.integers(0, n, size=n), rng.integers(0, n, size=n))
                  for _ in range(n_draws)]
         assert np.array_equal(
-            transport.resampled_assignment_values(cmat, draws),
+            batch_values(cmat, draws),
             serial_assignment_values(cmat, draws))
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -531,7 +562,7 @@ class TestResampledAssignments:
         perms = [rng.permutation(2 * n) for _ in range(n_draws)]
         draws = [(perm[:n], perm[n:]) for perm in perms]
         assert np.array_equal(
-            transport.resampled_assignment_values(cmat, draws),
+            batch_values(cmat, draws),
             serial_assignment_values(cmat, draws))
 
     def test_cpu_count_without_affinity(self, monkeypatch):
@@ -557,7 +588,7 @@ class TestResampledAssignments:
 
         monkeypatch.setattr(shards, "_run_forked", counted)
         assert np.array_equal(
-            transport.resampled_assignment_values(cmat, draws),
+            batch_values(cmat, draws),
             serial_assignment_values(cmat, draws))
         assert forked == [2]
 
@@ -570,10 +601,33 @@ class TestResampledAssignments:
                              rng.normal(size=(n, 64)))
         draws = [(rng.integers(0, n, size=n), rng.integers(0, n, size=n))
                  for _ in range(200)]
+        jobs = resplit_jobs(cmat, draws)
         tracemalloc.start()
         try:
-            transport.resampled_assignment_values(cmat, draws)
+            transport.assignment_batch(jobs, 200 * n * n)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 2 ** 20
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_jobs_dealt_in_turn_and_returned_in_order(self, monkeypatch,
+                                                      workers):
+        set_usable_cpus(monkeypatch, workers)
+        monkeypatch.setattr(transport, "_SHARD_MIN_CELLS", 1)
+        jobs = [functools.partial(lambda i: (i, os.getpid()), i)
+                for i in range(7)]
+        results = transport.assignment_batch(jobs, 7)
+        assert [i for i, _ in results] == list(range(7))
+        pids = [pid for _, pid in results]
+        # job i runs in shard i mod `workers`, in-process for one shard
+        assert pids == [pids[i % workers] for i in range(7)]
+        assert len(set(pids)) == workers
+        assert (os.getpid() in pids) == (workers == 1)
+
+    def test_small_batch_runs_in_process(self, monkeypatch):
+        set_usable_cpus(monkeypatch, 2)
+        monkeypatch.setattr(shards, "_run_forked", None)
+        jobs = [functools.partial(lambda i: i, i) for i in range(3)]
+        assert transport.assignment_batch(
+            jobs, 2 * transport._SHARD_MIN_CELLS - 1) == [0, 1, 2]
