@@ -296,6 +296,14 @@ def _read_file(path: str, what: str) -> dict:
 
 def cmd_transport(args) -> int:
     t0 = time.monotonic()
+    # an option the method does not use is a usage error, not ignored
+    for option, unused in (
+            ("--epsilon", args.epsilon is not None
+             and args.method != "sinkhorn"),
+            ("--cost file", args.cost != "discrete" and args.method == "tv")):
+        if unused:
+            _say(f"usage error: --method {args.method} takes no {option}")
+            return EXIT_USAGE
     inputs = {"mu": args.mu, "nu": args.nu}
     mu, nu = (_read_file(path, "distribution file")["p"]
               for path in (args.mu, args.nu))
@@ -312,7 +320,8 @@ def cmd_transport(args) -> int:
         res = transport.TransportResult(
             value=transport.total_variation(mu, nu), method="tv")
     elif args.method == "sinkhorn":
-        res = transport.sinkhorn(mu, nu, cost, epsilon=args.epsilon)
+        epsilon = 0.01 if args.epsilon is None else args.epsilon
+        res = transport.sinkhorn(mu, nu, cost, epsilon=epsilon)
     else:
         res = transport.wasserstein_exact(mu, nu, cost)
     _say(f"{res.method}: value {res.value:.12g}")
@@ -373,7 +382,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="'discrete' or a path to a JSON cost matrix {\"C\": ...}")
     p.add_argument("--method", choices=["exact", "sinkhorn", "tv"],
                    default="exact")
-    p.add_argument("--epsilon", type=float, default=0.01)
+    p.add_argument("--epsilon", type=float, default=None,
+                   help="sinkhorn's regularization (default 0.01)")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_transport)
     return parser

@@ -6,11 +6,10 @@ costs), total variation, entropic regularization (stabilized Sinkhorn
 scaling with epsilon annealing), and empirical Wasserstein estimation by
 the exact uniform assignment on the cost matrix of two equal-size sample
 ensembles, with a closed-form bounded-differences confidence interval
-for its mean.  The cost matrix is built a block of rows at a time in one
-reused buffer, and a pooled ensemble's (`ys is xs`) by its upper
-triangle.  A batch of assignment jobs, such as every W, cost matrix and
-permutation-null re-split of an ergodicity run, runs over one forked
-shard per usable CPU when it is large, and in-process when it is small.
+for its mean.  The cost matrix is one `cdist` call.  A batch of
+assignment jobs, such as every W, cost matrix and permutation-null
+re-split of an ergodicity run, runs over one forked shard per usable
+CPU when it is large, and in-process when it is small.
 
 The simplex keeps its basis as a spanning tree and returns the same bits
 as rebuilding the tree every pivot (`tests/reference_simplex.py`).  The
@@ -26,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
+from scipy.spatial.distance import cdist
 
 from .shards import run_sharded, usable_cpus
 
@@ -364,41 +364,18 @@ def sinkhorn(mu, nu, cost: CostMatrix, epsilon: float) -> TransportResult:
 # empirical estimation from samples
 # ---------------------------------------------------------------------------
 
-# byte budget of the one (rows, n_y, N) difference buffer, half of a
-# core's 2 MiB L2 cache on a 2-core Xeon, where the 1024 x 1024 pooled
-# cost of 64-point fields took (ms, medians of 15 in two rounds) 67, 59
-# at 256 KiB, 68, 56 at 1 MiB, 73, 60 at 2 MiB and 90, 86 at 8 MiB, and a
-# 512 x 512 cross cost 29.6, 26.2 / 29.5, 24.3 / 36.1, 28.7 / 37.8, 33.8
-_BLOCK_BYTES = 2 ** 20
-
-
 def pairwise_cost(xs, ys) -> np.ndarray:
     """Capped L2 cost min(1, ||x - y||) between rows of two sample arrays.
 
     Field samples use the unit-volume quadrature (mean over grid points)
-    inside the L2 norm.  The squared differences of a block of rows at a
-    time go into one reused buffer of `_BLOCK_BYTES`, and their sums
-    straight into the result, which is then divided by N, rooted and
-    capped in place: every entry is the mean over the same contiguous
-    grid values, bit for bit.  With `ys is xs` only the upper triangle is
-    computed and mirrored, since (a - b)^2 and (b - a)^2 are equal.
+    inside the L2 norm.  The squared distances are one `cdist` call,
+    which is exactly symmetric for `pairwise_cost(pool, pool)` and exactly
+    0 between equal rows; they are then divided by N, rooted and capped
+    in place, so for C-contiguous float samples the n_x x n_y result is
+    the only allocation.
     """
-    n_y, N = ys.shape
-    same = ys is xs
-    out = np.empty((len(xs), n_y))
-    rows = max(1, _BLOCK_BYTES // max(1, ys.nbytes))
-    buf = np.empty(min(rows, len(xs)) * n_y * N)
-    for lo in range(0, len(xs), rows):
-        hi = min(lo + rows, len(xs))
-        first = lo if same else 0
-        shape = (hi - lo, n_y - first, N)
-        diff = buf[:math.prod(shape)].reshape(shape)
-        np.subtract(xs[lo:hi, None, :], ys[None, first:, :], out=diff)
-        np.square(diff, out=diff)
-        np.add.reduce(diff, axis=2, out=out[lo:hi, first:])
-        if same:
-            out[lo:hi, :lo] = out[:lo, lo:hi].T
-    np.divide(out, N, out=out)
+    out = cdist(xs, ys, "sqeuclidean")
+    np.divide(out, ys.shape[1], out=out)
     np.sqrt(out, out=out)
     return np.minimum(out, 1.0, out=out)
 

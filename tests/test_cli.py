@@ -993,6 +993,33 @@ class TestTransport:
         assert out == ""
         assert message in err
 
+    # an option the method does not use is a usage error, not ignored
+    @pytest.mark.parametrize("argv", [
+        ["--method", "exact", "--epsilon", "-1"],
+        ["--method", "tv", "--epsilon", "nan"],
+        ["--method", "tv", "--epsilon", "0.01"],
+        ["--method", "tv", "--cost", fixture_path("transport_cost.json")],
+    ], ids=["exact-epsilon", "tv-epsilon-nan", "tv-epsilon", "tv-cost-file"])
+    def test_option_not_taken_exit_4(self, tmp_path, capsys, argv):
+        out_dir = str(tmp_path / "out")
+        code, out, err = run(
+            ["transport", fixture_path("transport_mu.json"),
+             fixture_path("transport_nu.json"), *argv, "--out", out_dir],
+            capsys)
+        assert code == 4
+        assert out == ""
+        option = "--cost file" if argv[2] == "--cost" else "--epsilon"
+        assert f"usage error: --method {argv[1]} takes no {option}" in err
+        assert not os.path.exists(out_dir)
+
+    def test_sinkhorn_epsilon_defaults_to_0_01(self, capsys):
+        args = ["transport", fixture_path("transport_mu.json"),
+                fixture_path("transport_nu.json"), "--method", "sinkhorn"]
+        _, out_default, _ = run(args, capsys)
+        _, out_given, _ = run(args + ["--epsilon", "0.01"], capsys)
+        assert out_default == out_given
+        assert json.loads(out_default)["epsilon"] == 0.01
+
     def test_seed_option_removed_exit_4(self, capsys):
         mu = fixture_path("transport_mu.json")
         with pytest.raises(SystemExit) as exc:

@@ -461,27 +461,39 @@ class TestCosts:
         with pytest.raises(transport.TransportError):
             CostMatrix(np.array([[-1.0]]))
 
-    @pytest.mark.parametrize("extra_rows", [-1, 0, 1])
-    def test_blocked_equals_broadcast(self, rng, extra_rows):
-        ys = rng.normal(size=(64, 16))
-        # rows of xs whose difference temporary fills exactly one block
-        block_rows = transport._BLOCK_BYTES // ys.nbytes
-        xs = rng.normal(size=(block_rows + extra_rows, 16))
-        xs[::7] = ys[0]  # some zero distances
-        assert np.array_equal(pairwise_cost(xs, ys), broadcast_cost(xs, ys))
-
-    @pytest.mark.parametrize("blocks", [1, 3])
-    @pytest.mark.parametrize("extra_rows", [-1, 0, 1])
-    def test_pooled_equals_broadcast_and_is_symmetric(self, rng, monkeypatch,
-                                                      blocks, extra_rows):
-        # a pooled ensemble (`ys is xs`) computes its upper triangle a block
-        # of 40 rows at a time and mirrors it
-        pool = rng.normal(size=(40 * blocks + extra_rows, 16))
-        pool[::7] = pool[3]  # some zero distances
-        monkeypatch.setattr(transport, "_BLOCK_BYTES", 40 * pool.nbytes)
-        c = pairwise_cost(pool, pool)
-        assert np.array_equal(c, broadcast_cost(pool, pool))
-        assert np.array_equal(c, c.T)
+    @pytest.mark.parametrize("N", [16, 64])
+    @pytest.mark.parametrize("pooled", [False, True],
+                             ids=["cross", "pooled"])
+    def test_equals_broadcast_to_rounding(self, rng, pooled, N):
+        # spread 0.5 puts most costs below the cap, rows shifted by 3 put
+        # pairs beyond it; duplicated rows give exact zeros and a row about
+        # 1e-6 from another a cost that cancellation would spoil
+        xs = rng.normal(0.0, 0.5, size=(40, N))
+        xs[::9] += 3.0
+        xs[1] = xs[2] + 1e-6 * rng.normal(size=N)
+        ys = rng.normal(0.0, 0.5, size=(40, N))
+        ys[::5] = xs[3]
+        ys[1] = xs[2] + 1e-6 * rng.normal(size=N)
+        if pooled:
+            xs = ys = np.concatenate([xs, ys])
+        c, ref = pairwise_cost(xs, ys), broadcast_cost(xs, ys)
+        coincide = (xs[:, None, :] == ys[None, :, :]).all(axis=2)
+        assert coincide.any() and (ref == 1.0).any()
+        assert ((ref > 0) & (ref < 1e-5)).any()
+        assert np.all(c[coincide] == 0.0)
+        if pooled:
+            assert np.array_equal(c, c.T)
+        # The bound, to first order in the unit roundoff u = eps / 2:
+        # rounding a difference and then its square puts each term within
+        # a factor 1 +- 3u of the exact one; summing N nonnegative terms,
+        # in any order, adds at most (N - 1) u and dividing by N one more
+        # u, so the mean is within (N + 3) u.  The root halves that and
+        # adds u: each of the two costs is within (N + 5) u / 2 of the
+        # exact cost, and the cap, monotone and 1-Lipschitz, keeps that.
+        # So they differ by at most (N + 5) u = (N + 5) eps / 2 of either,
+        # below (N + 3) eps by a margin that covers the second-order terms.
+        eps = np.finfo(float).eps
+        assert np.all(np.abs(c - ref) <= (N + 3) * eps * ref)
 
     def test_pooled_1d_equals_broadcast(self, rng):
         pool = rng.normal(size=(300, 1))
