@@ -368,7 +368,12 @@ def theorem_main_verify(spec: OrderedSpaceSpec,
             if t > 0:
                 mu = mu @ kernel.P
                 nu = nu @ kernel.P
-            series[t] = transport.wasserstein_exact(mu, nu, cost).value
+            res = transport.wasserstein_exact(mu, nu, cost)
+            if not res.converged:
+                raise transport.NotConverged(
+                    f"simplex did not converge for pair ({x}, {y}) at "
+                    f"t = {t} in {res.iterations} iterations")
+            series[t] = res.value
         series_all.append(series)
         fits.append(fit_exponential_rate(times, series, DECAY_BURN_IN,
                                          DECAY_R2))

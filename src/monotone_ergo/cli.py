@@ -397,7 +397,8 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         return args.func(args)
-    except (spde.NonFinite, transport.SinkhornDiverged) as exc:
+    except (spde.NonFinite, transport.SinkhornDiverged,
+            transport.NotConverged) as exc:
         _say(f"numeric failure: {exc}")
         return EXIT_NUMERIC
     except (serialize.ConfigError, ChainError, PosetError,

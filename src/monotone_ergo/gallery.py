@@ -15,7 +15,7 @@ from .chains import (FiniteKernel, check_lyapunov, check_order_preserving,
                      check_premetric_sandwich, moment_bound_M)
 from .posets import antichain_poset
 from .spde import ConfigError, l2_sq, phi
-from .transport import CostMatrix, wasserstein_exact
+from .transport import CostMatrix, NotConverged, wasserstein_exact
 
 TOL = 1e-10
 
@@ -84,8 +84,12 @@ def run_example_2_4():
     cost = CostMatrix(d)
     mu, nu = np.eye(2)
     w_min = np.inf
-    for _ in range(21):
-        w_min = min(w_min, wasserstein_exact(mu, nu, cost).value)
+    for t in range(21):
+        res = wasserstein_exact(mu, nu, cost)
+        if not res.converged:
+            raise NotConverged(f"example-2-4: simplex did not converge at "
+                               f"t = {t} in {res.iterations} iterations")
+        w_min = min(w_min, res.value)
         mu, nu = mu @ kernel.P, nu @ kernel.P
     claims.append(_claim("W_{d^1}(P_t delta_0, P_t delta_1), smallest over "
                          "t <= 20", w_min, 1.0))

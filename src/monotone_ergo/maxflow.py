@@ -3,8 +3,11 @@
 The graph is source -> left node i (capacity mu_i), left i -> right j when
 allowed[i, j] (infinite capacity), right j -> sink (capacity nu_j).  The
 marginals are couplable along the relation iff the max flow equals the
-total mass.  Plain Edmonds-Karp on dense float capacities; the sizes here
-are tiny (n <= a few dozen).
+total mass.  A greedy pre-flow along the arcs in index order, then
+Edmonds-Karp (shortest augmenting paths) to finish the flow, on dense
+float capacities; the sizes here are small (n <= a few dozen).  Every maximum flow leaves the same nodes reachable from the
+source in its residual graph, so the min-cut certificate does not depend
+on the pre-flow; only a feasible plan does.
 """
 
 from __future__ import annotations
@@ -35,6 +38,17 @@ def max_flow_bipartite(mu, nu, allowed):
     for i in range(n):
         cap[1 + i, n + 1 + np.nonzero(allowed[i])[0]] = big
     cap[n + 1:n + m + 1, snk] = nu
+
+    # greedy pre-flow: each left node in turn sends what it still can to
+    # each allowed right node in turn; the augmenting paths below finish
+    # the flow from there
+    for i in range(n):
+        for j in (n + 1 + np.flatnonzero(allowed[i])).tolist():
+            q = min(cap[src, 1 + i], cap[j, snk])
+            if q > _EPS:
+                for v, w in ((src, 1 + i), (1 + i, j), (j, snk)):
+                    cap[v, w] -= q
+                    cap[w, v] += q
 
     while True:
         # BFS for an augmenting path

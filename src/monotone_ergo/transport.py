@@ -11,9 +11,10 @@ assignment jobs, such as every W, cost matrix and permutation-null
 re-split of an ergodicity run, runs over one forked shard per usable
 CPU when it is large, and in-process when it is small.
 
-The simplex keeps its basis as a spanning tree and returns the same bits
-as rebuilding the tree every pivot (`tests/reference_simplex.py`).  The
-scaling loop gives the values of the log-domain Sinkhorn loop it replaced
+The simplex starts from the least-cost (matrix-minimum) basis, keeps its
+basis as a spanning tree and returns the same bits as rebuilding the tree
+every pivot (`tests/reference_simplex.py`).  The scaling loop gives the
+values of the log-domain Sinkhorn loop it replaced
 (`tests/reference_sinkhorn.py`) to 1e-9 on the tested instances where
 both converge.
 """
@@ -50,6 +51,11 @@ class UnequalSampleCounts(TransportError):
 
 class SinkhornDiverged(TransportError):
     pass
+
+
+class NotConverged(TransportError):
+    """A simplex stopped at its iteration cap, raised by a caller that
+    needs the optimal value."""
 
 
 @dataclass(frozen=True)
@@ -117,28 +123,43 @@ def _masses(mu, nu):
 _REDUCED_TOL = 1e-12
 
 
-def _northwest_basis(a, b):
-    """North-west corner starting plan plus a spanning basis of m+n-1 cells."""
+def _least_cost_basis(a, b, c):
+    """Least-cost (matrix-minimum) starting plan plus a spanning basis of
+    m+n-1 cells.
+
+    The cells are visited by ascending cost, ties in row-major order.  Each
+    one whose row and column are both open takes the smaller of their
+    remainders and closes one of the two: the row if more than one row is
+    open and either the row's remainder is at most the column's or the
+    column is the last open one, else the column.  One line closes per
+    cell, so the basis stays a spanning tree even when both are exhausted
+    (degenerate cell).  The cell of the last open row and column takes
+    the larger remainder, so that rounding between the two totals cannot
+    leave either short of its mass."""
     m, n = len(a), len(b)
     plan = np.zeros((m, n))
     basis = []
-    ra, rb = a.copy(), b.copy()
-    i = j = 0
-    while i < m and j < n:
+    ra, rb = a.tolist(), b.tolist()
+    row_open, col_open = [True] * m, [True] * n
+    rows_left, cols_left = m, n
+    for k in np.argsort(c, axis=None, kind="stable").tolist():
+        i, j = divmod(k, n)
+        if not (row_open[i] and col_open[j]):
+            continue
+        basis.append((i, j))
+        if rows_left == cols_left == 1:
+            plan[i, j] = max(ra[i], rb[j])
+            break
         q = min(ra[i], rb[j])
         plan[i, j] = q
-        basis.append((i, j))
         ra[i] -= q
         rb[j] -= q
-        if i == m - 1 and j == n - 1:
-            break
-        # advance one index only, keeping the basis a spanning tree even
-        # when both the row and the column are exhausted (degenerate cell)
-        # or rounding leaves the last column short of the rows' mass
-        if i < m - 1 and (ra[i] <= rb[j] or j == n - 1):
-            i += 1
+        if rows_left > 1 and (ra[i] <= rb[j] or cols_left == 1):
+            row_open[i] = False
+            rows_left -= 1
         else:
-            j += 1
+            col_open[j] = False
+            cols_left -= 1
     return plan, basis
 
 
@@ -177,7 +198,7 @@ def wasserstein_exact(mu, nu, cost: CostMatrix) -> TransportResult:
     cr = c[np.ix_(rows, cols)]
     m, n = len(rows), len(cols)
 
-    plan, basis = _northwest_basis(ar, bc)
+    plan, basis = _least_cost_basis(ar, bc, cr)
     in_basis = np.zeros((m, n), dtype=bool)
     nbrs = [set() for _ in range(m + n)]
     for (i, j) in basis:

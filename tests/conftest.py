@@ -36,6 +36,17 @@ def random_dist(rng: np.random.Generator, n: int) -> Distribution:
     return Distribution(p / p.sum())
 
 
+def pushed_up(rng: np.random.Generator, mu: Distribution,
+              poset: FinitePoset) -> Distribution:
+    """mu pushed through a random kernel supported on the order, so that
+    mu is dominated by the result: for an up-set U and i in U every
+    successor of i lies in U, so nu(U) = sum_i mu_i K(i, U) >= mu(U)."""
+    K = rng.random((poset.n, poset.n)) * poset.leq
+    K /= K.sum(axis=1, keepdims=True)
+    nu = mu.p @ K
+    return Distribution(nu / nu.sum())
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

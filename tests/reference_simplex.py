@@ -1,8 +1,10 @@
 """The transportation simplex as it stood before its basis was held as a
-maintained spanning tree, kept verbatim as an independent oracle: each
-pivot rebuilds the tree from the basis cell list, once by a DFS for the
-duals and once by a BFS for the cycle.  `transport.wasserstein_exact`
-must return the same bits on every field."""
+maintained spanning tree, kept as an independent oracle: each pivot
+rebuilds the tree from the basis cell list, once by a DFS for the duals
+and once by a BFS for the cycle.  Its start is the package's least-cost
+basis, written out here as repeated `argmin` over the open cells rather
+than one sorted pass.  `transport.wasserstein_exact` must return the
+same bits on every field."""
 
 import numpy as np
 
@@ -11,28 +13,37 @@ from monotone_ergo.transport import (EXACT_SUPPORT_LIMIT, CostMatrix,
                                      TransportResult)
 
 
-def _northwest_basis(a, b):
-    """North-west corner starting plan plus a spanning basis of m+n-1 cells."""
+def _least_cost_basis(a, b, cost):
+    """Least-cost starting plan plus a spanning basis of m+n-1 cells.
+
+    Repeatedly the cheapest cell of the open rows and columns, the first
+    in row-major order among equals, takes the smaller remainder of its
+    row and column; then its row closes if that row is not the last open
+    one and either its remainder is at most the column's or its column is
+    the last open one, else its column closes.  The cell that meets the
+    last open row and column takes the larger remainder."""
     m, n = len(a), len(b)
     plan = np.zeros((m, n))
     basis = []
     ra, rb = a.copy(), b.copy()
-    i = j = 0
-    while i < m and j < n:
+    open_cost = np.array(cost, dtype=float)
+    rows, cols = m, n
+    while True:
+        i, j = np.unravel_index(np.argmin(open_cost), open_cost.shape)
+        basis.append((int(i), int(j)))
+        if rows == cols == 1:
+            plan[i, j] = max(ra[i], rb[j])
+            return plan, basis
         q = min(ra[i], rb[j])
         plan[i, j] = q
-        basis.append((i, j))
         ra[i] -= q
         rb[j] -= q
-        if i == m - 1 and j == n - 1:
-            break
-        # advance one index only, keeping the basis a spanning tree even
-        # when both the row and the column are exhausted (degenerate cell)
-        if ra[i] <= rb[j] and i < m - 1:
-            i += 1
+        if rows > 1 and (ra[i] <= rb[j] or cols == 1):
+            open_cost[i, :] = np.inf
+            rows -= 1
         else:
-            j += 1
-    return plan, basis
+            open_cost[:, j] = np.inf
+            cols -= 1
 
 
 def _duals(cost, basis, m, n):
@@ -120,7 +131,7 @@ def reference_exact(mu, nu, cost: CostMatrix,
     cr = c[np.ix_(rows, cols)]
     m, n = len(rows), len(cols)
 
-    plan, basis = _northwest_basis(ar, bc)
+    plan, basis = _least_cost_basis(ar, bc, cr)
     max_iter = 50 * (m + n) + 1000
     it = 0
     while True:

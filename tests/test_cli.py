@@ -2,6 +2,7 @@
 
 import copy
 import csv
+import dataclasses
 import glob
 import json
 import os
@@ -10,13 +11,19 @@ import numpy as np
 import pytest
 
 from monotone_ergo import (chains, cli, experiments, fixture_path, gallery,
-                          posets, serialize, spde)
+                          posets, serialize, spde, transport)
 
 
 def run(argv, capsys):
     code = cli.main(argv)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def stopped_at_cap(mu, nu, cost, solve=transport.wasserstein_exact):
+    """`wasserstein_exact`'s result, reported as stopped at its cap; the
+    real solver is bound here, before a test patches its name."""
+    return dataclasses.replace(solve(mu, nu, cost), converged=False)
 
 
 def read_snapshots(outdir: str) -> dict:
@@ -522,6 +529,16 @@ class TestChainVerify:
         assert code == 1
         assert "swap condition unsatisfiable" in err
 
+    def test_unconverged_simplex_exits_3(self, monkeypatch, capsys):
+        monkeypatch.setattr(transport, "wasserstein_exact",
+                            stopped_at_cap)
+        code, out, err = run(
+            ["chain-verify", fixture_path("chain5_verify.json")], capsys)
+        assert code == 3
+        assert out == ""
+        assert "numeric failure: simplex did not converge for pair (0, 1) " \
+            "at t = 0" in err
+
     def test_bad_kernel_row_exit_2(self, tmp_path, capsys):
         serialize.dump({
             "poset": {"n": 2, "leq": [[1, 1], [0, 1]]},
@@ -795,6 +812,15 @@ class TestGallery:
         rep = json.loads(out)
         assert rep["all_hold"]
 
+    def test_unconverged_simplex_exits_3(self, monkeypatch, capsys):
+        monkeypatch.setattr(gallery, "wasserstein_exact", stopped_at_cap)
+        for case in ("all", "example-2-4"):
+            code, out, err = run(["gallery", case], capsys)
+            assert code == 3
+            assert out == ""
+            assert "numeric failure: example-2-4: simplex did not " \
+                "converge at t = 0" in err
+
     def test_single_case_with_n(self, capsys):
         code, out, _ = run(["gallery", "example-3-2", "--n", "10"], capsys)
         assert code == 0
@@ -885,7 +911,6 @@ class TestTransport:
 
     def test_matches_exact_oracle(self, capsys):
         import numpy as np
-        from monotone_ergo import transport
         mu = serialize.load(fixture_path("transport_mu.json"))["p"]
         nu = serialize.load(fixture_path("transport_nu.json"))["p"]
         C = serialize.load(fixture_path("transport_cost.json"))["C"]
@@ -901,8 +926,6 @@ class TestTransport:
         assert json.loads(out)["converged"] is True
 
     def test_unconverged_solve_exits_3(self, monkeypatch, capsys):
-        from monotone_ergo import transport
-
         def capped(mu, nu, cost, epsilon):
             return transport.TransportResult(
                 value=0.5, method="sinkhorn", iterations=7, gap=1e-3,
@@ -918,8 +941,6 @@ class TestTransport:
         assert "did not converge in 7 iterations" in err
 
     def test_diverged_sinkhorn_exits_3(self, monkeypatch, capsys):
-        from monotone_ergo import transport
-
         def diverged(mu, nu, cost, epsilon):
             raise transport.SinkhornDiverged(
                 "non-finite scalings at iteration 1")

@@ -35,7 +35,8 @@ class TestExample24:
                             lambda kernel, phi: (phi + 0.5, False))
         monkeypatch.setattr(gallery, "wasserstein_exact",
                             lambda mu, nu, cost: SimpleNamespace(
-                                value=float(mu @ cost.c @ nu) / 2))
+                                value=float(mu @ cost.c @ nu) / 2,
+                                converged=True))
         rep = claims(gallery.run_example_2_4())
         m = rep["M(x) = sup_t P_t phi^2(x) is 0"]
         w = rep["W_{d^1}(P_t delta_0, P_t delta_1), smallest over t <= 20"]

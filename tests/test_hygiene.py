@@ -11,7 +11,8 @@ a property when it is read.  Every defaulted parameter of those functions
 and methods is passed by some package call, apart from a fixed list.
 Every field of a package dataclass is read as an attribute somewhere in
 the package, the tests or the benchmark.  No package module reads a
-private name of another.  Every JSON input is read by
+private name of another, and every private top-level function or class
+is read in its own module.  Every JSON input is read by
 `serialize.read_keys`: each `from_json_obj` calls it, and no other
 module defines a ConfigError or checks a JSON object for unknown keys."""
 
@@ -189,6 +190,38 @@ def test_public_names_have_a_caller_in_the_package():
     package = ROOT / "src" / "monotone_ergo"
     sources = {p.stem: p.read_text() for p in package.glob("*.py")}
     assert set(unreferenced_public_names(sources)) == TEST_ONLY_NAMES
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """`module._name` of each private top-level function or class of the
+    package modules `sources` (module name -> text) that no code of its
+    own module reads; no other module may read it (see `private_reads`),
+    so such a name is dead code."""
+    found = []
+    for mod, text in sources.items():
+        tree = ast.parse(text)
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        found += [f"{mod}.{node.name}" for node in tree.body
+                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                  and node.name.startswith("_")
+                  and not node.name.endswith("__")
+                  and node.name not in read]
+    return sorted(found)
+
+
+def test_private_scan_reports_only_unread_names():
+    sources = {
+        "a": "def _used(): pass\ndef _left(): pass\nclass _Old: pass\n"
+             "def __getattr__(name): pass\ndef run(): return _used()\n",
+        "b": "from .a import _left\nclass _Kept: pass\nx = [_Kept]\n",
+    }
+    assert unread_private_names(sources) == ["a._Old", "a._left"]
+
+
+def test_private_names_are_read_in_their_module():
+    package = ROOT / "src" / "monotone_ergo"
+    assert unread_private_names({p.stem: p.read_text()
+                                 for p in package.glob("*.py")}) == []
 
 
 # defaulted parameters of public package functions that no package call

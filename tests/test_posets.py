@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import marginal_error, random_dist, random_poset, upsets
+from conftest import (marginal_error, pushed_up, random_dist, random_poset,
+                      upsets)
 from monotone_ergo.maxflow import max_flow_bipartite
-from monotone_ergo.posets import (UPSET_ENUM_LIMIT, Coupling, Distribution,
-                                  FinitePoset, Infeasible, NotAntisymmetric,
-                                  NotReflexive, NotTransitive, TooLarge,
+from monotone_ergo.posets import (MARGINAL_TOL, UPSET_ENUM_LIMIT, Coupling,
+                                  Distribution, FinitePoset, Infeasible,
+                                  NotAntisymmetric, NotReflexive,
+                                  NotTransitive, TooLarge,
                                   _upset_masks, antichain_poset, chain_poset,
                                   stochastically_dominates,
                                   strassen_coupling, validate_poset,
@@ -178,41 +180,49 @@ class TestStrassen:
         assert p.up_closure(res.witness_upset) == res.witness_upset
 
     @settings(max_examples=60, deadline=None)
-    @given(seed=st.integers(0, 10_000), n=st.integers(2, 6))
+    @given(seed=st.integers(0, 10_000), n=st.integers(2, 18))
     def test_dual_route_agreement(self, seed, n):
         # Strassen (max-flow) feasibility must agree with the up-set
-        # enumeration oracle on random posets and distribution pairs
+        # enumeration oracle on random posets, for a random pair and for
+        # a pushed-up pair, which is dominated; a coupling stays on the
+        # order with its marginals
         rng = np.random.default_rng(seed)
         poset = random_poset(rng, n)
         mu = random_dist(rng, n)
-        nu = random_dist(rng, n)
-        masks_ok = stochastically_dominates(mu, nu, poset)
-        res = strassen_coupling(mu, nu, poset)
-        assert masks_ok == isinstance(res, Coupling)
-        if masks_ok:
-            assert marginal_error(res, mu, nu) < 1e-10
-
+        for nu, pushed in ((random_dist(rng, n), False),
+                           (pushed_up(rng, mu, poset), True)):
+            masks_ok = stochastically_dominates(mu, nu, poset)
+            res = strassen_coupling(mu, nu, poset)
+            assert masks_ok == isinstance(res, Coupling)
+            assert masks_ok or not pushed
+            if masks_ok:
+                assert marginal_error(res, mu, nu) < MARGINAL_TOL
+                assert np.all(res.plan >= 0.0)
+                assert np.all(res.plan[~poset.leq] == 0.0)
 
     def test_certificate_is_a_minimum_cut(self):
         # max-flow equals min-cut: the witness falls short by exactly the
-        # flow that could not be sent, the largest up-set violation
+        # flow that could not be sent, the largest up-set violation; a
+        # pushed-up pair sends all its mass
         rng = np.random.default_rng(11)
         infeasible = 0
         for _ in range(60):
-            n = int(rng.integers(2, 9))
+            n = int(rng.integers(2, 19))
             poset = random_poset(rng, n)
-            mu, nu = random_dist(rng, n), random_dist(rng, n)
-            _, value, _ = max_flow_bipartite(mu.p, nu.p, poset.leq)
-            res = strassen_coupling(mu, nu, poset)
-            if isinstance(res, Coupling):
-                continue
-            infeasible += 1
-            U = sorted(violating_upset(mu, nu, poset))
-            largest = mu.p[U].sum() - nu.p[U].sum()
-            assert res.mu_mass - res.nu_mass == pytest.approx(1.0 - value,
-                                                              abs=1e-9)
-            assert res.mu_mass - res.nu_mass == pytest.approx(largest,
-                                                              abs=1e-9)
+            mu = random_dist(rng, n)
+            for nu in (random_dist(rng, n), pushed_up(rng, mu, poset)):
+                _, value, _ = max_flow_bipartite(mu.p, nu.p, poset.leq)
+                res = strassen_coupling(mu, nu, poset)
+                if isinstance(res, Coupling):
+                    assert value == pytest.approx(1.0, abs=MARGINAL_TOL)
+                    continue
+                infeasible += 1
+                U = sorted(violating_upset(mu, nu, poset))
+                largest = mu.p[U].sum() - nu.p[U].sum()
+                assert res.mu_mass - res.nu_mass == pytest.approx(
+                    1.0 - value, abs=1e-9)
+                assert res.mu_mass - res.nu_mass == pytest.approx(
+                    largest, abs=1e-9)
         assert infeasible >= 20
 
 

@@ -105,6 +105,66 @@ class TestExact:
             np.all(np.isfinite(res.dual_v))
 
 
+@st.composite
+def tied_instances(draw):
+    """Masses with zeros and ties, scaled to equal totals, and integer
+    costs with ties."""
+    m, n = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    a = np.array(draw(st.lists(st.integers(0, 3), min_size=m, max_size=m)),
+                 dtype=float)
+    b = np.array(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)),
+                 dtype=float)
+    a[draw(st.integers(0, m - 1))] += 1.0
+    gap = a.sum() - b.sum()
+    if gap > 0:
+        b[draw(st.integers(0, n - 1))] += gap
+    else:
+        a[draw(st.integers(0, m - 1))] -= gap
+    c = np.array(draw(st.lists(st.integers(0, 2), min_size=m * n,
+                               max_size=m * n)), dtype=float).reshape(m, n)
+    total = a.sum()
+    return a / total, b / total, c
+
+
+class TestLeastCostStart:
+    @settings(max_examples=200, deadline=None)
+    @given(instance=tied_instances())
+    def test_start_is_a_feasible_spanning_tree(self, instance):
+        a, b, c = instance
+        m, n = c.shape
+        plan, basis = transport._least_cost_basis(a, b, c)
+        assert len(basis) == len(set(basis)) == m + n - 1
+        # union-find over rows 0..m-1 and columns m..: m+n-1 edges that
+        # never close a cycle span all m+n nodes
+        root = list(range(m + n))
+
+        def find(k):
+            while root[k] != k:
+                k = root[k]
+            return k
+
+        for i, j in basis:
+            ri, rj = find(i), find(m + j)
+            assert ri != rj, f"cell {(i, j)} closes a cycle"
+            root[ri] = rj
+        off = np.ones((m, n), dtype=bool)
+        off[tuple(zip(*basis))] = False
+        assert np.all(plan >= 0.0) and np.all(plan[off] == 0.0)
+        assert np.abs(plan.sum(axis=1) - a).max() <= 1e-12
+        assert np.abs(plan.sum(axis=0) - b).max() <= 1e-12
+
+    def test_pivot_count_on_a_60_by_60_instance(self):
+        # the exact workload's kind of instance; the north-west corner
+        # start took 320 pivots to the same optimum
+        rng = np.random.default_rng(60)
+        a, b = rng.random(60) + 1e-3, rng.random(60) + 1e-3
+        xs, ys = rng.random((60, 2)), rng.random((60, 2))
+        cost = CostMatrix(np.sqrt(((xs[:, None] - ys[None]) ** 2).sum(axis=2)))
+        res = wasserstein_exact(a / a.sum(), b / b.sum(), cost)
+        assert res.converged is True
+        assert res.iterations == 118
+
+
 def assert_same_result(new, ref):
     """Every TransportResult field equal, arrays entry for entry (the
     duals of zero-mass rows and columns are NaN in both)."""
