@@ -240,7 +240,8 @@ def cmd_spde(args) -> int:
         **serialize.snapshot_files(rec.snapshots)}
     _write(args, f"spde {sub}", "record", rec.to_json_obj(), t0,
            seed=config.seed, inputs={"config.json": args.config}, files=files)
-    return EXIT_PASS
+    # "trivially-synchronized" is a positive verdict, not a False one
+    return EXIT_VERDICT if rec.extra.get("verdict") is False else EXIT_PASS
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,10 @@ monotone (Strassen) couplings.
 
 A finite poset is stored as a dense boolean relation matrix.  Stochastic
 domination between two distributions is characterised either by up-set
-enumeration (mu(U) <= nu(U) for every upward-closed U) or, equivalently,
-by feasibility of a transport plan supported on the graph of the order;
-the two routes serve as independent cross-checks.
+enumeration (mu(U) <= nu(U) for every upward-closed U) or, equivalently
+(Strassen 1965), by a transport plan that puts no mass off the graph of
+the order, found by the transport simplex on the cost 1 off the order
+and 0 on it; the two routes serve as independent cross-checks.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .maxflow import max_flow_bipartite
+from . import transport
 from .serialize import ConfigError, array, checked, integer, read_keys
 
 UPSET_ENUM_LIMIT = 24
@@ -176,7 +177,8 @@ def violating_upset(mu: Distribution, nu: Distribution,
                     poset: FinitePoset) -> frozenset | None:
     """A maximally violating up-set, or None if mu is dominated by nu.
 
-    Orders larger than UPSET_ENUM_LIMIT take it from max-flow's min cut.
+    Orders larger than UPSET_ENUM_LIMIT take it from the transport
+    simplex's dual certificate (`strassen_coupling`).
     """
     if poset.n > UPSET_ENUM_LIMIT:
         res = strassen_coupling(mu, nu, poset)
@@ -190,19 +192,40 @@ def violating_upset(mu: Distribution, nu: Distribution,
     return frozenset(i for i in range(poset.n) if mask >> i & 1)
 
 
+def max_flow_bipartite(mu, nu, allowed):
+    """(flow, value, source_side): a maximum flow from mu to nu along
+    `allowed`, its value, and the rows on the source side of a minimum cut.
+
+    The transport simplex on the cost 1 off `allowed` gives it, with
+    optimum W = 1 - value.  On 0/1 costs its potentials are integers and
+    max u + max v <= 1, so the dual objective, layered by threshold, is
+    positive on one unit step only; there the up-closure of the mass-carrying
+    rows (the others have NaN potentials) of largest potential loses W, so
+    it is a minimum cut.  A simplex stopped at its cap raises NotConverged.
+    """
+    res = transport.wasserstein_exact(
+        mu, nu, transport.CostMatrix((~allowed).astype(float)))
+    if not res.converged:
+        raise transport.NotConverged(f"coupling simplex did not converge "
+                                     f"in {res.iterations} iterations")
+    flow = np.where(allowed, res.plan, 0.0)
+    source_side = np.flatnonzero(res.dual_u == np.nanmax(res.dual_u))
+    return flow, float(flow.sum()), source_side
+
+
 def strassen_coupling(mu: Distribution, nu: Distribution,
                       poset: FinitePoset):
     """Monotone coupling of mu below nu, or a certified Infeasible.
 
-    Feasibility is decided by max-flow on the bipartite graph whose middle
-    arcs follow the order relation; on infeasibility the source side of a
-    min cut yields a violating up-set witness.
+    Feasibility is decided by the maximum flow along the order relation
+    (`max_flow_bipartite`); on infeasibility the up-closure of the source
+    side of its minimum cut is a largest violating up-set, the witness.
     """
-    n = poset.n
     flow, value, source_side = max_flow_bipartite(mu.p, nu.p, poset.leq)
     if value >= 1.0 - MARGINAL_TOL:
         plan = flow.copy()
-        # polish the tiny max-flow residual so marginals are exact
+        # polish the simplex's rounding and the dropped mass off the
+        # order (at most MARGINAL_TOL) so marginals are exact
         deficit_r = mu.p - plan.sum(axis=1)
         deficit_c = nu.p - plan.sum(axis=0)
         if deficit_r.max() > 0 and deficit_c.max() > 0:

@@ -50,9 +50,9 @@ def report(k, line, elapsed, cap):
 
 
 def test_criterion_01_strassen_equivalence():
-    """Coupling feasibility (max-flow) agrees with the up-set domination
-    oracle on 200 random posets; feasible plans are supported on the order
-    graph with marginal error < 1e-10."""
+    """Coupling feasibility (transport simplex) agrees with the up-set
+    domination oracle on 200 random posets; feasible plans are supported on
+    the order graph with marginal error < 1e-10."""
     t0 = time.monotonic()
     rng = np.random.default_rng(2024)
     agree = 0

@@ -449,8 +449,8 @@ class TestLemma33:
         assert 0.0 < -res.fun <= rhs + 1e-10
 
     def test_premise_violation_reported(self):
-        # mu above nu: max-flow certifies that no coupling has X below Y,
-        # and the left side's linear program finds none either
+        # mu above nu: the Strassen test certifies that no coupling has X
+        # below Y, and the left side's linear program finds none either
         poset, kernel, space = load_chain5()
         nu, mu = chain5_laws(kernel, 3)
         cpl = strassen_coupling(Distribution(mu), Distribution(nu), poset)

@@ -667,18 +667,34 @@ class TestChainVerify:
 
 
 class TestSpde:
-    def test_cubic_at_coarse_dt_exits_0(self, tmp_path, capsys):
+    def test_cubic_at_coarse_dt_exits_0(self, capsys):
         # dt = 0.01 with the cubic drift and clamp_R = 15, where an
         # explicit drift step would break order (dt (3 R^2 - K) = 6.74 > 1),
-        # runs: the splitting step preserves order at every dt
-        cfg = serialize.load(fixture_path("spde_sync.json"))
-        cfg["spde"].update(dt=0.01, T=1, n_paths=8)
-        cfg.update(T=1, n_paths=8)
-        serialize.dump(cfg, str(tmp_path / "coarse.json"))
-        code, out, err = run(["spde", "sync", str(tmp_path / "coarse.json")],
+        # runs: the splitting step preserves order at every dt.  The
+        # shipped config runs at that dt, and exit 0 needs its positive
+        # verdict, which a run shorter than its T = 30 does not reach
+        code, out, err = run(["spde", "sync", fixture_path("spde_sync.json")],
                              capsys)
         assert code == 0, err
         assert json.loads(out)["config"]["dt"] == 0.01
+
+    @pytest.mark.parametrize("y_amp, code, verdict", [
+        (2, 1, False), (-2, 0, "trivially-synchronized")],
+        ids=["no-noise-exit-1", "equal-starts-exit-0"])
+    def test_sync_exit_follows_the_verdict(self, tmp_path, capsys, y_amp,
+                                           code, verdict):
+        # without noise the two starts never meet, so the verdict is
+        # False; the record is still printed and archived
+        cfg = serialize.load(fixture_path("spde_sync_zero_noise.json"))
+        cfg["y"]["amp"] = y_amp
+        serialize.dump(cfg, str(tmp_path / "cfg.json"))
+        out_dir = str(tmp_path / "run")
+        got, out, err = run(["spde", "sync", str(tmp_path / "cfg.json"),
+                             "--out", out_dir], capsys)
+        assert got == code, err
+        assert json.loads(out)["extra"]["verdict"] == verdict
+        assert serialize.load(os.path.join(out_dir, "record.json")) == \
+            json.loads(out)
 
     def test_unknown_config_key_exit_2(self, tmp_path, capsys):
         cfg = serialize.load(fixture_path("spde_constants.json"))

@@ -1,6 +1,8 @@
 """Poset axioms, up-set enumeration, stochastic domination (dual routes),
 and monotone couplings."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,13 +10,13 @@ from hypothesis import strategies as st
 
 from conftest import (marginal_error, pushed_up, random_dist, random_poset,
                       upsets)
-from monotone_ergo.maxflow import max_flow_bipartite
+from monotone_ergo import transport
 from monotone_ergo.posets import (MARGINAL_TOL, UPSET_ENUM_LIMIT, Coupling,
                                   Distribution, FinitePoset, Infeasible,
                                   NotAntisymmetric, NotReflexive,
                                   NotTransitive, TooLarge,
                                   _upset_masks, antichain_poset, chain_poset,
-                                  stochastically_dominates,
+                                  max_flow_bipartite, stochastically_dominates,
                                   strassen_coupling, validate_poset,
                                   violating_upset)
 
@@ -160,6 +162,13 @@ class TestDomination:
         assert not stochastically_dominates(a, b, p)
 
 
+def dist_with_zeros(rng: np.random.Generator, n: int) -> Distribution:
+    """A random distribution with about half of its masses zero."""
+    p = (rng.random(n) + 1e-3) * (rng.random(n) < 0.5)
+    p[rng.integers(n)] = 1.0
+    return Distribution(p / p.sum())
+
+
 class TestStrassen:
     def test_feasible_coupling_contract(self, rng):
         p = chain_poset(4)
@@ -182,7 +191,7 @@ class TestStrassen:
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 10_000), n=st.integers(2, 18))
     def test_dual_route_agreement(self, seed, n):
-        # Strassen (max-flow) feasibility must agree with the up-set
+        # Strassen (simplex) feasibility must agree with the up-set
         # enumeration oracle on random posets, for a random pair and for
         # a pushed-up pair, which is dominated; a coupling stays on the
         # order with its marginals
@@ -203,14 +212,18 @@ class TestStrassen:
     def test_certificate_is_a_minimum_cut(self):
         # max-flow equals min-cut: the witness falls short by exactly the
         # flow that could not be sent, the largest up-set violation; a
-        # pushed-up pair sends all its mass
+        # pushed-up pair sends all its mass.  The pair with zero masses
+        # has rows without a simplex potential, which the witness skips
         rng = np.random.default_rng(11)
         infeasible = 0
         for _ in range(60):
             n = int(rng.integers(2, 19))
             poset = random_poset(rng, n)
-            mu = random_dist(rng, n)
-            for nu in (random_dist(rng, n), pushed_up(rng, mu, poset)):
+            first = random_dist(rng, n)
+            for mu, nu in ((first, random_dist(rng, n)),
+                           (first, pushed_up(rng, first, poset)),
+                           (dist_with_zeros(rng, n),
+                            dist_with_zeros(rng, n))):
                 _, value, _ = max_flow_bipartite(mu.p, nu.p, poset.leq)
                 res = strassen_coupling(mu, nu, poset)
                 if isinstance(res, Coupling):
@@ -224,6 +237,20 @@ class TestStrassen:
                 assert res.mu_mass - res.nu_mass == pytest.approx(
                     largest, abs=1e-9)
         assert infeasible >= 20
+
+    def test_a_simplex_stopped_at_its_cap_raises(self, monkeypatch):
+        # a coupling read off a simplex that did not reach its optimum
+        # could be a wrong verdict, so neither branch may return one
+        solve = transport.wasserstein_exact
+        monkeypatch.setattr(transport, "wasserstein_exact", lambda *args:
+                            dataclasses.replace(solve(*args),
+                                                converged=False))
+        p = chain_poset(3)
+        lo = Distribution([0.6, 0.3, 0.1])
+        hi = Distribution([0.1, 0.3, 0.6])
+        for mu, nu in ((lo, hi), (hi, lo)):
+            with pytest.raises(transport.NotConverged):
+                strassen_coupling(mu, nu, p)
 
 
 class TestMonotone:
