@@ -185,12 +185,9 @@ _times = serialize.checked(
     serialize.array(1, float), lambda t: np.all((t >= 0) & (t < np.inf)),
     "an array of finite numbers >= 0")
 
-# top-level keys that every spde subcommand reads: each repeats the solver
-# block's value and must equal it
-_SOLVER_COPIES = ("T", "n_paths")
-
-# the top-level keys but the solver block and the fields (spde.read_field)
-_SPDE_READERS = {"T": serialize.number, "n_paths": serialize.integer,
+# the top-level keys but the solver block and the fields (spde.read_field);
+# every spde subcommand reads "T", which repeats the solver block's T
+_SPDE_READERS = {"T": serialize.number,
                  "n_record": serialize.checked(
                      serialize.integer, lambda n: n >= 1, "at least 1"),
                  "time_grid": serialize.checked(
@@ -200,23 +197,21 @@ _SPDE_READERS = {"T": serialize.number, "n_paths": serialize.integer,
 
 def read_spde(path: str, sub: str):
     """(solver config, experiment keyword arguments) of `spde sub` from the
-    config file at `path`.  A top-level T or n_paths that differs from the
-    solver block's is a ConfigError, and so is a field that does not fit
-    the grid, naming its key."""
+    config file at `path`.  A top-level T that differs from the solver
+    block's is a ConfigError, and so is a field that does not fit the grid,
+    naming its key."""
     keys = SPDE_EXPERIMENTS[sub][1]
     cfg = {**keys, **serialize.read_keys(
         _load_object(path, "config"),
         {"spde": spde.SpdeConfig.from_json_obj,
          **{key: _SPDE_READERS.get(key, spde.read_field)
-            for key in (*_SOLVER_COPIES, *keys)}},
+            for key in ("T", *keys)}},
         "config", {"spde", *(key for key in keys if keys[key] is ...)})}
     config = cfg.pop("spde")
-    for key in _SOLVER_COPIES:
-        value, solver = cfg.pop(key, None), getattr(config, key)
-        if value is not None and value != solver:
-            raise serialize.ConfigError(
-                f"field {key!r}: must equal the spde block's {key}, "
-                f"{solver!r}, not {value!r}")
+    T = cfg.pop("T", None)
+    if T is not None and T != config.T:
+        raise serialize.ConfigError(f"field 'T': must equal the spde block's "
+                                    f"T, {config.T!r}, not {T!r}")
     for key in [key for key in cfg if key not in _SPDE_READERS]:
         try:
             cfg[key] = spde.Field(spde.profile(cfg[key], config.N))

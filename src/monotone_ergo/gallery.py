@@ -3,13 +3,14 @@
 Each case builds a small construction, exact except for the seeded
 samples of example-2-6-2-7, evaluates a list of machine-checkable claims
 (equalities to 1e-10), and returns a JSON-ready report {name, claims:
-[{statement, lhs, rhs, holds}]}.
+[{statement, lhs, rhs, holds}]}.  No case calls an LP solver:
+example-3-5 proves the optimum of its LP by a primal and a dual solution
+whose feasibility and zero duality gap are claims that can fail.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .chains import (FiniteKernel, check_lyapunov, check_order_preserving,
                      check_premetric_sandwich, moment_bound_M)
@@ -154,22 +155,29 @@ def run_example_3_5(n: int):
                     for k in range(n)])
     claims.append(_claim("E[sup-distance capped at 1]", dist, 1.0))
 
-    # premetric infeasibility: minimize phi(top) - phi(bottom) subject to
-    # phi increments dominating the pairwise distances along the chain
-    # bottom <= f_1 <= ... <= f_n = top; the minimum telescopes to n
+    # premetric infeasibility: over phi(bottom), phi(f_1), ..., phi(f_n) ==
+    # phi(top), minimize c phi = phi(top) - phi(bottom) subject to A phi <= b,
+    # row k being phi_k - phi_{k+1} <= -step_k: phi increments dominate the
+    # distances along the chain bottom <= f_1 <= ... <= f_n = top.  The primal
+    # phi = (0, cumsum(steps)) and the dual y = 1 certify that the minimum is
+    # sum(steps): each is feasible, and their objectives agree
     steps = [min(np.abs(fs[0] - 0.0).max(), 1.0)]
     steps += [min(np.abs(fs[k + 1] - fs[k]).max(), 1.0) for k in range(n - 1)]
-    nv = n + 1  # phi(bottom), phi(f_1), ..., phi(f_n) == phi(top)
-    A_ub = np.zeros((n, nv))
-    for k in range(n):
-        A_ub[k, k] = 1.0
-        A_ub[k, k + 1] = -1.0  # phi_k - phi_{k+1} <= -step_k
-    b_ub = -np.asarray(steps)
-    c = np.zeros(nv)
-    c[-1], c[0] = 1.0, -1.0
-    res = linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=[(None, None)] * nv,
-                  method="highs")
-    min_spread = float(res.fun)
+    A = np.eye(n, n + 1) - np.eye(n, n + 1, 1)
+    b = -np.asarray(steps)
+    c = np.r_[-1.0, np.zeros(n - 1), 1.0]
+    phi_opt = np.cumsum([0.0, *steps])
+    y = np.ones(n)
+    min_spread = float(c @ phi_opt)
+    claims.append(_claim("certificate: phi = (0, cumsum(steps)) is primal "
+                         "feasible, largest entry of A phi - b",
+                         (A @ phi_opt - b).max(), 0.0, op="le"))
+    claims.append(_claim("certificate: y = 1 is dual feasible, largest "
+                         "violation of y >= 0 and A^T y = -c",
+                         max((-y).max(), np.abs(A.T @ y + c).max()), 0.0,
+                         op="le"))
+    claims.append(_claim("certificate: zero duality gap, primal c phi "
+                         "against dual -b y", min_spread, -b @ y))
     claims.append(_claim(
         "minimal phi(top) - phi(bottom) compatible with the premetric "
         "constraints grows linearly (certificate of infeasibility)",

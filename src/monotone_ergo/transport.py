@@ -82,7 +82,6 @@ class TransportResult:
     dual_v: np.ndarray | None = None
     ci_low: float | None = None
     ci_high: float | None = None
-    reg_value: float | None = None
     converged: bool = True
 
     def to_json_obj(self):
@@ -302,8 +301,8 @@ def _kernel(f, g, c, eps):
 
 def sinkhorn(mu, nu, cost: CostMatrix, epsilon: float) -> TransportResult:
     """Entropic optimal transport by stabilized scaling with epsilon
-    annealing (Schmitzer 2019; Peyre-Cuturi 2019, ch. 4); reports the
-    regularized and the plan cost.
+    annealing (Schmitzer 2019; Peyre-Cuturi 2019, ch. 4); its value is the
+    cost of the plan.
 
     Only the rows and columns that carry mass take part.  The plan is
     diag(a u) K diag(b v) with K = exp((f + g - C) / eps_k), f and g the
@@ -372,13 +371,9 @@ def sinkhorn(mu, nu, cost: CostMatrix, epsilon: float) -> TransportResult:
     plan[np.ix_(rows, cols)] = (ar * u)[:, None] * kern * (bc * v)[None, :]
     err = float(np.abs(plan.sum(axis=1) - a).sum()
                 + np.abs(plan.sum(axis=0) - b).sum())
-    plan_cost = float((plan * c).sum())
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ent = np.where(plan > 0, plan * (np.log(plan) - 1.0), 0.0).sum()
-    reg_value = plan_cost + epsilon * float(ent)
-    return TransportResult(value=plan_cost, plan=plan, method="sinkhorn",
-                           iterations=it, gap=err, epsilon=epsilon,
-                           reg_value=reg_value, converged=err < SINKHORN_TOL)
+    return TransportResult(value=float((plan * c).sum()), plan=plan,
+                           method="sinkhorn", iterations=it, gap=err,
+                           epsilon=epsilon, converged=err < SINKHORN_TOL)
 
 
 # ---------------------------------------------------------------------------

@@ -42,13 +42,9 @@ def reference_sinkhorn(mu, nu, cost: CostMatrix, epsilon: float,
                 break
     logplan = (f[:, None] + g[None, :] - c) / epsilon
     plan = np.exp(logplan)
-    plan_cost = float((plan * c).sum())
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ent = np.where(plan > 0, plan * (np.log(plan) - 1.0), 0.0).sum()
-    reg_value = plan_cost + epsilon * float(ent)
-    return TransportResult(value=plan_cost, plan=plan, method="sinkhorn",
-                           iterations=it, gap=err, epsilon=epsilon,
-                           reg_value=reg_value, converged=err < tol)
+    return TransportResult(value=float((plan * c).sum()), plan=plan,
+                           method="sinkhorn", iterations=it, gap=err,
+                           epsilon=epsilon, converged=err < tol)
 
 
 def _logsumexp(mat, axis):

@@ -143,8 +143,11 @@ def spde_config(tmp_path, where, key) -> str:
      "ampl"),
     (lambda tmp: ["spde", "sync",
                   spde_config(tmp, ("spde", "drift", "params"), "k")], "k"),
+    # a top-level n_paths, even one equal to the solver block's
+    (lambda tmp: config_argv(["spde", "sync"], {
+        **SYNC, "n_paths": SYNC["spde"]["n_paths"]})(tmp), "n_paths"),
 ], ids=["chain-verify-top-level", "spde-top-level", "field-profile",
-        "noise-profile", "drift-params"])
+        "noise-profile", "drift-params", "spde-top-level-n-paths"])
 def test_unknown_key_exit_2(tmp_path, capsys, argv, key):
     code, out, err = run(argv(tmp_path), capsys)
     assert code == 2
@@ -155,17 +158,17 @@ def test_unknown_key_exit_2(tmp_path, capsys, argv, key):
 def energy_config(tmp_path, n_paths: int) -> str:
     """spde_energy.json with `n_paths` paths."""
     cfg = serialize.load(fixture_path("spde_energy.json"))
-    cfg["spde"]["n_paths"] = cfg["n_paths"] = n_paths
+    cfg["spde"]["n_paths"] = n_paths
     path = str(tmp_path / "energy.json")
     serialize.dump(cfg, path)
     return path
 
 
-def ergodicity_config(tmp_path, **top) -> str:
-    """spde_ergodicity.json on an 8-point grid, with the top-level keys
-    `top` replaced."""
+def ergodicity_config(tmp_path, solver=None, **top) -> str:
+    """spde_ergodicity.json on an 8-point grid, with the solver block's
+    keys `solver` and the top-level keys `top` replaced."""
     cfg = serialize.load(fixture_path("spde_ergodicity.json"))
-    cfg["spde"]["N"] = 8
+    cfg["spde"].update(N=8, **(solver or {}))
     path = str(tmp_path / "ergodicity.json")
     serialize.dump({**cfg, **top}, path)
     return path
@@ -178,7 +181,8 @@ def ergodicity_argv(key, value):
                         ergodicity_config(tmp, **{key: value})]
 
 
-# top-level spde values out of range: (argv, the key the error names)
+# spde values out of range: (argv, the key the error names, or the path
+# of keys to it in the solver block)
 BAD_SPDE_VALUES = {
     "time-grid-string": (ergodicity_argv("time_grid", "ab"), "time_grid"),
     "time-grid-empty": (ergodicity_argv("time_grid", []), "time_grid"),
@@ -186,7 +190,8 @@ BAD_SPDE_VALUES = {
                            "time_grid"),
     "extra-x-times-string": (ergodicity_argv("extra_x_times", "x"),
                              "extra_x_times"),
-    "n-paths-infinite": (ergodicity_argv("n_paths", float("inf")), "n_paths"),
+    "n-paths-infinite": (lambda tmp: ["spde", "ergodicity", ergodicity_config(
+        tmp, {"n_paths": float("inf")})], ("spde", "n_paths")),
     "run-n-record-0": (lambda tmp: ["spde", "run", run_config(tmp, 0)],
                        "n_record"),
 }
@@ -217,7 +222,9 @@ def test_out_of_range_value_exit_2(tmp_path, capsys, argv):
                          ids=list(BAD_SPDE_VALUES))
 def test_bad_spde_value_names_its_field(tmp_path, capsys, argv, key):
     _, _, err = run(argv(tmp_path), capsys)
-    assert err.startswith(f"config error: field '{key}': ")
+    path = (key,) if isinstance(key, str) else key
+    assert err.startswith("config error: " + "".join(
+        f"field '{step}': " for step in path))
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +331,7 @@ READER_TABLES = [
     *((f"spde-{sub}", lambda k, v, sub=sub: config_argv(
         ["spde", sub], set_at(spde_base(sub), (k,), v)),
        {key: cli._SPDE_READERS.get(key, spde.read_field)
-        for key in (*cli._SOLVER_COPIES, *keys)})
+        for key in ("T", *keys)})
       for sub, (_, keys, _) in cli.SPDE_EXPERIMENTS.items()),
     ("chain-verify", lambda k, v: chain_argv((k,), v), cli.CHAIN_READERS),
     ("poset", lambda k, v: chain_argv(("poset", k), v),
@@ -348,6 +355,10 @@ RETIRED_KEYS = [
     ("const-profile", lambda k, v: constants_argv(
         ("spde", "noise", "sigma", 0), {"kind": "const", "amp": 1, k: v}),
      {"value": serialize.number}),
+    # the top-level copy of the solver block's n_paths
+    *((f"spde-{sub}", lambda k, v, sub=sub: config_argv(
+        ["spde", sub], set_at(spde_base(sub), (k,), v)),
+       {"n_paths": serialize.integer}) for sub in cli.SPDE_EXPERIMENTS),
 ]
 
 WRONG_TYPE_CASES = [
@@ -385,7 +396,7 @@ REPRODUCED = {
     "params-a-string": (("spde", "drift", "params"), {"a": "-0.1"}, "a"),
     "profile-amp-string": (("x_nonconst", "amp"), "2", "amp"),
     "profile-freq-string": (("x_nonconst", "freq"), "1", "freq"),
-    "n-paths-20.9": (("n_paths",), 20.9, "n_paths"),
+    "n-paths-20.9": (("spde", "n_paths"), 20.9, "n_paths"),
     "T-string": (("T",), "0.01", "T"),
 }
 # horizon and r2_threshold are no longer keys of the config, so these
@@ -802,7 +813,7 @@ class TestSpde:
     def test_swap_runs_to_the_solver_T(self, tmp_path, capsys):
         cfg = serialize.load(fixture_path("spde_swap.json"))
         cfg["spde"].update(T=0.5, n_paths=20)
-        del cfg["T"], cfg["n_paths"]
+        del cfg["T"]
         serialize.dump(cfg, str(tmp_path / "swap.json"))
         code, out, _ = run(["spde", "swap", str(tmp_path / "swap.json")],
                            capsys)

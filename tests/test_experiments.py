@@ -2,6 +2,7 @@
 on small, fast configurations."""
 
 import json
+import math
 import os
 from dataclasses import replace
 
@@ -10,7 +11,7 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 
 from conftest import series, set_usable_cpus
-from monotone_ergo import fixture_path, serialize, shards, transport
+from monotone_ergo import cli, fixture_path, serialize, shards, transport
 from monotone_ergo.experiments import (NULL_RESAMPLES, SYNC_RECORD_TIMES,
                                        ExperimentRecord,
                                        _permutation_null,
@@ -59,7 +60,60 @@ class TestRecord:
         assert os.listdir(tmp_path) == ["record.json"]
 
 
+def reference_dissipation(config, times, snaps):
+    """(holds, worst pair, worst margin) of the dissipation inequality
+    E|u_t|^2 <= E|u_s|^2 - K2 int_s^t E|u_r|^2 dr + (K1 + |sigma|^2)(t - s)
+    with a 3-SE slack, by one trapezoid integral over the recorded times of
+    each pair s < t: the loop energy_moments once ran, kept as its
+    reference."""
+    e2, se2 = {}, {}
+    for t in times:
+        nsq = l2_sq(snaps[t])
+        e2[t] = float(nsq.mean())
+        se2[t] = float(nsq.std(ddof=1) / math.sqrt(len(nsq)))
+    sigma_sq = float(sum(l2_sq(row)
+                         for row in config.noise.tabulate(config.N)))
+    K1, K2 = config.drift.K1, config.drift.K2
+    worst_margin, worst_pair, ok = -np.inf, None, True
+    for a in range(len(times)):
+        for b in range(a + 1, len(times)):
+            s, t = times[a], times[b]
+            sub = times[a:b + 1]
+            integral = float(np.trapezoid([e2[r] for r in sub], sub))
+            rhs = e2[s] - K2 * integral + (K1 + sigma_sq) * (t - s)
+            int_se = float(np.trapezoid([se2[r] for r in sub], sub))
+            margin = e2[t] - rhs - 3.0 * (se2[t] + se2[s] + K2 * int_se)
+            if margin > worst_margin:
+                worst_margin, worst_pair = margin, (s, t)
+            if margin > 0:
+                ok = False
+    return ok, worst_pair, worst_margin
+
+
+def _fixture_energy():
+    config, kwargs = cli.read_spde(fixture_path("spde_energy.json"),
+                                   "energy")
+    return config, kwargs["u0"]
+
+
 class TestEnergy:
+    @pytest.mark.parametrize("case", [
+        lambda: (small_config(), Field(np.full(16, 3.0))),
+        # K2 far above the drift's dissipation: the inequality fails
+        lambda: (small_config(drift=DriftSpec("cubic", {"K": 1.0}, K1=0.01,
+                                              K2=5.0, K3=1.0)),
+                 Field(np.full(16, 3.0))),
+        _fixture_energy,
+    ], ids=["small", "small-violated", "fixture"])
+    def test_dissipation_check_matches_the_pairwise_loop(self, case):
+        config, u0 = case()
+        rec = energy_moments(config, u0)
+        ok, pair, margin = reference_dissipation(
+            config, rec.times, simulate(config, u0, rec.times))
+        assert rec.extra["dissipation_inequality_holds"] == ok
+        assert rec.extra["worst_pair"] == pair
+        assert rec.extra["worst_margin"] == pytest.approx(margin, abs=1e-12)
+
     def test_dissipation_inequality_and_c4(self):
         cfg = small_config()
         rec = energy_moments(cfg, Field(np.full(16, 3.0)))

@@ -3,7 +3,9 @@ values."""
 
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from monotone_ergo import gallery
 from monotone_ergo.chains import ConditionReport
@@ -90,6 +92,24 @@ class TestExample35:
         cert = rep["infeasibility_certificate"]
         assert cert["forced_spread"] == pytest.approx(5.0, abs=1e-9)
         assert len(cert["chain_steps"]) == 5
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_certified_optimum_matches_an_lp_solver(self, n):
+        # HiGHS on the LP the certificate proves: minimize
+        # phi_n - phi_0 subject to phi_k - phi_{k+1} <= -step_k
+        rep = gallery.run_example_3_5(n)
+        cert = rep["infeasibility_certificate"]
+        A_ub = np.eye(n, n + 1) - np.eye(n, n + 1, 1)
+        c = np.zeros(n + 1)
+        c[0], c[-1] = -1.0, 1.0
+        res = linprog(c, A_ub=A_ub, b_ub=-np.asarray(cert["chain_steps"]),
+                      bounds=[(None, None)] * (n + 1), method="highs")
+        assert res.status == 0
+        assert cert["forced_spread"] == pytest.approx(res.fun, abs=1e-9)
+        certificate = [claim for claim in rep["claims"]
+                       if claim["statement"].startswith("certificate: ")]
+        assert len(certificate) == 3
+        assert all(claim["holds"] for claim in certificate)
 
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):

@@ -2,8 +2,9 @@
 name it never uses.  An import line marked `# noqa: F401` is kept on
 purpose (a name looked up by another module) and is not reported.  No
 module of the package but `shards` imports a way to start processes or
-threads, so the package has one way to use more than one core, and none
-but `serialize` imports `json`, so it has one reader and one writer.  Every
+threads, so the package has one way to use more than one core, none
+but `serialize` imports `json`, so it has one reader and one writer, and
+none but `transport` imports `scipy`.  Every
 public top-level function or class of the package, and every public
 method of its classes, is read by package code, apart from a fixed list
 of names only the tests call; a method counts as read when it is called,
@@ -106,6 +107,14 @@ def test_only_the_shard_module_starts_workers(path):
     ids=lambda p: p.name)
 def test_only_the_serialize_module_imports_json(path):
     assert imports_of(path.read_text(), {"json"}) == []
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in SOURCES if p.parent.name == "monotone_ergo"
+             and p.name != "transport.py"],
+    ids=lambda p: p.name)
+def test_only_the_transport_module_imports_scipy(path):
+    assert imports_of(path.read_text(), {"scipy"}) == []
 
 
 # public top-level names and class methods of the package that only the
