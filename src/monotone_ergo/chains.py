@@ -86,10 +86,11 @@ class OrderedSpaceSpec:
     """The ordered-space data of the framework on a finite poset.
 
     Construction checks the input only: d and rho are n x n and phi and V
-    have length n, every entry is finite, V is nonnegative, the swap sets
-    hold elements of the poset and the constants lie in their ranges; a
-    failed check is a ConfigError.  Whether the data satisfy the
-    framework's conditions is for `check_all_conditions`.
+    have length n, every entry is finite, d, rho and V are nonnegative, the
+    swap sets hold elements of the poset and the constants lie in their
+    ranges (swap_eps in (0, 1), where (5) can fail); a failed check is a
+    ConfigError.  Whether the data satisfy the framework's conditions is
+    for `check_all_conditions`.
     """
     poset: FinitePoset
     d: np.ndarray
@@ -117,9 +118,11 @@ class OrderedSpaceSpec:
             if len(bad):
                 raise ConfigError(f"{field_name}: entry "
                                   f"{tuple(bad[0].tolist())} is not finite")
-            if name == "V" and np.any(arr < 0):
-                raise ConfigError(f"{field_name} takes the negative value "
-                                  f"{arr.min()!r}")
+            bad = np.argwhere(arr < 0) if name != "phi" else ()
+            if len(bad):
+                entry = tuple(bad[0].tolist())
+                raise ConfigError(f"{field_name}: entry {entry} is negative, "
+                                  f"{float(arr[entry])!r}")
             object.__setattr__(self, name, arr)
         for name in ("swap_A", "swap_B"):
             elements = frozenset(map(operator.index, getattr(self, name)))
@@ -130,7 +133,7 @@ class OrderedSpaceSpec:
             object.__setattr__(self, name, elements)
         in_range = {"gamma": 0 < self.gamma < math.inf,
                     "K": 0 < self.K < math.inf,
-                    "swap_eps": math.isfinite(self.swap_eps),
+                    "swap_eps": 0 < self.swap_eps < 1,
                     "delta": 0 < self.delta <= 1,
                     "kappa": 0 < self.kappa < math.inf}
         for name, ok in in_range.items():

@@ -1,7 +1,7 @@
 """Command-line entry point.
 
 Subcommands: chain-verify, spde (run | sync | ergodicity | swap | energy |
-constants-demo | convolution), gallery, transport.
+constants-demo), gallery, transport.
 
 Exit codes: 0 pass, 1 verdict failure, 2 config error, 3 numeric failure,
 4 usage error.  Human-readable output goes to stderr; machine-readable
@@ -107,6 +107,19 @@ def read_chain(path: str):
             FiniteKernel.from_json_obj(cfg["kernel"]), inputs)
 
 
+def _swap_failure(report, swap_eps: float) -> str:
+    """Why the failed swap check `report` (check_swap_condition) failed."""
+    if isinstance(report.witness, tuple):
+        return (f"swap_A element {report.witness[0]} does not precede swap_B "
+                f"element {report.witness[1]}")
+    if report.witness is not None:
+        return report.witness
+    got = report.attained
+    return (f"from state {got['argmin_state']} of {{V <= {got['level']:.6g}}}"
+            f" a swap set is hit with probability {got['attained_eps']:.6g},"
+            f" not above swap_eps {swap_eps:.6g}")
+
+
 def cmd_chain_verify(args) -> int:
     t0 = time.monotonic()
     # a malformed input is a config error (exit 2), raised by the readers and
@@ -119,7 +132,7 @@ def cmd_chain_verify(args) -> int:
         mark = "pass" if c.holds else "FAIL"
         _say(f"{c.condition:32s} {mark}")
         if c.condition == "swap" and not c.holds:
-            _say("swap condition unsatisfiable")
+            _say(f"swap: {_swap_failure(c, space.swap_eps)}")
     for (x, y), fit in zip(report.pairs, report.fits):
         _say(f"pair ({x}, {y}): rate {fit.rate:.6g}, R^2 {fit.r_squared:.4f},"
              f" {'pass' if fit.verdict else 'FAIL'}")
@@ -173,11 +186,6 @@ SPDE_EXPERIMENTS = {
                     f"{rec.extra['fraction_constant_const']:.4f}, nonconst "
                     f"{rec.extra['fraction_constant_nonconst']:.4f}, "
                     f"indicator TV {rec.extra['indicator_tv']:.4f}"),
-    "convolution": (experiments.stochastic_convolution, {},
-                    lambda rec: f"convolution: time exponent "
-                                f"{rec.extra['time_holder_exponent']:.4f}, "
-                                f"space exponent "
-                                f"{rec.extra['space_holder_exponent']:.4f}"),
 }
 
 

@@ -1,6 +1,6 @@
 """Experiment harness on top of the torus solver: energy moments,
-synchronization, ergodicity, swap probabilities, the constants-set
-total-variation obstruction, and the stochastic convolution modulus.
+synchronization, ergodicity, swap probabilities, and the constants-set
+total-variation obstruction.
 
 Every experiment returns an ExperimentRecord, which the CLI archives as
 record.json, config.json, statistics.csv and, for `snapshot_run`, binary
@@ -359,63 +359,3 @@ def constants_obstruction_demo(config: SpdeConfig, x_nonconst: Field,
     rec.extra = out
     return rec
 
-
-# ---------------------------------------------------------------------------
-# stochastic convolution modulus
-# ---------------------------------------------------------------------------
-
-def stochastic_convolution(config: SpdeConfig) -> ExperimentRecord:
-    """Single path of the linear (zero-drift) equation from w(0) = 0 with
-    empirical Hoelder-quotient exponents in time and space (reported, not
-    asserted: the constants are path-dependent).  A config with another
-    drift, more than one path or no step is a ConfigError."""
-    if config.drift.name != "zero":
-        raise ConfigError(f"field 'drift': must be the zero drift, not "
-                          f"{config.drift.name!r}")
-    if config.n_paths != 1:
-        raise ConfigError(f"field 'n_paths': must be 1, not "
-                          f"{config.n_paths!r}")
-    n = config.n_steps
-    if n < 1:
-        raise ConfigError(f"field 'T': must be at least one step, "
-                          f"dt = {config.dt!r}, not {config.T!r}")
-    rows = integrate(config, (np.zeros((1, config.N)),), range(1, n + 1),
-                     lambda ensembles: ensembles[0][0])
-    W = np.vstack([np.zeros(config.N), *rows.values()])
-    rec = ExperimentRecord(name="convolution", config=asdict(config))
-
-    def _dyadic_exponent(quotient_at, max_lag):
-        lags, sups = [], []
-        L = 1
-        while L <= max_lag:
-            q = quotient_at(L)
-            if q > 0:
-                lags.append(L)
-                sups.append(q)
-            L *= 2
-        if len(lags) < 2:
-            return float("nan"), lags, sups
-        # a slope of log sup against log lag is a rate in log-lag time
-        fit = fit_exponential_rate(np.log(lags), sups, burn_in_frac=0.0,
-                                   r2_threshold=0.0)
-        return -fit.rate, lags, sups
-
-    t_exp, t_lags, t_sups = _dyadic_exponent(
-        lambda L: float(np.abs(W[L:] - W[:-L]).max()), max(1, n // 4))
-    s_exp, s_lags, s_sups = _dyadic_exponent(
-        lambda S: float(np.abs(np.roll(W, -S, axis=1) - W).max()),
-        config.N // 4)
-
-    rec.extra = {
-        "time_holder_exponent": t_exp,
-        "time_lags_dt": [L * config.dt for L in t_lags],
-        "time_sup_increments": t_sups,
-        "space_holder_exponent": s_exp,
-        "space_lags": [S / config.N for S in s_lags],
-        "space_sup_increments": s_sups,
-        "max_abs_value": float(np.abs(W).max()),
-        "max_spatial_range": float((W.max(axis=1) - W.min(axis=1)).max()),
-    }
-    for L, q in zip(t_lags, t_sups):
-        rec.add_stat(L * config.dt, "time_sup_increment", q)
-    return rec

@@ -192,6 +192,15 @@ class TestSpecShapes:
             OrderedSpaceSpec.from_json_obj({**CHAIN5_SPACE, key: value},
                                            chain_poset(5))
 
+    @pytest.mark.parametrize("key", ["d", "rho"])
+    def test_negative_distance_entry_is_named(self, key):
+        value = np.array(CHAIN5_SPACE[key])
+        value[0, 2] = -1.0
+        with pytest.raises(ConfigError, match=rf"field '{key}' \(.*\): entry "
+                           rf"\(0, 2\) is negative, -1\.0"):
+            OrderedSpaceSpec.from_json_obj({**CHAIN5_SPACE, key: value},
+                                           chain_poset(5))
+
     def test_missing_field_is_named(self):
         obj = {k: v for k, v in CHAIN5_SPACE.items() if k != "rho"}
         with pytest.raises(ConfigError,

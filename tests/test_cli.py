@@ -82,8 +82,7 @@ def test_out_writes_payload_and_manifest(tmp_path, capsys, case):
 
 # the subcommand that reads each shipped spde config
 FIXTURE_SUBCOMMANDS = {
-    "spde_constants.json": "constants-demo",
-    "spde_convolution.json": "convolution", "spde_energy.json": "energy",
+    "spde_constants.json": "constants-demo", "spde_energy.json": "energy",
     "spde_ergodicity.json": "ergodicity", "spde_swap.json": "swap",
     "spde_swap_control.json": "swap", "spde_sync.json": "sync",
     "spde_sync_zero_noise.json": "sync",
@@ -231,9 +230,9 @@ def test_bad_spde_value_names_its_field(tmp_path, capsys, argv, key):
 # every key of every reader table, given a value of the wrong type
 # ---------------------------------------------------------------------------
 
-def chain5_inline() -> dict:
-    """chain5_verify.json with its poset, kernel and space inline."""
-    cfg = serialize.load(fixture_path("chain5_verify.json"))
+def chain_inline(name: str = "chain5") -> dict:
+    """{name}_verify.json with its poset, kernel and space inline."""
+    cfg = serialize.load(fixture_path(f"{name}_verify.json"))
     for key in ("poset", "kernel", "space"):
         cfg[key] = serialize.load(fixture_path(cfg[key]))
     return cfg
@@ -304,7 +303,7 @@ def constants_argv(path, value):
 
 def chain_argv(path, value):
     """argv of `chain-verify` on chain5 with `value` at `path`."""
-    return config_argv(["chain-verify"], set_at(chain5_inline(), path, value))
+    return config_argv(["chain-verify"], set_at(chain_inline(), path, value))
 
 
 # (id, argv maker of a config whose `key` holds `value`, the reader table
@@ -438,10 +437,8 @@ def test_reproduced_input_exit_2(tmp_path, capsys, argv, key):
     assert f"field '{key}': " in err
 
 
-SYNC, ERGODICITY, CONVOLUTION = (
-    serialize.load(fixture_path(f"spde_{name}.json"))
-    for name in ("sync", "ergodicity", "convolution"))
-CUBIC = {"name": "cubic", "params": {"K": 1}, "K1": 1, "K2": 0.5, "K3": 1}
+SYNC, ERGODICITY = (serialize.load(fixture_path(f"spde_{name}.json"))
+                    for name in ("sync", "ergodicity"))
 
 
 def solver_argv(sub, **solver):
@@ -465,11 +462,6 @@ PROBES = {
     "ergodicity-T-past-last-time": (config_argv(["spde", "ergodicity"], {
         **set_at(ERGODICITY, ("spde", "T"), 5), "time_grid": [0.01, 0.02],
         "extra_x_times": [0.03]}), "T"),
-    "convolution-cubic-drift": (config_argv(["spde", "convolution"], set_at(
-        set_at(CONVOLUTION, ("spde", "drift"), CUBIC), ("spde", "n_paths"),
-        7)), "drift"),
-    "convolution-7-paths": (config_argv(["spde", "convolution"], set_at(
-        CONVOLUTION, ("spde", "n_paths"), 7)), "n_paths"),
     "const-profile-value": (constants_argv(
         ("x_const",), {"kind": "const", "amp": 5, "value": -1}), "value"),
     "cos-profile-without-freq": (constants_argv(
@@ -507,7 +499,12 @@ PROBES = {
     "extra-x-times-off-grid": (config_argv(["spde", "ergodicity"], {
         **set_at(ERGODICITY, ("spde", "T"), 0.02),
         "time_grid": [0.01], "extra_x_times": [0.0205]}), "extra_x_times"),
-    "convolution-T-0": (solver_argv("convolution", T=0), "T"),
+    # swap_eps <= 0 made the counterexample pass (5); a negative d entry
+    # made d ** delta NaN
+    **{f"swap-eps-{value}": (config_argv(["chain-verify"], set_at(
+        chain_inline("antichain2"), ("space", "swap_eps"), value)),
+        "swap_eps") for value in (-1, 0, 1)},
+    "d-negative-entry": (chain_argv(("space", "d", 0, 2), -1), "d"),
     # the stationarity check would compare the last grid time with itself
     "extra-x-time-at-last-grid-time": (config_argv(["spde", "ergodicity"], {
         **set_at(ERGODICITY, ("spde", "T"), 0.02),
@@ -520,6 +517,7 @@ PROBES = {
 }
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("argv, key", list(PROBES.values()),
                          ids=list(PROBES))
 def test_probe_exit_2(tmp_path, capsys, argv, key):
@@ -538,7 +536,8 @@ class TestChainVerify:
         code, out, err = run(
             ["chain-verify", fixture_path("antichain2_verify.json")], capsys)
         assert code == 1
-        assert "swap condition unsatisfiable" in err
+        assert "swap: from state 1 of {V <= 5.77078} a swap set is hit " \
+            "with probability 0, not above swap_eps 0.05" in err
 
     def test_unconverged_simplex_exits_3(self, monkeypatch, capsys):
         monkeypatch.setattr(transport, "wasserstein_exact",

@@ -17,7 +17,6 @@ from monotone_ergo.experiments import (NULL_RESAMPLES, SYNC_RECORD_TIMES,
                                        _permutation_null,
                                        constants_obstruction_demo,
                                        energy_moments, ergodicity_experiment,
-                                       stochastic_convolution,
                                        swap_probability_estimate,
                                        synchronization_experiment)
 from monotone_ergo.spde import (SEED_MAX, ConfigError, DriftSpec, Field,
@@ -325,23 +324,3 @@ class TestConstantsObstruction:
         assert rec.extra["max_range_const"] == 0.0
         assert rec.extra["fraction_constant_nonconst"] == 0.0
         assert rec.extra["indicator_tv"] == 1.0
-
-
-def convolution_config(T):
-    """small_config with the zero drift and one path, as the stochastic
-    convolution needs."""
-    return small_config(T=T, n_paths=1, drift=DriftSpec(
-        "zero", {}, K1=1.0, K2=1.0, K3=1.0))
-
-
-class TestConvolution:
-    def test_reporting_contract(self):
-        rec = stochastic_convolution(convolution_config(0.064))
-        assert np.isfinite(rec.extra["time_holder_exponent"])
-        assert rec.extra["max_abs_value"] > 0
-
-    def test_constant_sigma_stays_spatially_constant(self):
-        # sigma == 1 drives only the constant mode, so the zero-drift
-        # path has zero spatial range at machine precision
-        rec = stochastic_convolution(convolution_config(0.05))
-        assert rec.extra["max_spatial_range"] <= 1e-12

@@ -15,12 +15,18 @@ the package, the tests or the benchmark.  No package module reads a
 private name of another, and every private top-level function or class
 is read in its own module.  Every JSON input is read by
 `serialize.read_keys`: each `from_json_obj` calls it, and no other
-module defines a ConfigError or checks a JSON object for unknown keys."""
+module defines a ConfigError or checks a JSON object for unknown keys.
+README's table of `spde` subcommands lists those of `cli.SPDE_EXPERIMENTS`
+and their top-level keys."""
 
 import ast
+import itertools
 import pathlib
+import re
 
 import pytest
+
+from monotone_ergo import cli
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SOURCES = sorted([*(ROOT / "src" / "monotone_ergo").glob("*.py"),
@@ -467,3 +473,14 @@ def test_every_input_goes_through_read_keys():
     package = ROOT / "src" / "monotone_ergo"
     assert hand_rolled_readers({p.stem: p.read_text()
                                 for p in package.glob("*.py")}) == []
+
+
+def test_readme_spde_table_lists_each_subcommand_and_its_keys():
+    lines = (ROOT / "README.md").read_text().splitlines()
+    head = lines.index("| subcommand | top-level keys (default), besides `T` |")
+    rows = itertools.takewhile(lambda line: line.startswith("|"),
+                               lines[head + 2:])
+    table = {cells[1].strip(" `"): re.findall(r"`(\w+)`", cells[2])
+             for cells in (row.split("|") for row in rows)}
+    assert table == {sub: list(keys) for sub, (_, keys, _)
+                     in cli.SPDE_EXPERIMENTS.items()}

@@ -399,6 +399,37 @@ class TestStructure:
         assert exc.value.step_index == 1
 
 
+class TestExactLaw:
+    def test_zero_drift_modes_have_their_exact_variance(self):
+        # with the zero drift each noise profile sigma_j is an eigenvector
+        # of L_h, eigenvalue -lambda_j, so from u = 0 the field after n
+        # steps is sum_j Z_j sigma_j, with Z_{k+1} = (Z_k + sqrt(dt) g_k)
+        # / (1 + dt lambda_j): Gaussian, mean 0, variance
+        # V_j = dt sum_{i=1..n} (1 + dt lambda_j)^(-2i), which is T for
+        # the const mode (lambda = 0)
+        N, dt, T = 64, 1e-3, 0.5
+        modes = ({"kind": "const", "amp": 1.0},
+                 {"kind": "cos", "freq": 1, "amp": 1.0},
+                 {"kind": "sin", "freq": 3, "amp": 0.5})
+        cfg = make_config(N=N, dt=dt, T=T, drift=DRIFTS["zero"],
+                          noise=NoiseSpec(3, modes), n_paths=2000)
+        u = simulate(cfg, Field(np.zeros(N)), [T])[T]
+        sigma = cfg.noise.tabulate(N)
+        Z = u @ sigma.T / (sigma ** 2).sum(axis=1)
+        assert np.abs(u - Z @ sigma).max() <= 1e-12
+        freq = np.array([mode.get("freq", 0) for mode in modes])
+        lam = 2 * N ** 2 * (1 - np.cos(2 * np.pi * freq / N))
+        i = np.arange(1, cfg.n_steps + 1)
+        V = dt * ((1 + dt * lam[:, None]) ** (-2.0 * i)).sum(axis=1)
+        assert V[0] == pytest.approx(T, rel=1e-12)
+        se = (Z ** 2).std(axis=0, ddof=1) / np.sqrt(cfg.n_paths)
+        assert np.all(np.abs((Z ** 2).mean(axis=0) - V) <= 3 * se)
+        # the const mode alone never leaves the constants
+        const = replace(cfg, noise=NoiseSpec(1, modes[:1]), n_paths=8)
+        u = simulate(const, Field(np.zeros(N)), [T])[T]
+        assert np.ptp(u, axis=1).max() <= 1e-12
+
+
 class TestReproducibility:
     def test_noise_draws_deterministic(self):
         a = noise_draws(42, 7, 5, 3)
