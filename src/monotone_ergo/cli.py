@@ -316,7 +316,8 @@ def cmd_transport(args) -> int:
     else:
         c = _read_file(args.cost, "cost file")["C"]
         inputs["cost"] = args.cost
-    if len(mu) != len(nu) or c.shape != (len(mu), len(nu)):
+    # the discrete cost (tv's) is square; a cost file may be m x n
+    if c.shape != (len(mu), len(nu)):
         raise serialize.ConfigError(
             f"shape mismatch: mu {len(mu)}, nu {len(nu)}, cost {c.shape}")
     cost = transport.CostMatrix(c)

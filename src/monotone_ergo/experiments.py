@@ -182,10 +182,9 @@ def synchronization_experiment(config: SpdeConfig, x: Field,
     distances = integrate(config, (Ux, Uy),
                           _record_grid(config, SYNC_RECORD_TIMES),
                           lambda ensembles: _capped_distance(*ensembles))
-    times = [0.0] + [k * config.dt for k in distances]
-    curve = [_capped_distance(Ux, Uy), *distances.values()]
+    times = [k * config.dt for k in distances]
     means = []
-    for t, dists in zip(times, curve):
+    for t, dists in zip(times, distances.values()):
         m, _, lo, hi = _mean_ci(dists)
         means.append(m)
         rec.add_stat(t, "sync_l2_capped", m, max(lo, 0.0), min(hi, 1.0))

@@ -1,16 +1,15 @@
-"""Contiguous work shards, each in its own forked worker process.
+"""Independent jobs, each in its own forked worker process.
 
 This is the package's one way to use more than one core: the SPDE
-integration loop splits its paths into contiguous blocks, and the
-transport's assignment batch deals its jobs to one shard per CPU, and
-both hand each shard to `run_sharded`.  A worker is
+integration loop hands `run` one job per contiguous block of paths, the
+transport's assignment batch one per dealt share of its assignments, and
+`workers` says how many jobs are worth their forks.  A worker is
 `fork`ed, so it reads the caller's arrays without copying them and only
 its result travels back through a pipe; the caller starts no threads.
 """
 
 from __future__ import annotations
 
-import functools
 import multiprocessing
 import os
 
@@ -22,22 +21,26 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def run_sharded(n: int, shards: int, job) -> list:
-    """[job(lo, hi) for each of `shards` contiguous blocks (lo, hi) of
-    range(n)], in order.  One shard runs in-process; more run each in its
-    own forked worker, and an exception raised by a job is raised here."""
-    if shards == 1:
-        return [job(0, n)]
-    edges = [n * i // shards for i in range(shards + 1)]
-    return _run_forked([functools.partial(job, lo, hi)
-                        for lo, hi in zip(edges, edges[1:])])
+def workers(items: int, work: int, floor: int) -> int:
+    """Jobs for `items` items of `work` in all: one per usable CPU, at most
+    one per item, each with `floor` work (a shorter job costs less than
+    the fork that would spread it), and at least one."""
+    return max(1, min(usable_cpus(), items, work // floor))
+
+
+def run(jobs) -> list:
+    """[job() for job in jobs], in order, for argument-free `jobs`.  One
+    job runs in-process; more run each in its own forked worker, and an
+    exception raised by a job is raised here."""
+    if len(jobs) == 1:
+        return [jobs[0]()]
+    return _run_forked(jobs)
 
 
 def _run_forked(jobs) -> list:
-    """Results of the argument-free callables `jobs`, in order, each one
-    called in its own forked worker process."""
+    """`run` of more than one job, each in its own forked worker."""
     ctx = multiprocessing.get_context("fork")
-    workers = []
+    procs = []
     try:
         for job in jobs:
             receiver, sender = ctx.Pipe(duplex=False)
@@ -45,9 +48,9 @@ def _run_forked(jobs) -> list:
                                daemon=True)
             proc.start()
             sender.close()
-            workers.append((proc, receiver))
+            procs.append((proc, receiver))
         results = []
-        for proc, receiver in workers:
+        for proc, receiver in procs:
             try:
                 ok, value = receiver.recv()
             except EOFError:
@@ -58,11 +61,11 @@ def _run_forked(jobs) -> list:
                 raise value
             results.append(value)
     except BaseException:
-        for proc, _ in workers:
+        for proc, _ in procs:
             proc.terminate()
         raise
     finally:
-        for proc, receiver in workers:
+        for proc, receiver in procs:
             receiver.close()
             proc.join()
     return results

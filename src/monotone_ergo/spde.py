@@ -49,25 +49,23 @@ identical noise path.
 grid into a ConfigError naming its key.  `integrate` is the one
 time-stepping loop: it advances a tuple of ensembles on one shared noise
 path, checks finiteness after every step and hands the ensembles to an
-observer at each step it is given.  `simulate` and the experiments are
-observers on top of it.
+observer at each step it is given, step 0 (the start) included.
+`simulate` and the experiments are observers on top of it.
 
 Stepping is row-independent bit for bit, so `integrate` splits the path
-axis into contiguous row shards, one per usable CPU, as long as every
-shard gets `_SHARD_MIN_WORK` cell-steps (a shorter job costs less than
-the forks that would spread it), and runs them through
-`shards.run_sharded`: each shard steps in its own `fork`ed worker
-process, and a single shard runs in-process through the same function.
-Every shard draws the full noise block of each step (the generator makes
-it as one stream) and forms the noise increment of its own rows only,
-as a fixed-order sum over the modes, so the noise stream and every
-output are those of one unsharded loop.  An observer is therefore a
-per-shard reduction: it maps a shard's rows at a step to a partial
-result array, and the parent concatenates the partials of each step in
-path order (snapshots and per-path distances row by row; a maximum as
-one value per shard, whose maximum the caller takes).  A shard that
-meets a non-finite value stops and returns that step's index; the
-parent raises NonFinite for the smallest one.
+axis into contiguous row blocks, one per usable CPU, as long as every
+block gets `_SHARD_MIN_WORK` cell-steps (`shards.workers`), and hands
+`shards.run` one job per block: each block steps in its own `fork`ed
+worker process, and a single block runs in-process.  The generator
+makes each step's draws as one stream, so a block draws that stream up
+to its own last row and keeps its own rows (a shorter draw is a prefix
+of a longer one); it forms the noise increment of those rows only, as a
+fixed-order sum over the modes, so the noise stream and every output
+are those of one unsharded loop.  An observer maps a block's rows at a
+step to an array with one row per path, and the parent concatenates the
+blocks of each step in path order.  A block that meets a non-finite
+value stops and returns that step's index; the parent raises NonFinite
+for the smallest one.
 """
 
 from __future__ import annotations
@@ -79,7 +77,7 @@ import numpy as np
 
 from .serialize import (ConfigError, array, checked, integer, number,
                         read_keys)
-from .shards import run_sharded, usable_cpus
+from . import shards
 
 ASSUMPTION_RANGE = 50.0
 _positive = checked(number, lambda value: value > 0, "positive")
@@ -118,11 +116,11 @@ def _drift_flow(name, params, dt, R):
     c = np.expm1(2.0 * K * dt) / K if K else 2.0 * dt
 
     def cubic(u, out):
-        # out holds clip(u) only until it is squared; clip(u) has the
-        # sign of u, +-0 included, so the sign is taken from u
-        x = np.clip(u, -R, R, out=out)
-        with np.errstate(divide="ignore"):
-            v = np.reciprocal(np.square(x, out=out), out=out)
+        # min(u^2, R^2) is clip(u, -R, R)^2 bit for bit, as rounding
+        # keeps squaring monotone; the sign is taken from u, +-0 included
+        with np.errstate(divide="ignore", over="ignore"):
+            v = np.minimum(np.square(u, out=out), R * R, out=out)
+            np.reciprocal(v, out=v)
         v += c
         np.divide(grow, np.sqrt(v, out=v), out=v)
         return np.copysign(v, u, out=v)
@@ -461,19 +459,21 @@ def integrate(config: SpdeConfig, ensembles: tuple, steps,
     """Advance every ensemble in `ensembles` (arrays (n_paths, N)) through
     steps 1..max(steps), all on the one noise path keyed by `config.seed`.
 
-    The paths are split into row shards (module docstring).  After each
-    step k of `steps` (k >= 1), observe(ensembles) sees a shard's stepped
-    rows and returns a partial result, an array with one row per path or
-    per shard.  Returns {k: the partials of step k concatenated in path
-    order}, in step order.  Raises NonFinite(k) for the first step k after
-    which any ensemble has a non-finite value.
+    The paths are split into row blocks (module docstring).  At each step
+    k of `steps`, after step k (at the start for k = 0), observe(ensembles)
+    sees a block's rows and returns an array with one row per path.
+    Returns {k: those arrays concatenated in path order}, in step order.
+    Raises NonFinite(k) for the first step k after which any ensemble has
+    a non-finite value.
     """
     steps = set(steps)
     n_paths, N = ensembles[0].shape
     work = n_paths * N * len(ensembles) * max(steps, default=0)
-    shards = max(1, min(usable_cpus(), n_paths, work // _SHARD_MIN_WORK))
-    results = run_sharded(n_paths, shards, lambda lo, hi: _integrate_rows(
-        config, ensembles, lo, hi, steps, observe))
+    count = shards.workers(n_paths, work, _SHARD_MIN_WORK)
+    edges = [n_paths * i // count for i in range(count + 1)]
+    results = shards.run([lambda lo=lo, hi=hi: _integrate_rows(
+        config, ensembles, lo, hi, steps, observe)
+        for lo, hi in zip(edges, edges[1:])])
     failed = [k for k, _ in results if k is not None]
     if failed:
         raise NonFinite(min(failed))
@@ -483,16 +483,13 @@ def integrate(config: SpdeConfig, ensembles: tuple, steps,
 
 def _integrate_rows(config, ensembles, lo, hi, steps, observe):
     """Rows lo:hi of `integrate`: (first non-finite step or None,
-    {k: observe's partial})."""
+    {k: observe's rows of step k})."""
     stepper = Stepper(config)
-    n_paths = ensembles[0].shape[0]
     ensembles = tuple(U[lo:hi] for U in ensembles)
-    partials = {}
+    partials = {0: observe(ensembles)} if 0 in steps else {}
     for k in range(1, max(steps, default=0) + 1):
-        # the whole block is drawn, as the generator makes it in one
-        # stream, but only rows lo:hi of its increment are formed
         noise = stepper.increment(
-            noise_draws(config.seed, k, n_paths, config.noise.m)[lo:hi])
+            noise_draws(config.seed, k, hi, config.noise.m)[lo:])
         ensembles = tuple(stepper.step(U, noise) for U in ensembles)
         if not all(np.all(np.isfinite(U)) for U in ensembles):
             return k, partials
@@ -511,14 +508,11 @@ def simulate(config: SpdeConfig, u0, record_times):
     """
     u0v = u0.values if isinstance(u0, Field) else np.asarray(u0, dtype=float)
     if u0v.ndim == 1:
-        U = np.broadcast_to(u0v, (config.n_paths, config.N)).copy()
-    else:
-        U = u0v.copy()
+        u0v = np.broadcast_to(u0v, (config.n_paths, config.N))
+    U = u0v.copy()  # C order, which the steps keep
     steps = {float(t): config.step_of(t, "record_times")
              for t in record_times}
     # every step returns fresh arrays, so a snapshot needs no copy
     snaps = integrate(config, (U,), steps.values(),
                       lambda ensembles: ensembles[0])
-    snaps[0] = U
     return {t: snaps[k] for t, k in steps.items()}
-

@@ -28,7 +28,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
-from .shards import run_sharded, usable_cpus
+from . import shards
 
 EXACT_SUPPORT_LIMIT = 4096
 
@@ -141,8 +141,8 @@ def _least_cost_basis(a, b, c):
     ra, rb = a.tolist(), b.tolist()
     row_open, col_open = [True] * m, [True] * n
     rows_left, cols_left = m, n
-    for k in np.argsort(c, axis=None, kind="stable").tolist():
-        i, j = divmod(k, n)
+    order = np.argsort(c, axis=None, kind="stable")
+    for i, j in zip((order // n).tolist(), (order % n).tolist()):
         if not (row_open[i] and col_open[j]):
             continue
         basis.append((i, j))
@@ -194,7 +194,7 @@ def wasserstein_exact(mu, nu, cost: CostMatrix) -> TransportResult:
     rows = np.nonzero(a > 0)[0]
     cols = np.nonzero(b > 0)[0]
     ar, bc = a[rows], b[cols]
-    cr = c[np.ix_(rows, cols)]
+    cr = c.take(rows, 0).take(cols, 1)
     m, n = len(rows), len(cols)
 
     plan, basis = _least_cost_basis(ar, bc, cr)
@@ -211,19 +211,21 @@ def wasserstein_exact(mu, nu, cost: CostMatrix) -> TransportResult:
         _hang(w, parent, depth, nbrs, pot, costs, m)
     max_iter = 50 * (m + n) + 1000
     it = 0
+    # reduced costs, zero on the basis, priced in place every pivot
+    red = np.empty((m, n))
     while True:
         it += 1
         u, v = np.array(pot[:m]), np.array(pot[m:])
-        red = cr - u[:, None] - v[None, :]
-        red_masked = np.where(in_basis, 0.0, red)
-        kmin = np.unravel_index(np.argmin(red_masked), red_masked.shape)
-        converged = bool(red_masked[kmin] >= -_REDUCED_TOL)
+        np.subtract(cr, u[:, None], out=red)
+        red -= v
+        np.copyto(red, 0.0, where=in_basis)
+        i0, j0 = divmod(int(red.argmin()), n)
+        converged = bool(red[i0, j0] >= -_REDUCED_TOL)
         if converged or it > max_iter:
             break
         if it > max_iter // 2:
             # Bland-style anti-cycling: first improving cell instead
-            kmin = tuple(np.argwhere(red_masked < -_REDUCED_TOL)[0])
-        i0, j0 = int(kmin[0]), int(kmin[1])
+            i0, j0 = np.argwhere(red < -_REDUCED_TOL)[0].tolist()
         # cycle: (i0, j0) and the tree path from row i0 up to the common
         # ancestor and down to column j0; an edge crossed from a row to a
         # column loses mass, and `lose` keeps the entering end below it
@@ -257,12 +259,12 @@ def wasserstein_exact(mu, nu, cost: CostMatrix) -> TransportResult:
         _hang(top, parent, depth, nbrs, pot, costs, m)
 
     full_plan = np.zeros_like(c)
-    full_plan[np.ix_(rows, cols)] = plan
+    full_plan[rows[:, None], cols] = plan
     value = float((plan * cr).sum())
     du = np.full(len(a), np.nan)
     dv = np.full(len(b), np.nan)
     du[rows], dv[cols] = u, v
-    gap = float(-min(0.0, red_masked.min()))
+    gap = float(-min(0.0, red.min()))
     return TransportResult(value=value, plan=full_plan, method="exact",
                            iterations=it, gap=gap, dual_u=du, dual_v=dv,
                            converged=converged)
@@ -425,14 +427,14 @@ def assignment_batch(jobs, cells) -> list:
     assignments solve `cells` cost-matrix cells in all.
 
     The jobs are dealt in turn to one shard per usable CPU (job i to
-    shard i mod the shard count), each shard a forked worker
-    (`shards.run_sharded`), as long as every shard gets
-    `_SHARD_MIN_CELLS` cells; a smaller batch runs in-process.  Dealing
-    spreads jobs of one kind that are listed together, such as the
-    costlier grid W's, evenly over the shards."""
-    count = max(1, min(usable_cpus(), len(jobs), cells // _SHARD_MIN_CELLS))
-    dealt = run_sharded(count, count, lambda shard, _: [
-        job() for job in jobs[shard::count]])
+    shard i mod the shard count), as long as every shard gets
+    `_SHARD_MIN_CELLS` cells (`shards.workers`), and `shards.run` runs
+    each shard in a forked worker; a smaller batch runs in-process.
+    Dealing spreads jobs of one kind that are listed together, such as
+    the costlier grid W's, evenly over the shards."""
+    count = shards.workers(len(jobs), cells, _SHARD_MIN_CELLS)
+    dealt = shards.run([lambda part=jobs[shard::count]: [
+        job() for job in part] for shard in range(count)])
     results = [None] * len(jobs)
     for shard, part in enumerate(dealt):
         results[shard::count] = part

@@ -90,5 +90,5 @@ def comparison_check(config, x, y, T: float, n_paths: int) -> float:
         cfg, (np.broadcast_to(x.values, (n_paths, cfg.N)).copy(),
               np.broadcast_to(y.values, (n_paths, cfg.N)).copy()),
         range(1, cfg.n_steps + 1),
-        lambda ensembles: np.array([(ensembles[0] - ensembles[1]).max()]))
+        lambda ensembles: (ensembles[0] - ensembles[1]).max(axis=1))
     return max([0.0, *(float(v.max()) for v in worst.values())])

@@ -999,6 +999,28 @@ class TestTransport:
         assert code == 2
         assert "mismatch" in err
 
+    def write_unequal_sizes(self, tmp_path, C):
+        serialize.dump({"p": [0.5, 0.5]}, str(tmp_path / "mu.json"))
+        serialize.dump({"p": [0.2, 0.3, 0.5]}, str(tmp_path / "nu.json"))
+        serialize.dump({"C": C}, str(tmp_path / "cost.json"))
+        return ["transport", str(tmp_path / "mu.json"),
+                str(tmp_path / "nu.json"),
+                "--cost", str(tmp_path / "cost.json")]
+
+    @pytest.mark.parametrize("method", ["exact", "sinkhorn"])
+    def test_cost_file_of_unequal_sizes(self, tmp_path, capsys, method):
+        args = self.write_unequal_sizes(tmp_path, [[0, 1, 2], [1, 0, 1]])
+        code, out, _ = run(args + ["--method", method], capsys)
+        assert code == 0
+        assert json.loads(out)["value"] == pytest.approx(0.8, abs=1e-9)
+
+    def test_cost_file_of_the_transposed_shape_exit_2(self, tmp_path, capsys):
+        args = self.write_unequal_sizes(tmp_path, [[0, 1], [1, 0], [2, 1]])
+        code, out, err = run(args, capsys)
+        assert code == 2
+        assert out == ""
+        assert "shape mismatch: mu 2, nu 3, cost (3, 2)" in err
+
     @pytest.mark.parametrize("mu, nu, message", [
         ([0.5, 0.5], [0.3, 0.3], "total masses differ"),
         ([-0.5, 1.5], [0.5, 0.5], "finite and nonnegative"),

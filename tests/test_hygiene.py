@@ -91,7 +91,7 @@ def imports_of(source: str, packages: set[str]) -> list[str]:
 def test_concurrency_scan_reports_each_form():
     source = ("import os, threading\nimport multiprocessing.pool\n"
               "from concurrent.futures import ThreadPoolExecutor\n"
-              "from .shards import run_sharded\n")
+              "from .shards import run\n")
     assert imports_of(source, CONCURRENCY_MODULES) == [
         "threading", "multiprocessing.pool", "concurrent.futures"]
     assert imports_of("import json\nimport jsonschema\n"

@@ -329,6 +329,25 @@ class TestStep:
                 gap = np.abs(st.increment(draws[lo:hi]) - block[lo:hi])
                 assert np.all(gap <= ulp[lo:hi])
 
+    @pytest.mark.parametrize("R", [15.0, 1e160, 1e300])
+    def test_cubic_flow_squares_as_the_clip(self, rng, R):
+        # min(u^2, R^2) in place of clip(u, -R, R)^2, bit for bit
+        tiny = np.finfo(float).smallest_subnormal
+        edge = np.array([0.0, np.inf, np.nan, tiny, 1e-300, 1e-160, 1.0,
+                         1e154, 1e200, np.finfo(float).max, R,
+                         np.nextafter(R, 0.0), np.nextafter(R, np.inf)])
+        u = np.concatenate([edge, -edge, rng.normal(0.0, R, 1000),
+                            rng.normal(0.0, 1.0, 1000)])
+        K, dt = 1.0, 0.01
+        with np.errstate(divide="ignore", over="ignore"):
+            clipped = np.copysign(
+                np.exp(K * dt) / np.sqrt(1.0 / np.square(np.clip(u, -R, R))
+                                         + np.expm1(2.0 * K * dt) / K), u)
+        flow = spde._drift_flow("cubic", {"K": K}, dt, R)
+        out = flow(u, np.empty_like(u))
+        assert np.array_equal(out, clipped, equal_nan=True)
+        assert np.array_equal(np.signbit(out), np.signbit(clipped))
+
     def test_constant_ensemble_stays_exactly_constant(self):
         cfg = make_config(N=64, n_paths=8)
         u = np.linspace(-3.0, 3.0, 8)[:, None] * np.ones(cfg.N)
@@ -438,6 +457,16 @@ class TestReproducibility:
         assert not np.array_equal(a, noise_draws(42, 8, 5, 3))
         assert not np.array_equal(a, noise_draws(43, 7, 5, 3))
 
+    def test_noise_draws_of_fewer_paths_are_a_prefix(self):
+        # a shard draws a step's stream only up to its own last row
+        for seed in range(5):
+            for k in (1, 7, 1000):
+                for n, m in ((400, 1), (512, 3), (20, 2)):
+                    full = noise_draws(seed, k, n, m)
+                    for hi in (1, n // 3, n - 1):
+                        assert np.array_equal(noise_draws(seed, k, hi, m),
+                                              full[:hi])
+
     def test_simulate_bit_identical(self):
         cfg = make_config()
         u0 = Field(np.linspace(-1, 1, cfg.N))
@@ -468,12 +497,14 @@ def shard_counts(monkeypatch):
     record the shard count of each integrate call."""
     counts = []
 
-    def counted(n, shard_count, job):
-        counts.append(shard_count)
-        return shards.run_sharded(n, shard_count, job)
+    run = shards.run
+
+    def counted(jobs):
+        counts.append(len(jobs))
+        return run(jobs)
 
     monkeypatch.setattr(spde, "_SHARD_MIN_WORK", 1)
-    monkeypatch.setattr(spde, "run_sharded", counted)
+    monkeypatch.setattr(shards, "run", counted)
 
     def use(cpus):
         set_usable_cpus(monkeypatch, cpus)
@@ -559,7 +590,7 @@ class TestShards:
             runs[cpus] = integrate(cfg, (u0,), [0, 40, 3, 17, 3], observe)
             assert counts == [cpus]
         for out in runs.values():
-            assert list(out) == [3, 17, 40]
+            assert list(out) == [0, 3, 17, 40]
             for call, k in enumerate(out, 1):
                 assert np.array_equal(out[k][:, -1], np.full(7, call))
                 assert np.array_equal(out[k], runs[1][k])
@@ -651,27 +682,42 @@ class TestShards:
         assert forked == [2]
 
     @pytest.mark.parametrize("shard_count", [1, 2, 3])
-    def test_contiguous_blocks_in_order(self, shard_count):
-        blocks = shards.run_sharded(7, shard_count, lambda lo, hi: (lo, hi))
-        assert blocks == [(7 * i // shard_count, 7 * (i + 1) // shard_count)
-                          for i in range(shard_count)]
+    def test_contiguous_blocks_in_order(self, shard_counts, shard_count):
+        # each path reports the process that stepped it
+        counts = shard_counts(shard_count)
+        cfg = two_mode_config(n_paths=7)
+        pids = integrate(cfg, (np.zeros((7, cfg.N)),), [1],
+                         lambda ensembles: np.full(len(ensembles[0]),
+                                                   os.getpid()))[1]
+        assert counts == [shard_count]
+        edges = [7 * i // shard_count for i in range(shard_count + 1)]
+        firsts = pids[edges[:-1]]
+        assert np.array_equal(pids, np.repeat(firsts, np.diff(edges)))
+        assert len(set(firsts.tolist())) == shard_count
+        assert (os.getpid() in firsts) == (shard_count == 1)
 
     def test_blocks_run_in_worker_processes(self):
-        pids = shards.run_sharded(2, 2, lambda lo, hi: os.getpid())
+        assert shards.run([os.getpid]) == [os.getpid()]
+        pids = shards.run([os.getpid, os.getpid])
         assert os.getpid() not in pids and pids[0] != pids[1]
 
-    def test_worker_exception_reaches_the_caller(self):
-        def job(lo, hi):
-            if lo:
-                raise KeyError(f"job failed on rows {lo}:{hi}")
-            return lo
+    def test_worker_count(self, monkeypatch):
+        set_usable_cpus(monkeypatch, 3)
+        assert shards.workers(7, 100, 10) == 3   # one per CPU
+        assert shards.workers(2, 100, 10) == 2   # one per item
+        assert shards.workers(7, 29, 10) == 2    # the work floor
+        assert shards.workers(7, 9, 10) == 1     # at least one
 
-        with pytest.raises(KeyError, match="job failed on rows 2:4"):
-            shards.run_sharded(4, 2, job)
+    def test_worker_exception_reaches_the_caller(self):
+        def fail():
+            raise KeyError("job 1 failed")
+
+        with pytest.raises(KeyError, match="job 1 failed"):
+            shards.run([lambda: 0, fail])
 
     def test_worker_that_dies_is_reported(self):
         with pytest.raises(RuntimeError, match="exited with code 5"):
-            shards.run_sharded(2, 2, lambda lo, hi: os._exit(5) if lo else lo)
+            shards.run([lambda: 0, lambda: os._exit(5)])
 
 
 class TestRefinement:
