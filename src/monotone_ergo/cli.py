@@ -35,12 +35,13 @@ def _say(msg: str) -> None:
 
 
 def _load_object(path: str, what: str) -> dict:
-    """The JSON object in the file at `path`; a missing file, invalid JSON
-    or any other top-level value is a ConfigError naming `what`."""
+    """The JSON object in the file at `path`; a file that cannot be read,
+    invalid JSON or any other top-level value is a ConfigError naming
+    `what`."""
     try:
         obj = serialize.load(path)
-    except FileNotFoundError:
-        raise serialize.ConfigError(f"{what}: file not found: {path}")
+    except OSError as exc:
+        raise serialize.ConfigError(f"{what}: {path}: {exc.strerror}")
     except ValueError as exc:
         raise serialize.ConfigError(f"{what}: not valid JSON: {exc}")
     if not isinstance(obj, dict):
@@ -53,58 +54,56 @@ def _write(args, subcommand: str, name: str, payload, t0: float, seed=None,
     """Print `payload` as JSON.  With --out, write it to `<name>.json` and
     each of `files` (file name -> text or bytes) into the out directory,
     then manifest.json with the sha256 of every file written and of every
-    input file (`inputs`, label -> path)."""
+    input file (`inputs`, label -> path); an OSError is a ConfigError."""
     text = serialize.dumps(payload)
     print(text)
     if not args.out:
         return
-    os.makedirs(args.out, exist_ok=True)
-    outputs = {}
-    for fn, content in {f"{name}.json": text + "\n", **(files or {})}.items():
-        path = os.path.join(args.out, fn)
-        with serialize.atomic_open(path, "wb") as fh:
-            fh.write(content.encode() if isinstance(content, str) else content)
-        outputs[fn] = serialize.file_hash(path)
-    serialize.dump({
-        "subcommand": subcommand,
-        "config_path": getattr(args, "config", None),
-        "seed": seed,
-        "out_dir": args.out,
-        "tool_version": __version__,
-        "input_hashes": {label: serialize.file_hash(path)
-                         for label, path in (inputs or {}).items()},
-        "output_hashes": outputs,
-        "duration_seconds": time.monotonic() - t0,
-    }, os.path.join(args.out, "manifest.json"))
+    files = {f"{name}.json": text + "\n", **(files or {})}
+    try:
+        os.makedirs(args.out, exist_ok=True)
+        outputs = {}
+        for fn, content in files.items():
+            path = os.path.join(args.out, fn)
+            with serialize.atomic_open(path, "wb") as fh:
+                fh.write(content.encode() if isinstance(content, str)
+                         else content)
+            outputs[fn] = serialize.file_hash(path)
+        serialize.dump({
+            "subcommand": subcommand,
+            "config_path": getattr(args, "config", None),
+            "seed": seed,
+            "out_dir": args.out,
+            "tool_version": __version__,
+            "input_hashes": {label: serialize.file_hash(path)
+                             for label, path in (inputs or {}).items()},
+            "output_hashes": outputs,
+            "duration_seconds": time.monotonic() - t0,
+        }, os.path.join(args.out, "manifest.json"))
+    except OSError as exc:
+        raise serialize.ConfigError(f"--out {args.out}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
 # chain-verify
 # ---------------------------------------------------------------------------
 
-_object_or_path = serialize.checked(
-    lambda value: value, lambda value: isinstance(value, (dict, str)),
-    "an object or a path")
-
-# the config keys, all required, with their readers; an input object may
-# be inline or the path of its JSON file
-CHAIN_READERS = {"poset": _object_or_path, "kernel": _object_or_path,
-                 "space": _object_or_path}
+# the config keys, all required, each an object, with their readers; the
+# space is read against the poset, by `read_chain`
+CHAIN_READERS = {"poset": FinitePoset.from_json_obj,
+                 "kernel": FiniteKernel.from_json_obj,
+                 "space": lambda space: space}
 
 
 def read_chain(path: str):
-    """(space, kernel, input files by label) of the chain-verify config at
-    `path`."""
+    """(space, kernel) of the chain-verify config at `path`."""
     cfg = serialize.read_keys(_load_object(path, "config"), CHAIN_READERS,
                               "config", CHAIN_READERS)
-    inputs = {"config.json": path}
-    for key in CHAIN_READERS:
-        if isinstance(cfg[key], str):
-            inputs[key] = os.path.join(os.path.dirname(path), cfg[key])
-            cfg[key] = _load_object(inputs[key], f"field {key!r}")
-    poset = FinitePoset.from_json_obj(cfg["poset"])
-    return (OrderedSpaceSpec.from_json_obj(cfg["space"], poset),
-            FiniteKernel.from_json_obj(cfg["kernel"]), inputs)
+    try:
+        space = OrderedSpaceSpec.from_json_obj(cfg["space"], cfg["poset"])
+    except serialize.ConfigError as exc:
+        raise serialize.ConfigError(f"field 'space': {exc}") from None
+    return space, cfg["kernel"]
 
 
 def _swap_failure(report, swap_eps: float) -> str:
@@ -124,7 +123,7 @@ def cmd_chain_verify(args) -> int:
     t0 = time.monotonic()
     # a malformed input is a config error (exit 2), raised by the readers and
     # theorem_main_verify; a failed condition is a verdict (exit 1)
-    space, kernel, inputs = read_chain(args.config)
+    space, kernel = read_chain(args.config)
     report = theorem_main_verify(space, kernel)
 
     _say(f"{'condition':32s} verdict")
@@ -139,7 +138,7 @@ def cmd_chain_verify(args) -> int:
     _say(f"overall verdict: {'pass' if report.verdict else 'FAIL'}")
 
     _write(args, "chain-verify", "report", report.to_json_obj(), t0,
-           inputs=inputs)
+           inputs={"config.json": args.config})
     return EXIT_PASS if report.verdict else EXIT_VERDICT
 
 
@@ -401,6 +400,8 @@ def main(argv=None) -> int:
         parser.print_help(sys.stderr)
         return EXIT_USAGE
     try:
+        if os.path.exists(args.out or "") and not os.path.isdir(args.out):
+            raise serialize.ConfigError(f"--out {args.out}: not a directory")
         return args.func(args)
     except (spde.NonFinite, transport.SinkhornDiverged,
             transport.NotConverged) as exc:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import transport
-from .serialize import ConfigError, array, checked, integer, read_keys
+from .serialize import array, checked, read_keys
 
 UPSET_ENUM_LIMIT = 24
 DOMINATION_TOL = 1e-12
@@ -53,12 +53,15 @@ class TooLarge(PosetError):
 
 @dataclass(frozen=True)
 class FinitePoset:
-    n: int
     leq: np.ndarray  # boolean n x n, leq[i, j] <=> i precedes j
 
     def __post_init__(self):
         object.__setattr__(self, "leq", np.asarray(self.leq, dtype=bool))
         self.leq.setflags(write=False)
+
+    @property
+    def n(self) -> int:
+        return len(self.leq)
 
     def comparable_pairs(self):
         """All ordered pairs (i, j) with i <= j and i != j."""
@@ -74,14 +77,12 @@ class FinitePoset:
 
     @staticmethod
     def from_json_obj(obj) -> "FinitePoset":
-        poset = read_keys(obj, _POSET_READERS, "poset", {"n", "leq"})
-        if len(poset["leq"]) != poset["n"]:
-            raise ConfigError(f"field 'n': {poset['n']}, not the size of 'leq'")
-        return validate_poset(poset["leq"])
+        return validate_poset(read_keys(obj, _POSET_READERS, "poset",
+                                        _POSET_READERS)["leq"])
 
 
-# the poset keys; leq is the relation of validate_poset, 1 where i <= j
-_POSET_READERS = {"n": integer, "leq": checked(
+# the poset's one key, the relation of validate_poset, 1 where i <= j
+_POSET_READERS = {"leq": checked(
     array(2, int), lambda leq: np.isin(leq, (0, 1)).all(), "0s and 1s")}
 
 
@@ -118,15 +119,13 @@ class Infeasible:
 
 
 def validate_poset(leq) -> FinitePoset:
-    leq = np.asarray(leq)
+    leq = np.asarray(leq, dtype=bool)
     if leq.ndim != 2 or leq.shape[0] != leq.shape[1]:
         raise PosetError("relation matrix must be square")
-    leq = leq.astype(bool)
-    n = leq.shape[0]
     diag = np.diagonal(leq)
     if not diag.all():
         raise NotReflexive(int(np.nonzero(~diag)[0][0]))
-    both = leq & leq.T & ~np.eye(n, dtype=bool)
+    both = leq & leq.T & ~np.eye(len(leq), dtype=bool)
     if both.any():
         i, j = np.argwhere(both)[0]
         raise NotAntisymmetric(int(i), int(j))
@@ -137,7 +136,7 @@ def validate_poset(leq) -> FinitePoset:
         i, k = np.argwhere(bad)[0]
         j = int(np.nonzero(leq[i] & leq[:, k])[0][0])
         raise NotTransitive(int(i), j, int(k))
-    return FinitePoset(n=n, leq=leq)
+    return FinitePoset(leq)
 
 
 def _upset_masks(poset: FinitePoset) -> np.ndarray:
@@ -245,10 +244,9 @@ def strassen_coupling(mu: Distribution, nu: Distribution,
 
 def chain_poset(n: int) -> FinitePoset:
     """Total order 0 <= 1 <= ... <= n-1."""
-    idx = np.arange(n)
-    return FinitePoset(n=n, leq=idx[:, None] <= idx[None, :])
+    return FinitePoset(np.triu(np.ones((n, n), dtype=bool)))
 
 
 def antichain_poset(n: int) -> FinitePoset:
     """Trivial order: comparable only to itself."""
-    return FinitePoset(n=n, leq=np.eye(n, dtype=bool))
+    return FinitePoset(np.eye(n, dtype=bool))

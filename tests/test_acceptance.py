@@ -26,15 +26,12 @@ from monotone_ergo.spde import DriftSpec, Field, SpdeConfig
 from return_times import return_time_exp_moments
 
 
-def _fixture_json(name):
-    return serialize.load(fixture_path(name))
-
-
-def load_chain5():
-    poset = FinitePoset.from_json_obj(_fixture_json("chain5_poset.json"))
-    kernel = FiniteKernel.from_json_obj(_fixture_json("chain5_kernel.json"))
-    space = OrderedSpaceSpec.from_json_obj(
-        _fixture_json("chain5_space.json"), poset)
+def load_chain(name):
+    """(poset, kernel, space) of the shipped chain-verify config `name`."""
+    cfg = serialize.load(fixture_path(name))
+    poset = FinitePoset.from_json_obj(cfg["poset"])
+    kernel = FiniteKernel.from_json_obj(cfg["kernel"])
+    space = OrderedSpaceSpec.from_json_obj(cfg["space"], poset)
     return poset, kernel, space
 
 
@@ -111,7 +108,7 @@ def test_criterion_02_return_time_exactness():
     assert abs(rep10.moments[start] - vals.mean()) < 3 * se
 
     # Lyapunov comparison bounds on the fixtures
-    _, kernel, space = load_chain5()
+    _, kernel, space = load_chain("chain5_verify.json")
     lam, K = space.lambda_, space.K
     for M in (2.0, 3.0, 4.0):
         assert M > max(K / (1 - lam), 1.0)
@@ -142,7 +139,7 @@ def test_criterion_03_theorem_on_reference_chain():
     antichain counterexample stays at distance >= 0.5 with two invariant
     measures."""
     t0 = time.monotonic()
-    poset, kernel, space = load_chain5()
+    poset, kernel, space = load_chain("chain5_verify.json")
     rep = theorem_main_verify(space, kernel)
     assert np.array_equal(space.d, space.d.T)
     assert len(rep.fits) == 10
@@ -151,12 +148,7 @@ def test_criterion_03_theorem_on_reference_chain():
         assert fit.rate > 0
         assert fit.r_squared >= 0.99
 
-    anti_poset = FinitePoset.from_json_obj(
-        _fixture_json("antichain2_poset.json"))
-    anti_kernel = FiniteKernel.from_json_obj(
-        _fixture_json("antichain2_kernel.json"))
-    anti_space = OrderedSpaceSpec.from_json_obj(
-        _fixture_json("antichain2_space.json"), anti_poset)
+    _, anti_kernel, anti_space = load_chain("antichain2_verify.json")
     arep = theorem_main_verify(anti_space, anti_kernel)
     assert not arep.verdict
     assert np.all(arep.series[0] >= 0.5)

@@ -34,13 +34,13 @@ def report_of(reports, condition):
     return next(r for r in reports if r.condition == condition)
 
 
+CHAIN5 = serialize.load(fixture_path("chain5_verify.json"))
+
+
 def load_chain5():
-    poset = FinitePoset.from_json_obj(
-        serialize.load(fixture_path("chain5_poset.json")))
-    kernel = FiniteKernel.from_json_obj(
-        serialize.load(fixture_path("chain5_kernel.json")))
-    space = OrderedSpaceSpec.from_json_obj(
-        serialize.load(fixture_path("chain5_space.json")), poset)
+    poset = FinitePoset.from_json_obj(CHAIN5["poset"])
+    kernel = FiniteKernel.from_json_obj(CHAIN5["kernel"])
+    space = OrderedSpaceSpec.from_json_obj(CHAIN5["space"], poset)
     return poset, kernel, space
 
 
@@ -173,7 +173,7 @@ class TestConditions:
                              swap_eps=0.1)
 
 
-CHAIN5_SPACE = serialize.load(fixture_path("chain5_space.json"))
+CHAIN5_SPACE = CHAIN5["space"]
 
 
 class TestSpecShapes:
@@ -345,10 +345,9 @@ class TestTheorem:
 
     def test_antichain_counterexample_declines(self):
         poset = antichain_poset(2)
-        kernel = FiniteKernel.from_json_obj(
-            serialize.load(fixture_path("antichain2_kernel.json")))
-        space = OrderedSpaceSpec.from_json_obj(
-            serialize.load(fixture_path("antichain2_space.json")), poset)
+        antichain2 = serialize.load(fixture_path("antichain2_verify.json"))
+        kernel = FiniteKernel.from_json_obj(antichain2["kernel"])
+        space = OrderedSpaceSpec.from_json_obj(antichain2["space"], poset)
         rep = theorem_main_verify(space, kernel)
         assert not rep.verdict
         assert np.all(rep.series[0] >= 0.5)

@@ -50,8 +50,7 @@ def run_config(tmp_path, n_record=3) -> str:
 OUT_CASES = {
     "chain-verify": (lambda tmp: ["chain-verify",
                                   fixture_path("chain5_verify.json")],
-                     "report.json", ["config.json", "kernel", "poset",
-                                     "space"], None),
+                     "report.json", ["config.json"], None),
     "spde-run": (lambda tmp: ["spde", "run", run_config(tmp)], "record.json",
                  ["config.json"], 0),
     "gallery": (lambda tmp: ["gallery", "example-3-2", "--n", "4"],
@@ -80,6 +79,57 @@ def test_out_writes_payload_and_manifest(tmp_path, capsys, case):
     assert manifest["seed"] == seed
 
 
+# an --out that is a file is refused before the run: nothing is printed
+# and the file is left as it was
+@pytest.mark.parametrize("case", list(OUT_CASES))
+def test_out_onto_a_file_exit_2(tmp_path, capsys, case):
+    target = tmp_path / "out"
+    target.write_text("kept")
+    code, out, err = run([*OUT_CASES[case][0](tmp_path), "--out",
+                          str(target)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"config error: --out {target}: not a directory\n"
+    assert target.read_text() == "kept"
+
+
+# an archive that cannot be written (here, a directory under a file) is
+# a config error after the run has printed its result
+def test_out_not_writable_exit_2(tmp_path, capsys):
+    (tmp_path / "file").write_text("")
+    out_dir = str(tmp_path / "file" / "run")
+    code, out, err = run(["gallery", "example-2-4", "--out", out_dir],
+                         capsys)
+    assert code == 2
+    assert json.loads(out)["all_hold"] is True
+    assert err.splitlines()[-1].startswith(f"config error: --out {out_dir}: ")
+
+
+# an input path that names a directory, for each subcommand that reads one
+DIRECTORY_INPUTS = {
+    "chain-verify": lambda tmp: ["chain-verify", str(tmp)],
+    **{f"spde-{sub}": lambda tmp, sub=sub: ["spde", sub, str(tmp)]
+       for sub in cli.SPDE_EXPERIMENTS},
+    "transport-mu": lambda tmp: [
+        "transport", str(tmp), fixture_path("transport_nu.json")],
+    "transport-nu": lambda tmp: [
+        "transport", fixture_path("transport_mu.json"), str(tmp)],
+    "transport-cost": lambda tmp: [
+        "transport", fixture_path("transport_mu.json"),
+        fixture_path("transport_nu.json"), "--cost", str(tmp)],
+}
+
+
+@pytest.mark.parametrize("argv", list(DIRECTORY_INPUTS.values()),
+                         ids=list(DIRECTORY_INPUTS))
+def test_unreadable_input_exit_2(tmp_path, capsys, argv):
+    code, out, err = run(argv(tmp_path), capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("config error: ")
+    assert err.endswith(f": {tmp_path}: Is a directory\n")
+
+
 # the subcommand that reads each shipped spde config
 FIXTURE_SUBCOMMANDS = {
     "spde_constants.json": "constants-demo", "spde_energy.json": "energy",
@@ -101,23 +151,19 @@ def test_shipped_configs_pass_the_reader():
 
 
 def chain_config(tmp_path, **top) -> str:
-    """chain5_verify.json with absolute paths, plus `top`."""
-    cfg = serialize.load(fixture_path("chain5_verify.json"))
-    for key in ("poset", "kernel", "space"):
-        cfg[key] = fixture_path(cfg[key])
+    """chain5_verify.json with the top-level keys `top` replaced."""
     path = str(tmp_path / "cfg.json")
-    serialize.dump({**cfg, **top}, path)
+    serialize.dump({**chain_fixture(), **top}, path)
     return path
 
 
 def chain_variant(tmp_path, space=None, kernel=None, **top) -> str:
-    """chain5_verify.json with its poset, kernel and space inline, the
-    fields `space` and `kernel` of the last two replaced, plus `top`."""
-    inline = {key: serialize.load(fixture_path(f"chain5_{key}.json"))
-              for key in ("poset", "kernel", "space")}
-    inline["space"].update(space or {})
-    inline["kernel"].update(kernel or {})
-    return chain_config(tmp_path, **inline, **top)
+    """chain5_verify.json with the fields `space` and `kernel` of its space
+    and kernel replaced, plus `top`."""
+    cfg = chain_fixture()
+    cfg["space"].update(space or {})
+    cfg["kernel"].update(kernel or {})
+    return chain_config(tmp_path, **cfg, **top)
 
 
 def spde_config(tmp_path, where, key) -> str:
@@ -230,12 +276,9 @@ def test_bad_spde_value_names_its_field(tmp_path, capsys, argv, key):
 # every key of every reader table, given a value of the wrong type
 # ---------------------------------------------------------------------------
 
-def chain_inline(name: str = "chain5") -> dict:
-    """{name}_verify.json with its poset, kernel and space inline."""
-    cfg = serialize.load(fixture_path(f"{name}_verify.json"))
-    for key in ("poset", "kernel", "space"):
-        cfg[key] = serialize.load(fixture_path(cfg[key]))
-    return cfg
+def chain_fixture(name: str = "chain5") -> dict:
+    """The shipped chain-verify config {name}_verify.json."""
+    return serialize.load(fixture_path(f"{name}_verify.json"))
 
 
 def spde_base(sub: str) -> dict:
@@ -303,7 +346,7 @@ def constants_argv(path, value):
 
 def chain_argv(path, value):
     """argv of `chain-verify` on chain5 with `value` at `path`."""
-    return config_argv(["chain-verify"], set_at(chain_inline(), path, value))
+    return config_argv(["chain-verify"], set_at(chain_fixture(), path, value))
 
 
 # (id, argv maker of a config whose `key` holds `value`, the reader table
@@ -354,6 +397,9 @@ RETIRED_KEYS = [
     ("const-profile", lambda k, v: constants_argv(
         ("spde", "noise", "sigma", 0), {"kind": "const", "amp": 1, k: v}),
      {"value": serialize.number}),
+    # the poset's size, which its relation fixes
+    ("poset", lambda k, v: chain_argv(("poset", k), v),
+     {"n": serialize.integer}),
     # the top-level copy of the solver block's n_paths
     *((f"spde-{sub}", lambda k, v, sub=sub: config_argv(
         ["spde", sub], set_at(spde_base(sub), (k,), v)),
@@ -380,7 +426,7 @@ def test_wrong_type_exit_2(tmp_path, capsys, argv, key):
     assert_config_error(*run(argv(tmp_path), capsys), key)
 
 
-CHAIN5_LEQ = serialize.load(fixture_path("chain5_poset.json"))["leq"]
+CHAIN5_LEQ = chain_fixture()["poset"]["leq"]
 
 # values that were once coerced or misreported, each with the key its
 # error must name
@@ -404,9 +450,8 @@ REPRODUCED_CHAIN = {
     "horizon-string": (("horizon",), "40", "horizon"),
     "horizon-40.9": (("horizon",), 40.9, "horizon"),
     "r2-threshold-string": (("r2_threshold",), "0.5", "r2_threshold"),
-    "poset-unknown-key": (("poset",), {"n": 7, "leq": CHAIN5_LEQ,
-                                       "bogus": 1}, "bogus"),
-    "poset-n-mismatch": (("poset",), {"n": 7, "leq": CHAIN5_LEQ}, "n"),
+    "poset-unknown-key": (("poset",), {"leq": CHAIN5_LEQ, "bogus": 1},
+                          "bogus"),
     "kernel-unknown-key": (("kernel", "extra"), 1, "extra"),
     "kernel-without-P": (("kernel",), {}, "P"),
     "space-gamma-string": (("space", "gamma"), "0.5", "gamma"),
@@ -502,7 +547,7 @@ PROBES = {
     # swap_eps <= 0 made the counterexample pass (5); a negative d entry
     # made d ** delta NaN
     **{f"swap-eps-{value}": (config_argv(["chain-verify"], set_at(
-        chain_inline("antichain2"), ("space", "swap_eps"), value)),
+        chain_fixture("antichain2"), ("space", "swap_eps"), value)),
         "swap_eps") for value in (-1, 0, 1)},
     "d-negative-entry": (chain_argv(("space", "d", 0, 2), -1), "d"),
     # the stationarity check would compare the last grid time with itself
@@ -551,9 +596,9 @@ class TestChainVerify:
 
     def test_bad_kernel_row_exit_2(self, tmp_path, capsys):
         serialize.dump({
-            "poset": {"n": 2, "leq": [[1, 1], [0, 1]]},
+            "poset": {"leq": [[1, 1], [0, 1]]},
             "kernel": {"P": [[0.99, 0.0], [0.0, 1.0]]},
-            "space": serialize.load(fixture_path("antichain2_space.json")),
+            "space": chain_fixture("antichain2")["space"],
         }, str(tmp_path / "cfg.json"))
         code, out, err = run(["chain-verify", str(tmp_path / "cfg.json")],
                              capsys)
@@ -561,12 +606,9 @@ class TestChainVerify:
         assert "row 0" in err
 
     def test_nan_kernel_exit_2(self, tmp_path, capsys):
-        path = str(tmp_path / "kernel.json")
-        serialize.dump({"P": [[float("nan"), 0.5], [0.5, 0.5]]}, path)
-        code, out, err = run(["chain-verify", chain_config(
-            tmp_path, poset=fixture_path("antichain2_poset.json"),
-            kernel=path, space=fixture_path("antichain2_space.json"))],
-            capsys)
+        code, out, err = run(config_argv(["chain-verify"], set_at(
+            chain_fixture("antichain2"), ("kernel", "P"),
+            [[float("nan"), 0.5], [0.5, 0.5]]))(tmp_path), capsys)
         assert code == 2
         assert "NaN kernel entry" in err
 
@@ -626,8 +668,7 @@ class TestChainVerify:
     # fails: the report entry reads FAIL with its witness, and the run
     # exits 1
     @pytest.mark.parametrize("change, condition, witness", [
-        ({"kernel": {"P": serialize.load(fixture_path(
-            "chain5_kernel.json"))["P"][::-1]}},
+        ({"kernel": {"P": chain_fixture()["kernel"]["P"][::-1]}},
          "order_preserving", [0, 1, [4]]),
         ({"space": {"K": 0.1}}, "lyapunov_drift", 2),
         ({"space": {"d": np.where(np.eye(5, k=1), 5.0, np.abs(
@@ -646,16 +687,22 @@ class TestChainVerify:
         assert entry[condition]["witness"] == witness
         assert f"{condition:32s} FAIL" in err
 
+    # each part is an object in the config, not the path of a file, even
+    # of one that holds the part
     @pytest.mark.parametrize("key", ["poset", "kernel", "space"])
-    def test_named_file_not_json_exit_2(self, tmp_path, capsys, key):
-        path = tmp_path / f"{key}.json"
-        path.write_text("{not json")
-        code, out, err = run(
-            ["chain-verify", chain_config(tmp_path, **{key: str(path)})],
-            capsys)
-        assert code == 2
-        assert out == ""
-        assert f"field '{key}': not valid JSON" in err
+    def test_part_given_as_a_path_exit_2(self, tmp_path, capsys, key):
+        serialize.dump(chain_fixture()[key], str(tmp_path / f"{key}.json"))
+        code, out, err = run(["chain-verify", chain_config(
+            tmp_path, **{key: f"{key}.json"})], capsys)
+        assert_config_error(code, out, err, key)
+        assert err.startswith(f"config error: field '{key}': ")
+
+    # the relation fixes the poset's size, so `n` is not a key of it
+    def test_poset_n_is_an_unknown_key_exit_2(self, tmp_path, capsys):
+        code, out, err = run(chain_argv(("poset", "n"), 5)(tmp_path), capsys)
+        assert_config_error(code, out, err, "n")
+        assert err == "config error: field 'poset': field 'n': not a key " \
+            "of the poset\n"
 
     def test_writes_report_and_manifest(self, tmp_path, capsys):
         out_dir = str(tmp_path / "run")

@@ -47,6 +47,16 @@ class TestValidation:
         assert p.n == 4
         assert p.leq[0, 3] and not p.leq[3, 0]
 
+    # a poset is its relation: leq is its one field, and n its size
+    def test_size_is_the_relations(self):
+        assert [f.name for f in dataclasses.fields(FinitePoset)] == ["leq"]
+        for p in (chain_poset(4), antichain_poset(3),
+                  validate_poset(np.eye(5)),
+                  FinitePoset.from_json_obj({"leq": [[1, 0], [0, 1]]})):
+            assert p.n == len(p.leq)
+        with pytest.raises(TypeError):
+            FinitePoset(n=3, leq=np.eye(5, dtype=bool))
+
     def test_not_reflexive(self):
         leq = np.eye(3, dtype=bool)
         leq[1, 1] = False
